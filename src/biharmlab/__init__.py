@@ -12,14 +12,12 @@ from .grids import (BoxGrid, GridFunction, PhiFamily, RadialGrid, Region,
                     euclidean_distance, lp_norm, make_phi, probe_functions,
                     sphere_area)
 from .operators import (BoxOperator, SectorOperator, TwistedOperator,
-                        assemble_box, assemble_sector,
-                        conjugated_laplacian_terms, critical_exponents,
+                        assemble_box, assemble_sector, critical_exponents,
                         forme_inequality_check, paper_rellich_constant, twist,
                         twisted_form_terms)
 from .spectral import (KernelMatrix, SemigroupEvaluator, SpectralDecomposition,
                        eigendecompose, inv_sqrt_apply, lanczos_extremal,
-                       make_evaluator, riesz_apply, riesz_kernel, riesz_matrix,
-                       sector_angle, semigroup_apply, semigroup_kernel)
+                       make_evaluator, riesz_apply, riesz_kernel, sector_angle)
 from .norms import NormEstimate, boyd_lower, corner_norm, interpolation_upper, opnorm
 from .estimates import (DistanceEstimate, FitResult, davies_distance, decay_fit,
                         discrete_rellich, eta_h, extrapolation_check, gamma_pq,

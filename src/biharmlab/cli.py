@@ -25,7 +25,7 @@ from .grids import (GridError, Region, build_box_grid, build_radial_grid,
 from .norms import corner_norm
 from .operators import (OperatorError, assemble_box, assemble_sector,
                         paper_rellich_constant, twisted_form_terms)
-from .spectral import eigendecompose, make_evaluator, riesz_apply, riesz_kernel
+from .spectral import eigendecompose, make_evaluator, riesz_apply
 
 EXIT_OK = 0
 EXIT_ASSERT = 1
@@ -36,18 +36,39 @@ class ConfigError(ValueError):
     pass
 
 
-KNOWN_KEYS = {
-    "run": {"experiment", "N", "c", "seed", "out", "threads",
-            "allow_supercritical"},
-    "grid": {"kind", "n", "R", "mode", "m", "B"},
-    "sweep": {"t", "p", "q", "d", "lam", "ell_max", "count"},
-    "tolerances": {"slope_tol", "bracket_tol"},
-}
+def _grid_mode(text: str) -> str:
+    if text not in ("uniform", "log"):
+        raise argparse.ArgumentTypeError(
+            f"mode must be 'uniform' or 'log' (got {text!r})")
+    return text
+
+
+# Every experiment option, once: command-line flag, config key, type,
+# default, help.  The name after the config section is the argparse dest;
+# a bool option is a switch that is off unless given.
+OPTIONS = (
+    ("--N", "run.N", int, 5, "space dimension, N >= 5"),
+    ("--c", "run.c", float, 1.0, "coupling constant c"),
+    ("--seed", "run.seed", int, 0, "random seed"),
+    ("--out", "run.out", str, "out", "output directory"),
+    ("--allow-supercritical", "run.allow_supercritical", bool, False,
+     "allow c >= C* for exploratory (report-only) runs"),
+    ("--n", "grid.n", int, None, "radial node count"),
+    ("--R", "grid.R", float, None, "outer radius"),
+    ("--mode", "grid.mode", _grid_mode, None, "radial spacing: uniform or log"),
+    ("--t", "sweep.t", str, None, "comma list of times"),
+    ("--p", "sweep.p", str, None, "comma list of p values"),
+    ("--d", "sweep.d", str, None, "comma list of distances"),
+    ("--lam", "sweep.lam", str, None, "comma list of lambda values"),
+    ("--ell-max", "sweep.ell_max", int, 8, "largest angular index ell"),
+)
+CONFIG_KEYS = {key for _, key, _, _, _ in OPTIONS}
 
 
 def parse_config(path: str) -> dict:
     """Line-oriented `key = value` file with [section] headers; unknown
     sections or keys are hard errors."""
+    sections = {key.split(".")[0] for key in CONFIG_KEYS}
     cfg = {}
     section = "run"
     with open(path, encoding="utf-8") as fh:
@@ -57,46 +78,63 @@ def parse_config(path: str) -> dict:
                 continue
             if line.startswith("[") and line.endswith("]"):
                 section = line[1:-1].strip()
-                if section not in KNOWN_KEYS:
+                if section not in sections:
                     raise ConfigError(f"{path}:{lineno}: unknown section "
                                       f"[{section}]")
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
             key, val = (s.strip() for s in line.split("=", 1))
-            if key not in KNOWN_KEYS.get(section, set()):
+            if f"{section}.{key}" not in CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r} in "
                                   f"[{section}]")
             cfg[f"{section}.{key}"] = val
     return cfg
 
 
+def config_defaults(cfg: dict) -> dict:
+    """Typed parser defaults (dest -> value) from `parse_config` output."""
+    out = {}
+    for _, key, typ, _, _ in OPTIONS:
+        if key not in cfg:
+            continue
+        text = cfg[key]
+        try:
+            if typ is bool:
+                if text.lower() not in ("true", "false"):
+                    raise ValueError("expected true or false")
+                value = text.lower() == "true"
+            else:
+                value = typ(text)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ConfigError(f"bad value {text!r} for {key}: {exc}") from None
+        out[key.split(".")[1]] = value
+    return out
+
+
 def _floats(s: str):
     return [float(x) for x in s.split(",") if x.strip()]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+    """Argument parser; `defaults` (dest -> value) replace the built-in
+    defaults of the experiment options, so explicit flags still win."""
+    defaults = defaults or {}
     ap = argparse.ArgumentParser(
         prog="biharmlab",
         description="numerical laboratory for Delta^2 - c|x|^-4 on R^N")
     sub = ap.add_subparsers(dest="cmd", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="key = value config file")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--out", default="out")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker threads (results are thread-count independent)")
-    common.add_argument("--allow-supercritical", action="store_true")
-    common.add_argument("--N", type=int, default=5)
-    common.add_argument("--c", type=float, default=1.0)
-    common.add_argument("--n", type=int, default=None, help="radial node count")
-    common.add_argument("--R", type=float, default=None, help="outer radius")
-    common.add_argument("--mode", default=None, choices=("uniform", "log"))
-    common.add_argument("--t", default=None, help="comma list of times")
-    common.add_argument("--p", default=None, help="comma list of p values")
-    common.add_argument("--d", default=None, help="comma list of distances")
-    common.add_argument("--lam", default=None, help="comma list of lambda values")
-    common.add_argument("--ell-max", type=int, default=8)
+    for flag, key, typ, default, help_text in OPTIONS:
+        dest = key.split(".")[1]
+        default = defaults.get(dest, default)
+        if typ is bool:
+            common.add_argument(flag, dest=dest, action="store_true",
+                                default=default, help=help_text)
+        else:
+            common.add_argument(flag, dest=dest, type=typ, default=default,
+                                help=help_text)
     for name in ("rellich", "decay", "offdiag", "riesz", "twisted", "distance",
                  "solve", "suite"):
         sub.add_parser(name, parents=[common])
@@ -110,35 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma list of reference slopes")
     pp.add_argument("--out", default=None, help="output SVG path")
     return ap
-
-
-_FLAG_DEFAULTS = {
-    "N": 5, "c": 1.0, "seed": 0, "out": "out", "threads": 1,
-    "allow_supercritical": False, "n": None, "R": None, "mode": None,
-    "t": None, "p": None, "d": None, "lam": None, "ell_max": 8,
-}
-
-
-def apply_config(args) -> None:
-    """Config file values override built-in defaults; explicit command-line
-    flags override the config file."""
-    if args.config is None:
-        return
-    cfg = parse_config(args.config)
-    mapping = {
-        "run.N": ("N", int), "run.c": ("c", float), "run.seed": ("seed", int),
-        "run.out": ("out", str), "run.threads": ("threads", int),
-        "run.allow_supercritical": ("allow_supercritical",
-                                    lambda s: s.lower() == "true"),
-        "grid.n": ("n", int), "grid.R": ("R", float), "grid.mode": ("mode", str),
-        "sweep.t": ("t", str), "sweep.p": ("p", str), "sweep.d": ("d", str),
-        "sweep.lam": ("lam", str), "sweep.ell_max": ("ell_max", int),
-    }
-    for key, val in cfg.items():
-        if key in mapping:
-            attr, conv = mapping[key]
-            if getattr(args, attr) == _FLAG_DEFAULTS.get(attr):
-                setattr(args, attr, conv(val))
 
 
 def validate(args) -> None:
@@ -176,7 +185,8 @@ def run_rellich(args, man: report.RunManifest, out: str) -> None:
     man.add_file(path)
     rel = abs(res["min"] - target) / target
     man.add_check("rellich_within_10pct", rel <= 0.10,
-                  f"C*_h = {res['min']!r}, target {target!r}, rel err {rel!r}")
+                  f"C*_h = {report.fmt(res['min'])}, target "
+                  f"{report.fmt(target)}, rel err {report.fmt(rel)}")
     man.add_check("rellich_min_at_ell0", not res["higher_sector_wins"],
                   f"argmin ell = {res['argmin_ell']}")
 
@@ -200,7 +210,8 @@ def run_decay(args, man: report.RunManifest, out: str) -> None:
                 curve_rows.append((c, q, tv, nv))
             if _asserting(args):
                 man.add_check(f"decay_slope_c{c}_q{q}", rel <= 0.15,
-                              f"slope {fit.exponent!r} target {fit.target!r}")
+                              f"slope {report.fmt(fit.exponent)} "
+                              f"target {report.fmt(fit.target)}")
     path = os.path.join(out, "decay.csv")
     report.write_csv(path, ("c", "p", "q", "slope", "target", "residual"), rows)
     man.add_file(path)
@@ -272,13 +283,13 @@ def run_riesz(args, man: report.RunManifest, out: str) -> None:
     man.add_file(path)
     if _asserting(args):
         man.add_check("riesz_routes_agree", route_rel <= 1e-6,
-                      f"rel err {route_rel!r}")
+                      f"rel err {report.fmt(route_rel)}")
         man.add_check("riesz_l2_bound", sweep[2.0]["ok"],
-                      f"||R||_2 = {sweep[2.0]['estimate'].upper!r} vs "
-                      f"eta_h^-1/2 = {sweep[2.0]['eta_bound']!r}")
+                      f"||R||_2 = {report.fmt(sweep[2.0]['estimate'].upper)} vs "
+                      f"eta_h^-1/2 = {report.fmt(sweep[2.0]['eta_bound'])}")
         for p in ps:
             man.add_check(f"riesz_stability_p{p}", sweep[p]["stable"],
-                          f"change {sweep[p]['stability']!r}")
+                          f"change {report.fmt(sweep[p]['stability'])}")
 
 
 def run_twisted(args, man: report.RunManifest, out: str) -> None:
@@ -304,7 +315,7 @@ def run_twisted(args, man: report.RunManifest, out: str) -> None:
     man.add_file(path)
     if _asserting(args):
         man.add_check("twisted_expansion_order", min(orders) >= 1.5,
-                      f"orders {orders!r}")
+                      f"orders {', '.join(map(report.fmt, orders))}")
 
     # sector twisted semigroup suite
     n = args.n or 256
@@ -325,13 +336,14 @@ def run_twisted(args, man: report.RunManifest, out: str) -> None:
     man.add_file(path)
     if _asserting(args):
         man.add_check("twisted_semigroup_bounds", rep["ok"],
-                      f"k_h {rep['k_h']!r} M-hat {rep['m_hat']!r}")
+                      f"k_h {report.fmt(rep['k_h'])} "
+                      f"M-hat {report.fmt(rep['m_hat'])}")
     # t^{-1/2} fit at c=0
     op0 = assemble_sector(grid, 0, 0.0)
     fit = laplacian_decay_fit(op0, np.geomspace(0.01, 0.1, 8))
     if _asserting(args):
         man.add_check("laplacian_decay_half", fit.relative_error() <= 0.10,
-                      f"slope {fit.exponent!r}")
+                      f"slope {report.fmt(fit.exponent)}")
 
 
 def run_distance(args, man: report.RunManifest, out: str) -> None:
@@ -363,7 +375,7 @@ def run_distance(args, man: report.RunManifest, out: str) -> None:
     man.add_check("davies_distance_bracket", ok_all, f"{count} random pairs")
     res = lambda_optimizer_check(0.25, 1.0, 1.0)
     man.add_check("lambda_optimizer", res["ok"],
-                  f"rel err {float(res['rel_err_lam'])!r}")
+                  f"rel err {report.fmt(res['rel_err_lam'])}")
 
 
 def run_solve(args, man: report.RunManifest, out: str) -> None:
@@ -404,7 +416,7 @@ def run_coercivity(args, man: report.RunManifest, out: str) -> None:
     man.add_file(path)
     if _asserting(args):
         man.add_check("positive_definite", dec.mu[0] > 0,
-                      f"mu_1 = {dec.mu[0]!r}")
+                      f"mu_1 = {report.fmt(dec.mu[0])}")
         man.add_check("semigroup_contractive", contractive, "")
 
 
@@ -462,12 +474,13 @@ def run_plot(args) -> int:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.cmd == "plot":
         return run_plot(args)
     try:
-        apply_config(args)
+        if args.config is not None:
+            defaults = config_defaults(parse_config(args.config))
+            args = build_parser(defaults).parse_args(argv)
         validate(args)
     except (ConfigError, GridError, OperatorError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -489,7 +502,7 @@ def main(argv=None) -> int:
             out = _outdir(args, name)
             man = report.RunManifest({
                 "experiment": name, "N": args.N, "c": args.c,
-                "seed": args.seed, "threads": args.threads,
+                "seed": args.seed,
             })
             try:
                 fn(args, man, out)

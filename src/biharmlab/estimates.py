@@ -22,7 +22,7 @@ from .grids import (GridFunction, RadialGrid, Region, euclidean_distance,
                     make_phi, probe_functions, sphere_area, weighted_lp)
 from .norms import NormEstimate, corner_norm, opnorm
 from .operators import (SectorOperator, assemble_sector, forme_inequality_check,
-                        paper_rellich_constant, twist)
+                        paper_rellich_constant, stiffness_bands, twist)
 from .spectral import (KernelMatrix, SemigroupEvaluator, eigendecompose,
                        make_evaluator, sector_angle)
 
@@ -88,7 +88,6 @@ def _sector_rellich_matched(grid: RadialGrid, ell: int) -> float:
     r, faces, w = grid.r, grid.faces, grid.w
     sig = sphere_area(N)
     f0, fR = faces[0], faces[-1]
-    a_cpl = sig * faces[1:-1] ** (N - 1) / np.diff(r)
 
     def lapc(m):
         return m * (m + N - 2) - ell * (ell + N - 2)
@@ -110,19 +109,15 @@ def _sector_rellich_matched(grid: RadialGrid, ell: int) -> float:
     flux_out = sig * fR ** (N - 1) * np.array(
         [p / fR for p in p_out]) @ Cout
 
-    L = sp.lil_matrix((n, n))
-    for i in range(n):
-        if i > 0:
-            L[i, i - 1] += a_cpl[i - 1]
-            L[i, i] -= a_cpl[i - 1]
-        if i < n - 1:
-            L[i, i + 1] += a_cpl[i]
-            L[i, i] -= a_cpl[i]
-    L[0, 0] += flux_in[0]
-    L[0, 1] += flux_in[1]
-    L[n - 1, n - 2] -= flux_out[0]
-    L[n - 1, n - 1] -= flux_out[1]
-    L = sp.diags(1.0 / w) @ L.tocsr()
+    # interior flux stencil, closed by the tail fluxes in rows 0 and n-1
+    a, main = stiffness_bands(grid)
+    upper, lower = a.copy(), a.copy()
+    main[0] += flux_in[0]
+    upper[0] += flux_in[1]
+    lower[-1] -= flux_out[0]
+    main[-1] -= flux_out[1]
+    L = sp.diags([lower, main, upper], [-1, 0, 1], format="csr")
+    L = sp.diags(1.0 / w) @ L
     if ell:
         L = L - sp.diags(ell * (ell + N - 2) / r**2)
     F = (L.T @ sp.diags(w) @ L).tolil()
@@ -153,7 +148,7 @@ def _sector_rellich_matched(grid: RadialGrid, ell: int) -> float:
 
     F = F.tocsc()
     F = (F + F.T) / 2.0
-    mu = spla.eigsh(F, k=1, M=M.tocsc(), sigma=0, which="LM",
+    mu = spla.eigsh(F, k=1, M=M.tocsc(), sigma=0, which="LM", v0=np.ones(n),
                     return_eigenvectors=False)
     return float(mu[0])
 
@@ -163,7 +158,7 @@ def _sector_rellich_dirichlet(grid: RadialGrid, ell: int) -> float:
     op = assemble_sector(grid, ell=ell, c=0.0)
     F = sp.csc_matrix(op.F)
     M = sp.diags(op.w * grid.r**-4.0).tocsc()
-    mu = spla.eigsh(F, k=1, M=M, sigma=0, which="LM",
+    mu = spla.eigsh(F, k=1, M=M, sigma=0, which="LM", v0=np.ones(grid.n),
                     return_eigenvectors=False)
     return float(mu[0])
 
@@ -247,6 +242,7 @@ def decay_fit(evaluator: SemigroupEvaluator, p: float, q: float,
 # ------------------------------------------------------- off-diagonal fits
 
 OFFDIAG_FLOOR = 1e-12   # weighted-subnorm noise floor of float64 kernels
+OFFDIAG_TIME_FIT_INDEX = 1   # F_list entry whose distance the time fit fixes
 
 
 def _block_norm(kern: KernelMatrix, maskF: np.ndarray, maskE: np.ndarray) -> float:
@@ -259,12 +255,12 @@ def _block_norm(kern: KernelMatrix, maskF: np.ndarray, maskE: np.ndarray) -> flo
 
 
 def offdiag_fit(evaluator: SemigroupEvaluator, E: Region, F_list,
-                t_list, distances=None, d_fixed_index: int = 1) -> dict:
+                t_list) -> dict:
     """Off-diagonal decay ||chi_F e^{-tA} chi_E|| <= c1 t^{-g} exp(-c2 d^{4/3}/t^{1/3}).
 
     (i) at each fixed t: fit -log(ratio) = b + s d^e over the F-family
         (target e = 4/3);
-    (ii) at the fixed distance F_list[d_fixed_index]: fit
+    (ii) at the fixed distance F_list[OFFDIAG_TIME_FIT_INDEX]: fit
         -log(ratio) = b + s t^{-e} (target e = 1/3);
     (iii) joint (c1, c2) linear fit at the paper exponents.
 
@@ -274,12 +270,7 @@ def offdiag_fit(evaluator: SemigroupEvaluator, E: Region, F_list,
     grid = evaluator.op.grid
     maskE = E.indicator(grid).astype(bool)
     masksF = [F.indicator(grid).astype(bool) for F in F_list]
-    if distances is None:
-        distances = np.array([euclidean_distance(E, F) for F in F_list])
-        dist_source = "euclidean"
-    else:
-        distances = np.asarray(distances, dtype=float)
-        dist_source = "davies_lower"
+    distances = np.array([euclidean_distance(E, F) for F in F_list])
     ts = np.asarray(t_list, dtype=float)
 
     ratios = np.zeros((len(ts), len(masksF)))
@@ -320,7 +311,7 @@ def offdiag_fit(evaluator: SemigroupEvaluator, E: Region, F_list,
         return b + s * t**-e
 
     time_fit = None
-    j = d_fixed_index
+    j = OFFDIAG_TIME_FIT_INDEX
     ok = usable[:, j]
     if ok.sum() >= 4:
         v = -np.log(ratios[ok, j])
@@ -363,7 +354,7 @@ def offdiag_fit(evaluator: SemigroupEvaluator, E: Region, F_list,
     return {"distance_fits": dist_fits, "time_fit": time_fit,
             "joint_fit": joint_fit, "ratios": ratios, "distances": distances,
             "t_list": ts, "excluded_below_floor": excluded,
-            "floor": OFFDIAG_FLOOR, "distance_source": dist_source}
+            "floor": OFFDIAG_FLOOR}
 
 
 # --------------------------------------------------------- Davies distance

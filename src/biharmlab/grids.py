@@ -55,10 +55,6 @@ class RadialGrid:
     def delta(self) -> np.ndarray:
         return np.diff(self.faces)
 
-    @property
-    def points(self) -> np.ndarray:
-        return self.r
-
     def manifest(self) -> dict:
         return {
             "kind": "radial",
@@ -73,11 +69,6 @@ class RadialGrid:
     def content_hash(self) -> str:
         blob = json.dumps(self.manifest(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
-
-    def to_json(self) -> str:
-        m = self.manifest()
-        m["content_hash"] = self.content_hash()
-        return json.dumps(m, indent=1)
 
 
 def build_radial_grid(N: int, R: float, n: int, mode: str = "uniform") -> RadialGrid:
@@ -152,21 +143,12 @@ class BoxGrid:
     def w(self) -> np.ndarray:
         return np.full(self.size, self.h**self.N)
 
-    @property
-    def points(self) -> np.ndarray:
-        return self.coords()
-
     def manifest(self) -> dict:
         return {"kind": "box", "dimension": self.N, "m": self.m, "half_width": self.B}
 
     def content_hash(self) -> str:
         blob = json.dumps(self.manifest(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
-
-    def to_json(self) -> str:
-        m = self.manifest()
-        m["content_hash"] = self.content_hash()
-        return json.dumps(m, indent=1)
 
 
 def build_box_grid(N: int, m: int, B: float) -> BoxGrid:
@@ -216,14 +198,11 @@ def lp_norm(u: GridFunction, p: float) -> float:
     """Weighted L^p norm; p = inf gives the sup over nodes."""
     if p < 1:
         raise GridError(f"p >= 1 required (got {p})")
-    a = np.abs(u.values)
-    if math.isinf(p):
-        return float(a.max(initial=0.0))
-    w = u.grid.w
-    return float((w @ a**p) ** (1.0 / p))
+    return weighted_lp(u.values, u.grid.w, p)
 
 
 def weighted_lp(values: np.ndarray, w: np.ndarray, p: float) -> float:
+    """(sum_i w_i |v_i|^p)^{1/p}; p = inf gives the sup over nodes."""
     if math.isinf(p):
         return float(np.abs(values).max(initial=0.0))
     return float((w @ np.abs(values) ** p) ** (1.0 / p))

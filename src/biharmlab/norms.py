@@ -15,6 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .grids import weighted_lp
 from .spectral import KernelMatrix
 
 
@@ -24,6 +25,8 @@ class NormError(ValueError):
 
 CORNERS = ((1.0, 1.0), (2.0, 2.0), (math.inf, math.inf),
            (1.0, 2.0), (2.0, math.inf), (1.0, math.inf))
+
+BOYD_MAX_ITER = 500     # dual-ascent fixed-point steps per start
 
 
 def _dual(p: float) -> float:
@@ -111,21 +114,12 @@ def interpolation_upper(kernel: KernelMatrix, p: float, q: float) -> float:
 
 
 def _lp_normalize(u: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
-    if math.isinf(p):
-        m = np.max(np.abs(u))
-        return u / m if m > 0 else u
-    nrm = (w @ np.abs(u) ** p) ** (1.0 / p)
+    nrm = weighted_lp(u, w, p)
     return u / nrm if nrm > 0 else u
 
 
-def _lp(u: np.ndarray, w: np.ndarray, p: float) -> float:
-    if math.isinf(p):
-        return float(np.max(np.abs(u), initial=0.0))
-    return float((w @ np.abs(u) ** p) ** (1.0 / p))
-
-
 def boyd_lower(kernel: KernelMatrix, p: float, q: float, restarts: int = 8,
-               max_iter: int = 500, seed: int = 0) -> tuple:
+               seed: int = 0) -> tuple:
     """Dual-ascent lower bound for the weighted p -> q norm with witness.
 
     Alternates u <- |K^* psi|^{p'-1} sgn and psi <- |Ku|^{q-1} sgn dual
@@ -141,7 +135,7 @@ def boyd_lower(kernel: KernelMatrix, p: float, q: float, restarts: int = 8,
 
     starts = [np.ones(n)]
     # deltas at the strongest columns make good p ~ 1 starts
-    col_str = np.array([_lp(K[:, j], w, q) for j in range(n)])
+    col_str = np.array([weighted_lp(K[:, j], w, q) for j in range(n)])
     e = np.zeros(n)
     e[int(np.argmax(col_str))] = 1.0
     starts.append(e)
@@ -151,9 +145,9 @@ def boyd_lower(kernel: KernelMatrix, p: float, q: float, restarts: int = 8,
     for u0 in starts:
         u = _lp_normalize(u0.astype(float), w, p)
         val = 0.0
-        for _ in range(max_iter):
+        for _ in range(BOYD_MAX_ITER):
             v = K @ (w * u)
-            nv = _lp(v, w, q)
+            nv = weighted_lp(v, w, q)
             if nv == 0.0:
                 break
             # dual element of v in L^q
@@ -174,7 +168,7 @@ def boyd_lower(kernel: KernelMatrix, p: float, q: float, restarts: int = 8,
             else:
                 unew = sgn * np.abs(z) ** (pd - 1.0)
             unew = _lp_normalize(unew, w, p)
-            new_val = _lp(K @ (w * unew), w, q)
+            new_val = weighted_lp(K @ (w * unew), w, q)
             if new_val <= val * (1.0 + 1e-13):
                 break
             u, val = unew, new_val
@@ -199,13 +193,9 @@ class NormEstimate:
             raise NormError(
                 f"bracket inverted: lower {self.lower} > upper {self.upper}")
 
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.lower + self.upper)
 
-
-def opnorm(kernel: KernelMatrix, p: float, q: float, restarts: int = 8,
-           max_iter: int = 500, seed: int = 0) -> NormEstimate:
+def opnorm(kernel: KernelMatrix, p: float, q: float,
+           seed: int = 0) -> NormEstimate:
     """Bracket for the weighted L^p -> L^q norm of a kernel operator."""
     if p > q:
         raise NormError("only p <= q is supported")
@@ -213,8 +203,6 @@ def opnorm(kernel: KernelMatrix, p: float, q: float, restarts: int = 8,
         raise NormError("p, q >= 1 required")
     upper = interpolation_upper(kernel, p, q)
     exact = _has_exact(p, q)
-    lower, witness = boyd_lower(kernel, p, q, restarts=restarts,
-                                max_iter=max_iter, seed=seed)
-    lower = min(lower, upper)
+    lower, witness = boyd_lower(kernel, p, q, seed=seed)
     return NormEstimate(p=p, q=q, lower=lower, upper=upper, witness=witness,
                         exact=exact)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import BoxGrid, GridFunction, GridError, PhiFamily, RadialGrid, sphere_area
+from .grids import BoxGrid, GridFunction, PhiFamily, RadialGrid, sphere_area
 
 EXP_CLAMP = 300.0
 
@@ -36,6 +36,19 @@ class OperatorError(ValueError):
     pass
 
 
+def stiffness_bands(grid: RadialGrid) -> tuple:
+    """Bands (a, d) of the flux-form radial Laplacian before any boundary
+    closure: face couplings a_i = sigma f_i^{N-1}/(r_{i+1} - r_i) and the
+    interior diagonal d_i = -(a_{i-1} + a_i), with a_{-1} = a_{n-1} = 0.
+    """
+    N, r, faces = grid.N, grid.r, grid.faces
+    a = sphere_area(N) * faces[1:-1] ** (N - 1) / np.diff(r)
+    d = np.zeros(grid.n)
+    d[:-1] -= a
+    d[1:] -= a
+    return a, d
+
+
 def sector_stiffness(grid: RadialGrid, ell: int) -> np.ndarray:
     """Dense symmetric S = W L for the flux-form radial Laplacian of sector ell.
 
@@ -45,25 +58,42 @@ def sector_stiffness(grid: RadialGrid, ell: int) -> np.ndarray:
     """
     N, n = grid.N, grid.n
     r, faces, w = grid.r, grid.faces, grid.w
-    sig = sphere_area(N)
-    a = sig * faces[1:-1] ** (N - 1) / np.diff(r)
-    main = np.zeros(n)
-    main[:-1] -= a
-    main[1:] -= a
-    main[-1] -= sig * faces[-1] ** (N - 1) / (faces[-1] - r[-1])
-    S = np.zeros((n, n))
+    a, main = stiffness_bands(grid)
+    main[-1] -= sphere_area(N) * faces[-1] ** (N - 1) / (faces[-1] - r[-1])
+    if ell:
+        main -= ell * (ell + N - 2) / r**2 * w
+    S = np.diag(main)
     idx = np.arange(n - 1)
-    S[idx, idx] = main[:-1]
-    S[n - 1, n - 1] = main[-1]
     S[idx, idx + 1] = a
     S[idx + 1, idx] = a
-    if ell:
-        S[np.arange(n), np.arange(n)] -= ell * (ell + N - 2) / r**2 * w
     return S
 
 
+class WeightedForm:
+    """The form a_h(u, v) = (Lu, Lv)_W - c (Vu, v)_W, shared by the sector
+    and box operators; subclasses supply grid, c, V and apply_L."""
+
+    @property
+    def w(self) -> np.ndarray:
+        return self.grid.w
+
+    def inner(self, u, v) -> complex:
+        return complex(np.sum(self.w * u * np.conj(v)))
+
+    def form_a(self, u, v) -> complex:
+        """a_h(u, v) = (Lu, Lv)_W - c (Vu, v)_W."""
+        u = _values(u, self.grid)
+        v = _values(v, self.grid)
+        Lu, Lv = self.apply_L(u), self.apply_L(v)
+        return self.inner(Lu, Lv) - self.c * complex(
+            np.sum(self.w * self.V * u * np.conj(v)))
+
+    def form_energy(self, u) -> float:
+        return float(self.form_a(u, u).real)
+
+
 @dataclass
-class SectorOperator:
+class SectorOperator(WeightedForm):
     """Radial sector of A = Delta^2 - c|x|^{-4} in the W-inner product.
 
     S = W L is the symmetric stiffness of the sector Laplacian; the form
@@ -82,10 +112,6 @@ class SectorOperator:
         return self.grid.n
 
     @property
-    def w(self) -> np.ndarray:
-        return self.grid.w
-
-    @property
     def V(self) -> np.ndarray:
         return self.grid.r**-4.0
 
@@ -95,33 +121,11 @@ class SectorOperator:
     def apply_A(self, u: np.ndarray) -> np.ndarray:
         return (self.F @ u) / self.w
 
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        return self.apply_A(u)
-
     def dense_L(self) -> np.ndarray:
         return self.S / self.w[:, None]
 
     def dense_A(self) -> np.ndarray:
         return self.F / self.w[:, None]
-
-    def inner(self, u, v) -> complex:
-        return complex(np.sum(self.w * u * np.conj(v)))
-
-    def form_a(self, u, v) -> complex:
-        """a_h(u, v) = (Lu, Lv)_W - c (Vu, v)_W."""
-        u = _values(u, self.grid)
-        v = _values(v, self.grid)
-        Lu, Lv = self.apply_L(u), self.apply_L(v)
-        return self.inner(Lu, Lv) - self.c * complex(
-            np.sum(self.w * self.V * u * np.conj(v)))
-
-    def form_energy(self, u) -> float:
-        e = self.form_a(u, u)
-        return float(e.real)
-
-    def manifest(self) -> dict:
-        return {"kind": "sector", "dimension": self.grid.N, "ell": self.ell,
-                "c": self.c, "grid_hash": self.grid.content_hash()}
 
     def export_coo(self) -> str:
         """Stiffness matrix in coordinate text format (row, col, value)."""
@@ -159,7 +163,7 @@ def assemble_sector(grid: RadialGrid, ell: int = 0, c: float = 0.0) -> SectorOpe
 
 
 @dataclass
-class BoxOperator:
+class BoxOperator(WeightedForm):
     """Matrix-free A = Delta^2 - c|x|^{-4} on a box grid (2N+1 stencil)."""
 
     grid: BoxGrid
@@ -169,10 +173,6 @@ class BoxOperator:
     @property
     def n(self) -> int:
         return self.grid.size
-
-    @property
-    def w(self) -> np.ndarray:
-        return self.grid.w
 
     @property
     def V(self) -> np.ndarray:
@@ -196,9 +196,6 @@ class BoxOperator:
     def apply_A(self, u: np.ndarray) -> np.ndarray:
         return self.apply_L(self.apply_L(u)) - self.c * self.V * u
 
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        return self.apply_A(u)
-
     def gradient(self, u: np.ndarray) -> np.ndarray:
         """Centered differences, one-sided at the boundary; (size, N)."""
         g = self.grid
@@ -220,23 +217,6 @@ class BoxOperator:
             gax[sm] = (U[sm] - U[sm1]) / h
             out[..., ax] = gax
         return out.reshape(-1, N)
-
-    def inner(self, u, v) -> complex:
-        return complex(np.sum(self.w * u * np.conj(v)))
-
-    def form_a(self, u, v) -> complex:
-        u = _values(u, self.grid)
-        v = _values(v, self.grid)
-        Lu, Lv = self.apply_L(u), self.apply_L(v)
-        return self.inner(Lu, Lv) - self.c * complex(
-            np.sum(self.w * self.V * u * np.conj(v)))
-
-    def form_energy(self, u) -> float:
-        return float(self.form_a(u, u).real)
-
-    def manifest(self) -> dict:
-        return {"kind": "box", "dimension": self.grid.N, "m": self.grid.m,
-                "c": self.c, "grid_hash": self.grid.content_hash()}
 
 
 def assemble_box(grid: BoxGrid, c: float = 0.0) -> BoxOperator:
@@ -381,38 +361,3 @@ def forme_inequality_check(op, samples, gamma: float = 0.5,
     return {"gamma": gamma, "eps": eps, "k": k, "k_empirical": k_emp,
             "rows": rows, "violations": violations,
             "ok": not violations}
-
-
-def conjugated_laplacian_terms(op: BoxOperator, u, lam: float, phi: PhiFamily,
-                               semigroup_value, twisted_semigroup_value) -> dict:
-    """Identity for the conjugated Laplacian acting on a semigroup value:
-
-        e^{lam phi} Lap e^{-tA} e^{-lam phi} u =
-            (lam^2 |grad phi|^2 - lam Lap phi) v
-          - 2 lam grad phi . grad v  +  Lap v,      v = e^{-tA_{lam phi}} u.
-
-    `semigroup_value` is e^{-tA}(e^{-lam phi}u) and `twisted_semigroup_value`
-    is v; both come from the spectral engine.  Returns the three right-hand
-    terms, their sum, the direct left side, and the discrepancy.
-    """
-    if not isinstance(op, BoxOperator):
-        raise OperatorError("the expansion needs a box operator (gradients)")
-    _values(u, op.grid)
-    v = _values(twisted_semigroup_value, op.grid)
-    sgv = _values(semigroup_value, op.grid)
-    phiv = phi.values(op.grid)
-    gphi = phi.gradient(op.grid)
-    lphi = phi.laplacian(op.grid)
-    lp = lam * phiv
-    if abs(lam) * float(np.max(np.abs(phiv))) > EXP_CLAMP:
-        raise OperatorError(
-            f"|lambda|*max|phi| exceeds the exponent clamp {EXP_CLAMP}")
-    zero_order = (lam**2 * (gphi**2).sum(1) - lam * lphi) * v
-    grad_term = -2.0 * lam * (gphi * op.gradient(v)).sum(1)
-    lap_term = op.apply_L(v)
-    total = zero_order + grad_term + lap_term
-    direct = np.exp(lp) * op.apply_L(sgv)
-    disc = float(np.sqrt(np.sum(op.w * np.abs(direct - total) ** 2)))
-    return {"zero_order": zero_order, "grad_term": grad_term,
-            "lap_term": lap_term, "sum": total, "direct": direct,
-            "discrepancy": disc}

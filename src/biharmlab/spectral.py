@@ -16,10 +16,12 @@ import numpy as np
 import scipy.linalg as sla
 
 from .grids import GridFunction
-from .operators import BoxOperator, OperatorError, SectorOperator, TwistedOperator
+from .operators import BoxOperator, SectorOperator, TwistedOperator
 
 DENSE_LIMIT = 8192
 KERNEL_NODE_LIMIT = 10**5
+KRYLOV_TOL = 1e-10      # relative accuracy of the box-route e^{-tA}u
+KRYLOV_MAX_DIM = 200    # Lanczos steps before the time step is split
 
 
 class SpectralError(RuntimeError):
@@ -116,13 +118,12 @@ def lanczos_extremal(op: BoxOperator, k: int = 60, seed: int = 0) -> dict:
             "steps": len(alpha)}
 
 
-def _lanczos_expm(apply_A, u: np.ndarray, t: float, tol: float,
-                  max_dim: int) -> np.ndarray:
-    """e^{-tA}u by Lanczos; splits the time step if max_dim is not enough."""
+def _lanczos_expm(apply_A, u: np.ndarray, t: float, tol: float) -> np.ndarray:
+    """e^{-tA}u by Lanczos; splits the time step if KRYLOV_MAX_DIM is short."""
     nrm = np.linalg.norm(u)
     if nrm == 0.0 or t == 0.0:
         return u.copy()
-    V, alpha, beta = lanczos_tridiag(apply_A, u, max_dim)
+    V, alpha, beta = lanczos_tridiag(apply_A, u, KRYLOV_MAX_DIM)
     k = len(alpha)
     prev = None
     for m in list(range(5, k, 5)) + [k]:
@@ -137,11 +138,11 @@ def _lanczos_expm(apply_A, u: np.ndarray, t: float, tol: float,
         if prev is not None and np.linalg.norm(cur - prev) <= tol * nrm:
             return cur
         prev = cur
-    if k < max_dim:
+    if k < KRYLOV_MAX_DIM:
         # breakdown: subspace is invariant, result exact
         return prev
-    half = _lanczos_expm(apply_A, u, t / 2.0, tol / 2.0, max_dim)
-    return _lanczos_expm(apply_A, half, t / 2.0, tol / 2.0, max_dim)
+    half = _lanczos_expm(apply_A, u, t / 2.0, tol / 2.0)
+    return _lanczos_expm(apply_A, half, t / 2.0, tol / 2.0)
 
 
 @dataclass
@@ -166,12 +167,6 @@ class SemigroupEvaluator:
 
     op: object
     decomposition: SpectralDecomposition | None = None
-    tol: float = 1e-10
-    max_dim: int = 200
-
-    @property
-    def route(self) -> str:
-        return "spectral" if self.decomposition is not None else "krylov"
 
     def apply(self, z: complex, u) -> np.ndarray:
         uv = u.values if isinstance(u, GridFunction) else np.asarray(u)
@@ -184,50 +179,33 @@ class SemigroupEvaluator:
             raise SpectralError("box route supports real time only")
         t = float(np.real(z))
         if np.iscomplexobj(uv):
-            re = _lanczos_expm(self.op.apply_A, uv.real, t, self.tol, self.max_dim)
-            im = _lanczos_expm(self.op.apply_A, uv.imag, t, self.tol, self.max_dim)
+            re = _lanczos_expm(self.op.apply_A, uv.real, t, KRYLOV_TOL)
+            im = _lanczos_expm(self.op.apply_A, uv.imag, t, KRYLOV_TOL)
             return re + 1j * im
-        return _lanczos_expm(self.op.apply_A, uv, t, self.tol, self.max_dim)
+        return _lanczos_expm(self.op.apply_A, uv, t, KRYLOV_TOL)
 
-    def kernel(self, t: complex, columns=None) -> KernelMatrix:
+    def kernel(self, t: complex) -> KernelMatrix:
         w = self.op.w
         if self.decomposition is not None:
             d = self.decomposition
             K = (d.Q * np.exp(-t * d.mu)[None, :]) @ d.Q.T
             return KernelMatrix(t=t, K=K, w=w)
-        if columns is None:
-            if self.op.n > KERNEL_NODE_LIMIT:
-                raise SpectralError(
-                    f"full box kernel refused above {KERNEL_NODE_LIMIT} nodes")
-            columns = range(self.op.n)
-        cols = {}
-        for j in columns:
+        if self.op.n > KERNEL_NODE_LIMIT:
+            raise SpectralError(
+                f"full box kernel refused above {KERNEL_NODE_LIMIT} nodes")
+        cols = []
+        for j in range(self.op.n):
             e = np.zeros(self.op.n)
             e[j] = 1.0 / w[j]
-            cols[j] = self.apply(t, e)
-        K = np.column_stack([cols[j] for j in columns])
-        return KernelMatrix(t=t, K=K, w=w)
-
-    def manifest(self) -> dict:
-        return {"route": self.route, "tol": self.tol, "max_dim": self.max_dim}
+            cols.append(self.apply(t, e))
+        return KernelMatrix(t=t, K=np.column_stack(cols), w=w)
 
 
-def make_evaluator(op, decomposition: SpectralDecomposition | None = None,
-                   tol: float = 1e-10, max_dim: int = 200) -> SemigroupEvaluator:
-    if isinstance(op, SectorOperator):
-        if decomposition is None:
-            decomposition = eigendecompose(op)
-        return SemigroupEvaluator(op=op, decomposition=decomposition)
-    return SemigroupEvaluator(op=op, decomposition=None, tol=tol, max_dim=max_dim)
-
-
-def semigroup_apply(evaluator: SemigroupEvaluator, z: complex, u) -> np.ndarray:
-    return evaluator.apply(z, u)
-
-
-def semigroup_kernel(evaluator: SemigroupEvaluator, t: complex,
-                     columns=None) -> KernelMatrix:
-    return evaluator.kernel(t, columns=columns)
+def make_evaluator(op, decomposition: SpectralDecomposition | None = None
+                   ) -> SemigroupEvaluator:
+    if isinstance(op, SectorOperator) and decomposition is None:
+        decomposition = eigendecompose(op)
+    return SemigroupEvaluator(op=op, decomposition=decomposition)
 
 
 def spectral_bounds(op, decomposition=None) -> tuple:
@@ -262,8 +240,8 @@ def quadrature_nodes(mu_min: float, mu_max: float, n_q: int = 200) -> tuple:
 
 
 def inv_sqrt_apply(op, u, route: str = "spectral",
-                   decomposition: SpectralDecomposition | None = None,
-                   n_q: int = 200) -> np.ndarray:
+                   decomposition: SpectralDecomposition | None = None
+                   ) -> np.ndarray:
     """A^{-1/2} u via the spectral calculus or the heat-semigroup quadrature
 
         A^{-1/2} = Gamma(1/2)^{-1} int_0^inf t^{-1/2} e^{-tA} dt.
@@ -280,7 +258,7 @@ def inv_sqrt_apply(op, u, route: str = "spectral",
         return decomposition.fn_apply(lambda m: m**-0.5, uv)
     if route != "quadrature":
         raise SpectralError(f"unknown route {route!r}")
-    ts, wts = quadrature_nodes(mu_min, mu_max, n_q)
+    ts, wts = quadrature_nodes(mu_min, mu_max)
     if decomposition is not None:
         # quadrature in time, semigroup values through the decomposition
         c = decomposition.coeffs(uv)
@@ -301,20 +279,6 @@ def riesz_apply(op, u, route: str = "spectral",
     uv = u.values if isinstance(u, GridFunction) else np.asarray(u)
     return op.apply_L(inv_sqrt_apply(op, uv, route=route,
                                      decomposition=decomposition))
-
-
-def riesz_matrix(op: SectorOperator,
-                 decomposition: SpectralDecomposition | None = None) -> np.ndarray:
-    """Dense Riesz transform on a sector; acts on node values directly."""
-    if not isinstance(op, SectorOperator):
-        raise SpectralError("dense Riesz matrix is sector-only")
-    if decomposition is None:
-        decomposition = eigendecompose(op)
-    d = decomposition
-    if d.mu[0] <= 0:
-        raise SpectralError("indefinite operator: A^{-1/2} undefined")
-    half = (d.Q * (d.mu**-0.5)[None, :]) @ (d.Q.T * d.w[None, :])
-    return op.dense_L() @ half
 
 
 def riesz_kernel(op: SectorOperator,

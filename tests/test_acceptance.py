@@ -2,6 +2,7 @@
 emitting a single pass/fail line in the terminal summary."""
 
 import math
+import os
 import subprocess
 import sys
 import time
@@ -19,8 +20,8 @@ from biharmlab import (Region, assemble_box, assemble_sector, boyd_lower,
                        rellich_constant, remark_ball_inequality, riesz_apply,
                        riesz_kernel, riesz_pnorm_sweep, twisted_decay_suite,
                        twisted_form_terms)
-from biharmlab.grids import TANH_HESS_MAX
-from biharmlab.norms import _lp, _lp_normalize
+from biharmlab.grids import TANH_HESS_MAX, weighted_lp
+from biharmlab.norms import _lp_normalize
 from biharmlab.spectral import KernelMatrix
 
 from conftest import record
@@ -248,7 +249,7 @@ def _oracle(kern, p, q, seed):
     rng = np.random.default_rng(seed + 101)
     for x in rng.standard_normal((2000, kern.K.shape[0])):
         xn = _lp_normalize(x, kern.w, p)
-        best = max(best, _lp(kern.apply(xn), kern.w, q))
+        best = max(best, weighted_lp(kern.apply(xn), kern.w, q))
     return best
 
 
@@ -276,10 +277,11 @@ def test_criterion_11_determinism(tmp_path):
     def run(out, threads):
         env = {"OMP_NUM_THREADS": str(threads),
                "OPENBLAS_NUM_THREADS": str(threads),
-               "PATH": "/usr/bin:/bin"}
+               "PATH": "/usr/bin:/bin",
+               "PYTHONPATH": os.environ.get("PYTHONPATH", "")}
         return subprocess.run(
             [sys.executable, "-m", "biharmlab.cli", "suite", "--seed", "7",
-             "--threads", str(threads), "--out", str(out)],
+             "--out", str(out)],
             capture_output=True, text=True, env=env)
 
     outs = [tmp_path / "a", tmp_path / "b", tmp_path / "c"]

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from biharmlab import report
-from biharmlab.cli import ConfigError, parse_config
+from biharmlab.cli import (ConfigError, build_parser, config_defaults,
+                           parse_config)
 
 
 def run_cli(*args, cwd=None):
@@ -42,6 +43,23 @@ class TestConfigParsing:
         cfg.write_text("# comment\n\n[run]\nseed=1\n")
         assert parse_config(str(cfg))["run.seed"] == "1"
 
+    def test_explicit_flag_beats_config(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[sweep]\nell_max = 2\n")
+        res = run_cli("rellich", "--config", str(cfg), "--ell-max", "8",
+                      "--n", "200", "--out", str(tmp_path))
+        assert res.returncode in (0, 1), res.stderr
+        _, rows = report.read_csv(str(tmp_path / "rellich" / "rellich.csv"))
+        assert [int(r[0]) for r in rows] == list(range(9))
+
+    def test_config_value_replaces_default(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[run]\nseed = 3\nallow_supercritical = true\n"
+                       "[grid]\nmode = log\n")
+        defaults = config_defaults(parse_config(str(cfg)))
+        args = build_parser(defaults).parse_args(["solve", "--seed", "5"])
+        assert (args.seed, args.allow_supercritical, args.mode) == (5, True, "log")
+
 
 class TestExitCodes:
     def test_low_dimension_is_config_error(self, tmp_path):
@@ -53,6 +71,18 @@ class TestExitCodes:
         cfg.write_text("[run]\nbogus=1\n")
         res = run_cli("solve", "--config", str(cfg), "--out", str(tmp_path))
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("text", ["[tolerances]\nslope_tol = 0.1\n",
+                                      "[grid]\nm = 8\n",
+                                      "[grid]\nmode = cubic\n",
+                                      "[run]\nN = five\n"])
+    def test_unused_or_malformed_config_is_config_error(self, tmp_path, text):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        res = run_cli("solve", "--config", str(cfg), "--n", "64",
+                      "--out", str(tmp_path))
+        assert res.returncode == 2
+        assert not (tmp_path / "solve").exists()
 
     def test_supercritical_requires_flag(self, tmp_path):
         res = run_cli("solve", "--c", "2.0", "--out", str(tmp_path))

@@ -48,6 +48,14 @@ class TestRellich:
         assert res["argmin_ell"] == 0
         assert not res["higher_sector_wins"]
 
+    def test_repeat_calls_identical(self):
+        g = build_radial_grid(5, 1000.0, 400, "log")
+        a = rellich_constant(g, ell_max=2)["per_sector"]
+        b = rellich_constant(g, ell_max=2)["per_sector"]
+        assert a == b
+        d = rellich_constant(g, ell_max=1, method="dirichlet")["per_sector"]
+        assert d == rellich_constant(g, ell_max=1, method="dirichlet")["per_sector"]
+
     def test_discrete_rellich_bounds_eta(self):
         g = build_radial_grid(5, 30.0, 256)
         op = assemble_sector(g, 0, 1.0)

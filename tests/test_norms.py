@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from biharmlab import boyd_lower, corner_norm, interpolation_upper, opnorm
-from biharmlab.norms import NormError, _lp, _lp_normalize
+from biharmlab.grids import weighted_lp
+from biharmlab.norms import NormError, NormEstimate, _lp_normalize
 from biharmlab.spectral import KernelMatrix
 
 
@@ -86,7 +87,7 @@ class TestBoydLower:
             for p, q in [(1.5, 3.0), (10.0 / 9.0, 2.0), (2.0, 10.0)]:
                 lo, witness = boyd_lower(kern, p, q, seed=seed)
                 x = _lp_normalize(witness, kern.w, p)
-                val = _lp(kern.apply(x), kern.w, q)
+                val = weighted_lp(kern.apply(x), kern.w, q)
                 assert val == pytest.approx(lo, rel=1e-10)
 
     def test_deterministic(self):
@@ -111,6 +112,12 @@ class TestOpnorm:
                 est = opnorm(kern, p, q)
                 assert est.lower <= est.upper * (1 + 1e-12)
 
+    def test_inverted_bracket_raises(self):
+        # round-off above the upper bound passes; a real inversion raises
+        NormEstimate(p=2.0, q=math.inf, lower=1.0 + 5e-11, upper=1.0)
+        with pytest.raises(NormError):
+            NormEstimate(p=2.0, q=math.inf, lower=1.0 + 2e-10, upper=1.0)
+
     def test_rejects_norm_decreasing_pairs(self):
         with pytest.raises(NormError):
             opnorm(random_kernel(5, 2), 3.0, 1.5)
@@ -129,5 +136,5 @@ class TestOpnorm:
             est = opnorm(kern, p, q)
             for _ in range(200):
                 x = _lp_normalize(rng.standard_normal(10), kern.w, p)
-                val = _lp(kern.apply(x), kern.w, q)
+                val = weighted_lp(kern.apply(x), kern.w, q)
                 assert val <= est.upper * (1 + 1e-12)

@@ -8,8 +8,9 @@ from biharmlab import (assemble_box, assemble_sector, build_box_grid,
                        forme_inequality_check, make_phi,
                        paper_rellich_constant, probe_functions, twist,
                        twisted_form_terms)
-from biharmlab.grids import GridFunction, TANH_HESS_MAX
-from biharmlab.operators import OperatorError
+from biharmlab.grids import GridFunction, TANH_HESS_MAX, sphere_area
+from biharmlab.operators import (OperatorError, sector_stiffness,
+                                 stiffness_bands)
 
 
 class TestConstants:
@@ -73,6 +74,25 @@ class TestSectorOperator:
             op = assemble_sector(grid128, 0, 10.0)
         eigendecompose(op)
         assert op.indefinite
+
+    @pytest.mark.parametrize("mode", ["uniform", "log"])
+    def test_stiffness_bands_match_per_node_stencil(self, mode):
+        # reference: the per-node flux stencil assembled one face at a time
+        g = build_radial_grid(5, 1000.0, 300, mode)
+        a_ref = sphere_area(5) * g.faces[1:-1] ** 4 / np.diff(g.r)
+        ref = np.zeros((g.n, g.n))
+        for i in range(g.n - 1):
+            ref[i, i + 1] += a_ref[i]
+            ref[i + 1, i] += a_ref[i]
+            ref[i, i] -= a_ref[i]
+            ref[i + 1, i + 1] -= a_ref[i]
+        a, d = stiffness_bands(g)
+        assert np.array_equal(a, np.diag(ref, 1))
+        assert np.array_equal(d, np.diag(ref))
+        S = sector_stiffness(g, 0)
+        assert np.array_equal(S[:, :-1], ref[:, :-1])
+        assert np.array_equal(S[:-1, -1], ref[:-1, -1])
+        assert S[-1, -1] < ref[-1, -1]      # outer Dirichlet closure
 
     def test_export_coo_parses(self, op_c1):
         text = op_c1.export_coo()
