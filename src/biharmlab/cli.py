@@ -172,12 +172,18 @@ def _asserting(args) -> bool:
                 and args.c >= paper_rellich_constant(args.N))
 
 
-def run_rellich(args, man: report.RunManifest, out: str) -> None:
-    n = args.n or 2000
-    R = args.R or 1e3
-    mode = args.mode or "log"
-    grid = build_radial_grid(args.N, R, n, mode)
+def _radial_grid(args, man: report.RunManifest, n: int, R: float = 30.0,
+                 mode: str = "uniform"):
+    """The experiment's radial grid: `--n/--R/--mode` override the given
+    defaults, and the manifest records the grid's hash."""
+    grid = build_radial_grid(args.N, args.R or R, args.n or n,
+                             args.mode or mode)
     man.add_hash("grid", grid.content_hash())
+    return grid
+
+
+def run_rellich(args, man: report.RunManifest, out: str) -> None:
+    grid = _radial_grid(args, man, 2000, R=1e3, mode="log")
     res = rellich_constant(grid, ell_max=args.ell_max)
     target = res["target"]
     rows = [(ell, val, target) for ell, val in res["per_sector"].items()]
@@ -193,10 +199,7 @@ def run_rellich(args, man: report.RunManifest, out: str) -> None:
 
 
 def run_decay(args, man: report.RunManifest, out: str) -> None:
-    n = args.n or 512
-    R = args.R or 30.0
-    grid = build_radial_grid(args.N, R, n, args.mode or "uniform")
-    man.add_hash("grid", grid.content_hash())
+    grid = _radial_grid(args, man, 512)
     ts = _floats(args.t) if args.t else list(np.geomspace(0.01, 0.1, 9))
     rows = []
     curve_rows = []
@@ -222,10 +225,7 @@ def run_decay(args, man: report.RunManifest, out: str) -> None:
 
 
 def run_offdiag(args, man: report.RunManifest, out: str) -> None:
-    n = args.n or 1024
-    R = args.R or 40.0
-    grid = build_radial_grid(args.N, R, n, args.mode or "uniform")
-    man.add_hash("grid", grid.content_hash())
+    grid = _radial_grid(args, man, 1024, R=40.0)
     op = assemble_sector(grid, 0, args.c)
     ev = make_evaluator(op)
     ds = _floats(args.d) if args.d else [3.0, 5.0, 8.0, 12.0]
@@ -259,18 +259,15 @@ def run_offdiag(args, man: report.RunManifest, out: str) -> None:
 
 
 def run_riesz(args, man: report.RunManifest, out: str) -> None:
-    n = args.n or 512
-    R = args.R or 30.0
-    grid = build_radial_grid(args.N, R, n, args.mode or "uniform")
-    man.add_hash("grid", grid.content_hash())
+    grid = _radial_grid(args, man, 512)
     op = assemble_sector(grid, 0, args.c)
     dec = eigendecompose(op)
     rng = np.random.default_rng(args.seed)
-    u = rng.standard_normal(n)
+    u = rng.standard_normal(grid.n)
     rs = riesz_apply(op, u, "spectral", decomposition=dec)
     rq = riesz_apply(op, u, "quadrature", decomposition=dec)
     route_rel = float(np.linalg.norm(rs - rq) / np.linalg.norm(rs))
-    grid2 = build_radial_grid(args.N, R, 2 * n, args.mode or "uniform")
+    grid2 = build_radial_grid(grid.N, grid.R, 2 * grid.n, grid.mode)
     op2 = assemble_sector(grid2, 0, args.c)
     ps = _floats(args.p) if args.p else [1.3, 1.5, 1.8]
     sweep = riesz_pnorm_sweep(op, ps, refined_op=op2)
@@ -319,12 +316,10 @@ def run_twisted(args, man: report.RunManifest, out: str) -> None:
                       f"orders {', '.join(map(report.fmt, orders))}")
 
     # sector twisted semigroup suite
-    n = args.n or 256
-    R = args.R or 30.0
-    grid = build_radial_grid(args.N, R, n, args.mode or "uniform")
-    man.add_hash("grid", grid.content_hash())
+    grid = _radial_grid(args, man, 256)
     op = assemble_sector(grid, 0, args.c)
     lams = _floats(args.lam) if args.lam else [0.5, 1.0, 2.0]
+    R = grid.R
     phis = [make_phi(np.zeros(args.N), 1.0, -R / 3.0, kind="radial", grid=grid),
             make_phi(np.zeros(args.N), 2.0, -R / 2.0, kind="radial", grid=grid)]
     ts = _floats(args.t) if args.t else list(np.geomspace(0.05, 0.5, 6))
@@ -380,10 +375,7 @@ def run_distance(args, man: report.RunManifest, out: str) -> None:
 
 
 def run_solve(args, man: report.RunManifest, out: str) -> None:
-    n = args.n or 256
-    R = args.R or 30.0
-    grid = build_radial_grid(args.N, R, n, args.mode or "uniform")
-    man.add_hash("grid", grid.content_hash())
+    grid = _radial_grid(args, man, 256)
     op = assemble_sector(grid, 0, args.c)
     f = probe_functions(grid, 1, seed=args.seed)[0]
     ts = _floats(args.t) if args.t else list(np.geomspace(0.01, 1.0, 10))
@@ -399,9 +391,7 @@ def run_solve(args, man: report.RunManifest, out: str) -> None:
 
 def run_coercivity(args, man: report.RunManifest, out: str) -> None:
     """Positivity of A and 2->2 contractivity of its semigroup."""
-    n = args.n or 512
-    R = args.R or 30.0
-    grid = build_radial_grid(args.N, R, n, args.mode or "uniform")
+    grid = _radial_grid(args, man, 512)
     op = assemble_sector(grid, 0, args.c)
     dec = eigendecompose(op)
     ts = _floats(args.t) if args.t else list(np.geomspace(1e-3, 10.0, 12))

@@ -20,7 +20,8 @@ import scipy.sparse.linalg as spla
 
 from .grids import (GridFunction, RadialGrid, Region, euclidean_distance,
                     make_phi, probe_functions, sphere_area, weighted_lp)
-from .norms import NormEstimate, corner_norm, opnorm
+from .norms import (NormEstimate, corner_norm, interpolation_upper, l2_norm,
+                    opnorm)
 from .operators import (SectorOperator, assemble_sector, forme_inequality_check,
                         paper_rellich_constant, stiffness_bands, twist)
 from .spectral import (KernelMatrix, SemigroupEvaluator, eigendecompose,
@@ -153,30 +154,14 @@ def _sector_rellich_matched(grid: RadialGrid, ell: int) -> float:
     return float(mu[0])
 
 
-def _sector_rellich_dirichlet(grid: RadialGrid, ell: int) -> float:
-    """Rellich quotient of the plain Dirichlet-truncated sector operator."""
-    op = assemble_sector(grid, ell=ell, c=0.0)
-    F = sp.csc_matrix(op.F)
-    M = sp.diags(op.w * grid.r**-4.0).tocsc()
-    mu = spla.eigsh(F, k=1, M=M, sigma=0, which="LM", v0=np.ones(grid.n),
-                    return_eigenvectors=False)
-    return float(mu[0])
-
-
-def rellich_constant(grid: RadialGrid, ell_max: int = 8,
-                     method: str = "matched") -> dict:
+def rellich_constant(grid: RadialGrid, ell_max: int = 8) -> dict:
     """Discrete Rellich constant C*_h: per-sector minimal Rayleigh quotient
-    of (Lu, Lu)_W against (r^{-4}u, u)_W, minimized over ell <= ell_max.
+    of (Lu, Lu)_W against (r^{-4}u, u)_W over profiles with matched
+    biharmonic tails, minimized over ell <= ell_max.
     """
-    if method == "matched":
-        solver = _sector_rellich_matched
-    elif method == "dirichlet":
-        solver = _sector_rellich_dirichlet
-    else:
-        raise EstimateError(f"unknown method {method!r}")
     per = {}
     for ell in range(ell_max + 1):
-        per[ell] = solver(grid, ell)
+        per[ell] = _sector_rellich_matched(grid, ell)
     argmin = min(per, key=per.get)
     return {
         "per_sector": per,
@@ -184,13 +169,18 @@ def rellich_constant(grid: RadialGrid, ell_max: int = 8,
         "argmin_ell": argmin,
         "target": paper_rellich_constant(grid.N),
         "higher_sector_wins": argmin != 0,
-        "method": method,
     }
 
 
 def discrete_rellich(op: SectorOperator) -> float:
-    """Sector-level discrete Rellich constant of the operator's own matrices."""
-    return _sector_rellich_dirichlet(op.grid, op.ell)
+    """Rellich quotient of the operator's Dirichlet-truncated sector: the
+    smallest (Lu, Lu)_W / (r^{-4}u, u)_W on its grid and angular index."""
+    grid = op.grid
+    F = sp.csc_matrix(assemble_sector(grid, ell=op.ell, c=0.0).F)
+    M = sp.diags(op.w * grid.r**-4.0).tocsc()
+    mu = spla.eigsh(F, k=1, M=M, sigma=0, which="LM", v0=np.ones(grid.n),
+                    return_eigenvectors=False)
+    return float(mu[0])
 
 
 def eta_h(op: SectorOperator) -> float:
@@ -218,18 +208,15 @@ def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple:
 
 def decay_fit(evaluator: SemigroupEvaluator, p: float, q: float,
               t_list) -> FitResult:
-    """Slope of log ||e^{-tA}||_{p->q} (upper-bound norm) against log t."""
+    """Slope of log ||e^{-tA}||_{p->q} against log t, on the Riesz-Thorin
+    upper bound of each norm."""
     grid = evaluator.op.grid
     lo, hi = reliable_window(grid)
     ts = np.asarray([t for t in t_list if lo <= t <= hi], dtype=float)
     if len(ts) < 5:
         raise EstimateError(
             f"fewer than 5 usable t-points inside the window [{lo:g}, {hi:g}]")
-    vals = []
-    for t in ts:
-        kern = evaluator.kernel(t)
-        est = opnorm(kern, p, q)
-        vals.append(est.upper)
+    vals = [interpolation_upper(evaluator.kernel(t), p, q) for t in ts]
     slope, intercept, resid = _loglog_fit(ts, np.asarray(vals))
     return FitResult(model="power-law",
                      params={"exponent": slope, "prefactor": math.exp(intercept),
@@ -246,12 +233,9 @@ OFFDIAG_TIME_FIT_INDEX = 1   # F_list entry whose distance the time fit fixes
 
 
 def _block_norm(kern: KernelMatrix, maskF: np.ndarray, maskE: np.ndarray) -> float:
-    sw = np.sqrt(kern.w)
-    Kw = sw[:, None] * kern.K * sw[None, :]
-    sub = Kw[np.ix_(maskF, maskE)]
-    if sub.size == 0:
-        return 0.0
-    return float(np.linalg.svd(sub, compute_uv=False)[0])
+    """Weighted 2 -> 2 norm of chi_F T chi_E."""
+    w = kern.w
+    return l2_norm(kern.K[np.ix_(maskF, maskE)], w[maskF], w[maskE])
 
 
 def offdiag_fit(evaluator: SemigroupEvaluator, E: Region, F_list,
@@ -458,17 +442,6 @@ def m_theta_formula(gamma: float, eta: float, theta: float) -> float:
     return 1.0 / math.sqrt((1.0 - gamma) * eta * math.sin(theta / 4.0))
 
 
-def _twisted_matrices(op: SectorOperator, decomp, lam: float, phi_vals):
-    """(E(t) factors) for the twisted semigroup e^{-t A_{lam phi}} =
-    D Q e^{-t mu} Q^T W D^{-1}; returns the two weighted factors so that
-    the weighted 2->2 norm is the top singular value of A e^{-t mu} B."""
-    sw = np.sqrt(op.w)
-    d = np.exp(lam * phi_vals)
-    left = (sw * d)[:, None] * decomp.Q            # W^{1/2} D Q
-    right = decomp.Q.T * (sw / d)[None, :]         # Q^T W^{1/2} D^{-1}
-    return left, right
-
-
 def _sym_part_minimizer(op: SectorOperator, tw) -> tuple:
     """Minimal eigenpair of the W-symmetric part of the twisted operator."""
     A = tw.dense()
@@ -514,18 +487,18 @@ def twisted_decay_suite(op: SectorOperator, lam_list, phi_list, t_list,
     rows = []
     m_hat = 0.0
     ok_all = True
-    swL = np.sqrt(op.w)[:, None] * op.dense_L() / np.sqrt(op.w)[None, :]
+    w, L = op.w, op.dense_L()
+    kernels = [decomp.fn_kernel(lambda mu: np.exp(-t * mu)) for t in t_list]
     for lam, phi, tw, omega_min in pairs:
-        left, right = _twisted_matrices(op, decomp, lam, tw.phi_values)
+        d = np.exp(lam * tw.phi_values)
         grow = 2.0 * k_h * (1.0 + lam**4)
-        for t in t_list:
-            mid = np.exp(-t * decomp.mu)
-            M = (left * mid[None, :]) @ right
-            nrm = float(np.linalg.norm(M, 2))
+        for t, K in zip(t_list, kernels):
+            Kt = d[:, None] * K / d[None, :]     # kernel of D e^{-tA} D^{-1}
+            nrm = l2_norm(Kt, w, w)
             bound = math.exp(grow * t)
             ok = nrm <= bound * (1.0 + 1e-12)
             ok_all = ok_all and ok
-            lnrm = float(np.linalg.norm(swL @ M, 2))
+            lnrm = l2_norm(L @ Kt, w, w)
             m_cand = lnrm * math.sqrt(t) * math.exp(-grow * t)
             m_hat = max(m_hat, m_cand)
             rows.append({"lam": lam, "t": t, "norm": nrm, "bound": bound,
@@ -554,14 +527,10 @@ def twisted_decay_suite(op: SectorOperator, lam_list, phi_list, t_list,
 def laplacian_decay_fit(op: SectorOperator, t_list) -> FitResult:
     """Fit ||L e^{-tA}||_{2->2} ~ t^{-1/2} over the given times."""
     decomp = eigendecompose(op)
-    sw = np.sqrt(op.w)
-    swL = sw[:, None] * op.dense_L() / sw[None, :]
-    swQ = sw[:, None] * decomp.Q
+    L = op.dense_L()
     ts = np.asarray(t_list, dtype=float)
-    vals = []
-    for t in ts:
-        M = (swL @ swQ) * np.exp(-t * decomp.mu)[None, :] @ swQ.T
-        vals.append(float(np.linalg.norm(M, 2)))
+    vals = [l2_norm(L @ decomp.fn_kernel(lambda mu: np.exp(-t * mu)),
+                    op.w, op.w) for t in ts]
     slope, intercept, resid = _loglog_fit(ts, np.asarray(vals))
     return FitResult(model="power-law",
                      params={"exponent": slope, "prefactor": math.exp(intercept)},

@@ -9,7 +9,6 @@ quadratic form, never by mollification.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -176,22 +175,6 @@ class GridFunction:
 
     def copy(self) -> "GridFunction":
         return GridFunction(self.grid, self.values.copy())
-
-    def to_csv(self) -> str:
-        """CSV columns: index, coordinate(s), re, im."""
-        buf = io.StringIO()
-        if isinstance(self.grid, RadialGrid):
-            buf.write("index,r,re,im\n")
-            for i, (ri, v) in enumerate(zip(self.grid.r, self.values)):
-                buf.write(f"{i},{ri!r},{v.real!r},{np.imag(v)!r}\n")
-        else:
-            X = self.grid.coords()
-            cols = ",".join(f"x{k+1}" for k in range(self.grid.N))
-            buf.write(f"index,{cols},re,im\n")
-            for i, v in enumerate(self.values):
-                xs = ",".join(repr(x) for x in X[i])
-                buf.write(f"{i},{xs},{v.real!r},{np.imag(v)!r}\n")
-        return buf.getvalue()
 
 
 def lp_norm(u: GridFunction, p: float) -> float:

@@ -37,6 +37,15 @@ def _dual(p: float) -> float:
     return p / (p - 1.0)
 
 
+def l2_norm(K: np.ndarray, w_out: np.ndarray, w_in: np.ndarray) -> float:
+    """Weighted 2 -> 2 norm ||W_out^{1/2} K W_in^{1/2}||_2 of the kernel K
+    from L^2(w_in) to L^2(w_out); 0 for an empty kernel."""
+    if K.size == 0:
+        return 0.0
+    Kw = np.sqrt(w_out)[:, None] * K * np.sqrt(w_in)[None, :]
+    return float(np.linalg.norm(Kw, 2))
+
+
 def corner_norm(kernel: KernelMatrix, p: float, q: float) -> float:
     """Exact weighted p -> q norm where a closed formula exists.
 
@@ -44,6 +53,8 @@ def corner_norm(kernel: KernelMatrix, p: float, q: float) -> float:
     q = inf (dual statement), and (2,2) via the weighted SVD.
     """
     K, w = kernel.K, kernel.w
+    if p == 2.0 and q == 2.0:
+        return l2_norm(K, w, w)
     aK = np.abs(K)
     if p == 1.0:
         if math.isinf(q):
@@ -55,9 +66,6 @@ def corner_norm(kernel: KernelMatrix, p: float, q: float) -> float:
         if math.isinf(pd):
             return float(np.max(aK @ w))
         return float(np.max(((aK**pd) @ w) ** (1.0 / pd)))
-    if p == 2.0 and q == 2.0:
-        sw = np.sqrt(w)
-        return float(np.linalg.norm(sw[:, None] * K * sw[None, :], 2))
     raise NormError(f"no exact formula for ({p}, {q})")
 
 

@@ -105,7 +105,6 @@ class SectorOperator(WeightedForm):
     c: float
     S: np.ndarray = field(repr=False)
     F: np.ndarray = field(repr=False)
-    indefinite: bool | None = None   # set lazily by eigendecompose
 
     @property
     def n(self) -> int:
@@ -126,14 +125,6 @@ class SectorOperator(WeightedForm):
 
     def dense_A(self) -> np.ndarray:
         return self.F / self.w[:, None]
-
-    def export_coo(self) -> str:
-        """Stiffness matrix in coordinate text format (row, col, value)."""
-        lines = ["row,col,value"]
-        rows, cols = np.nonzero(self.S)
-        for i, j in zip(rows, cols):
-            lines.append(f"{i},{j},{float(self.S[i, j])!r}")
-        return "\n".join(lines) + "\n"
 
 
 def _values(u, grid) -> np.ndarray:
@@ -168,7 +159,6 @@ class BoxOperator(WeightedForm):
 
     grid: BoxGrid
     c: float
-    indefinite: bool | None = None
 
     @property
     def n(self) -> int:

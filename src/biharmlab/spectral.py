@@ -22,6 +22,7 @@ DENSE_LIMIT = 8192
 KERNEL_NODE_LIMIT = 10**5
 KRYLOV_TOL = 1e-10      # relative accuracy of the box-route e^{-tA}u
 KRYLOV_MAX_DIM = 200    # Lanczos steps before the time step is split
+QUADRATURE_NODES = 200  # trapezoid nodes of the A^{-1/2} time quadrature
 
 
 class SpectralError(RuntimeError):
@@ -35,7 +36,6 @@ class SpectralDecomposition:
     mu: np.ndarray
     Q: np.ndarray = field(repr=False)
     w: np.ndarray = field(repr=False)
-    source_hash: str = ""
 
     @property
     def n(self) -> int:
@@ -55,6 +55,10 @@ class SpectralDecomposition:
         """Apply f(A) through the spectral calculus."""
         return self.synth(f(self.mu) * self.coeffs(u))
 
+    def fn_kernel(self, f) -> np.ndarray:
+        """Kernel Q f(mu) Q^T of f(A) with respect to the weighted measure."""
+        return (self.Q * f(self.mu)[None, :]) @ self.Q.T
+
 
 def eigendecompose(op: SectorOperator) -> SpectralDecomposition:
     """Dense generalized eigensolve F q = mu W q for a radial sector."""
@@ -73,9 +77,7 @@ def eigendecompose(op: SectorOperator) -> SpectralDecomposition:
         mu, Q = mu[order], Q[:, order]
     else:
         mu, Q = sla.eigh(op.F, np.diag(w))
-    op.indefinite = bool(mu[0] <= 0.0)
-    return SpectralDecomposition(mu=mu, Q=Q, w=w,
-                                 source_hash=op.grid.content_hash())
+    return SpectralDecomposition(mu=mu, Q=Q, w=w)
 
 
 def lanczos_tridiag(apply_A, v0: np.ndarray, k: int):
@@ -113,7 +115,6 @@ def lanczos_extremal(op: BoxOperator, k: int = 60, seed: int = 0) -> dict:
     v0 = rng.standard_normal(op.n)
     V, alpha, beta = lanczos_tridiag(op.apply_A, v0, k)
     theta = sla.eigh_tridiagonal(alpha, beta, eigvals_only=True)
-    op.indefinite = bool(theta[0] <= 0.0)
     return {"ritz_min": float(theta[0]), "ritz_max": float(theta[-1]),
             "steps": len(alpha)}
 
@@ -173,8 +174,7 @@ class SemigroupEvaluator:
         if np.real(z) < 0:
             raise SpectralError("Re z >= 0 required")
         if self.decomposition is not None:
-            d = self.decomposition
-            return d.synth(np.exp(-z * d.mu) * d.coeffs(uv))
+            return self.decomposition.fn_apply(lambda mu: np.exp(-z * mu), uv)
         if np.imag(z) != 0:
             raise SpectralError("box route supports real time only")
         t = float(np.real(z))
@@ -187,8 +187,7 @@ class SemigroupEvaluator:
     def kernel(self, t: complex) -> KernelMatrix:
         w = self.op.w
         if self.decomposition is not None:
-            d = self.decomposition
-            K = (d.Q * np.exp(-t * d.mu)[None, :]) @ d.Q.T
+            K = self.decomposition.fn_kernel(lambda mu: np.exp(-t * mu))
             return KernelMatrix(t=t, K=K, w=w)
         if self.op.n > KERNEL_NODE_LIMIT:
             raise SpectralError(
@@ -219,7 +218,7 @@ def spectral_bounds(op, decomposition=None) -> tuple:
     return 0.5 * r["ritz_min"], 1.5 * r["ritz_max"]
 
 
-def quadrature_nodes(mu_min: float, mu_max: float, n_q: int = 200) -> tuple:
+def quadrature_nodes(mu_min: float, mu_max: float) -> tuple:
     """Trapezoid nodes for Gamma(1/2)^{-1} int t^{-1/2} e^{-tA} dt, t = e^s.
 
     The s-range is chosen so both truncation tails are below 1e-8 relative:
@@ -229,10 +228,10 @@ def quadrature_nodes(mu_min: float, mu_max: float, n_q: int = 200) -> tuple:
         raise SpectralError("positive definite operator required for A^{-1/2}")
     s_min = math.log(2.5e-17 / mu_max)
     s_max = math.log(40.0 / mu_min)
-    s = np.linspace(s_min, s_max, n_q)
+    s = np.linspace(s_min, s_max, QUADRATURE_NODES)
     h = s[1] - s[0]
     # weight for int t^{-1/2} e^{-tA} dt with t = e^s: t^{1/2} ds
-    wts = np.full(n_q, h)
+    wts = np.full(QUADRATURE_NODES, h)
     wts[0] *= 0.5
     wts[-1] *= 0.5
     wts = wts * np.exp(0.5 * s) / math.sqrt(math.pi)
@@ -286,10 +285,9 @@ def riesz_kernel(op: SectorOperator,
     """Riesz transform as a kernel with respect to the weighted measure."""
     if decomposition is None:
         decomposition = eigendecompose(op)
-    d = decomposition
-    if d.mu[0] <= 0:
+    if decomposition.mu[0] <= 0:
         raise SpectralError("indefinite operator: A^{-1/2} undefined")
-    K = op.dense_L() @ ((d.Q * (d.mu**-0.5)[None, :]) @ d.Q.T)
+    K = op.dense_L() @ decomposition.fn_kernel(lambda mu: mu**-0.5)
     return KernelMatrix(t=0.0, K=K, w=op.w)
 
 

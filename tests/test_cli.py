@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from biharmlab import cli, report
+from biharmlab import build_radial_grid, cli, report
 from biharmlab.cli import (ConfigError, build_parser, config_defaults,
                            parse_config)
 
@@ -101,6 +101,14 @@ class TestExitCodes:
         man = json.load(open(tmp_path / "solve" / "manifest.json"))
         assert man["all_pass"]
         assert os.path.exists(tmp_path / "solve" / "solve.csv")
+
+    def test_coercivity_records_its_grid_hash(self, tmp_path):
+        args = build_parser().parse_args(["suite", "--n", "64"])
+        man = report.RunManifest({})
+        cli.run_coercivity(args, man, str(tmp_path))
+        grid = build_radial_grid(5, 30.0, 64, "uniform")
+        assert man.hashes == {"grid": grid.content_hash()}
+        assert man.all_pass
 
     def test_rellich_failed_check_exits_one(self, tmp_path):
         res = run_cli("rellich", "--n", "400", "--out", str(tmp_path))

@@ -2,19 +2,20 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from biharmlab import (GridFunction, Region, assemble_sector,
                        build_radial_grid, davies_distance, decay_fit,
                        dilate, discrete_rellich, eta_h, euclidean_distance,
                        extrapolation_check, lambda_optimizer_check,
                        laplacian_decay_fit, m_theta_formula, make_evaluator,
-                       make_phi, offdiag_fit, paper_rellich_constant,
+                       make_phi, norms, offdiag_fit, paper_rellich_constant,
                        rellich_constant, remark_ball_inequality,
-                       riesz_pnorm_sweep, solve_parabolic,
+                       riesz_pnorm_sweep, solve_parabolic, twist,
                        twisted_decay_suite)
 from biharmlab.estimates import (EstimateError, gamma_pq, reliable_window,
                                  _block_norm)
-from biharmlab.norms import corner_norm
+from biharmlab.norms import corner_norm, interpolation_upper
 
 
 class TestWindowAndTargets:
@@ -36,9 +37,8 @@ class TestRellich:
     def test_dirichlet_method_overestimates(self):
         # hard truncation keeps the quotient above the matched-tail value
         g = build_radial_grid(5, 1000.0, 400, "log")
-        m = rellich_constant(g, ell_max=0, method="matched")
-        d = rellich_constant(g, ell_max=0, method="dirichlet")
-        assert d["min"] > m["min"]
+        m = rellich_constant(g, ell_max=0)
+        assert discrete_rellich(assemble_sector(g, 0, 0.0)) > m["min"]
 
     def test_sector_monotone_in_ell(self):
         g = build_radial_grid(5, 1000.0, 300, "log")
@@ -53,8 +53,9 @@ class TestRellich:
         a = rellich_constant(g, ell_max=2)["per_sector"]
         b = rellich_constant(g, ell_max=2)["per_sector"]
         assert a == b
-        d = rellich_constant(g, ell_max=1, method="dirichlet")["per_sector"]
-        assert d == rellich_constant(g, ell_max=1, method="dirichlet")["per_sector"]
+        for ell in (0, 1):
+            op = assemble_sector(g, ell, 0.0)
+            assert discrete_rellich(op) == discrete_rellich(op)
 
     def test_discrete_rellich_bounds_eta(self):
         g = build_radial_grid(5, 30.0, 256)
@@ -75,6 +76,18 @@ class TestDecayFit:
         fit = decay_fit(ev, 2.0, 2.0, list(np.geomspace(0.06, 0.6, 8)))
         assert abs(fit.exponent) < 0.05
 
+    def test_fits_upper_bounds_without_dual_ascent(self, op_c1, dec_c1,
+                                                   monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("decay_fit ran the dual-ascent lower bound")
+
+        monkeypatch.setattr(norms, "boyd_lower", refuse)
+        ev = make_evaluator(op_c1, dec_c1)
+        ts = list(np.geomspace(0.06, 0.6, 6))
+        fit = decay_fit(ev, 2.0, 10.0, ts)
+        assert fit.params["norm_values"] == [
+            interpolation_upper(ev.kernel(t), 2.0, 10.0) for t in ts]
+
     def test_laplacian_decay_half(self, op_c0):
         fit = laplacian_decay_fit(op_c0, list(np.geomspace(0.06, 0.6, 8)))
         assert fit.target == pytest.approx(-0.5)
@@ -86,8 +99,18 @@ class TestOffdiag:
         ev = make_evaluator(op_c1, dec_c1)
         kern = ev.kernel(0.1)
         full = np.ones(op_c1.n, dtype=bool)
-        assert _block_norm(kern, full, full) == pytest.approx(
-            corner_norm(kern, 2.0, 2.0))
+        plain = corner_norm(kern, 2.0, 2.0)
+        assert _block_norm(kern, full, full) == pytest.approx(plain)
+        # a proper, non-square sub-block against the explicit SVD of
+        # W_F^{1/2} K_FE W_E^{1/2}
+        r, w = op_c1.grid.r, kern.w
+        mF, mE = (r > 0.5) & (r < 3.0), r < 1.5
+        assert 0 < mE.sum() < mF.sum() < op_c1.n
+        ref = np.linalg.svd(np.diag(np.sqrt(w[mF])) @ kern.K[mF][:, mE]
+                            @ np.diag(np.sqrt(w[mE])), compute_uv=False)[0]
+        block = _block_norm(kern, mF, mE)
+        assert block == pytest.approx(ref, rel=1e-12)
+        assert 0 < block < plain
 
     def test_ratios_decay_with_distance(self, op_c1, dec_c1):
         ev = make_evaluator(op_c1, dec_c1)
@@ -144,6 +167,35 @@ class TestTwistedSuite:
         assert res["k_h"] >= 0
         assert res["m_hat"] > 0
         assert res["inequality_report"]["ok"]
+
+    def test_norms_match_dense_expm(self):
+        # reference: e^{-tA} = W^{-1/2} expm(-tB) W^{1/2} with the symmetric
+        # B = W^{-1/2} F W^{-1/2}, independent of the eigendecomposition
+        g = build_radial_grid(5, 20.0, 64, "uniform")
+        op = assemble_sector(g, 0, 1.0)
+        sw = np.sqrt(op.w)
+        B = op.F / sw[:, None] / sw[None, :]
+        Lw = op.S / sw[:, None] / sw[None, :]      # W^{1/2} L W^{-1/2}
+        phi = make_phi(np.zeros(5), 2.0, b=-8.0, kind="radial", grid=g)
+        ts = [0.06, 0.15, 0.4]
+        res = twisted_decay_suite(op, [0.5, 2.0], [phi], ts, n_probes=2,
+                                  seed=1)
+        assert len(res["rows"]) == 6
+        for row in res["rows"]:
+            d = np.exp(row["lam"] * twist(op, row["lam"], phi).phi_values)
+            T = d[:, None] * sla.expm(-row["t"] * B) / d[None, :]
+            assert row["norm"] == pytest.approx(np.linalg.norm(T, 2),
+                                                rel=1e-9)
+            assert row["lap_norm"] == pytest.approx(
+                np.linalg.norm(Lw @ T, 2), rel=1e-9)
+
+        ts = np.geomspace(0.01, 0.1, 6)
+        vals = [np.linalg.norm(Lw @ sla.expm(-t * B), 2) for t in ts]
+        slope, intercept = np.polyfit(np.log(ts), np.log(vals), 1)
+        fit = laplacian_decay_fit(op, ts)
+        assert fit.exponent == pytest.approx(slope, rel=1e-9)
+        assert fit.params["prefactor"] == pytest.approx(math.exp(intercept),
+                                                        rel=1e-9)
 
 
 class TestExtrapolation:

@@ -65,13 +65,6 @@ class TestGridFunction:
         with pytest.raises(GridError):
             GridFunction(grid128, np.ones(7))
 
-    def test_csv_round_trip_header(self, grid128):
-        u = GridFunction(grid128, np.linspace(0, 1, grid128.n))
-        text = u.to_csv()
-        lines = text.strip().split("\n")
-        assert lines[0] == "index,r,re,im"
-        assert len(lines) == grid128.n + 1
-
 
 class TestNorms:
     def test_gaussian_l2_norm(self):

@@ -72,8 +72,7 @@ class TestSectorOperator:
         from biharmlab import eigendecompose
         with pytest.warns(UserWarning):
             op = assemble_sector(grid128, 0, 10.0)
-        eigendecompose(op)
-        assert op.indefinite
+        assert eigendecompose(op).mu[0] <= 0
 
     @pytest.mark.parametrize("mode", ["uniform", "log"])
     def test_stiffness_bands_match_per_node_stencil(self, mode):
@@ -93,13 +92,6 @@ class TestSectorOperator:
         assert np.array_equal(S[:, :-1], ref[:, :-1])
         assert np.array_equal(S[:-1, -1], ref[:-1, -1])
         assert S[-1, -1] < ref[-1, -1]      # outer Dirichlet closure
-
-    def test_export_coo_parses(self, op_c1):
-        text = op_c1.export_coo()
-        lines = text.strip().split("\n")
-        assert lines[0] == "row,col,value"
-        i, j, v = lines[1].split(",")
-        int(i), int(j), float(v)
 
 
 class TestBoxOperator:

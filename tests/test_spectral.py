@@ -140,7 +140,7 @@ class TestInvSqrt:
             inv_sqrt_apply(op, rng.standard_normal(grid128.n), "spectral")
 
     def test_quadrature_range(self):
-        ts, wts = quadrature_nodes(1.0, 1e6, 200)
+        ts, wts = quadrature_nodes(1.0, 1e6)
         assert ts[0] <= 2.5e-17 / 1e6 * (1 + 1e-12)
         assert ts[-1] >= 40.0 - 1e-9
         # weights integrate t^{-1/2} e^{-t mu} to mu^{-1/2} for scalar mu
