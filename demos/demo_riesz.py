@@ -12,20 +12,18 @@ norm brackets are swept over p below 2.
 import numpy as np
 
 from biharmlab import (assemble_sector, build_radial_grid, corner_norm,
-                       eigendecompose, eta_h, riesz_apply, riesz_kernel,
-                       riesz_pnorm_sweep)
+                       eta_h, riesz_apply, riesz_kernel, riesz_pnorm_sweep)
 
 grid = build_radial_grid(5, 30.0, 512)
 op = assemble_sector(grid, 0, 1.0)
-dec = eigendecompose(op)
 
 u = np.random.default_rng(0).standard_normal(grid.n)
-a = riesz_apply(op, u, "spectral", decomposition=dec)
-b = riesz_apply(op, u, "quadrature", decomposition=dec)
+a = riesz_apply(op, u, "spectral")
+b = riesz_apply(op, u, "quadrature")
 print(f"spectral vs quadrature route: rel err "
       f"{np.linalg.norm(a - b) / np.linalg.norm(a):.2e}")
 
-kern = riesz_kernel(op, dec)
+kern = riesz_kernel(op)
 n22 = corner_norm(kern, 2.0, 2.0)
 print(f"||R||_2->2 = {n22:.8f}  vs  eta_h^-1/2 = {eta_h(op) ** -0.5:.8f}")
 

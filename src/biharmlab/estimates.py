@@ -24,8 +24,8 @@ from .norms import (NormEstimate, corner_norm, interpolation_upper, l2_norm,
                     opnorm)
 from .operators import (SectorOperator, assemble_sector, forme_inequality_check,
                         paper_rellich_constant, stiffness_bands, twist)
-from .spectral import (KernelMatrix, SemigroupEvaluator, eigendecompose,
-                       make_evaluator, sector_angle)
+from .spectral import (KernelMatrix, SemigroupEvaluator, make_evaluator,
+                       sector_angle)
 
 
 class EstimateError(ValueError):
@@ -464,7 +464,7 @@ def twisted_decay_suite(op: SectorOperator, lam_list, phi_list, t_list,
     probe samples augmented by the minimizer of the symmetric part of each
     twisted operator (which makes the 2->2 bound hold by construction).
     """
-    decomp = eigendecompose(op)
+    decomp = op.decomposition
     if decomp.mu[0] <= 0:
         raise EstimateError("positive definite operator required")
     rng = np.random.default_rng(seed)
@@ -526,7 +526,7 @@ def twisted_decay_suite(op: SectorOperator, lam_list, phi_list, t_list,
 
 def laplacian_decay_fit(op: SectorOperator, t_list) -> FitResult:
     """Fit ||L e^{-tA}||_{2->2} ~ t^{-1/2} over the given times."""
-    decomp = eigendecompose(op)
+    decomp = op.decomposition
     L = op.dense_L()
     ts = np.asarray(t_list, dtype=float)
     vals = [l2_norm(L @ decomp.fn_kernel(lambda mu: np.exp(-t * mu)),

@@ -288,8 +288,7 @@ def euclidean_distance(E: Region, F: Region) -> float:
     """Euclidean distance between two regions (supported kinds only)."""
     if E.kind == "ball" and F.kind == "ball":
         (c1, r1), (c2, r2) = E.params, F.params
-        d = float(np.linalg.norm(np.broadcast_arrays(c1, c2)[0] - np.broadcast_arrays(c1, c2)[1]))
-        d = float(np.linalg.norm(c1 - c2)) if c1.shape == c2.shape else d
+        d = float(np.linalg.norm(c1 - c2))
         return max(0.0, d - r1 - r2)
     def as_radial(reg):
         if reg.kind == "annulus":

@@ -11,6 +11,7 @@ box code is matrix-free (stencil applications only).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -125,6 +126,12 @@ class SectorOperator(WeightedForm):
 
     def dense_A(self) -> np.ndarray:
         return self.F / self.w[:, None]
+
+    @functools.cached_property
+    def decomposition(self):
+        """W-orthonormal eigendecomposition of A_h, computed on first use."""
+        from . import spectral  # spectral imports this module
+        return spectral.eigendecompose(self)
 
 
 def _values(u, grid) -> np.ndarray:

@@ -2,9 +2,11 @@
 semigroup evaluation e^{-zA}, inverse square root A^{-1/2} by two
 independent routes, kernels, and numerical-range (sector-angle) sampling.
 
-Radial sectors use dense decompositions and support complex time inside
-the holomorphy sector; box operators are matrix-free and real-time only
-(Lanczos with full reorthogonalization).
+Radial sectors read everything off the operator's one cached
+decomposition (`SectorOperator.decomposition`) and support complex time
+inside the holomorphy sector; kernels and A^{-1/2} are sector-only.  Box
+operators are matrix-free: their one route is the real-time Krylov
+semigroup (Lanczos with full reorthogonalization).
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .grids import GridFunction
 from .operators import BoxOperator, SectorOperator, TwistedOperator
 
 DENSE_LIMIT = 8192
-KERNEL_NODE_LIMIT = 10**5
 KRYLOV_TOL = 1e-10      # relative accuracy of the box-route e^{-tA}u
 KRYLOV_MAX_DIM = 200    # Lanczos steps before the time step is split
 QUADRATURE_NODES = 200  # trapezoid nodes of the A^{-1/2} time quadrature
@@ -150,7 +151,6 @@ def _lanczos_expm(apply_A, u: np.ndarray, t: float, tol: float) -> np.ndarray:
 class KernelMatrix:
     """Kernel with respect to the weighted measure: (Tu)_i = sum_j K_ij w_j u_j."""
 
-    t: complex
     K: np.ndarray = field(repr=False)
     w: np.ndarray = field(repr=False)
 
@@ -167,14 +167,13 @@ class SemigroupEvaluator:
     """Evaluator of e^{-zA}: spectral (radial, complex z) or Krylov (box, real t)."""
 
     op: object
-    decomposition: SpectralDecomposition | None = None
 
     def apply(self, z: complex, u) -> np.ndarray:
         uv = u.values if isinstance(u, GridFunction) else np.asarray(u)
         if np.real(z) < 0:
             raise SpectralError("Re z >= 0 required")
-        if self.decomposition is not None:
-            return self.decomposition.fn_apply(lambda mu: np.exp(-z * mu), uv)
+        if isinstance(self.op, SectorOperator):
+            return self.op.decomposition.fn_apply(lambda mu: np.exp(-z * mu), uv)
         if np.imag(z) != 0:
             raise SpectralError("box route supports real time only")
         t = float(np.real(z))
@@ -185,37 +184,21 @@ class SemigroupEvaluator:
         return _lanczos_expm(self.op.apply_A, uv, t, KRYLOV_TOL)
 
     def kernel(self, t: complex) -> KernelMatrix:
-        w = self.op.w
-        if self.decomposition is not None:
-            K = self.decomposition.fn_kernel(lambda mu: np.exp(-t * mu))
-            return KernelMatrix(t=t, K=K, w=w)
-        if self.op.n > KERNEL_NODE_LIMIT:
-            raise SpectralError(
-                f"full box kernel refused above {KERNEL_NODE_LIMIT} nodes")
-        cols = []
-        for j in range(self.op.n):
-            e = np.zeros(self.op.n)
-            e[j] = 1.0 / w[j]
-            cols.append(self.apply(t, e))
-        return KernelMatrix(t=t, K=np.column_stack(cols), w=w)
+        """Kernel of e^{-tA}; radial sectors only."""
+        dec = _sector_decomposition(self.op, "semigroup kernels")
+        return KernelMatrix(K=dec.fn_kernel(lambda mu: np.exp(-t * mu)),
+                            w=self.op.w)
 
 
-def make_evaluator(op, decomposition: SpectralDecomposition | None = None
-                   ) -> SemigroupEvaluator:
-    if isinstance(op, SectorOperator) and decomposition is None:
-        decomposition = eigendecompose(op)
-    return SemigroupEvaluator(op=op, decomposition=decomposition)
+def make_evaluator(op) -> SemigroupEvaluator:
+    return SemigroupEvaluator(op=op)
 
 
-def spectral_bounds(op, decomposition=None) -> tuple:
-    """(mu_min, mu_max) bounds for the quadrature range selection."""
-    if decomposition is not None:
-        return float(decomposition.mu[0]), float(decomposition.mu[-1])
-    if isinstance(op, SectorOperator):
-        d = eigendecompose(op)
-        return float(d.mu[0]), float(d.mu[-1])
-    r = lanczos_extremal(op)
-    return 0.5 * r["ritz_min"], 1.5 * r["ritz_max"]
+def _sector_decomposition(op, what: str) -> SpectralDecomposition:
+    if not isinstance(op, SectorOperator):
+        raise SpectralError(f"{what} are sector-only; the box route is the "
+                            "real-time Krylov semigroup")
+    return op.decomposition
 
 
 def quadrature_nodes(mu_min: float, mu_max: float) -> tuple:
@@ -238,57 +221,40 @@ def quadrature_nodes(mu_min: float, mu_max: float) -> tuple:
     return np.exp(s), wts
 
 
-def inv_sqrt_apply(op, u, route: str = "spectral",
-                   decomposition: SpectralDecomposition | None = None
-                   ) -> np.ndarray:
-    """A^{-1/2} u via the spectral calculus or the heat-semigroup quadrature
+def inv_sqrt_apply(op, u, route: str = "spectral") -> np.ndarray:
+    """A^{-1/2} u on a radial sector via the spectral calculus or the
+    heat-semigroup quadrature, with e^{-tA} from the same decomposition:
 
         A^{-1/2} = Gamma(1/2)^{-1} int_0^inf t^{-1/2} e^{-tA} dt.
     """
     uv = u.values if isinstance(u, GridFunction) else np.asarray(u)
-    if isinstance(op, SectorOperator) and decomposition is None:
-        decomposition = eigendecompose(op)
-    mu_min, mu_max = spectral_bounds(op, decomposition)
-    if mu_min <= 0:
+    dec = _sector_decomposition(op, "A^{-1/2} routes")
+    if dec.mu[0] <= 0:
         raise SpectralError("indefinite operator: A^{-1/2} undefined")
     if route == "spectral":
-        if decomposition is None:
-            raise SpectralError("spectral route requires a decomposition")
-        return decomposition.fn_apply(lambda m: m**-0.5, uv)
+        return dec.fn_apply(lambda m: m**-0.5, uv)
     if route != "quadrature":
         raise SpectralError(f"unknown route {route!r}")
-    ts, wts = quadrature_nodes(mu_min, mu_max)
-    if decomposition is not None:
-        # quadrature in time, semigroup values through the decomposition
-        c = decomposition.coeffs(uv)
-        acc = np.zeros_like(c)
-        for t, wt in zip(ts, wts):
-            acc = acc + wt * np.exp(-t * decomposition.mu) * c
-        return decomposition.synth(acc)
-    ev = make_evaluator(op)
-    acc = np.zeros_like(uv, dtype=float)
+    ts, wts = quadrature_nodes(float(dec.mu[0]), float(dec.mu[-1]))
+    c = dec.coeffs(uv)
+    acc = np.zeros_like(c)
     for t, wt in zip(ts, wts):
-        acc = acc + wt * ev.apply(t, uv)
-    return acc
+        acc = acc + wt * np.exp(-t * dec.mu) * c
+    return dec.synth(acc)
 
 
-def riesz_apply(op, u, route: str = "spectral",
-                decomposition: SpectralDecomposition | None = None) -> np.ndarray:
+def riesz_apply(op, u, route: str = "spectral") -> np.ndarray:
     """Riesz transform R u = L A^{-1/2} u."""
-    uv = u.values if isinstance(u, GridFunction) else np.asarray(u)
-    return op.apply_L(inv_sqrt_apply(op, uv, route=route,
-                                     decomposition=decomposition))
+    return op.apply_L(inv_sqrt_apply(op, u, route=route))
 
 
-def riesz_kernel(op: SectorOperator,
-                 decomposition: SpectralDecomposition | None = None) -> KernelMatrix:
+def riesz_kernel(op: SectorOperator) -> KernelMatrix:
     """Riesz transform as a kernel with respect to the weighted measure."""
-    if decomposition is None:
-        decomposition = eigendecompose(op)
-    if decomposition.mu[0] <= 0:
+    dec = _sector_decomposition(op, "Riesz kernels")
+    if dec.mu[0] <= 0:
         raise SpectralError("indefinite operator: A^{-1/2} undefined")
-    K = op.dense_L() @ decomposition.fn_kernel(lambda mu: mu**-0.5)
-    return KernelMatrix(t=0.0, K=K, w=op.w)
+    return KernelMatrix(K=op.dense_L() @ dec.fn_kernel(lambda mu: mu**-0.5),
+                        w=op.w)
 
 
 @dataclass

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from biharmlab import (assemble_sector, build_box_grid, build_radial_grid,
-                       assemble_box, eigendecompose)
+                       assemble_box)
 
 ACCEPTANCE_LINES = []
 
@@ -39,12 +39,12 @@ def op_c1(grid128):
 
 @pytest.fixture(scope="session")
 def dec_c0(op_c0):
-    return eigendecompose(op_c0)
+    return op_c0.decomposition
 
 
 @pytest.fixture(scope="session")
 def dec_c1(op_c1):
-    return eigendecompose(op_c1)
+    return op_c1.decomposition
 
 
 @pytest.fixture(scope="session")

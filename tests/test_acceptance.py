@@ -12,8 +12,7 @@ import pytest
 
 from biharmlab import (Region, assemble_box, assemble_sector, boyd_lower,
                        build_box_grid, build_radial_grid, corner_norm,
-                       davies_distance, decay_fit, eigendecompose,
-                       forme_inequality_check, inv_sqrt_apply,
+                       davies_distance, decay_fit, forme_inequality_check,
                        lambda_optimizer_check, laplacian_decay_fit,
                        make_evaluator, make_phi, offdiag_fit, opnorm,
                        paper_rellich_constant, probe_functions,
@@ -49,9 +48,9 @@ def test_criterion_01_rellich_constant():
 def test_criterion_02_coercivity_contraction():
     g = build_radial_grid(5, 30.0, 512)
     op = assemble_sector(g, 0, 1.0)
-    dec = eigendecompose(op)
+    dec = op.decomposition
     positive = dec.mu[0] > 0
-    ev = make_evaluator(op, dec)
+    ev = make_evaluator(op)
     worst = 0.0
     for t in np.geomspace(1e-3, 10.0, 12):
         worst = max(worst, corner_norm(ev.kernel(t), 2.0, 2.0))
@@ -165,19 +164,15 @@ def test_criterion_06_twisted_semigroup_bounds():
 
 
 def test_criterion_07_riesz_transform():
-    results = {}
-    for n in (512, 1024):
-        g = build_radial_grid(5, 30.0, n)
-        op = assemble_sector(g, 0, 1.0)
-        dec = eigendecompose(op)
-        results[n] = (op, dec)
-    op, dec = results[512]
+    ops = {n: assemble_sector(build_radial_grid(5, 30.0, n), 0, 1.0)
+           for n in (512, 1024)}
+    op = ops[512]
     u = np.random.default_rng(0).standard_normal(512)
-    rs = riesz_apply(op, u, "spectral", decomposition=dec)
-    rq = riesz_apply(op, u, "quadrature", decomposition=dec)
+    rs = riesz_apply(op, u, "spectral")
+    rq = riesz_apply(op, u, "quadrature")
     route_rel = float(np.linalg.norm(rs - rq) / np.linalg.norm(rs))
 
-    kern = riesz_kernel(op, dec)
+    kern = riesz_kernel(op)
     n22 = corner_norm(kern, 2.0, 2.0)
     from biharmlab import eta_h
     bound = eta_h(op) ** -0.5
@@ -188,8 +183,7 @@ def test_criterion_07_riesz_transform():
     n22_free = corner_norm(riesz_kernel(op0), 2.0, 2.0)
     free_ok = abs(n22_free - 1.0) <= 1e-8
 
-    sweep = riesz_pnorm_sweep(results[512][0], [1.3, 1.5, 1.8],
-                              refined_op=results[1024][0])
+    sweep = riesz_pnorm_sweep(op, [1.3, 1.5, 1.8], refined_op=ops[1024])
     stable = all(sweep[p]["stable"] for p in (1.3, 1.5, 1.8))
     ok = route_rel <= 1e-6 and l2_ok and free_ok and stable
     record("criterion 7 (Riesz transform)", ok,
@@ -258,7 +252,7 @@ def test_criterion_10_norm_bracket_soundness():
     violations = 0
     for i in range(100):
         rng = np.random.default_rng(5000 + i)
-        kern = KernelMatrix(t=0.0, K=rng.standard_normal((20, 20)),
+        kern = KernelMatrix(K=rng.standard_normal((20, 20)),
                             w=rng.uniform(0.5, 2.0, 20))
         for p, q in pairs:
             est = opnorm(kern, p, q, seed=i)

@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from biharmlab import build_radial_grid, cli, report
+from biharmlab import build_radial_grid, cli, report, spectral
 from biharmlab.cli import (ConfigError, build_parser, config_defaults,
                            parse_config)
 
@@ -109,6 +109,21 @@ class TestExitCodes:
         grid = build_radial_grid(5, 30.0, 64, "uniform")
         assert man.hashes == {"grid": grid.content_hash()}
         assert man.all_pass
+
+    def test_riesz_decomposes_each_grid_once(self, tmp_path, monkeypatch):
+        sizes = []
+        solve = spectral.eigendecompose
+
+        def counted(op):
+            sizes.append(op.n)
+            return solve(op)
+
+        monkeypatch.setattr(spectral, "eigendecompose", counted)
+        # counted also where a module binds the name by import
+        monkeypatch.setattr(cli, "eigendecompose", counted, raising=False)
+        code = cli.main(["riesz", "--n", "64", "--out", str(tmp_path)])
+        assert code in (0, 1)
+        assert sizes == [64, 128]
 
     def test_rellich_failed_check_exits_one(self, tmp_path):
         res = run_cli("rellich", "--n", "400", "--out", str(tmp_path))

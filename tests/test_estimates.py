@@ -66,23 +66,22 @@ class TestRellich:
 
 
 class TestDecayFit:
-    def test_needs_five_points(self, op_c1, dec_c1):
-        ev = make_evaluator(op_c1, dec_c1)
+    def test_needs_five_points(self, op_c1):
+        ev = make_evaluator(op_c1)
         with pytest.raises(EstimateError):
             decay_fit(ev, 2.0, math.inf, [0.1, 0.2])
 
-    def test_two_two_slope_near_zero(self, op_c0, dec_c0):
-        ev = make_evaluator(op_c0, dec_c0)
+    def test_two_two_slope_near_zero(self, op_c0):
+        ev = make_evaluator(op_c0)
         fit = decay_fit(ev, 2.0, 2.0, list(np.geomspace(0.06, 0.6, 8)))
         assert abs(fit.exponent) < 0.05
 
-    def test_fits_upper_bounds_without_dual_ascent(self, op_c1, dec_c1,
-                                                   monkeypatch):
+    def test_fits_upper_bounds_without_dual_ascent(self, op_c1, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("decay_fit ran the dual-ascent lower bound")
 
         monkeypatch.setattr(norms, "boyd_lower", refuse)
-        ev = make_evaluator(op_c1, dec_c1)
+        ev = make_evaluator(op_c1)
         ts = list(np.geomspace(0.06, 0.6, 6))
         fit = decay_fit(ev, 2.0, 10.0, ts)
         assert fit.params["norm_values"] == [
@@ -95,8 +94,8 @@ class TestDecayFit:
 
 
 class TestOffdiag:
-    def test_zero_distance_reduces_to_plain_norm(self, op_c1, dec_c1):
-        ev = make_evaluator(op_c1, dec_c1)
+    def test_zero_distance_reduces_to_plain_norm(self, op_c1):
+        ev = make_evaluator(op_c1)
         kern = ev.kernel(0.1)
         full = np.ones(op_c1.n, dtype=bool)
         plain = corner_norm(kern, 2.0, 2.0)
@@ -112,8 +111,8 @@ class TestOffdiag:
         assert block == pytest.approx(ref, rel=1e-12)
         assert 0 < block < plain
 
-    def test_ratios_decay_with_distance(self, op_c1, dec_c1):
-        ev = make_evaluator(op_c1, dec_c1)
+    def test_ratios_decay_with_distance(self, op_c1):
+        ev = make_evaluator(op_c1)
         E = Region.annulus(0.0, 1.0)
         Fs = [Region.annulus(d, math.inf) for d in (3.0, 6.0, 9.0)]
         ts = list(np.geomspace(0.05, 0.2, 5))
@@ -199,8 +198,8 @@ class TestTwistedSuite:
 
 
 class TestExtrapolation:
-    def test_no_growth_trend(self, op_c1, dec_c1):
-        ev = make_evaluator(op_c1, dec_c1)
+    def test_no_growth_trend(self, op_c1):
+        ev = make_evaluator(op_c1)
         out = extrapolation_check(ev, [4.0, 10.0],
                                   list(np.geomspace(0.06, 0.6, 6)))
         for p in (4.0, 10.0):

@@ -15,12 +15,12 @@ def random_kernel(n, seed, symmetric=True):
     if symmetric:
         K = 0.5 * (K + K.T)
     w = rng.uniform(0.5, 2.0, n)
-    return KernelMatrix(t=0.0, K=K, w=w)
+    return KernelMatrix(K=K, w=w)
 
 
 def identity_kernel(n, w=None):
     w = np.ones(n) if w is None else w
-    return KernelMatrix(t=0.0, K=np.diag(1.0 / w), w=w)
+    return KernelMatrix(K=np.diag(1.0 / w), w=w)
 
 
 class TestCornerNorms:
@@ -33,7 +33,7 @@ class TestCornerNorms:
     def test_diagonal_kernel_11(self):
         w = np.ones(4)
         d = np.array([3.0, 1.0, 2.0, 0.5])
-        kern = KernelMatrix(t=0.0, K=np.diag(d), w=w)
+        kern = KernelMatrix(K=np.diag(d), w=w)
         assert corner_norm(kern, 1.0, 1.0) == pytest.approx(3.0)
         assert corner_norm(kern, 2.0, 2.0) == pytest.approx(3.0)
         assert corner_norm(kern, 1.0, math.inf) == pytest.approx(3.0)

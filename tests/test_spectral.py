@@ -5,11 +5,12 @@ import pytest
 
 from biharmlab import (assemble_box, assemble_sector, build_box_grid,
                        build_radial_grid, eigendecompose, inv_sqrt_apply,
-                       make_evaluator, make_phi, riesz_apply, riesz_kernel,
-                       sector_angle, twist)
+                       laplacian_decay_fit, make_evaluator, make_phi,
+                       riesz_apply, riesz_kernel, sector_angle, spectral,
+                       twist)
 from biharmlab.norms import corner_norm
 from biharmlab.spectral import (SpectralError, lanczos_extremal,
-                                quadrature_nodes, spectral_bounds)
+                                quadrature_nodes)
 
 
 class TestEigendecompose:
@@ -41,15 +42,15 @@ class TestEigendecompose:
 
 
 class TestSemigroup:
-    def test_semigroup_law(self, op_c1, dec_c1, rng):
-        ev = make_evaluator(op_c1, dec_c1)
+    def test_semigroup_law(self, op_c1, rng):
+        ev = make_evaluator(op_c1)
         u = rng.standard_normal(op_c1.n)
         a = ev.apply(0.3, ev.apply(0.2, u))
         b = ev.apply(0.5, u)
         assert np.linalg.norm(a - b) / np.linalg.norm(b) <= 1e-9
 
     def test_contractivity(self, op_c1, dec_c1, rng):
-        ev = make_evaluator(op_c1, dec_c1)
+        ev = make_evaluator(op_c1)
         u = rng.standard_normal(op_c1.n)
         n0 = math.sqrt(float(op_c1.w @ u**2))
         for t in np.geomspace(1e-3, 10.0, 8):
@@ -57,13 +58,13 @@ class TestSemigroup:
             nt = math.sqrt(float(op_c1.w @ ut**2))
             assert nt <= math.exp(-t * dec_c1.mu[0]) * n0 * (1 + 1e-12)
 
-    def test_rejects_negative_time(self, op_c1, dec_c1, rng):
-        ev = make_evaluator(op_c1, dec_c1)
+    def test_rejects_negative_time(self, op_c1, rng):
+        ev = make_evaluator(op_c1)
         with pytest.raises(SpectralError):
             ev.apply(-0.1, rng.standard_normal(op_c1.n))
 
-    def test_complex_time_on_sector(self, op_c1, dec_c1, rng):
-        ev = make_evaluator(op_c1, dec_c1)
+    def test_complex_time_on_sector(self, op_c1, rng):
+        ev = make_evaluator(op_c1)
         u = rng.standard_normal(op_c1.n)
         out = ev.apply(0.01 + 0.01j, u)
         assert np.all(np.isfinite(out.real)) and np.all(np.isfinite(out.imag))
@@ -73,16 +74,16 @@ class TestSemigroup:
         with pytest.raises(SpectralError):
             ev.apply(0.01 + 0.01j, rng.standard_normal(box_op_small.n))
 
-    def test_kernel_property(self, op_c1, dec_c1, rng):
-        ev = make_evaluator(op_c1, dec_c1)
+    def test_kernel_property(self, op_c1, rng):
+        ev = make_evaluator(op_c1)
         u = rng.standard_normal(op_c1.n)
         kern = ev.kernel(0.05)
         direct = ev.apply(0.05, u)
         assert (np.linalg.norm(kern.apply(u) - direct)
                 / np.linalg.norm(direct)) <= 1e-9
 
-    def test_kernel_symmetry(self, op_c1, dec_c1):
-        ev = make_evaluator(op_c1, dec_c1)
+    def test_kernel_symmetry(self, op_c1):
+        ev = make_evaluator(op_c1)
         assert ev.kernel(0.05).symmetry_residual() <= 1e-8
 
     def test_kernel_diagonal_short_time_trend(self):
@@ -115,21 +116,19 @@ class TestKrylov:
 
 
 class TestInvSqrt:
-    def test_routes_agree(self, op_c1, dec_c1, rng):
+    def test_routes_agree(self, op_c1, rng):
         u = rng.standard_normal(op_c1.n)
-        a = inv_sqrt_apply(op_c1, u, "spectral", decomposition=dec_c1)
-        b = inv_sqrt_apply(op_c1, u, "quadrature", decomposition=dec_c1)
+        a = inv_sqrt_apply(op_c1, u, "spectral")
+        b = inv_sqrt_apply(op_c1, u, "quadrature")
         assert np.linalg.norm(a - b) / np.linalg.norm(a) <= 1e-6
 
     def test_solve_check(self):
         # (A^{-1/2})^2 through the quadrature route inverts A
         g = build_radial_grid(5, 10.0, 64)
         op = assemble_sector(g, 0, 1.0)
-        d = eigendecompose(op)
         u = np.random.default_rng(0).standard_normal(64)
-        x = inv_sqrt_apply(op, inv_sqrt_apply(op, u, "quadrature",
-                                              decomposition=d),
-                           "quadrature", decomposition=d)
+        x = inv_sqrt_apply(op, inv_sqrt_apply(op, u, "quadrature"),
+                           "quadrature")
         rel = np.linalg.norm(op.apply_A(x) - u) / np.linalg.norm(u)
         assert rel <= 1e-8
 
@@ -149,20 +148,20 @@ class TestInvSqrt:
 
 
 class TestRiesz:
-    def test_c0_norm_is_one(self, op_c0, dec_c0):
-        kern = riesz_kernel(op_c0, dec_c0)
+    def test_c0_norm_is_one(self, op_c0):
+        kern = riesz_kernel(op_c0)
         assert corner_norm(kern, 2.0, 2.0) == pytest.approx(1.0, abs=1e-8)
 
-    def test_routes_agree(self, op_c1, dec_c1, rng):
+    def test_routes_agree(self, op_c1, rng):
         u = rng.standard_normal(op_c1.n)
-        a = riesz_apply(op_c1, u, "spectral", decomposition=dec_c1)
-        b = riesz_apply(op_c1, u, "quadrature", decomposition=dec_c1)
+        a = riesz_apply(op_c1, u, "spectral")
+        b = riesz_apply(op_c1, u, "quadrature")
         assert np.linalg.norm(a - b) / np.linalg.norm(a) <= 1e-6
 
-    def test_matrix_matches_apply(self, op_c1, dec_c1, rng):
+    def test_matrix_matches_apply(self, op_c1, rng):
         u = rng.standard_normal(op_c1.n)
-        R = riesz_kernel(op_c1, dec_c1)
-        a = riesz_apply(op_c1, u, "spectral", decomposition=dec_c1)
+        R = riesz_kernel(op_c1)
+        a = riesz_apply(op_c1, u, "spectral")
         assert np.allclose(R.apply(u), a, rtol=1e-10, atol=1e-12)
 
 
@@ -182,8 +181,27 @@ class TestSectorAngle:
         assert est.holomorphy_margin > 0
 
 
-class TestSpectralBounds:
-    def test_matches_dense(self, op_c1, dec_c1):
-        lo, hi = spectral_bounds(op_c1, dec_c1)
-        assert lo == pytest.approx(dec_c1.mu[0])
-        assert hi == pytest.approx(dec_c1.mu[-1])
+class TestOneDecomposition:
+    def test_every_sector_route_shares_one_eigensolve(self, monkeypatch):
+        calls = []
+        solve = spectral.eigendecompose
+
+        def counted(op):
+            calls.append(op)
+            return solve(op)
+
+        monkeypatch.setattr(spectral, "eigendecompose", counted)
+        op = assemble_sector(build_radial_grid(5, 10.0, 64), 0, 1.0)
+        u = np.random.default_rng(0).standard_normal(op.n)
+        make_evaluator(op).kernel(0.05)
+        riesz_kernel(op)
+        riesz_apply(op, u, "quadrature")
+        laplacian_decay_fit(op, np.geomspace(0.01, 0.1, 5))
+        assert len(calls) == 1 and calls[0] is op
+
+    def test_box_kernel_and_inverse_square_root_rejected(self, box_op_small):
+        u = np.ones(box_op_small.n)
+        with pytest.raises(SpectralError):
+            make_evaluator(box_op_small).kernel(0.01)
+        with pytest.raises(SpectralError):
+            inv_sqrt_apply(box_op_small, u, "quadrature")
