@@ -16,8 +16,8 @@ from .operators import (BoxOperator, SectorOperator, TwistedOperator,
                         forme_inequality_check, paper_rellich_constant, twist,
                         twisted_form_terms)
 from .spectral import (KernelMatrix, SemigroupEvaluator, SpectralDecomposition,
-                       eigendecompose, inv_sqrt_apply, lanczos_extremal,
-                       make_evaluator, riesz_apply, riesz_kernel, sector_angle)
+                       eigendecompose, inv_sqrt_apply, make_evaluator,
+                       riesz_apply, riesz_kernel, sector_angle)
 from .norms import NormEstimate, boyd_lower, corner_norm, interpolation_upper, opnorm
 from .estimates import (DistanceEstimate, FitResult, davies_distance, decay_fit,
                         discrete_rellich, eta_h, extrapolation_check, gamma_pq,

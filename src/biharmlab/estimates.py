@@ -581,7 +581,8 @@ def riesz_pnorm_sweep(op: SectorOperator, p_list,
     kern = riesz_kernel(op)
     eta = eta_h(op)
     results = {}
-    n22 = corner_norm(kern, 2.0, 2.0)
+    # exact, and read through the kernel's corner cache that opnorm shares
+    n22 = interpolation_upper(kern, 2.0, 2.0)
     results[2.0] = {"estimate": NormEstimate(p=2.0, q=2.0, lower=n22,
                                              upper=n22, exact=True),
                     "eta_bound": eta**-0.5,

@@ -184,11 +184,18 @@ def lp_norm(u: GridFunction, p: float) -> float:
     return weighted_lp(u.values, u.grid.w, p)
 
 
-def weighted_lp(values: np.ndarray, w: np.ndarray, p: float) -> float:
-    """(sum_i w_i |v_i|^p)^{1/p}; p = inf gives the sup over nodes."""
+def weighted_lp(values: np.ndarray, w: np.ndarray,
+                p: float) -> float | np.ndarray:
+    """(sum_i w_i |v_i|^p)^{1/p}; p = inf gives the sup over nodes.
+
+    A 2-D `values` (nodes x columns) gives the array of column norms.
+    """
+    a = np.abs(values)
     if math.isinf(p):
-        return float(np.abs(values).max(initial=0.0))
-    return float((w @ np.abs(values) ** p) ** (1.0 / p))
+        out = a.max(axis=0, initial=0.0)
+    else:
+        out = (w @ a**p) ** (1.0 / p)
+    return float(out) if a.ndim == 1 else out
 
 
 def dilate(u: GridFunction, s: float) -> GridFunction:

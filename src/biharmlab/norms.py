@@ -73,21 +73,31 @@ def _has_exact(p: float, q: float) -> bool:
     return p == 1.0 or math.isinf(q) or (p == 2.0 and q == 2.0)
 
 
+def _cached_corner(kernel: KernelMatrix, p: float, q: float) -> float:
+    """corner_norm(kernel, p, q), evaluated once per kernel and (p, q)."""
+    cache = kernel.corner_norms
+    if (p, q) not in cache:
+        cache[(p, q)] = corner_norm(kernel, p, q)
+    return cache[(p, q)]
+
+
 def interpolation_upper(kernel: KernelMatrix, p: float, q: float) -> float:
     """Riesz-Thorin upper bound at (1/p, 1/q) from the exact corner norms.
 
-    Searches convex combinations over pairs and triples of corners; the
-    norm bound is log-convex, so exp of the interpolated log-norms is valid
-    for any combination hitting the target point exactly.
+    Exact pairs return their corner norm.  Otherwise searches convex
+    combinations over pairs and triples of corners; the norm bound is
+    log-convex, so exp of the interpolated log-norms is valid for any
+    combination hitting the target point exactly.  Corner norms are read
+    through the kernel's cache.
     """
     if _has_exact(p, q):
-        return corner_norm(kernel, p, q)
+        return _cached_corner(kernel, p, q)
     tx, ty = 1.0 / p, 1.0 / q
     pts = []
     for cp, cq in CORNERS:
         x = 0.0 if math.isinf(cp) else 1.0 / cp
         y = 0.0 if math.isinf(cq) else 1.0 / cq
-        pts.append((x, y, corner_norm(kernel, cp, cq)))
+        pts.append((x, y, _cached_corner(kernel, cp, cq)))
     best = math.inf
     for (x0, y0, m0), (x1, y1, m1) in combinations(pts, 2):
         dx, dy = x1 - x0, y1 - y0
@@ -122,8 +132,10 @@ def interpolation_upper(kernel: KernelMatrix, p: float, q: float) -> float:
 
 
 def _lp_normalize(u: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
+    """u scaled to unit weighted L^p norm (each column of a 2-D u); a zero
+    vector is returned as it is."""
     nrm = weighted_lp(u, w, p)
-    return u / nrm if nrm > 0 else u
+    return u / np.where(nrm > 0, nrm, 1.0)
 
 
 def boyd_lower(kernel: KernelMatrix, p: float, q: float, restarts: int = 8,
@@ -133,56 +145,61 @@ def boyd_lower(kernel: KernelMatrix, p: float, q: float, restarts: int = 8,
     Alternates u <- |K^* psi|^{p'-1} sgn and psi <- |Ku|^{q-1} sgn dual
     vectors; each step is monotone nondecreasing in ||Tu||_q / ||u||_p.
     On sign ambiguity at zero entries the previous iterate's sign is kept.
+    The starts run as the columns of one block; a column stops when its
+    own step gains no more than 1e-13 relative or its image is zero.  The
+    witness is the first start with the largest value.
     """
     K, w = kernel.K, kernel.w
     n = K.shape[1]
     rng = np.random.default_rng(seed)
     pd = _dual(p)
-    qd = _dual(q)
-    best_val, best_u = 0.0, None
 
     starts = [np.ones(n)]
     # deltas at the strongest columns make good p ~ 1 starts
-    col_str = np.array([weighted_lp(K[:, j], w, q) for j in range(n)])
     e = np.zeros(n)
-    e[int(np.argmax(col_str))] = 1.0
+    e[int(np.argmax(weighted_lp(K, w, q)))] = 1.0
     starts.append(e)
     while len(starts) < restarts:
         starts.append(np.abs(rng.standard_normal(n)) * rng.choice([-1.0, 1.0], n))
 
-    for u0 in starts:
-        u = _lp_normalize(u0.astype(float), w, p)
-        val = 0.0
-        for _ in range(BOYD_MAX_ITER):
-            v = K @ (w * u)
-            nv = weighted_lp(v, w, q)
-            if nv == 0.0:
-                break
-            # dual element of v in L^q
-            if math.isinf(q):
-                psi = np.zeros_like(v)
-                i = int(np.argmax(np.abs(v)))
-                psi[i] = np.sign(v[i]) / w[i]
-            else:
-                psi = np.sign(v) * (np.abs(v) / nv) ** (q - 1.0)
-            z = K.T @ (w * psi)
-            sgn = np.where(z != 0, np.sign(z), np.sign(u) + (u == 0))
-            if p == 1.0:
-                unew = np.zeros_like(u)
-                i = int(np.argmax(np.abs(z)))
-                unew[i] = sgn[i] / w[i]
-            elif math.isinf(p):
-                unew = sgn
-            else:
-                unew = sgn * np.abs(z) ** (pd - 1.0)
-            unew = _lp_normalize(unew, w, p)
-            new_val = weighted_lp(K @ (w * unew), w, q)
-            if new_val <= val * (1.0 + 1e-13):
-                break
-            u, val = unew, new_val
-        if val > best_val:
-            best_val, best_u = val, u
-    return best_val, best_u
+    U = _lp_normalize(np.column_stack(starts), w, p)
+    V = K @ (w[:, None] * U)                  # images of the current iterates
+    nv = weighted_lp(V, w, q)
+    val = np.zeros(U.shape[1])                # last accepted value per start
+    live = np.flatnonzero(nv > 0)
+    for _ in range(BOYD_MAX_ITER):
+        if live.size == 0:
+            break
+        Ul, Vl = U[:, live], V[:, live]
+        cols = np.arange(live.size)
+        # dual elements of the images in L^q
+        if math.isinf(q):
+            Psi = np.zeros_like(Vl)
+            i = np.argmax(np.abs(Vl), axis=0)
+            Psi[i, cols] = np.sign(Vl[i, cols]) / w[i]
+        else:
+            Psi = np.sign(Vl) * (np.abs(Vl) / nv[live]) ** (q - 1.0)
+        Z = K.T @ (w[:, None] * Psi)
+        sgn = np.where(Z != 0, np.sign(Z), np.sign(Ul) + (Ul == 0))
+        if p == 1.0:
+            Unew = np.zeros_like(Ul)
+            i = np.argmax(np.abs(Z), axis=0)
+            Unew[i, cols] = sgn[i, cols] / w[i]
+        elif math.isinf(p):
+            Unew = sgn
+        else:
+            Unew = sgn * np.abs(Z) ** (pd - 1.0)
+        Unew = _lp_normalize(Unew, w, p)
+        Vnew = K @ (w[:, None] * Unew)
+        new_val = weighted_lp(Vnew, w, q)
+        gain = new_val > val[live] * (1.0 + 1e-13)
+        live = live[gain]
+        U[:, live], V[:, live] = Unew[:, gain], Vnew[:, gain]
+        val[live] = nv[live] = new_val[gain]
+    best = int(np.argmax(val))
+    if val[best] > 0.0:
+        return float(val[best]), U[:, best].copy()
+    return 0.0, None
 
 
 @dataclass

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .grids import GridFunction
-from .operators import BoxOperator, SectorOperator, TwistedOperator
+from .operators import SectorOperator, TwistedOperator
 
 DENSE_LIMIT = 8192
 KRYLOV_TOL = 1e-10      # relative accuracy of the box-route e^{-tA}u
@@ -65,7 +65,8 @@ def eigendecompose(op: SectorOperator) -> SpectralDecomposition:
     """Dense generalized eigensolve F q = mu W q for a radial sector."""
     if not isinstance(op, SectorOperator):
         raise SpectralError(
-            "dense decomposition is sector-only; use lanczos_extremal for boxes")
+            "dense decomposition is sector-only; box operators have only the "
+            "Krylov semigroup (make_evaluator(op).apply)")
     if op.n > DENSE_LIMIT:
         raise SpectralError(f"dense decomposition limited to n <= {DENSE_LIMIT}")
     w = op.w
@@ -110,16 +111,6 @@ def lanczos_tridiag(apply_A, v0: np.ndarray, k: int):
     return V, alpha, beta
 
 
-def lanczos_extremal(op: BoxOperator, k: int = 60, seed: int = 0) -> dict:
-    """Extremal Ritz values of a box operator from a k-step Lanczos run."""
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(op.n)
-    V, alpha, beta = lanczos_tridiag(op.apply_A, v0, k)
-    theta = sla.eigh_tridiagonal(alpha, beta, eigvals_only=True)
-    return {"ritz_min": float(theta[0]), "ritz_max": float(theta[-1]),
-            "steps": len(alpha)}
-
-
 def _lanczos_expm(apply_A, u: np.ndarray, t: float, tol: float) -> np.ndarray:
     """e^{-tA}u by Lanczos; splits the time step if KRYLOV_MAX_DIM is short."""
     nrm = np.linalg.norm(u)
@@ -149,10 +140,16 @@ def _lanczos_expm(apply_A, u: np.ndarray, t: float, tol: float) -> np.ndarray:
 
 @dataclass
 class KernelMatrix:
-    """Kernel with respect to the weighted measure: (Tu)_i = sum_j K_ij w_j u_j."""
+    """Kernel with respect to the weighted measure: (Tu)_i = sum_j K_ij w_j u_j.
+
+    `corner_norms` caches the exact corner norms taken of this kernel, keyed
+    by (p, q); K and w must not be mutated once a norm has been taken.
+    """
 
     K: np.ndarray = field(repr=False)
     w: np.ndarray = field(repr=False)
+    corner_norms: dict = field(default_factory=dict, repr=False,
+                               compare=False)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         return self.K @ (self.w * u)

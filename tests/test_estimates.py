@@ -6,7 +6,8 @@ import scipy.linalg as sla
 
 from biharmlab import (GridFunction, Region, assemble_sector,
                        build_radial_grid, davies_distance, decay_fit,
-                       dilate, discrete_rellich, eta_h, euclidean_distance,
+                       dilate, discrete_rellich, estimates, eta_h,
+                       euclidean_distance,
                        extrapolation_check, lambda_optimizer_check,
                        laplacian_decay_fit, m_theta_formula, make_evaluator,
                        make_phi, norms, offdiag_fit, paper_rellich_constant,
@@ -16,6 +17,7 @@ from biharmlab import (GridFunction, Region, assemble_sector,
 from biharmlab.estimates import (EstimateError, gamma_pq, reliable_window,
                                  _block_norm)
 from biharmlab.norms import corner_norm, interpolation_upper
+from biharmlab.spectral import riesz_kernel
 
 
 class TestWindowAndTargets:
@@ -219,6 +221,25 @@ class TestRieszSweep:
         for p in (1.3, 1.8):
             est = res[p]["estimate"]
             assert est.lower <= est.upper * (1 + 1e-12)
+
+    def test_six_corner_norms_per_kernel(self, monkeypatch):
+        calls = []
+        real = norms.corner_norm
+
+        def counting(kernel, p, q):
+            calls.append((id(kernel), p, q))
+            return real(kernel, p, q)
+
+        # over estimates' own imported name too, which the p = 2 entry
+        # could call directly
+        monkeypatch.setattr(norms, "corner_norm", counting)
+        monkeypatch.setattr(estimates, "corner_norm", counting)
+        ops = [assemble_sector(build_radial_grid(5, 20.0, n, "uniform"), 0, 1.0)
+               for n in (32, 48)]
+        res = riesz_pnorm_sweep(ops[0], [1.3, 1.5, 1.8], refined_op=ops[1])
+        assert len(calls) == 12
+        assert len(set(calls)) == 12
+        assert res[2.0]["estimate"].upper == real(riesz_kernel(ops[0]), 2.0, 2.0)
 
 
 class TestSolveParabolic:

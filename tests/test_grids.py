@@ -88,6 +88,23 @@ class TestNorms:
         u = GridFunction(grid128, v)
         assert weighted_lp(v, grid128.w, 3.0) == pytest.approx(lp_norm(u, 3.0))
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, math.inf])
+    def test_weighted_lp_columns(self, grid128, p):
+        rng = np.random.default_rng(3)
+        V = rng.standard_normal((grid128.n, 4))
+        w = grid128.w
+        cols = weighted_lp(V, w, p)
+        assert cols.shape == (4,)
+        for j in range(4):
+            one = weighted_lp(V[:, j], w, p)
+            assert isinstance(one, float)
+            assert cols[j] == pytest.approx(one, rel=1e-14)
+        # the 1-D case is the plain formula, bit for bit
+        v = V[:, 0]
+        plain = (np.abs(v).max() if math.isinf(p)
+                 else (w @ np.abs(v) ** p) ** (1.0 / p))
+        assert weighted_lp(v, w, p) == float(plain)
+
 
 class TestDilate:
     def test_identity_at_s_one(self, grid128):

@@ -3,10 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from biharmlab import boyd_lower, corner_norm, interpolation_upper, opnorm
+from biharmlab import boyd_lower, corner_norm, interpolation_upper, norms, opnorm
 from biharmlab.grids import weighted_lp
-from biharmlab.norms import NormError, NormEstimate, _lp_normalize
+from biharmlab.norms import (BOYD_MAX_ITER, NormError, NormEstimate, _dual,
+                             _lp_normalize)
 from biharmlab.spectral import KernelMatrix
+
+# the dual-ascent pairs under test; (2, inf) and (1, inf) run the q = inf
+# branch, (1, 2) and (1, inf) the p = 1 branch
+BOYD_PAIRS = [(1.5, 3.0), (10.0 / 9.0, 2.0), (2.0, 10.0), (1.0, 2.0),
+              (2.0, math.inf), (1.0, math.inf)]
 
 
 def random_kernel(n, seed, symmetric=True):
@@ -80,11 +86,78 @@ class TestInterpolation:
                 corner_norm(kern, p, q))
 
 
+def _boyd_one_start_at_a_time(kernel, p, q, restarts=8, seed=0):
+    """The dual ascent with each start run to convergence on its own:
+    the reference the column-block `boyd_lower` must reproduce."""
+    K, w = kernel.K, kernel.w
+    n = K.shape[1]
+    rng = np.random.default_rng(seed)
+    pd = _dual(p)
+    best_val, best_u = 0.0, None
+
+    starts = [np.ones(n)]
+    col_str = np.array([weighted_lp(K[:, j], w, q) for j in range(n)])
+    e = np.zeros(n)
+    e[int(np.argmax(col_str))] = 1.0
+    starts.append(e)
+    while len(starts) < restarts:
+        starts.append(np.abs(rng.standard_normal(n)) * rng.choice([-1.0, 1.0], n))
+
+    for u0 in starts:
+        u = _lp_normalize(u0.astype(float), w, p)
+        val = 0.0
+        for _ in range(BOYD_MAX_ITER):
+            v = K @ (w * u)
+            nv = weighted_lp(v, w, q)
+            if nv == 0.0:
+                break
+            if math.isinf(q):
+                psi = np.zeros_like(v)
+                i = int(np.argmax(np.abs(v)))
+                psi[i] = np.sign(v[i]) / w[i]
+            else:
+                psi = np.sign(v) * (np.abs(v) / nv) ** (q - 1.0)
+            z = K.T @ (w * psi)
+            sgn = np.where(z != 0, np.sign(z), np.sign(u) + (u == 0))
+            if p == 1.0:
+                unew = np.zeros_like(u)
+                i = int(np.argmax(np.abs(z)))
+                unew[i] = sgn[i] / w[i]
+            elif math.isinf(p):
+                unew = sgn
+            else:
+                unew = sgn * np.abs(z) ** (pd - 1.0)
+            unew = _lp_normalize(unew, w, p)
+            new_val = weighted_lp(K @ (w * unew), w, q)
+            if new_val <= val * (1.0 + 1e-13):
+                break
+            u, val = unew, new_val
+        if val > best_val:
+            best_val, best_u = val, u
+    return best_val, best_u
+
+
 class TestBoydLower:
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_matches_one_start_at_a_time(self, symmetric):
+        for seed in range(6):
+            kern = random_kernel(12, seed + 40, symmetric=symmetric)
+            for p, q in BOYD_PAIRS:
+                lo, witness = boyd_lower(kern, p, q, seed=seed)
+                ref, ref_witness = _boyd_one_start_at_a_time(kern, p, q,
+                                                             seed=seed)
+                assert lo == pytest.approx(ref, rel=1e-12)
+                assert witness.shape == ref_witness.shape
+
+    def test_zero_kernel_has_no_witness(self):
+        kern = KernelMatrix(K=np.zeros((6, 6)), w=np.ones(6))
+        for p, q in BOYD_PAIRS:
+            assert boyd_lower(kern, p, q) == (0.0, None)
+
     def test_witness_reproduces_lower_bound(self):
         for seed in range(5):
             kern = random_kernel(10, seed + 20)
-            for p, q in [(1.5, 3.0), (10.0 / 9.0, 2.0), (2.0, 10.0)]:
+            for p, q in BOYD_PAIRS:
                 lo, witness = boyd_lower(kern, p, q, seed=seed)
                 x = _lp_normalize(witness, kern.w, p)
                 val = weighted_lp(kern.apply(x), kern.w, q)
@@ -101,6 +174,25 @@ class TestBoydLower:
         kern = identity_kernel(6)
         lo, _ = boyd_lower(kern, 1.5, 1.5)
         assert lo == pytest.approx(1.0, rel=1e-9)
+
+
+class TestCornerCache:
+    def test_second_upper_bound_evaluates_no_corner(self, monkeypatch):
+        calls = []
+        real = norms.corner_norm
+
+        def counting(kernel, p, q):
+            calls.append((p, q))
+            return real(kernel, p, q)
+
+        monkeypatch.setattr(norms, "corner_norm", counting)
+        kern = random_kernel(10, 80)
+        first = interpolation_upper(kern, 1.5, 3.0)
+        assert sorted(calls) == sorted(norms.CORNERS)
+        assert interpolation_upper(kern, 1.5, 3.0) == first
+        interpolation_upper(kern, 2.0, 10.0)
+        interpolation_upper(kern, 2.0, 2.0)
+        assert len(calls) == len(norms.CORNERS)
 
 
 class TestOpnorm:

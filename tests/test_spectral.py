@@ -9,8 +9,7 @@ from biharmlab import (assemble_box, assemble_sector, build_box_grid,
                        riesz_apply, riesz_kernel, sector_angle, spectral,
                        twist)
 from biharmlab.norms import corner_norm
-from biharmlab.spectral import (SpectralError, lanczos_extremal,
-                                quadrature_nodes)
+from biharmlab.spectral import SpectralError, quadrature_nodes
 
 
 class TestEigendecompose:
@@ -108,11 +107,6 @@ class TestKrylov:
         ev = make_evaluator(box_op_small)
         out = ev.apply(t, u)
         assert np.linalg.norm(out - ref) / np.linalg.norm(ref) <= 1e-8
-
-    def test_extremal_ritz_positive(self, box_op_small):
-        r = lanczos_extremal(box_op_small)
-        assert r["ritz_min"] > 0
-        assert r["ritz_max"] > r["ritz_min"]
 
 
 class TestInvSqrt:
