@@ -16,9 +16,10 @@ import math
 import numpy as np
 
 from biharmlab import (assemble_box, assemble_sector, build_box_grid,
-                       build_radial_grid, forme_inequality_check, make_phi,
-                       probe_functions, twisted_decay_suite,
-                       twisted_form_terms)
+                       build_radial_grid, forme_inequality_check,
+                       m_theta_formula, make_phi, paper_rellich_constant,
+                       probe_functions, sector_angle, twist,
+                       twisted_decay_suite, twisted_form_terms)
 from biharmlab.grids import TANH_HESS_MAX
 
 # expansion identity: discrepancy between the term sum and the direct
@@ -63,10 +64,18 @@ print(f"  formula k = {chk['k']:.3e}, empirical minimal k = "
 g = build_radial_grid(5, 20.0, 256)
 op = assemble_sector(g, 0, 1.0)
 phi = make_phi(np.zeros(5), 2.0, b=-8.0, kind="radial", grid=g)
-res = twisted_decay_suite(op, [0.5, 1.0], [phi],
+lams = [0.5, 1.0]
+res = twisted_decay_suite(op, lams, [phi],
                           list(np.geomspace(0.05, 0.5, 6)), seed=1)
 print(f"\ntwisted semigroup bounds hold: {res['ok']}")
 print(f"  empirical k_h = {res['k_h']:.3f}, Laplacian prefactor "
       f"M-hat = {res['m_hat']:.3f}")
-print(f"  sector half-angle {res['theta_empirical']:.4f} rad, closed-form "
-      f"M_Theta = {res['m_theta_formula']:.3f}")
+
+# paper's closed-form M_Theta at the sampled numerical-range half-angle of
+# the shifted twisted operators A_{lam phi} + 2 k_h (1 + lam^4)
+theta_emp = max(sector_angle(twist(op, lam, phi), max(res["k_h"], 1e-30),
+                             samples=50, seed=1).theta_hat for lam in lams)
+theta = max(0.5 * math.pi - theta_emp, 1e-3)
+eta = 1.0 - op.c / paper_rellich_constant(g.N)
+print(f"  sector half-angle {theta_emp:.4f} rad, closed-form "
+      f"M_Theta = {m_theta_formula(0.5, eta, theta):.3f}")

@@ -3,7 +3,9 @@ a JSON run manifest, and optional SVG plots.
 
 Subcommands front the estimate-lab operations of the same name; `suite`
 runs the full verification set.  Exit codes: 0 all enabled assertions
-pass, 1 an assertion failed, 2 configuration error.
+pass, 1 an assertion failed, 2 configuration error, or an experiment
+stopped by an error (a grid, operator or spectral error, such as an
+indefinite operator); that experiment's manifest records the error.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .grids import (GridError, Region, build_box_grid, build_radial_grid,
 from .norms import corner_norm
 from .operators import (OperatorError, assemble_box, assemble_sector,
                         paper_rellich_constant, twisted_form_terms)
-from .spectral import make_evaluator, riesz_apply
+from .spectral import SpectralError, make_evaluator, riesz_apply
 
 EXIT_OK = 0
 EXIT_ASSERT = 1
@@ -561,8 +563,11 @@ def main(argv=None) -> int:
             })
             try:
                 fn(args, man, out)
-            except (GridError, OperatorError, ValueError) as exc:
-                print(f"config error in {name}: {exc}", file=sys.stderr)
+            except (GridError, OperatorError, SpectralError,
+                    ValueError) as exc:
+                man.error = f"{type(exc).__name__}: {exc}"
+                man.write(os.path.join(out, "manifest.json"))
+                print(f"error in {name}: {man.error}", file=sys.stderr)
                 return EXIT_CONFIG
             man.write(os.path.join(out, "manifest.json"))
             for check in man.checks:

@@ -24,8 +24,7 @@ from .norms import (NormEstimate, corner_norm, interpolation_upper, l2_norm,
                     opnorm)
 from .operators import (SectorOperator, assemble_sector, forme_inequality_check,
                         paper_rellich_constant, stiffness_bands, twist)
-from .spectral import (KernelMatrix, SemigroupEvaluator, make_evaluator,
-                       sector_angle)
+from .spectral import KernelMatrix, SemigroupEvaluator, make_evaluator
 
 
 class EstimateError(ValueError):
@@ -442,13 +441,13 @@ def m_theta_formula(gamma: float, eta: float, theta: float) -> float:
     return 1.0 / math.sqrt((1.0 - gamma) * eta * math.sin(theta / 4.0))
 
 
-def _sym_part_minimizer(op: SectorOperator, tw) -> tuple:
-    """Minimal eigenpair of the W-symmetric part of the twisted operator."""
+def _sym_part_minimizer(op: SectorOperator, tw) -> np.ndarray:
+    """Minimal eigenvector of the W-symmetric part of the twisted operator."""
     A = tw.dense()
     H = op.w[:, None] * A
     H = 0.5 * (H + H.T)
-    mu, Q = sla.eigh(H, np.diag(op.w))
-    return float(mu[0]), Q[:, 0]
+    _, Q = sla.eigh(H, np.diag(op.w))
+    return Q[:, 0]
 
 
 def twisted_decay_suite(op: SectorOperator, lam_list, phi_list, t_list,
@@ -464,8 +463,7 @@ def twisted_decay_suite(op: SectorOperator, lam_list, phi_list, t_list,
     probe samples augmented by the minimizer of the symmetric part of each
     twisted operator (which makes the 2->2 bound hold by construction).
     """
-    decomp = op.decomposition
-    if decomp.mu[0] <= 0:
+    if op.decomposition.mu[0] <= 0:
         raise EstimateError("positive definite operator required")
     rng = np.random.default_rng(seed)
     probes = probe_functions(op.grid, n_probes, seed=seed)
@@ -475,8 +473,8 @@ def twisted_decay_suite(op: SectorOperator, lam_list, phi_list, t_list,
     for lam in lam_list:
         for phi in phi_list:
             tw = twist(op, lam, phi)
-            omega_min, u_star = _sym_part_minimizer(op, tw)
-            pairs.append((lam, phi, tw, omega_min))
+            u_star = _sym_part_minimizer(op, tw)
+            pairs.append((lam, tw))
             samples.append((u_star, lam, phi))
             for u in probes:
                 z = u.values * (1.0 + 0.2j * rng.standard_normal())
@@ -488,8 +486,9 @@ def twisted_decay_suite(op: SectorOperator, lam_list, phi_list, t_list,
     m_hat = 0.0
     ok_all = True
     w, L = op.w, op.dense_L()
-    kernels = [decomp.fn_kernel(lambda mu: np.exp(-t * mu)) for t in t_list]
-    for lam, phi, tw, omega_min in pairs:
+    ev = make_evaluator(op)
+    kernels = [ev.kernel(t).K for t in t_list]
+    for lam, tw in pairs:
         d = np.exp(lam * tw.phi_values)
         grow = 2.0 * k_h * (1.0 + lam**4)
         for t, K in zip(t_list, kernels):
@@ -502,7 +501,7 @@ def twisted_decay_suite(op: SectorOperator, lam_list, phi_list, t_list,
             m_cand = lnrm * math.sqrt(t) * math.exp(-grow * t)
             m_hat = max(m_hat, m_cand)
             rows.append({"lam": lam, "t": t, "norm": nrm, "bound": bound,
-                         "ok": ok, "lap_norm": lnrm, "omega_min": omega_min})
+                         "ok": ok, "lap_norm": lnrm})
     # the fitted prefactor certifies the Laplacian bound on all samples
     m_hat *= 1.0 + 1e-12
     for row in rows:
@@ -510,27 +509,16 @@ def twisted_decay_suite(op: SectorOperator, lam_list, phi_list, t_list,
             2.0 * k_h * (1.0 + row["lam"] ** 4) * row["t"])
         row["lap_ok"] = row["lap_norm"] <= row["lap_bound"]
         ok_all = ok_all and row["lap_ok"]
-
-    # paper's closed-form M_Theta at the empirical sector angle
-    theta_emp = 0.0
-    for lam, phi, tw, _ in pairs:
-        nre = sector_angle(tw, max(k_h, 1e-30), samples=50, seed=seed)
-        theta_emp = max(theta_emp, nre.theta_hat)
-    theta = max(0.5 * math.pi - theta_emp, 1e-3)
-    eta = 1.0 - max(op.c, 0.0) / paper_rellich_constant(op.grid.N)
     return {"rows": rows, "k_h": k_h, "m_hat": m_hat, "ok": ok_all,
-            "inequality_report": ineq,
-            "theta_empirical": theta_emp,
-            "m_theta_formula": m_theta_formula(gamma, eta, theta)}
+            "inequality_report": ineq}
 
 
 def laplacian_decay_fit(op: SectorOperator, t_list) -> FitResult:
     """Fit ||L e^{-tA}||_{2->2} ~ t^{-1/2} over the given times."""
-    decomp = op.decomposition
+    ev = make_evaluator(op)
     L = op.dense_L()
     ts = np.asarray(t_list, dtype=float)
-    vals = [l2_norm(L @ decomp.fn_kernel(lambda mu: np.exp(-t * mu)),
-                    op.w, op.w) for t in ts]
+    vals = [l2_norm(L @ ev.kernel(t).K, op.w, op.w) for t in ts]
     slope, intercept, resid = _loglog_fit(ts, np.asarray(vals))
     return FitResult(model="power-law",
                      params={"exponent": slope, "prefactor": math.exp(intercept)},

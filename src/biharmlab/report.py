@@ -46,13 +46,15 @@ def read_csv(path: str) -> tuple:
 
 class RunManifest:
     """Accumulates config echo, content hashes, per-check pass/fail and the
-    artifact list; written atomically at the end of the run."""
+    artifact list; written atomically at the end of the run.  `error` holds
+    the error that stopped the experiment, if one did."""
 
     def __init__(self, config: dict):
         self.config = config
         self.hashes = {}
         self.checks = []
         self.files = []
+        self.error = None
         self._t0 = time.monotonic()
 
     def add_hash(self, name: str, value: str) -> None:
@@ -66,7 +68,7 @@ class RunManifest:
 
     @property
     def all_pass(self) -> bool:
-        return all(c["pass"] for c in self.checks)
+        return self.error is None and all(c["pass"] for c in self.checks)
 
     def write(self, path: str) -> None:
         body = {
@@ -76,6 +78,7 @@ class RunManifest:
             "files": sorted(self.files),
             "wall_clock_s": round(time.monotonic() - self._t0, 3),
             "all_pass": self.all_pass,
+            "error": self.error,
         }
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:

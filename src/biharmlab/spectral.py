@@ -2,11 +2,10 @@
 semigroup evaluation e^{-zA}, inverse square root A^{-1/2} by two
 independent routes, kernels, and numerical-range (sector-angle) sampling.
 
-Radial sectors read everything off the operator's one cached
-decomposition (`SectorOperator.decomposition`) and support complex time
-inside the holomorphy sector; kernels and A^{-1/2} are sector-only.  Box
-operators are matrix-free: their one route is the real-time Krylov
-semigroup (Lanczos with full reorthogonalization).
+The semigroup (complex time inside the holomorphy sector), its kernels,
+A^{-1/2} and the Riesz transform are sector-only and read a radial
+sector's one cached decomposition (`SectorOperator.decomposition`).  Box
+grids serve only the twisted-form expansion (`operators`).
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ from .grids import GridFunction
 from .operators import SectorOperator, TwistedOperator
 
 DENSE_LIMIT = 8192
-KRYLOV_TOL = 1e-10      # relative accuracy of the box-route e^{-tA}u
-KRYLOV_MAX_DIM = 200    # Lanczos steps before the time step is split
 QUADRATURE_NODES = 200  # trapezoid nodes of the A^{-1/2} time quadrature
 
 
@@ -61,12 +58,16 @@ class SpectralDecomposition:
         return (self.Q * f(self.mu)[None, :]) @ self.Q.T
 
 
-def eigendecompose(op: SectorOperator) -> SpectralDecomposition:
-    """Dense generalized eigensolve F q = mu W q for a radial sector."""
+def _require_sector(op) -> None:
     if not isinstance(op, SectorOperator):
         raise SpectralError(
-            "dense decomposition is sector-only; box operators have only the "
-            "Krylov semigroup (make_evaluator(op).apply)")
+            f"spectral calculus is sector-only, got {type(op).__name__}; box "
+            "grids serve only the twisted-form expansion")
+
+
+def eigendecompose(op: SectorOperator) -> SpectralDecomposition:
+    """Dense generalized eigensolve F q = mu W q for a radial sector."""
+    _require_sector(op)
     if op.n > DENSE_LIMIT:
         raise SpectralError(f"dense decomposition limited to n <= {DENSE_LIMIT}")
     w = op.w
@@ -80,62 +81,6 @@ def eigendecompose(op: SectorOperator) -> SpectralDecomposition:
     else:
         mu, Q = sla.eigh(op.F, np.diag(w))
     return SpectralDecomposition(mu=mu, Q=Q, w=w)
-
-
-def lanczos_tridiag(apply_A, v0: np.ndarray, k: int):
-    """k-step Lanczos with full reorthogonalization (Euclidean ip, box grids).
-
-    Returns (V, alpha, beta) with V of shape (n, k), beta of length k-1.
-    """
-    n = len(v0)
-    k = min(k, n)
-    V = np.zeros((n, k))
-    alpha = np.zeros(k)
-    beta = np.zeros(max(k - 1, 0))
-    v = v0 / np.linalg.norm(v0)
-    V[:, 0] = v
-    for j in range(k):
-        z = apply_A(V[:, j])
-        alpha[j] = V[:, j] @ z
-        z -= alpha[j] * V[:, j]
-        if j > 0:
-            z -= beta[j - 1] * V[:, j - 1]
-        # full reorthogonalization
-        z -= V[:, : j + 1] @ (V[:, : j + 1].T @ z)
-        if j + 1 < k:
-            b = np.linalg.norm(z)
-            if b < 1e-14:
-                return V[:, : j + 1], alpha[: j + 1], beta[:j]
-            beta[j] = b
-            V[:, j + 1] = z / b
-    return V, alpha, beta
-
-
-def _lanczos_expm(apply_A, u: np.ndarray, t: float, tol: float) -> np.ndarray:
-    """e^{-tA}u by Lanczos; splits the time step if KRYLOV_MAX_DIM is short."""
-    nrm = np.linalg.norm(u)
-    if nrm == 0.0 or t == 0.0:
-        return u.copy()
-    V, alpha, beta = lanczos_tridiag(apply_A, u, KRYLOV_MAX_DIM)
-    k = len(alpha)
-    prev = None
-    for m in list(range(5, k, 5)) + [k]:
-        T = np.diag(alpha[:m])
-        idx = np.arange(m - 1)
-        T[idx, idx + 1] = beta[: m - 1]
-        T[idx + 1, idx] = beta[: m - 1]
-        e1 = np.zeros(m)
-        e1[0] = 1.0
-        f = sla.expm(-t * T) @ e1
-        cur = nrm * (V[:, :m] @ f)
-        if prev is not None and np.linalg.norm(cur - prev) <= tol * nrm:
-            return cur
-        prev = cur
-    if k < KRYLOV_MAX_DIM:
-        # breakdown: subspace is invariant, result exact
-        return prev
-    half = _lanczos_expm(apply_A, u, t / 2.0, tol / 2.0)
-    return _lanczos_expm(apply_A, half, t / 2.0, tol / 2.0)
 
 
 @dataclass
@@ -161,41 +106,29 @@ class KernelMatrix:
 
 @dataclass
 class SemigroupEvaluator:
-    """Evaluator of e^{-zA}: spectral (radial, complex z) or Krylov (box, real t)."""
+    """Evaluator of e^{-zA} on a radial sector, complex z in the holomorphy
+    sector, through the operator's one decomposition."""
 
-    op: object
+    op: SectorOperator
+
+    def __post_init__(self):
+        _require_sector(self.op)
 
     def apply(self, z: complex, u) -> np.ndarray:
         uv = u.values if isinstance(u, GridFunction) else np.asarray(u)
         if np.real(z) < 0:
             raise SpectralError("Re z >= 0 required")
-        if isinstance(self.op, SectorOperator):
-            return self.op.decomposition.fn_apply(lambda mu: np.exp(-z * mu), uv)
-        if np.imag(z) != 0:
-            raise SpectralError("box route supports real time only")
-        t = float(np.real(z))
-        if np.iscomplexobj(uv):
-            re = _lanczos_expm(self.op.apply_A, uv.real, t, KRYLOV_TOL)
-            im = _lanczos_expm(self.op.apply_A, uv.imag, t, KRYLOV_TOL)
-            return re + 1j * im
-        return _lanczos_expm(self.op.apply_A, uv, t, KRYLOV_TOL)
+        return self.op.decomposition.fn_apply(lambda mu: np.exp(-z * mu), uv)
 
     def kernel(self, t: complex) -> KernelMatrix:
-        """Kernel of e^{-tA}; radial sectors only."""
-        dec = _sector_decomposition(self.op, "semigroup kernels")
-        return KernelMatrix(K=dec.fn_kernel(lambda mu: np.exp(-t * mu)),
-                            w=self.op.w)
+        """Kernel of e^{-tA}."""
+        return KernelMatrix(
+            K=self.op.decomposition.fn_kernel(lambda mu: np.exp(-t * mu)),
+            w=self.op.w)
 
 
-def make_evaluator(op) -> SemigroupEvaluator:
+def make_evaluator(op: SectorOperator) -> SemigroupEvaluator:
     return SemigroupEvaluator(op=op)
-
-
-def _sector_decomposition(op, what: str) -> SpectralDecomposition:
-    if not isinstance(op, SectorOperator):
-        raise SpectralError(f"{what} are sector-only; the box route is the "
-                            "real-time Krylov semigroup")
-    return op.decomposition
 
 
 def quadrature_nodes(mu_min: float, mu_max: float) -> tuple:
@@ -225,7 +158,8 @@ def inv_sqrt_apply(op, u, route: str = "spectral") -> np.ndarray:
         A^{-1/2} = Gamma(1/2)^{-1} int_0^inf t^{-1/2} e^{-tA} dt.
     """
     uv = u.values if isinstance(u, GridFunction) else np.asarray(u)
-    dec = _sector_decomposition(op, "A^{-1/2} routes")
+    _require_sector(op)
+    dec = op.decomposition
     if dec.mu[0] <= 0:
         raise SpectralError("indefinite operator: A^{-1/2} undefined")
     if route == "spectral":
@@ -247,7 +181,8 @@ def riesz_apply(op, u, route: str = "spectral") -> np.ndarray:
 
 def riesz_kernel(op: SectorOperator) -> KernelMatrix:
     """Riesz transform as a kernel with respect to the weighted measure."""
-    dec = _sector_decomposition(op, "Riesz kernels")
+    _require_sector(op)
+    dec = op.decomposition
     if dec.mu[0] <= 0:
         raise SpectralError("indefinite operator: A^{-1/2} undefined")
     return KernelMatrix(K=op.dense_L() @ dec.fn_kernel(lambda mu: mu**-0.5),

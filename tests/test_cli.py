@@ -125,6 +125,21 @@ class TestExitCodes:
         assert code in (0, 1)
         assert sizes == [64, 128]
 
+    def test_spectral_error_exits_two_and_is_recorded(self, tmp_path,
+                                                      monkeypatch, capsys):
+        def indefinite(args, man, out):
+            raise spectral.SpectralError("indefinite operator")
+
+        monkeypatch.setitem(cli.SUBCOMMANDS, "solve", indefinite)
+        code = cli.main(["solve", "--n", "64", "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert err.count("error in solve: SpectralError: indefinite "
+                         "operator") == 1
+        man = json.load(open(tmp_path / "solve" / "manifest.json"))
+        assert man["error"] == "SpectralError: indefinite operator"
+        assert man["all_pass"] is False
+
     def test_rellich_failed_check_exits_one(self, tmp_path):
         res = run_cli("rellich", "--n", "400", "--out", str(tmp_path))
         assert res.returncode == 1

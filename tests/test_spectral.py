@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from biharmlab import (assemble_box, assemble_sector, build_box_grid,
-                       build_radial_grid, eigendecompose, inv_sqrt_apply,
-                       laplacian_decay_fit, make_evaluator, make_phi,
-                       riesz_apply, riesz_kernel, sector_angle, spectral,
-                       twist)
+from biharmlab import (assemble_sector, build_radial_grid, eigendecompose,
+                       inv_sqrt_apply, laplacian_decay_fit, make_evaluator,
+                       make_phi, riesz_apply, riesz_kernel, sector_angle,
+                       spectral, twist, twisted_decay_suite)
 from biharmlab.norms import corner_norm
 from biharmlab.spectral import SpectralError, quadrature_nodes
 
@@ -68,11 +67,6 @@ class TestSemigroup:
         out = ev.apply(0.01 + 0.01j, u)
         assert np.all(np.isfinite(out.real)) and np.all(np.isfinite(out.imag))
 
-    def test_complex_time_rejected_on_box(self, box_op_small, rng):
-        ev = make_evaluator(box_op_small)
-        with pytest.raises(SpectralError):
-            ev.apply(0.01 + 0.01j, rng.standard_normal(box_op_small.n))
-
     def test_kernel_property(self, op_c1, rng):
         ev = make_evaluator(op_c1)
         u = rng.standard_normal(op_c1.n)
@@ -93,20 +87,6 @@ class TestSemigroup:
         vals = [ev.kernel(t).K[0, 0] for t in ts]
         slope = np.polyfit(np.log(ts), np.log(vals), 1)[0]
         assert abs(slope - (-1.25)) / 1.25 <= 0.15
-
-
-class TestKrylov:
-    def test_matches_dense_exponential(self, box_op_small, rng):
-        import scipy.linalg as sla
-        n = box_op_small.n
-        A = np.column_stack([box_op_small.apply_A(col)
-                             for col in np.eye(n)])
-        u = rng.standard_normal(n)
-        t = 1e-3
-        ref = sla.expm(-t * A) @ u
-        ev = make_evaluator(box_op_small)
-        out = ev.apply(t, u)
-        assert np.linalg.norm(out - ref) / np.linalg.norm(ref) <= 1e-8
 
 
 class TestInvSqrt:
@@ -175,6 +155,11 @@ class TestSectorAngle:
         assert est.holomorphy_margin > 0
 
 
+def radial_phi(op):
+    g = op.grid
+    return make_phi(np.zeros(g.N), 2.0, -g.R / 2.0, kind="radial", grid=g)
+
+
 class TestOneDecomposition:
     def test_every_sector_route_shares_one_eigensolve(self, monkeypatch):
         calls = []
@@ -191,10 +176,30 @@ class TestOneDecomposition:
         riesz_kernel(op)
         riesz_apply(op, u, "quadrature")
         laplacian_decay_fit(op, np.geomspace(0.01, 0.1, 5))
+        twisted_decay_suite(op, [0.5], [radial_phi(op)], [0.05, 0.1],
+                            n_probes=2)
         assert len(calls) == 1 and calls[0] is op
+
+    def test_every_semigroup_kernel_is_built_by_the_evaluator(self,
+                                                              monkeypatch):
+        calls = []
+        kernel = spectral.SemigroupEvaluator.kernel
+
+        def counted(self, t):
+            calls.append(t)
+            return kernel(self, t)
+
+        monkeypatch.setattr(spectral.SemigroupEvaluator, "kernel", counted)
+        op = assemble_sector(build_radial_grid(5, 10.0, 64), 0, 1.0)
+        twisted_decay_suite(op, [0.5], [radial_phi(op)], [0.05, 0.1, 0.2],
+                            n_probes=2)
+        laplacian_decay_fit(op, np.geomspace(0.01, 0.1, 5))
+        assert len(calls) == 8
 
     def test_box_kernel_and_inverse_square_root_rejected(self, box_op_small):
         u = np.ones(box_op_small.n)
+        with pytest.raises(SpectralError):
+            make_evaluator(box_op_small)
         with pytest.raises(SpectralError):
             make_evaluator(box_op_small).kernel(0.01)
         with pytest.raises(SpectralError):
