@@ -20,8 +20,7 @@ import scipy.sparse.linalg as spla
 
 from .grids import (GridFunction, RadialGrid, Region, euclidean_distance,
                     make_phi, probe_functions, sphere_area, weighted_lp)
-from .norms import (NormEstimate, corner_norm, interpolation_upper, l2_norm,
-                    opnorm)
+from .norms import NormEstimate, interpolation_upper, l2_norm, opnorm
 from .operators import (SectorOperator, assemble_sector, forme_inequality_check,
                         paper_rellich_constant, stiffness_bands, twist)
 from .spectral import KernelMatrix, SemigroupEvaluator, make_evaluator
@@ -55,9 +54,10 @@ def reliable_window(grid: RadialGrid) -> tuple:
     """t-window [(3h)^4, (R/8)^4] inside which exponent fits are trusted.
 
     Below it the h^4 discretization scale dominates (fourth-order operator),
-    above it the outer Dirichlet truncation does.
+    above it the outer Dirichlet truncation does.  h is the smallest cell,
+    the innermost one on a log grid.
     """
-    h = float(np.max(grid.delta))
+    h = float(np.min(grid.delta))
     return (3.0 * h) ** 4, (grid.R / 8.0) ** 4
 
 
@@ -259,7 +259,10 @@ def offdiag_fit(evaluator: SemigroupEvaluator, E: Region, F_list,
     ratios = np.zeros((len(ts), len(masksF)))
     for i, t in enumerate(ts):
         kern = evaluator.kernel(t)
-        full = corner_norm(kern, 2.0, 2.0)
+        # the SVD of the formed kernel, not the spectral (2,2) value: the
+        # time fit is ill-conditioned, and a 3e-15 relative change in this
+        # normaliser moves its exponent by 3.9e-8 at n = 2048
+        full = l2_norm(kern.K, kern.w, kern.w)
         for j, mF in enumerate(masksF):
             ratios[i, j] = _block_norm(kern, mF, maskE) / full
     usable = ratios > OFFDIAG_FLOOR

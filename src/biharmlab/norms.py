@@ -50,8 +50,21 @@ def corner_norm(kernel: KernelMatrix, p: float, q: float) -> float:
     """Exact weighted p -> q norm where a closed formula exists.
 
     Covers p = 1 (extreme points of the L^1 ball are scaled deltas),
-    q = inf (dual statement), and (2,2) via the weighted SVD.
+    q = inf (dual statement), and (2,2) via the weighted SVD.  A kernel
+    that carries its spectrum, K = Q f Q^T, gets (2,2) and (2,inf) from
+    it instead: with ||W^{1/2} Q||_2^2 = gram_norm,
+
+        ||K||_{2->2} <= gram_norm max_k |f_k|,
+        ||K||_{2->inf}^2 <= gram_norm max_i sum_k Q_ik^2 |f_k|^2,
+
+    upper bounds that are exact for a W-orthonormal Q.
     """
+    dec = kernel.dec
+    if p == 2.0 and dec is not None and (q == 2.0 or math.isinf(q)):
+        af = np.abs(kernel.f)
+        if q == 2.0:
+            return float(np.max(af)) * dec.gram_norm
+        return math.sqrt(dec.gram_norm * float(np.max(dec.Q**2 @ af**2)))
     K, w = kernel.K, kernel.w
     if p == 2.0 and q == 2.0:
         return l2_norm(K, w, w)

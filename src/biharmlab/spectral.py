@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -39,9 +40,20 @@ class SpectralDecomposition:
     def n(self) -> int:
         return len(self.mu)
 
+    def _gram(self) -> np.ndarray:
+        return self.Q.T @ (self.w[:, None] * self.Q)
+
     def orthonormality_residual(self) -> float:
-        G = self.Q.T @ (self.w[:, None] * self.Q)
-        return float(np.max(np.abs(G - np.eye(self.n))))
+        return float(np.max(np.abs(self._gram() - np.eye(self.n))))
+
+    @cached_property
+    def gram_norm(self) -> float:
+        """||Q^T W Q||_2 = ||W^{1/2} Q||_2^2, 1 up to round-off for a
+        W-orthonormal basis; it turns spectral norm formulas into upper
+        bounds on the norms of the formed kernels."""
+        n = self.n
+        return float(sla.eigvalsh(self._gram(),
+                                  subset_by_index=[n - 1, n - 1])[0])
 
     def coeffs(self, u: np.ndarray) -> np.ndarray:
         return self.Q.T @ (self.w * u)
@@ -55,7 +67,11 @@ class SpectralDecomposition:
 
     def fn_kernel(self, f) -> np.ndarray:
         """Kernel Q f(mu) Q^T of f(A) with respect to the weighted measure."""
-        return (self.Q * f(self.mu)[None, :]) @ self.Q.T
+        return self.synth_kernel(f(self.mu))
+
+    def synth_kernel(self, fmu: np.ndarray) -> np.ndarray:
+        """Kernel Q diag(fmu) Q^T from the values fmu of f on the spectrum."""
+        return (self.Q * fmu[None, :]) @ self.Q.T
 
 
 def _require_sector(op) -> None:
@@ -83,18 +99,30 @@ def eigendecompose(op: SectorOperator) -> SpectralDecomposition:
     return SpectralDecomposition(mu=mu, Q=Q, w=w)
 
 
-@dataclass
 class KernelMatrix:
     """Kernel with respect to the weighted measure: (Tu)_i = sum_j K_ij w_j u_j.
 
-    `corner_norms` caches the exact corner norms taken of this kernel, keyed
-    by (p, q); K and w must not be mutated once a norm has been taken.
+    Built from its entries K, or as f(A) from a decomposition `dec` and the
+    values `f` of f on its spectrum; such a kernel forms K = Q f Q^T only
+    when K is first read, so norms read off the spectrum need no n x n
+    kernel.  `corner_norms` caches the corner norms taken of this kernel,
+    keyed by (p, q); K, w and f must not be mutated once a norm has been
+    taken.
     """
 
-    K: np.ndarray = field(repr=False)
-    w: np.ndarray = field(repr=False)
-    corner_norms: dict = field(default_factory=dict, repr=False,
-                               compare=False)
+    def __init__(self, K: np.ndarray | None = None,
+                 w: np.ndarray | None = None, *,
+                 dec: SpectralDecomposition | None = None,
+                 f: np.ndarray | None = None):
+        if K is not None:
+            self.K = K          # shadows the lazy property below
+        self.w = dec.w if w is None else w
+        self.dec, self.f = dec, f
+        self.corner_norms = {}
+
+    @cached_property
+    def K(self) -> np.ndarray:
+        return self.dec.synth_kernel(self.f)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         return self.K @ (self.w * u)
@@ -121,10 +149,9 @@ class SemigroupEvaluator:
         return self.op.decomposition.fn_apply(lambda mu: np.exp(-z * mu), uv)
 
     def kernel(self, t: complex) -> KernelMatrix:
-        """Kernel of e^{-tA}."""
-        return KernelMatrix(
-            K=self.op.decomposition.fn_kernel(lambda mu: np.exp(-t * mu)),
-            w=self.op.w)
+        """Kernel of e^{-tA}, carrying its spectrum; K is formed on demand."""
+        dec = self.op.decomposition
+        return KernelMatrix(dec=dec, f=np.exp(-t * dec.mu))
 
 
 def make_evaluator(op: SectorOperator) -> SemigroupEvaluator:

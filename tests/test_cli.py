@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -11,6 +12,10 @@ import pytest
 from biharmlab import build_radial_grid, cli, report, spectral
 from biharmlab.cli import (ConfigError, build_parser, config_defaults,
                            parse_config)
+
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench")
 
 
 def run_cli(*args, cwd=None, env=None):
@@ -140,10 +145,73 @@ class TestExitCodes:
         assert man["error"] == "SpectralError: indefinite operator"
         assert man["all_pass"] is False
 
+    def test_suite_runs_every_experiment_past_errors(self, tmp_path,
+                                                     monkeypatch, capsys):
+        def broken(args, man, out):
+            raise spectral.SpectralError("indefinite operator")
+
+        def passing(args, man, out):
+            man.add_check("ran", True, "")
+
+        for name in cli.SUBCOMMANDS:
+            monkeypatch.setitem(cli.SUBCOMMANDS, name,
+                                broken if name in ("rellich", "riesz")
+                                else passing)
+        code = cli.main(["suite", "--n", "64", "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error in {name}: SpectralError: indefinite operator"
+            for name in ("rellich", "riesz")]
+        assert "[PASS] solve:ran" in captured.out
+        assert "[PASS] coercivity:semigroup_contractive gram_norm - 1 = " \
+            in captured.out
+        for name in ["coercivity", *cli.SUBCOMMANDS]:
+            man = json.load(open(tmp_path / name / "manifest.json"))
+            broke = name in ("rellich", "riesz")
+            assert man["error"] == ("SpectralError: indefinite operator"
+                                    if broke else None)
+            assert man["all_pass"] is not broke
+
+    def test_decay_on_a_log_grid_passes(self, tmp_path):
+        code = cli.main(["decay", "--mode", "log", "--c", "0",
+                         "--out", str(tmp_path)])
+        assert code == cli.EXIT_OK
+        _, rows = report.read_csv(str(tmp_path / "decay" / "decay.csv"))
+        for row in rows:
+            slope, target = float(row[3]), float(row[4])
+            assert slope == pytest.approx(target, rel=1e-4)
+
     def test_rellich_failed_check_exits_one(self, tmp_path):
         res = run_cli("rellich", "--n", "400", "--out", str(tmp_path))
         assert res.returncode == 1
         assert "[FAIL]" in res.stdout
+
+
+class TestBenchmarkReference:
+    def test_coercivity_and_decay_match_the_reference(self, tmp_path):
+        # the benchmark's own comparison, at its tolerance; reads only
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_check", os.path.join(PERFBENCH, "check.py"))
+        check = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(check)
+        args = build_parser().parse_args(["suite", "--seed", "7",
+                                          "--out", str(tmp_path)])
+        restore, _ = cli._pin_blas_threads()
+        try:
+            for name, run in (("coercivity", cli.run_coercivity),
+                              ("decay", cli.run_decay)):
+                out = tmp_path / name
+                out.mkdir()
+                run(args, report.RunManifest({}), str(out))
+        finally:
+            restore()
+        for rel in ("coercivity/contraction.csv", "decay/decay.csv",
+                    "decay/decay_curve.csv"):
+            ref = os.path.join(PERFBENCH, "reference", "suite", rel)
+            got = check.read_table(str(tmp_path / rel))
+            assert check.compare_table(got, check.read_table(ref),
+                                       check.RTOL) == []
 
 
 class TestPlot:

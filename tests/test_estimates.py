@@ -5,19 +5,19 @@ import pytest
 import scipy.linalg as sla
 
 from biharmlab import (GridFunction, Region, assemble_sector,
-                       build_radial_grid, davies_distance, decay_fit,
+                       build_radial_grid, cli, davies_distance, decay_fit,
                        dilate, discrete_rellich, estimates, eta_h,
                        euclidean_distance,
                        extrapolation_check, lambda_optimizer_check,
                        laplacian_decay_fit, m_theta_formula, make_evaluator,
                        make_phi, norms, offdiag_fit, paper_rellich_constant,
-                       rellich_constant, remark_ball_inequality,
+                       rellich_constant, remark_ball_inequality, report,
                        riesz_pnorm_sweep, solve_parabolic, twist,
                        twisted_decay_suite)
 from biharmlab.estimates import (EstimateError, gamma_pq, reliable_window,
                                  _block_norm)
-from biharmlab.norms import corner_norm, interpolation_upper
-from biharmlab.spectral import riesz_kernel
+from biharmlab.norms import corner_norm, interpolation_upper, l2_norm
+from biharmlab.spectral import SemigroupEvaluator, riesz_kernel
 
 
 class TestWindowAndTargets:
@@ -28,6 +28,14 @@ class TestWindowAndTargets:
         lo2, hi2 = reliable_window(g2)
         assert lo2 == pytest.approx(lo1 / 16.0)
         assert hi1 == hi2
+
+    def test_log_grid_window_starts_at_the_innermost_cell(self):
+        g = build_radial_grid(5, 30.0, 512, "log")
+        lo, hi = reliable_window(g)
+        h = g.faces[1] - g.faces[0]
+        assert lo == pytest.approx((3.0 * h) ** 4, rel=1e-12)
+        # decay's default times 0.01 ... 0.1 all lie inside
+        assert lo < 0.01 and hi > 0.1
 
     def test_gamma_pq_values(self):
         assert gamma_pq(5, 2.0, math.inf) == pytest.approx(5.0 / 8.0)
@@ -93,6 +101,49 @@ class TestDecayFit:
         fit = laplacian_decay_fit(op_c0, list(np.geomspace(0.06, 0.6, 8)))
         assert fit.target == pytest.approx(-0.5)
         assert abs(fit.exponent - (-0.5)) <= 0.05
+
+
+def collect_kernels(monkeypatch) -> list:
+    """Every kernel SemigroupEvaluator.kernel returns from now on."""
+    kernels = []
+    build = SemigroupEvaluator.kernel
+
+    def collected(self, t):
+        kernels.append(build(self, t))
+        return kernels[-1]
+
+    monkeypatch.setattr(SemigroupEvaluator, "kernel", collected)
+    return kernels
+
+
+class TestSpectralRoute:
+    def test_contraction_and_sup_decay_form_no_kernel(self, op_c1, tmp_path,
+                                                      monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an SVD was taken")
+
+        monkeypatch.setattr(norms, "l2_norm", refuse)
+        kernels = collect_kernels(monkeypatch)
+        args = cli.build_parser().parse_args(["suite", "--n", "128"])
+        cli.run_coercivity(args, report.RunManifest({}), str(tmp_path))
+        decay_fit(make_evaluator(op_c1), 2.0, math.inf,
+                  list(np.geomspace(0.06, 0.6, 6)))
+        assert len(kernels) == 12 + 6
+        assert not any("K" in kern.__dict__ for kern in kernels)
+
+    def test_offdiag_normalises_by_the_formed_kernel(self, monkeypatch):
+        op = assemble_sector(build_radial_grid(5, 40.0, 256), 0, 1.0)
+        E = Region.annulus(0.0, 1.0)
+        Fs = [Region.annulus(d, math.inf) for d in (3.0, 5.0, 8.0, 12.0)]
+        ts = np.geomspace(1e-3, 1e-2, 4)
+        kernels = collect_kernels(monkeypatch)
+        res = offdiag_fit(make_evaluator(op), E, Fs, ts)
+        assert "gram_norm" not in vars(op.decomposition)
+        mE = E.indicator(op.grid).astype(bool)
+        ref = np.array([[_block_norm(kern, F.indicator(op.grid).astype(bool),
+                                     mE) / l2_norm(kern.K, kern.w, kern.w)
+                         for F in Fs] for kern in kernels])
+        assert np.array_equal(res["ratios"], ref)
 
 
 class TestOffdiag:
@@ -233,7 +284,7 @@ class TestRieszSweep:
         # over estimates' own imported name too, which the p = 2 entry
         # could call directly
         monkeypatch.setattr(norms, "corner_norm", counting)
-        monkeypatch.setattr(estimates, "corner_norm", counting)
+        monkeypatch.setattr(estimates, "corner_norm", counting, raising=False)
         ops = [assemble_sector(build_radial_grid(5, 20.0, n, "uniform"), 0, 1.0)
                for n in (32, 48)]
         res = riesz_pnorm_sweep(ops[0], [1.3, 1.5, 1.8], refined_op=ops[1])

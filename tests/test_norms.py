@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from biharmlab import boyd_lower, corner_norm, interpolation_upper, norms, opnorm
+from biharmlab import (assemble_sector, boyd_lower, build_radial_grid,
+                       corner_norm, interpolation_upper, make_evaluator, norms,
+                       opnorm)
 from biharmlab.grids import weighted_lp
 from biharmlab.norms import (BOYD_MAX_ITER, NormError, NormEstimate, _dual,
                              _lp_normalize)
-from biharmlab.spectral import KernelMatrix
+from biharmlab.spectral import KernelMatrix, SpectralDecomposition
 
 # the dual-ascent pairs under test; (2, inf) and (1, inf) run the q = inf
 # branch, (1, 2) and (1, inf) the p = 1 branch
@@ -193,6 +195,45 @@ class TestCornerCache:
         interpolation_upper(kern, 2.0, 10.0)
         interpolation_upper(kern, 2.0, 2.0)
         assert len(calls) == len(norms.CORNERS)
+
+
+@pytest.fixture(scope="module", params=[0.0, 1.0])
+def op512(request):
+    return assemble_sector(build_radial_grid(5, 30.0, 512), 0, request.param)
+
+
+class TestSpectralCorners:
+    @pytest.mark.parametrize("t", [1e-3, 1e-2, 0.05, 1.0, 0.01 + 0.01j])
+    def test_bound_the_formed_kernel_tightly(self, op512, t):
+        kern = make_evaluator(op512).kernel(t)
+        n22 = corner_norm(kern, 2.0, 2.0)
+        n2inf = corner_norm(kern, 2.0, math.inf)
+        assert "K" not in kern.__dict__
+        # the same corners through the entries: weighted SVD and |K|^2 w
+        formed = KernelMatrix(K=kern.K, w=kern.w)
+        svd22 = corner_norm(formed, 2.0, 2.0)
+        rows2inf = float(np.max(np.sqrt(np.abs(kern.K) ** 2 @ kern.w)))
+        for spec, ref in ((n22, svd22), (n2inf, rows2inf)):
+            assert ref <= spec <= ref * (1.0 + 1e-13)
+
+    def test_basis_that_is_not_orthonormal_is_bounded(self, op512):
+        # the Gram factor keeps the bound above the formed kernel's norm
+        dec = op512.decomposition
+        off = SpectralDecomposition(mu=dec.mu, Q=1.001 * dec.Q, w=dec.w)
+        assert off.gram_norm == pytest.approx(1.001**2, rel=1e-12)
+        kern = KernelMatrix(dec=off, f=np.exp(-1e-3 * off.mu))
+        svd22 = corner_norm(KernelMatrix(K=kern.K, w=kern.w), 2.0, 2.0)
+        n22 = corner_norm(kern, 2.0, 2.0)
+        assert svd22 <= n22 <= svd22 * (1.0 + 1e-13)
+        assert n22 > 1.0 + 1e-12
+
+    def test_kernel_formed_once_on_demand(self, op512):
+        kern = make_evaluator(op512).kernel(0.05)
+        assert "K" not in kern.__dict__
+        K = kern.K
+        assert kern.K is K
+        assert np.array_equal(
+            K, op512.decomposition.fn_kernel(lambda mu: np.exp(-0.05 * mu)))
 
 
 class TestOpnorm:
