@@ -47,7 +47,7 @@ op = assemble_box(g, 1.0)
 rng = np.random.default_rng(0)
 samples = []
 for i in range(50):
-    u = probe_functions(g, 1, seed=i)[0].values
+    u = probe_functions(g, 1, seed=i)[0]
     e = rng.standard_normal(5)
     e /= np.linalg.norm(e)
     samples.append((u * (1 + 0.3j * rng.standard_normal(u.shape)),

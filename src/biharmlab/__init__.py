@@ -7,10 +7,9 @@ the twisted-form inequality, L^p -> L^q decay rates, off-diagonal decay
 exponents, Davies distances, and Riesz-transform norm brackets.
 """
 
-from .grids import (BoxGrid, GridFunction, PhiFamily, RadialGrid, Region,
-                    build_box_grid, build_radial_grid, dilate,
-                    euclidean_distance, lp_norm, make_phi, probe_functions,
-                    sphere_area)
+from .grids import (BoxGrid, PhiFamily, RadialGrid, Region, build_box_grid,
+                    build_radial_grid, euclidean_distance, make_phi,
+                    probe_functions, sphere_area)
 from .operators import (BoxOperator, SectorOperator, TwistedOperator,
                         assemble_box, assemble_sector, critical_exponents,
                         forme_inequality_check, paper_rellich_constant, twist,

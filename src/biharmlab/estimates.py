@@ -18,8 +18,8 @@ import scipy.optimize as sopt
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grids import (GridFunction, RadialGrid, Region, euclidean_distance,
-                    make_phi, probe_functions, sphere_area, weighted_lp)
+from .grids import (RadialGrid, Region, euclidean_distance, make_phi,
+                    probe_functions, sphere_area, weighted_lp)
 from .norms import NormEstimate, interpolation_upper, l2_norm, opnorm
 from .operators import (SectorOperator, assemble_sector, forme_inequality_check,
                         paper_rellich_constant, stiffness_bands, twist)
@@ -454,8 +454,7 @@ def _sym_part_minimizer(op: SectorOperator, tw) -> np.ndarray:
 
 
 def twisted_decay_suite(op: SectorOperator, lam_list, phi_list, t_list,
-                        gamma: float = 0.5, n_probes: int = 12,
-                        seed: int = 0) -> dict:
+                        n_probes: int = 12, seed: int = 0) -> dict:
     """Verify the twisted semigroup bounds
 
         ||e^{lam phi} e^{-tA} e^{-lam phi}||_{2->2} <= e^{2 k_h (1+lam^4) t},
@@ -480,9 +479,9 @@ def twisted_decay_suite(op: SectorOperator, lam_list, phi_list, t_list,
             pairs.append((lam, tw))
             samples.append((u_star, lam, phi))
             for u in probes:
-                z = u.values * (1.0 + 0.2j * rng.standard_normal())
+                z = u * (1.0 + 0.2j * rng.standard_normal())
                 samples.append((z, lam, phi))
-    ineq = forme_inequality_check(op, samples, gamma=gamma)
+    ineq = forme_inequality_check(op, samples)
     k_h = ineq["k_empirical"]
 
     rows = []
@@ -598,10 +597,9 @@ def riesz_pnorm_sweep(op: SectorOperator, p_list,
 def solve_parabolic(op, f, t_grid, p: float) -> dict:
     """Trajectory u(t) = e^{-tA} f with ||u(t)||_p and ||L u(t)||_p per t."""
     ev = make_evaluator(op)
-    fv = f.values if isinstance(f, GridFunction) else np.asarray(f)
     rows = []
     for t in t_grid:
-        u = ev.apply(t, fv)
+        u = ev.apply(t, f)
         rows.append({"t": float(t),
                      "u": u,
                      "norm_p": weighted_lp(u, op.w, p),

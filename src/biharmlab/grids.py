@@ -1,5 +1,5 @@
-"""Discretizations of R^N: radial and box grids, weighted norms, regions,
-dilations, and the admissible weight-function family used for twisting.
+"""Discretizations of R^N: radial and box grids, the weighted L^p norm,
+regions, and the admissible weight-function family used for twisting.
 
 All grids are staggered so that no node sits at the origin: the potential
 |x|^{-4} is finite at every node and the singularity is controlled by the
@@ -160,36 +160,14 @@ def build_box_grid(N: int, m: int, B: float) -> BoxGrid:
     return BoxGrid(N=N, m=m, B=float(B))
 
 
-@dataclass
-class GridFunction:
-    """Sampled function on a grid; values may be complex."""
-
-    grid: object
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values)
-        npts = self.grid.n if isinstance(self.grid, RadialGrid) else self.grid.size
-        if self.values.shape != (npts,):
-            raise GridError("value length does not match grid node count")
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.copy())
-
-
-def lp_norm(u: GridFunction, p: float) -> float:
-    """Weighted L^p norm; p = inf gives the sup over nodes."""
-    if p < 1:
-        raise GridError(f"p >= 1 required (got {p})")
-    return weighted_lp(u.values, u.grid.w, p)
-
-
 def weighted_lp(values: np.ndarray, w: np.ndarray,
                 p: float) -> float | np.ndarray:
     """(sum_i w_i |v_i|^p)^{1/p}; p = inf gives the sup over nodes.
 
     A 2-D `values` (nodes x columns) gives the array of column norms.
     """
+    if p < 1:
+        raise GridError(f"p >= 1 required (got {p})")
     a = np.abs(values)
     if math.isinf(p):
         out = a.max(axis=0, initial=0.0)
@@ -198,40 +176,12 @@ def weighted_lp(values: np.ndarray, w: np.ndarray,
     return float(out) if a.ndim == 1 else out
 
 
-def dilate(u: GridFunction, s: float) -> GridFunction:
-    """Dilation (D_s u)(x) = u(s x) by linear interpolation, s in (0, 1]."""
-    if not (0.0 < s <= 1.0):
-        raise GridError(f"dilation factor must be in (0, 1] (got {s})")
-    if s == 1.0:
-        return u.copy()
-    g = u.grid
-    if isinstance(g, RadialGrid):
-        def interp(vals):
-            return np.interp(s * g.r, g.r, vals, left=vals[0], right=0.0)
-    else:
-        from scipy.interpolate import RegularGridInterpolator
-
-        pts = s * g.coords()
-
-        def interp(vals):
-            f = RegularGridInterpolator(
-                (g.axis,) * g.N, vals.reshape(g.shape),
-                bounds_error=False, fill_value=0.0)
-            return f(pts)
-
-    v = u.values
-    if np.iscomplexobj(v):
-        out = interp(v.real) + 1j * interp(v.imag)
-    else:
-        out = interp(v)
-    return GridFunction(g, out)
-
-
 @dataclass(frozen=True)
 class Region:
-    """Subset of R^N with a per-node indicator: ball, box, or annulus."""
+    """Subset of R^N with a per-node indicator on radial grids: ball or
+    annulus."""
 
-    kind: str                      # "ball" | "box" | "annulus"
+    kind: str                      # "ball" | "annulus"
     params: tuple
 
     @staticmethod
@@ -243,36 +193,21 @@ class Region:
         """Origin-centred annulus {a <= |x| <= b}; b may be inf."""
         return Region("annulus", (float(a), float(b)))
 
-    @staticmethod
-    def box(lo, hi) -> "Region":
-        return Region("box", (np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)))
-
     @property
     def convex(self) -> bool:
-        return self.kind in ("ball", "box") or (self.kind == "annulus" and self.params[0] == 0.0)
+        return self.kind == "ball" or self.params[0] == 0.0
 
     def indicator(self, grid) -> np.ndarray:
-        if isinstance(grid, RadialGrid):
-            r = grid.r
-            if self.kind == "ball":
-                c, rad = self.params
-                if np.any(c != 0.0):
-                    raise GridError("off-centre balls need a box grid")
-                return (r <= rad).astype(float)
-            if self.kind == "annulus":
-                a, b = self.params
-                return ((r >= a) & (r <= b)).astype(float)
-            raise GridError("box regions need a box grid")
-        X = grid.coords()
+        if not isinstance(grid, RadialGrid):
+            raise GridError("region indicators need a radial grid")
+        r = grid.r
         if self.kind == "ball":
             c, rad = self.params
-            return (np.linalg.norm(X - c, axis=1) <= rad).astype(float)
-        if self.kind == "annulus":
-            a, b = self.params
-            rr = np.linalg.norm(X, axis=1)
-            return ((rr >= a) & (rr <= b)).astype(float)
-        lo, hi = self.params
-        return np.all((X >= lo) & (X <= hi), axis=1).astype(float)
+            if np.any(c != 0.0):
+                raise GridError("off-centre balls have no radial indicator")
+            return (r <= rad).astype(float)
+        a, b = self.params
+        return ((r >= a) & (r <= b)).astype(float)
 
     def support_interval(self, e: np.ndarray) -> tuple:
         """Range [min, max] of e.x over the region (for convex kinds)."""
@@ -280,15 +215,10 @@ class Region:
             c, rad = self.params
             ec = float(e @ c) if c.shape == e.shape else float(e[0] * c[0]) if c.size == 1 else float(e @ c)
             return ec - rad, ec + rad
-        if self.kind == "annulus":
-            a, b = self.params
-            if math.isinf(b):
-                return -math.inf, math.inf
-            return -b, b
-        lo, hi = self.params
-        m = float(np.sum(np.where(e >= 0, e * lo, e * hi)))
-        M = float(np.sum(np.where(e >= 0, e * hi, e * lo)))
-        return m, M
+        _, b = self.params
+        if math.isinf(b):
+            return -math.inf, math.inf
+        return -b, b
 
 
 def euclidean_distance(E: Region, F: Region) -> float:
@@ -346,9 +276,6 @@ class PhiFamily:
 
     def _arg(self, x_dot_e_or_r):
         return (x_dot_e_or_r + self.b) / self.s
-
-    def __call__(self, grid) -> np.ndarray:
-        return self.values(grid)
 
     def values(self, grid) -> np.ndarray:
         if isinstance(grid, RadialGrid):
@@ -459,5 +386,5 @@ def probe_functions(grid, count: int, seed: int = 0) -> list:
             k = float(rng.uniform(1.0, 4.0))
             a = float(rng.uniform(0.5, 2.0))
             v = rr**2 * np.exp(-a * rr**2) * np.cos(k * rr)
-        out.append(GridFunction(grid, v * taper))
+        out.append(v * taper)
     return out

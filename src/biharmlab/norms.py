@@ -87,11 +87,15 @@ def _has_exact(p: float, q: float) -> bool:
 
 
 def _cached_corner(kernel: KernelMatrix, p: float, q: float) -> float:
-    """corner_norm(kernel, p, q), evaluated once per kernel and (p, q)."""
+    """corner_norm(kernel, p, q), evaluated once per kernel and (p, q); an
+    inf or NaN corner raises, since no interpolated bound can use it."""
     cache = kernel.corner_norms
     if (p, q) not in cache:
         cache[(p, q)] = corner_norm(kernel, p, q)
-    return cache[(p, q)]
+    value = cache[(p, q)]
+    if not math.isfinite(value):
+        raise NormError(f"corner ({p}, {q}) norm is not finite: {value}")
+    return value
 
 
 def interpolation_upper(kernel: KernelMatrix, p: float, q: float) -> float:
@@ -144,7 +148,7 @@ def interpolation_upper(kernel: KernelMatrix, p: float, q: float) -> float:
     return best
 
 
-def _lp_normalize(u: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
+def _lp_unit(u: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
     """u scaled to unit weighted L^p norm (each column of a 2-D u); a zero
     vector is returned as it is."""
     nrm = weighted_lp(u, w, p)
@@ -175,7 +179,7 @@ def boyd_lower(kernel: KernelMatrix, p: float, q: float, restarts: int = 8,
     while len(starts) < restarts:
         starts.append(np.abs(rng.standard_normal(n)) * rng.choice([-1.0, 1.0], n))
 
-    U = _lp_normalize(np.column_stack(starts), w, p)
+    U = _lp_unit(np.column_stack(starts), w, p)
     V = K @ (w[:, None] * U)                  # images of the current iterates
     nv = weighted_lp(V, w, q)
     val = np.zeros(U.shape[1])                # last accepted value per start
@@ -202,7 +206,7 @@ def boyd_lower(kernel: KernelMatrix, p: float, q: float, restarts: int = 8,
             Unew = sgn
         else:
             Unew = sgn * np.abs(Z) ** (pd - 1.0)
-        Unew = _lp_normalize(Unew, w, p)
+        Unew = _lp_unit(Unew, w, p)
         Vnew = K @ (w[:, None] * Unew)
         new_val = weighted_lp(Vnew, w, q)
         gain = new_val > val[live] * (1.0 + 1e-13)

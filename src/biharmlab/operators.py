@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import BoxGrid, GridFunction, PhiFamily, RadialGrid, sphere_area
+from .grids import BoxGrid, PhiFamily, RadialGrid, sphere_area
 
 EXP_CLAMP = 300.0
 
@@ -83,8 +83,6 @@ class WeightedForm:
 
     def form_a(self, u, v) -> complex:
         """a_h(u, v) = (Lu, Lv)_W - c (Vu, v)_W."""
-        u = _values(u, self.grid)
-        v = _values(v, self.grid)
         Lu, Lv = self.apply_L(u), self.apply_L(v)
         return self.inner(Lu, Lv) - self.c * complex(
             np.sum(self.w * self.V * u * np.conj(v)))
@@ -132,15 +130,6 @@ class SectorOperator(WeightedForm):
         """W-orthonormal eigendecomposition of A_h, computed on first use."""
         from . import spectral  # spectral imports this module
         return spectral.eigendecompose(self)
-
-
-def _values(u, grid) -> np.ndarray:
-    if isinstance(u, GridFunction):
-        if u.grid is not grid and getattr(u.grid, "content_hash", None) and \
-                u.grid.content_hash() != grid.content_hash():
-            raise OperatorError("grid mismatch between function and operator")
-        return u.values
-    return np.asarray(u)
 
 
 def assemble_sector(grid: RadialGrid, ell: int = 0, c: float = 0.0) -> SectorOperator:
@@ -255,7 +244,6 @@ class TwistedOperator:
     def form(self, u) -> complex:
         """Twisted form a_{lam phi}(u) = a(e^{-lam phi}u, e^{lam phi}u)."""
         lp = self.lam * self.phi_values
-        u = _values(u, self.base.grid)
         return self.base.form_a(np.exp(-lp) * u, np.exp(lp) * u)
 
 
@@ -287,7 +275,6 @@ def twisted_form_terms(op: BoxOperator, u, lam: float, phi: PhiFamily) -> dict:
     """
     if not isinstance(op, BoxOperator):
         raise OperatorError("the expansion needs a box operator (gradients)")
-    u = _values(u, op.grid)
     w = float(op.grid.w[0])
     gphi = phi.gradient(op.grid)
     lphi = phi.laplacian(op.grid)
@@ -320,12 +307,11 @@ def twisted_form_terms(op: BoxOperator, u, lam: float, phi: PhiFamily) -> dict:
     }
 
 
-def forme_inequality_check(op, samples, gamma: float = 0.5,
-                           eps: float | None = None) -> dict:
+def forme_inequality_check(op, samples, gamma: float = 0.5) -> dict:
     """Check |a_{lam phi}(u) - a(u)| <= gamma a(u) + k (1+lam^4) ||u||_2^2.
 
     `samples` is an iterable of (u, lam, phi) triples.  k is derived from
-    the small parameter eps via k = 18 N^2 eps^{-6}; by default eps is the
+    the small parameter eps via k = 18 N^2 eps^{-6}, where eps is the
     value making 9 eps^2 / eta equal to the requested gamma, with
     eta = 1 - max(c, 0)/C*(N).
     """
@@ -333,20 +319,18 @@ def forme_inequality_check(op, samples, gamma: float = 0.5,
         raise OperatorError("gamma must lie in (0, 1)")
     N = op.grid.N
     eta = 1.0 - max(op.c, 0.0) / paper_rellich_constant(N)
-    if eps is None:
-        eps = math.sqrt(gamma * eta / 9.0)
+    eps = math.sqrt(gamma * eta / 9.0)
     k = 18.0 * N**2 * eps**-6.0
     rows = []
     violations = []
     k_emp = 0.0
     for u, lam, phi in samples:
-        uv = _values(u, op.grid)
-        nrm2 = float(np.sum(op.w * np.abs(uv) ** 2))
+        nrm2 = float(np.sum(op.w * np.abs(u) ** 2))
         if nrm2 == 0.0:
             continue
-        a0 = op.form_a(uv, uv).real
+        a0 = op.form_a(u, u).real
         tw = twist(op, lam, phi)
-        diff = abs(tw.form(uv) - a0)
+        diff = abs(tw.form(u) - a0)
         rhs = gamma * a0 + k * (1.0 + lam**4) * nrm2
         need_k = max(0.0, (diff - gamma * a0) / ((1.0 + lam**4) * nrm2))
         k_emp = max(k_emp, need_k)

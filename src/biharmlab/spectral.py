@@ -17,7 +17,6 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 
-from .grids import GridFunction
 from .operators import SectorOperator, TwistedOperator
 
 DENSE_LIMIT = 8192
@@ -143,10 +142,10 @@ class SemigroupEvaluator:
         _require_sector(self.op)
 
     def apply(self, z: complex, u) -> np.ndarray:
-        uv = u.values if isinstance(u, GridFunction) else np.asarray(u)
         if np.real(z) < 0:
             raise SpectralError("Re z >= 0 required")
-        return self.op.decomposition.fn_apply(lambda mu: np.exp(-z * mu), uv)
+        return self.op.decomposition.fn_apply(lambda mu: np.exp(-z * mu),
+                                              np.asarray(u))
 
     def kernel(self, t: complex) -> KernelMatrix:
         """Kernel of e^{-tA}, carrying its spectrum; K is formed on demand."""
@@ -184,7 +183,7 @@ def inv_sqrt_apply(op, u, route: str = "spectral") -> np.ndarray:
 
         A^{-1/2} = Gamma(1/2)^{-1} int_0^inf t^{-1/2} e^{-tA} dt.
     """
-    uv = u.values if isinstance(u, GridFunction) else np.asarray(u)
+    uv = np.asarray(u)
     _require_sector(op)
     dec = op.decomposition
     if dec.mu[0] <= 0:

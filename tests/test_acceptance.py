@@ -20,7 +20,7 @@ from biharmlab import (Region, assemble_box, assemble_sector, boyd_lower,
                        riesz_kernel, riesz_pnorm_sweep, twisted_decay_suite,
                        twisted_form_terms)
 from biharmlab.grids import TANH_HESS_MAX, weighted_lp
-from biharmlab.norms import _lp_normalize
+from biharmlab.norms import _lp_unit
 from biharmlab.spectral import KernelMatrix
 
 from conftest import record
@@ -125,7 +125,7 @@ def test_criterion_05_twisted_form_suite():
     rng = np.random.default_rng(11)
     samples = []
     for i in range(200):
-        u = probe_functions(g, 1, seed=i)[0].values
+        u = probe_functions(g, 1, seed=i)[0]
         u = u * (1.0 + 0.3j * rng.standard_normal(u.shape))
         lam_i = float(rng.uniform(0.05, 2.0))
         e = rng.standard_normal(5)
@@ -242,7 +242,7 @@ def _oracle(kern, p, q, seed):
         best = max(best, v)
     rng = np.random.default_rng(seed + 101)
     for x in rng.standard_normal((2000, kern.K.shape[0])):
-        xn = _lp_normalize(x, kern.w, p)
+        xn = _lp_unit(x, kern.w, p)
         best = max(best, weighted_lp(kern.apply(xn), kern.w, q))
     return best
 

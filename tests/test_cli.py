@@ -145,6 +145,17 @@ class TestExitCodes:
         assert man["error"] == "SpectralError: indefinite operator"
         assert man["all_pass"] is False
 
+    @pytest.mark.parametrize("p", ["0", "0.5"])
+    def test_solve_rejects_p_below_one(self, tmp_path, capsys, p):
+        code = cli.main(["solve", "--n", "64", "--p", p,
+                         "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "error in solve: GridError: p >= 1 required" in err
+        man = json.load(open(tmp_path / "solve" / "manifest.json"))
+        assert man["error"].startswith("GridError: p >= 1 required")
+        assert not (tmp_path / "solve" / "solve.csv").exists()
+
     def test_suite_runs_every_experiment_past_errors(self, tmp_path,
                                                      monkeypatch, capsys):
         def broken(args, man, out):
@@ -200,14 +211,18 @@ class TestBenchmarkReference:
         restore, _ = cli._pin_blas_threads()
         try:
             for name, run in (("coercivity", cli.run_coercivity),
-                              ("decay", cli.run_decay)):
+                              ("decay", cli.run_decay),
+                              ("solve", cli.run_solve),
+                              ("twisted", cli.run_twisted)):
                 out = tmp_path / name
                 out.mkdir()
                 run(args, report.RunManifest({}), str(out))
         finally:
             restore()
         for rel in ("coercivity/contraction.csv", "decay/decay.csv",
-                    "decay/decay_curve.csv"):
+                    "decay/decay_curve.csv", "solve/solve.csv",
+                    "twisted/twisted_expansion.csv",
+                    "twisted/twisted_semigroup.csv"):
             ref = os.path.join(PERFBENCH, "reference", "suite", rel)
             got = check.read_table(str(tmp_path / rel))
             assert check.compare_table(got, check.read_table(ref),

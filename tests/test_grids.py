@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from biharmlab import (GridFunction, PhiFamily, Region, build_box_grid,
-                       build_radial_grid, dilate, euclidean_distance, lp_norm,
-                       make_phi, probe_functions, sphere_area)
+from biharmlab import (PhiFamily, Region, build_box_grid, build_radial_grid,
+                       euclidean_distance, make_phi, probe_functions)
 from biharmlab.grids import (GridError, TANH_HESS_MAX, ball_volume,
                              boundary_taper, weighted_lp)
 
@@ -60,33 +59,21 @@ class TestBoxGrid:
         assert g.w[0] * g.size == pytest.approx(4.0**5)
 
 
-class TestGridFunction:
-    def test_length_mismatch_rejected(self, grid128):
-        with pytest.raises(GridError):
-            GridFunction(grid128, np.ones(7))
-
-
 class TestNorms:
     def test_gaussian_l2_norm(self):
         # int exp(-2r^2) over R^5 equals (pi/2)^(5/2)
         g = build_radial_grid(5, 20.0, 512, "uniform")
-        u = GridFunction(g, np.exp(-g.r**2))
         exact = (math.pi / 2.0) ** 2.5
-        assert lp_norm(u, 2.0) ** 2 == pytest.approx(exact, rel=0.01)
+        assert weighted_lp(np.exp(-g.r**2), g.w, 2.0) ** 2 == \
+            pytest.approx(exact, rel=0.01)
 
     def test_sup_norm(self, grid128):
-        u = GridFunction(grid128, np.sin(grid128.r))
-        assert lp_norm(u, math.inf) == np.abs(u.values).max()
+        u = np.sin(grid128.r)
+        assert weighted_lp(u, grid128.w, math.inf) == np.abs(u).max()
 
     def test_p_below_one_rejected(self, grid128):
-        u = GridFunction(grid128, np.ones(grid128.n))
-        with pytest.raises(GridError):
-            lp_norm(u, 0.5)
-
-    def test_weighted_lp_matches(self, grid128):
-        v = np.linspace(0.0, 1.0, grid128.n)
-        u = GridFunction(grid128, v)
-        assert weighted_lp(v, grid128.w, 3.0) == pytest.approx(lp_norm(u, 3.0))
+        with pytest.raises(GridError, match="p >= 1 required"):
+            weighted_lp(np.ones(grid128.n), grid128.w, 0.5)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, math.inf])
     def test_weighted_lp_columns(self, grid128, p):
@@ -106,28 +93,14 @@ class TestNorms:
         assert weighted_lp(v, w, p) == float(plain)
 
 
-class TestDilate:
-    def test_identity_at_s_one(self, grid128):
-        u = GridFunction(grid128, np.exp(-grid128.r**2))
-        v = dilate(u, 1.0)
-        assert np.array_equal(u.values, v.values)
-
-    def test_samples_scaled_profile(self):
-        g = build_radial_grid(5, 20.0, 1024, "uniform")
-        u = GridFunction(g, np.exp(-g.r**2))
-        v = dilate(u, 0.5)
-        assert np.allclose(v.values, np.exp(-(0.5 * g.r) ** 2), atol=1e-4)
-
-    def test_rejects_expanding(self, grid128):
-        u = GridFunction(grid128, np.ones(grid128.n))
-        with pytest.raises(GridError):
-            dilate(u, 2.0)
-
-
 class TestRegion:
     def test_indicator_binary(self, grid128):
         ind = Region.annulus(2.0, 8.0).indicator(grid128)
         assert set(np.unique(ind)) <= {0.0, 1.0}
+
+    def test_indicator_needs_radial_grid(self):
+        with pytest.raises(GridError, match="radial grid"):
+            Region.annulus(0.0, 1.0).indicator(build_box_grid(5, 4, 2.0))
 
     def test_ball_distance(self):
         E = Region.ball(np.zeros(5), 1.0)
@@ -201,17 +174,17 @@ class TestProbes:
         a = probe_functions(grid128, 6, seed=3)
         b = probe_functions(grid128, 6, seed=3)
         for ua, ub in zip(a, b):
-            assert np.array_equal(ua.values, ub.values)
+            assert np.array_equal(ua, ub)
 
     def test_first_probe_is_unit_gaussian(self, grid128):
         u = probe_functions(grid128, 1)[0]
         interior = grid128.r <= 0.8 * grid128.R
-        assert np.allclose(u.values[interior],
+        assert np.allclose(u[interior],
                            np.exp(-grid128.r[interior] ** 2))
 
     def test_vanish_at_outer_boundary(self, grid128):
         for u in probe_functions(grid128, 5, seed=2):
-            assert abs(u.values[-1]) < 1e-3
+            assert abs(u[-1]) < 1e-3
 
     def test_taper_profile(self):
         rr = np.array([0.0, 7.9, 8.0, 9.0, 10.0])

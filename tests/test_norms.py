@@ -8,7 +8,7 @@ from biharmlab import (assemble_sector, boyd_lower, build_radial_grid,
                        opnorm)
 from biharmlab.grids import weighted_lp
 from biharmlab.norms import (BOYD_MAX_ITER, NormError, NormEstimate, _dual,
-                             _lp_normalize)
+                             _lp_unit)
 from biharmlab.spectral import KernelMatrix, SpectralDecomposition
 
 # the dual-ascent pairs under test; (2, inf) and (1, inf) run the q = inf
@@ -106,7 +106,7 @@ def _boyd_one_start_at_a_time(kernel, p, q, restarts=8, seed=0):
         starts.append(np.abs(rng.standard_normal(n)) * rng.choice([-1.0, 1.0], n))
 
     for u0 in starts:
-        u = _lp_normalize(u0.astype(float), w, p)
+        u = _lp_unit(u0.astype(float), w, p)
         val = 0.0
         for _ in range(BOYD_MAX_ITER):
             v = K @ (w * u)
@@ -129,7 +129,7 @@ def _boyd_one_start_at_a_time(kernel, p, q, restarts=8, seed=0):
                 unew = sgn
             else:
                 unew = sgn * np.abs(z) ** (pd - 1.0)
-            unew = _lp_normalize(unew, w, p)
+            unew = _lp_unit(unew, w, p)
             new_val = weighted_lp(K @ (w * unew), w, q)
             if new_val <= val * (1.0 + 1e-13):
                 break
@@ -161,7 +161,7 @@ class TestBoydLower:
             kern = random_kernel(10, seed + 20)
             for p, q in BOYD_PAIRS:
                 lo, witness = boyd_lower(kern, p, q, seed=seed)
-                x = _lp_normalize(witness, kern.w, p)
+                x = _lp_unit(witness, kern.w, p)
                 val = weighted_lp(kern.apply(x), kern.w, q)
                 assert val == pytest.approx(lo, rel=1e-10)
 
@@ -195,6 +195,25 @@ class TestCornerCache:
         interpolation_upper(kern, 2.0, 10.0)
         interpolation_upper(kern, 2.0, 2.0)
         assert len(calls) == len(norms.CORNERS)
+
+
+class TestNonFiniteCorners:
+    def test_formed_kernel_with_an_inf_entry(self):
+        kern = random_kernel(6, 0)
+        kern.K[2, 3] = math.inf
+        with pytest.raises(NormError, match=r"corner \(1\.0, 1\.0\) norm "
+                                            r"is not finite: inf"):
+            interpolation_upper(kern, 2.0, 10.0)
+
+    def test_spectral_kernel_with_an_inf_value(self):
+        op = assemble_sector(build_radial_grid(5, 30.0, 64), 0, 0.0)
+        f = np.exp(-1e-3 * op.decomposition.mu)
+        f[0] = math.inf
+        kern = KernelMatrix(dec=op.decomposition, f=f)
+        with pytest.raises(NormError, match=r"corner \(2\.0, 2\.0\) norm "
+                                            r"is not finite: inf"):
+            interpolation_upper(kern, 2.0, 2.0)
+        assert "K" not in kern.__dict__
 
 
 @pytest.fixture(scope="module", params=[0.0, 1.0])
@@ -268,6 +287,6 @@ class TestOpnorm:
         for p, q in [(1.5, 3.0), (2.0, 10.0)]:
             est = opnorm(kern, p, q)
             for _ in range(200):
-                x = _lp_normalize(rng.standard_normal(10), kern.w, p)
+                x = _lp_unit(rng.standard_normal(10), kern.w, p)
                 val = weighted_lp(kern.apply(x), kern.w, q)
                 assert val <= est.upper * (1 + 1e-12)

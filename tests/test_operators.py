@@ -8,7 +8,7 @@ from biharmlab import (assemble_box, assemble_sector, build_box_grid,
                        forme_inequality_check, make_phi,
                        paper_rellich_constant, probe_functions, twist,
                        twisted_form_terms)
-from biharmlab.grids import GridFunction, TANH_HESS_MAX, sphere_area
+from biharmlab.grids import TANH_HESS_MAX, sphere_area
 from biharmlab.operators import (OperatorError, sector_stiffness,
                                  stiffness_bands)
 
@@ -57,8 +57,8 @@ class TestSectorOperator:
         # a(u,u) >= eta ||Lu||^2 with eta = 1 - c/C*
         eta = 1.0 - 1.0 / paper_rellich_constant(5)
         for u in probe_functions(grid128, 6, seed=5):
-            lhs = op_c1.form_energy(u.values)
-            lu = op_c1.apply_L(u.values)
+            lhs = op_c1.form_energy(u)
+            lu = op_c1.apply_L(u)
             rhs = eta * float(op_c1.w @ lu**2)
             assert lhs - rhs >= -1e-12 * max(abs(lhs), 1.0)
 
@@ -184,7 +184,7 @@ class TestFormEInequality:
         rng = np.random.default_rng(7)
         samples = []
         for i in range(20):
-            u = probe_functions(g, 1, seed=i)[0].values
+            u = probe_functions(g, 1, seed=i)[0]
             u = u + 0.2j * rng.standard_normal(u.shape) * u
             lam = float(rng.uniform(0.1, 2.0))
             phi = make_phi(_unit(rng), float(rng.uniform(TANH_HESS_MAX, 4.0)),
