@@ -380,6 +380,8 @@ def davies_distance(E: Region, F: Region, N: int, budget: int = 200,
     """
     if not (E.convex and F.convex):
         raise EstimateError("compact convex regions required")
+    if any(reg.kind == "ball" and reg.params[0].shape != (N,) for reg in (E, F)):
+        raise EstimateError(f"ball centres need N = {N} coordinates")
     d_e = euclidean_distance(E, F)
     bracket = (d_e, math.sqrt(N) * d_e)
     if d_e == 0.0:

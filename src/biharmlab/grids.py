@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 TANH_HESS_MAX = 4.0 / (3.0 * math.sqrt(3.0))  # max of |d/dt sech^2(t)|
+TAPER_START = 0.8  # probe functions are untapered for r <= TAPER_START * R
 
 
 def sphere_area(N: int) -> float:
@@ -35,7 +36,7 @@ class GridError(ValueError):
 class RadialGrid:
     """Staggered radial grid for R^N carrying the measure sigma_{N-1} r^{N-1} dr.
 
-    Nodes sit strictly between the cell faces, so r_1 > 0.  Weights are
+    Nodes sit inside the cells, never on a face, so r_1 > 0.  Weights are
     w_i = sigma_{N-1} r_i^{N-1} delta_i; their sum matches the volume of
     the covered ball (annulus) to second order in the spacing.
     """
@@ -142,13 +143,6 @@ class BoxGrid:
     def w(self) -> np.ndarray:
         return np.full(self.size, self.h**self.N)
 
-    def manifest(self) -> dict:
-        return {"kind": "box", "dimension": self.N, "m": self.m, "half_width": self.B}
-
-    def content_hash(self) -> str:
-        blob = json.dumps(self.manifest(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
-
 
 def build_box_grid(N: int, m: int, B: float) -> BoxGrid:
     if N < 5:
@@ -178,8 +172,8 @@ def weighted_lp(values: np.ndarray, w: np.ndarray,
 
 @dataclass(frozen=True)
 class Region:
-    """Subset of R^N with a per-node indicator on radial grids: ball or
-    annulus."""
+    """Subset of R^N: a ball, or an origin-centred annulus with a per-node
+    indicator on radial grids."""
 
     kind: str                      # "ball" | "annulus"
     params: tuple
@@ -198,14 +192,9 @@ class Region:
         return self.kind == "ball" or self.params[0] == 0.0
 
     def indicator(self, grid) -> np.ndarray:
-        if not isinstance(grid, RadialGrid):
-            raise GridError("region indicators need a radial grid")
+        if self.kind != "annulus" or not isinstance(grid, RadialGrid):
+            raise GridError("region indicators need an annulus on a radial grid")
         r = grid.r
-        if self.kind == "ball":
-            c, rad = self.params
-            if np.any(c != 0.0):
-                raise GridError("off-centre balls have no radial indicator")
-            return (r <= rad).astype(float)
         a, b = self.params
         return ((r >= a) & (r <= b)).astype(float)
 
@@ -213,7 +202,7 @@ class Region:
         """Range [min, max] of e.x over the region (for convex kinds)."""
         if self.kind == "ball":
             c, rad = self.params
-            ec = float(e @ c) if c.shape == e.shape else float(e[0] * c[0]) if c.size == 1 else float(e @ c)
+            ec = float(e @ c)
             return ec - rad, ec + rad
         _, b = self.params
         if math.isinf(b):
@@ -222,29 +211,16 @@ class Region:
 
 
 def euclidean_distance(E: Region, F: Region) -> float:
-    """Euclidean distance between two regions (supported kinds only)."""
+    """Euclidean distance between two balls or between two annuli."""
     if E.kind == "ball" and F.kind == "ball":
         (c1, r1), (c2, r2) = E.params, F.params
+        if c1.shape != c2.shape:
+            raise GridError(f"ball centres differ in shape: {c1.shape}, {c2.shape}")
         d = float(np.linalg.norm(c1 - c2))
         return max(0.0, d - r1 - r2)
-    def as_radial(reg):
-        if reg.kind == "annulus":
-            return reg.params
-        if reg.kind == "ball" and not np.any(reg.params[0]):
-            return (0.0, reg.params[1])
-        return None
-    a1, a2 = as_radial(E), as_radial(F)
-    if a1 is not None and a2 is not None:
-        lo1, hi1 = a1
-        lo2, hi2 = a2
+    if E.kind == "annulus" and F.kind == "annulus":
+        (lo1, hi1), (lo2, hi2) = E.params, F.params
         return max(0.0, lo2 - hi1, lo1 - hi2)
-    if E.kind == "ball" and F.kind == "annulus":
-        c, r = E.params
-        a, b = F.params
-        rc = float(np.linalg.norm(c))
-        return max(0.0, a - rc - r, rc - r - b)
-    if E.kind == "annulus" and F.kind == "ball":
-        return euclidean_distance(F, E)
     raise GridError(f"distance not implemented for {E.kind}/{F.kind}")
 
 
@@ -252,96 +228,63 @@ def euclidean_distance(E: Region, F: Region) -> float:
 class PhiFamily:
     """Admissible twisting weight phi with |D^a phi| <= 1 for 1 <= |a| <= 2.
 
-    Linear kind: phi(x) = s tanh((e.x + b)/s) with |e| = 1.
-    Radial kind: phi(x) = s tanh((|x| - r0)/s); its Hessian carries a
-    tanh'(.)/|x| curvature term, so admissibility near the origin is
-    certified numerically on the grid at hand.
+    Linear kind: phi(x) = s tanh((e.x + b)/s) with |e| = 1, on box grids.
+    Radial kind: phi(x) = s tanh((|x| + b)/s) on radial grids; its Hessian
+    carries a tanh'(.)/|x| curvature term, so admissibility near the origin
+    is certified numerically on the grid at hand.  Evaluating a kind on the
+    other grid type raises GridError.
     """
 
     kind: str                      # "linear" | "radial"
     e: np.ndarray                  # direction (linear) or unused
     s: float
-    b: float                       # shift (linear) / -r0 (radial uses r0 = -b)
+    b: float
+
+    GRID = {"linear": BoxGrid, "radial": RadialGrid}   # the grid of each kind
 
     def __post_init__(self):
+        if self.kind not in self.GRID:
+            raise GridError(f"unknown phi kind {self.kind!r}")
         if self.s < TANH_HESS_MAX - 1e-12:
             raise GridError(
                 f"steepness s >= 4/(3*sqrt(3)) ~ {TANH_HESS_MAX:.4f} required")
         if self.kind == "linear" and abs(np.linalg.norm(self.e) - 1.0) > 1e-10:
             raise GridError("direction must be a unit vector")
 
-    @property
-    def r0(self) -> float:
-        return -self.b
-
-    def _arg(self, x_dot_e_or_r):
-        return (x_dot_e_or_r + self.b) / self.s
+    def _arg(self, grid) -> np.ndarray:
+        """(xi + b)/s with xi = e.x on a box grid and xi = r on a radial grid."""
+        if not isinstance(grid, self.GRID[self.kind]):
+            raise GridError(f"a {self.kind} phi is evaluated on "
+                            f"{self.GRID[self.kind].__name__}s only")
+        xi = grid.coords() @ self.e if self.kind == "linear" else grid.r
+        return (xi + self.b) / self.s
 
     def values(self, grid) -> np.ndarray:
-        if isinstance(grid, RadialGrid):
-            t = self._arg(grid.r)
-        else:
-            t = self._arg(grid.coords() @ self.e if self.kind == "linear"
-                          else np.sqrt(grid.radii_sq()))
-        return self.s * np.tanh(t)
+        return self.s * np.tanh(self._arg(grid))
 
-    def gradient(self, grid) -> np.ndarray:
-        """(n, N) gradient at box nodes; (n,) radial derivative on radial grids."""
-        if isinstance(grid, RadialGrid):
-            t = self._arg(grid.r)
-            return 1.0 / np.cosh(t) ** 2
-        X = grid.coords()
-        if self.kind == "linear":
-            t = self._arg(X @ self.e)
-            return (1.0 / np.cosh(t) ** 2)[:, None] * self.e[None, :]
-        rr = np.sqrt(grid.radii_sq())
-        t = self._arg(rr)
-        return (1.0 / np.cosh(t) ** 2 / rr)[:, None] * X
+    def gradient(self, grid: BoxGrid) -> np.ndarray:
+        """(n, N) gradient of a linear phi at box nodes."""
+        t = self._arg(grid)
+        return (1.0 / np.cosh(t) ** 2)[:, None] * self.e[None, :]
 
-    def laplacian(self, grid) -> np.ndarray:
-        if isinstance(grid, RadialGrid):
-            N = grid.N
-            t = self._arg(grid.r)
-            sech2 = 1.0 / np.cosh(t) ** 2
-            return -2.0 * np.tanh(t) * sech2 / self.s + (N - 1) / grid.r * sech2
-        if self.kind == "linear":
-            t = self._arg(grid.coords() @ self.e)
-            return -2.0 * np.tanh(t) / np.cosh(t) ** 2 / self.s
-        N = grid.N
-        rr = np.sqrt(grid.radii_sq())
-        t = self._arg(rr)
-        sech2 = 1.0 / np.cosh(t) ** 2
-        return -2.0 * np.tanh(t) * sech2 / self.s + (N - 1) / rr * sech2
+    def laplacian(self, grid: BoxGrid) -> np.ndarray:
+        t = self._arg(grid)
+        return -2.0 * np.tanh(t) / np.cosh(t) ** 2 / self.s
 
-    def certify(self, grid=None, strict: bool = True) -> dict:
+    def certify(self, grid=None) -> None:
         """Check the class bounds |grad| <= 1, |hess| <= 1, |phi| <= s.
 
-        Linear kind is certified analytically; the radial kind additionally
-        spot-checks the 1/r Hessian term on the grid nodes.
+        The linear kind meets them by construction (|e| = 1, s >= 4/(3 sqrt 3));
+        the radial kind's 1/r Hessian term is checked on its radial grid.
         """
-        report = {
-            "grad_bound": 1.0,
-            "hess_bound": TANH_HESS_MAX / self.s,
-            "sup_bound": self.s,
-            "ok": True,
-        }
-        if self.kind == "radial":
-            if grid is None:
-                raise GridError("radial phi certification requires a grid")
-            rr = grid.r if isinstance(grid, RadialGrid) else np.sqrt(grid.radii_sq())
-            t = self._arg(rr)
-            sech2 = 1.0 / np.cosh(t) ** 2
-            hess_max = float(np.max(TANH_HESS_MAX / self.s * sech2 + sech2 / rr))
-            report["hess_bound"] = hess_max
-            report["ok"] = hess_max <= 1.0 + 1e-12
-            if strict and not report["ok"]:
-                raise GridError(
-                    f"radial phi violates the Hessian bound on this grid "
-                    f"(max {hess_max:.3f} > 1)")
-        if grid is not None:
-            v = self.values(grid)
-            report["sup_observed"] = float(np.max(np.abs(v)))
-        return report
+        if self.kind == "linear":
+            return
+        sech2 = 1.0 / np.cosh(self._arg(grid)) ** 2
+        hess_max = float(np.max(TANH_HESS_MAX / self.s * sech2 + sech2 / grid.r))
+        if not hess_max <= 1.0 + 1e-12:
+            raise GridError(
+                f"radial phi violates the Hessian bound on this grid "
+                f"(max {hess_max:.3f} > 1)")
 
 
 def make_phi(e, s: float, b: float = 0.0, kind: str = "linear",
@@ -349,13 +292,13 @@ def make_phi(e, s: float, b: float = 0.0, kind: str = "linear",
     """Construct and certify an admissible twisting weight."""
     e = np.atleast_1d(np.asarray(e, dtype=float))
     phi = PhiFamily(kind=kind, e=e, s=float(s), b=float(b))
-    phi.certify(grid=grid, strict=kind == "radial" and grid is not None)
+    phi.certify(grid=grid)
     return phi
 
 
-def boundary_taper(rr: np.ndarray, R: float, start: float = 0.8) -> np.ndarray:
-    """Smooth cutoff equal to 1 for r <= start*R, 0 at r = R."""
-    t = np.clip((rr - start * R) / ((1.0 - start) * R), 0.0, 1.0)
+def boundary_taper(rr: np.ndarray, R: float) -> np.ndarray:
+    """Smooth cutoff equal to 1 for r <= TAPER_START*R, 0 at r = R."""
+    t = np.clip((rr - TAPER_START * R) / ((1.0 - TAPER_START) * R), 0.0, 1.0)
     return np.cos(0.5 * math.pi * t) ** 2
 
 

@@ -27,6 +27,7 @@ CORNERS = ((1.0, 1.0), (2.0, 2.0), (math.inf, math.inf),
            (1.0, 2.0), (2.0, math.inf), (1.0, math.inf))
 
 BOYD_MAX_ITER = 500     # dual-ascent fixed-point steps per start
+BOYD_RESTARTS = 8       # dual-ascent starts, run as the columns of one block
 
 
 def _dual(p: float) -> float:
@@ -155,8 +156,8 @@ def _lp_unit(u: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
     return u / np.where(nrm > 0, nrm, 1.0)
 
 
-def boyd_lower(kernel: KernelMatrix, p: float, q: float, restarts: int = 8,
-               seed: int = 0) -> tuple:
+def boyd_lower(kernel: KernelMatrix, p: float, q: float,
+               restarts: int = BOYD_RESTARTS, seed: int = 0) -> tuple:
     """Dual-ascent lower bound for the weighted p -> q norm with witness.
 
     Alternates u <- |K^* psi|^{p'-1} sgn and psi <- |Ku|^{q-1} sgn dual

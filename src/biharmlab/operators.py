@@ -179,9 +179,6 @@ class BoxOperator(WeightedForm):
             out[tuple(hi)] -= U[tuple(lo)]
         return (out / h**2).reshape(-1)
 
-    def apply_A(self, u: np.ndarray) -> np.ndarray:
-        return self.apply_L(self.apply_L(u)) - self.c * self.V * u
-
     def gradient(self, u: np.ndarray) -> np.ndarray:
         """Centered differences, one-sided at the boundary; (size, N)."""
         g = self.grid
@@ -220,7 +217,6 @@ class TwistedOperator:
 
     base: object
     lam: float
-    phi: PhiFamily
     phi_values: np.ndarray = field(repr=False)
 
     @property
@@ -230,10 +226,6 @@ class TwistedOperator:
     @property
     def w(self) -> np.ndarray:
         return self.base.w
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        lp = self.lam * self.phi_values
-        return np.exp(lp) * self.base.apply_A(np.exp(-lp) * u)
 
     def dense(self) -> np.ndarray:
         if not isinstance(self.base, SectorOperator):
@@ -253,7 +245,7 @@ def twist(op, lam: float, phi: PhiFamily) -> TwistedOperator:
     if abs(lam) * float(np.max(np.abs(vals))) > EXP_CLAMP:
         raise OperatorError(
             f"|lambda|*max|phi| exceeds the exponent clamp {EXP_CLAMP}")
-    return TwistedOperator(base=op, lam=float(lam), phi=phi, phi_values=vals)
+    return TwistedOperator(base=op, lam=float(lam), phi_values=vals)
 
 
 def twisted_form_terms(op: BoxOperator, u, lam: float, phi: PhiFamily) -> dict:
@@ -278,7 +270,6 @@ def twisted_form_terms(op: BoxOperator, u, lam: float, phi: PhiFamily) -> dict:
     w = float(op.grid.w[0])
     gphi = phi.gradient(op.grid)
     lphi = phi.laplacian(op.grid)
-    phiv = phi.values(op.grid)
     g = op.gradient(u)
     Lu = op.apply_L(u)
     gp2 = (gphi**2).sum(1)
@@ -303,7 +294,6 @@ def twisted_form_terms(op: BoxOperator, u, lam: float, phi: PhiFamily) -> dict:
         "sum": total,
         "direct": direct,
         "discrepancy": abs(direct - total),
-        "phi_values": phiv,
     }
 
 

@@ -244,7 +244,7 @@ def sector_angle(tw: TwistedOperator, k: float, samples: int = 100,
         nrm2 = float(np.sum(w * np.abs(u) ** 2))
         if nrm2 == 0.0:
             continue
-        num = np.sum(w * tw.apply(u) * np.conj(u)) + shift * nrm2
+        num = tw.form(u) + shift * nrm2
         quots.append(num / nrm2)
     quots = np.asarray(quots)
     theta = float(np.max(np.abs(np.angle(quots))))

@@ -213,7 +213,9 @@ class TestBenchmarkReference:
             for name, run in (("coercivity", cli.run_coercivity),
                               ("decay", cli.run_decay),
                               ("solve", cli.run_solve),
-                              ("twisted", cli.run_twisted)):
+                              ("twisted", cli.run_twisted),
+                              ("distance", cli.run_distance),
+                              ("offdiag", cli.run_offdiag)):
                 out = tmp_path / name
                 out.mkdir()
                 run(args, report.RunManifest({}), str(out))
@@ -222,7 +224,8 @@ class TestBenchmarkReference:
         for rel in ("coercivity/contraction.csv", "decay/decay.csv",
                     "decay/decay_curve.csv", "solve/solve.csv",
                     "twisted/twisted_expansion.csv",
-                    "twisted/twisted_semigroup.csv"):
+                    "twisted/twisted_semigroup.csv",
+                    "distance/distance.csv", "offdiag/offdiag.csv"):
             ref = os.path.join(PERFBENCH, "reference", "suite", rel)
             got = check.read_table(str(tmp_path / rel))
             assert check.compare_table(got, check.read_table(ref),

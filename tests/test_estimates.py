@@ -6,13 +6,11 @@ import scipy.linalg as sla
 
 from biharmlab import (Region, assemble_sector, build_radial_grid, cli,
                        davies_distance, decay_fit, discrete_rellich,
-                       estimates, eta_h,
-                       euclidean_distance,
-                       extrapolation_check, lambda_optimizer_check,
-                       laplacian_decay_fit, m_theta_formula, make_evaluator,
-                       make_phi, norms, offdiag_fit, paper_rellich_constant,
-                       rellich_constant, remark_ball_inequality, report,
-                       riesz_pnorm_sweep, solve_parabolic, twist,
+                       estimates, eta_h, extrapolation_check,
+                       lambda_optimizer_check, laplacian_decay_fit,
+                       m_theta_formula, make_evaluator, make_phi, norms,
+                       offdiag_fit, rellich_constant, remark_ball_inequality,
+                       report, riesz_pnorm_sweep, solve_parabolic, twist,
                        twisted_decay_suite)
 from biharmlab.estimates import (EstimateError, gamma_pq, reliable_window,
                                  _block_norm)
@@ -192,6 +190,12 @@ class TestDavies:
         est = davies_distance(E, F, 5, seed=0)
         assert est.d_e == 0.0
         assert est.d_lb == 0.0
+
+    def test_ball_centres_need_N_coordinates(self):
+        E = Region.ball(2.0, 1.0)
+        F = Region.ball(np.full(5, 5.0), 1.0)
+        with pytest.raises(EstimateError, match="N = 5 coordinates"):
+            davies_distance(E, F, 5)
 
     def test_nonconvex_rejected(self):
         E = Region.annulus(1.0, 2.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from biharmlab import (PhiFamily, Region, build_box_grid, build_radial_grid,
-                       euclidean_distance, make_phi, probe_functions)
+                       euclidean_distance, make_phi, probe_functions, twist)
 from biharmlab.grids import (GridError, TANH_HESS_MAX, ball_volume,
                              boundary_taper, weighted_lp)
 
@@ -107,6 +107,13 @@ class TestRegion:
         F = Region.ball(np.array([4.0, 0, 0, 0, 0]), 1.0)
         assert euclidean_distance(E, F) == pytest.approx(2.0)
 
+    def test_ball_centres_of_different_shape_raise(self):
+        # a size-1 centre is not broadcast to (2, ..., 2)
+        E = Region.ball(2.0, 1.0)
+        F = Region.ball(np.full(5, 5.0), 1.0)
+        with pytest.raises(GridError, match="differ in shape"):
+            euclidean_distance(E, F)
+
     def test_annulus_distance(self):
         E = Region.annulus(0.0, 1.0)
         F = Region.annulus(3.0, math.inf)
@@ -119,19 +126,16 @@ class TestRegion:
 
 
 class TestPhiFamily:
-    def test_certification_100_random(self, grid128):
+    def test_certification_100_random(self):
+        g = build_box_grid(5, 4, 2.0)
         rng = np.random.default_rng(1)
         for _ in range(100):
             e = rng.standard_normal(5)
             e /= np.linalg.norm(e)
             s = float(rng.uniform(TANH_HESS_MAX, 10.0))
             b = float(rng.uniform(-3.0, 3.0))
-            phi = make_phi(e, s, b)
-            rep = phi.certify(grid128)
-            assert rep["ok"]
-            assert rep["grad_bound"] <= 1.0
-            assert rep["hess_bound"] <= 1.0 + 1e-12
-            assert rep["sup_observed"] <= s + 1e-12
+            phi = make_phi(e, s, b, grid=g)
+            assert np.max(np.abs(phi.values(g))) <= s + 1e-12
 
     def test_rejects_steepness_below_class_bound(self):
         with pytest.raises(GridError):
@@ -144,8 +148,20 @@ class TestPhiFamily:
 
     def test_radial_kind_certified_on_grid(self, grid128):
         phi = make_phi(np.zeros(5), 2.0, b=-8.0, kind="radial", grid=grid128)
-        rep = phi.certify(grid128)
-        assert rep["ok"]
+        phi.certify(grid128)
+
+    def test_each_kind_lives_on_its_own_grid(self, grid128, op_c1):
+        box = build_box_grid(5, 4, 2.0)
+        linear = make_phi(np.array([1.0, 0, 0, 0, 0]), 2.0)
+        radial = make_phi(np.zeros(5), 2.0, b=-8.0, kind="radial", grid=grid128)
+        with pytest.raises(GridError, match="RadialGrids only"):
+            radial.values(box)
+        with pytest.raises(GridError, match="BoxGrids only"):
+            linear.values(grid128)
+        with pytest.raises(GridError, match="BoxGrids only"):
+            twist(op_c1, 1.0, linear)
+        with pytest.raises(GridError, match="unknown phi kind"):
+            make_phi(np.zeros(5), 2.0, kind="planar")
 
     def test_radial_kind_raises_near_origin(self, grid128):
         # r0 far inside with minimal steepness puts the 1/r Hessian term

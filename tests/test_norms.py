@@ -7,8 +7,8 @@ from biharmlab import (assemble_sector, boyd_lower, build_radial_grid,
                        corner_norm, interpolation_upper, make_evaluator, norms,
                        opnorm)
 from biharmlab.grids import weighted_lp
-from biharmlab.norms import (BOYD_MAX_ITER, NormError, NormEstimate, _dual,
-                             _lp_unit)
+from biharmlab.norms import (BOYD_MAX_ITER, BOYD_RESTARTS, NormError,
+                             NormEstimate, _dual, _lp_unit)
 from biharmlab.spectral import KernelMatrix, SpectralDecomposition
 
 # the dual-ascent pairs under test; (2, inf) and (1, inf) run the q = inf
@@ -88,7 +88,7 @@ class TestInterpolation:
                 corner_norm(kern, p, q))
 
 
-def _boyd_one_start_at_a_time(kernel, p, q, restarts=8, seed=0):
+def _boyd_one_start_at_a_time(kernel, p, q, restarts=BOYD_RESTARTS, seed=0):
     """The dual ascent with each start run to convergence on its own:
     the reference the column-block `boyd_lower` must reproduce."""
     K, w = kernel.K, kernel.w

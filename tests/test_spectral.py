@@ -141,15 +141,13 @@ class TestRiesz:
 
 class TestSectorAngle:
     def test_untwisted_self_adjoint_angle_zero(self, op_c1):
-        phi = make_phi(np.array([1.0, 0, 0, 0, 0]), 2.0)
-        tw = twist(op_c1, 0.0, phi)
+        tw = twist(op_c1, 0.0, radial_phi(op_c1))
         est = sector_angle(tw, k=1.0, samples=50)
         assert est.theta_hat <= 1e-10
         assert est.accretive
 
     def test_twisted_accretive_with_shift(self, op_c1):
-        phi = make_phi(np.array([1.0, 0, 0, 0, 0]), 2.0)
-        tw = twist(op_c1, 1.0, phi)
+        tw = twist(op_c1, 1.0, radial_phi(op_c1))
         est = sector_angle(tw, k=10.0, samples=100)
         assert est.accretive
         assert est.holomorphy_margin > 0
