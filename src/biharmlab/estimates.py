@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -18,8 +18,8 @@ import scipy.optimize as sopt
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grids import (RadialGrid, Region, euclidean_distance, make_phi,
-                    probe_functions, sphere_area, weighted_lp)
+from .grids import (RadialGrid, Region, euclidean_distance, probe_functions,
+                    sphere_area, weighted_lp)
 from .norms import NormEstimate, interpolation_upper, l2_norm, opnorm
 from .operators import (SectorOperator, assemble_sector, forme_inequality_check,
                         paper_rellich_constant, stiffness_bands, twist)
@@ -354,7 +354,6 @@ class DistanceEstimate:
     d_e: float
     d_lb: float
     bracket: tuple
-    phi_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.d_lb < 0:
@@ -363,77 +362,41 @@ class DistanceEstimate:
             raise EstimateError("lower bound exceeds the sqrt(N) d_e bracket")
 
 
-def _direction_value(E: Region, F: Region, e: np.ndarray) -> float:
-    mE, _ = E.support_interval(e)
-    _, MF = F.support_interval(e)
-    return mE - MF
+def davies_distance(E: Region, F: Region, N: int) -> DistanceEstimate:
+    """Lower bound on sup_phi [inf_E phi - sup_F phi] for two balls, from
+    the tanh family phi = s tanh((e.x + b)/s).
 
-
-def davies_distance(E: Region, F: Region, N: int, budget: int = 200,
-                    seed: int = 0) -> DistanceEstimate:
-    """Lower bound on sup_phi [inf_E phi - sup_F phi] over the tanh family.
-
-    For a direction e the family value saturates, as the steepness s grows,
-    at inf_E e.x - sup_F e.x; directions are searched by candidates plus
-    local refinement, and the reported d_lb is the actual family value at
-    large finite s (a genuine member of the class).
+    The gap inf_E e.x - sup_F e.x = e.(c_E - c_F) - r_E - r_F is, by
+    Cauchy-Schwarz, largest (and equal to d_e) along the line of centres
+    e = (c_E - c_F)/|c_E - c_F|.  With that gap 2u and b centring it,
+    inf_E phi - sup_F phi = 2s tanh(u/s); s = max(20u, 1) >= 4/(3 sqrt 3)
+    keeps phi in the class, and tanh x <= x keeps d_lb <= d_e.
     """
-    if not (E.convex and F.convex):
-        raise EstimateError("compact convex regions required")
-    if any(reg.kind == "ball" and reg.params[0].shape != (N,) for reg in (E, F)):
+    if not (E.kind == "ball" and F.kind == "ball"):
+        raise EstimateError("two balls required")
+    (cE, rE), (cF, rF) = E.params, F.params
+    if cE.shape != (N,) or cF.shape != (N,):
         raise EstimateError(f"ball centres need N = {N} coordinates")
     d_e = euclidean_distance(E, F)
     bracket = (d_e, math.sqrt(N) * d_e)
     if d_e == 0.0:
         return DistanceEstimate(E=E, F=F, d_e=0.0, d_lb=0.0, bracket=bracket)
-    rng = np.random.default_rng(seed)
-    cands = []
-    if E.kind == "ball" and F.kind == "ball":
-        diff = E.params[0] - F.params[0]
-        if np.linalg.norm(diff) > 0:
-            cands.append(diff / np.linalg.norm(diff))
-    for _ in range(budget):
-        v = rng.standard_normal(N)
-        cands.append(v / np.linalg.norm(v))
-    vals = [(_direction_value(E, F, e), e) for e in cands]
-    best_val, best_e = max(vals, key=lambda ve: ve[0])
-
-    def neg(v):
-        nv = np.linalg.norm(v)
-        if nv == 0:
-            return 0.0
-        return -_direction_value(E, F, v / nv)
-
-    res = sopt.minimize(neg, best_e, method="Nelder-Mead",
-                        options={"xatol": 1e-10, "fatol": 1e-12})
-    if -res.fun > best_val:
-        best_val = -res.fun
-        best_e = res.x / np.linalg.norm(res.x)
-
-    if best_val <= 0:
-        return DistanceEstimate(E=E, F=F, d_e=d_e, d_lb=0.0, bracket=bracket)
-    mE, _ = E.support_interval(best_e)
-    _, MF = F.support_interval(best_e)
-    b = -(mE + MF) / 2.0
-    s = max(10.0 * best_val, 1.0)
-    phi = make_phi(best_e, s, b)
-    u = (mE - MF) / 2.0
+    diff = cE - cF
+    e = diff / np.linalg.norm(diff)
+    u = ((float(e @ cE) - rE) - (float(e @ cF) + rF)) / 2.0
+    s = max(20.0 * u, 1.0)
     d_lb = float(2.0 * s * math.tanh(u / s))
-    d_lb = min(d_lb, bracket[1])
-    return DistanceEstimate(E=E, F=F, d_e=d_e, d_lb=d_lb, bracket=bracket,
-                            phi_params={"e": best_e.tolist(), "s": s, "b": b,
-                                        "phi": phi.kind})
+    return DistanceEstimate(E=E, F=F, d_e=d_e, d_lb=d_lb, bracket=bracket)
 
 
-def remark_ball_inequality(x, y, r: float, d_lb: float | None = None) -> dict:
+def remark_ball_inequality(x, y, r: float) -> dict:
     """For E = B(x,r), F = B(y,r): check d^{4/3} >= 2^{-1/3}|x-y|^{4/3} - (2r)^{4/3}
     through the d >= d_e side (d_e = |x-y| - 2r for disjoint balls)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     sep = float(np.linalg.norm(x - y))
     d_e = max(0.0, sep - 2.0 * r)
-    d = d_e if d_lb is None else max(d_e, d_lb)
-    lhs = d ** (4.0 / 3.0)
+    lhs = d_e ** (4.0 / 3.0)
     rhs = 2.0 ** (-1.0 / 3.0) * sep ** (4.0 / 3.0) - (2.0 * r) ** (4.0 / 3.0)
     return {"lhs": lhs, "rhs": rhs, "ok": lhs >= rhs - 1e-12,
             "separation": sep, "d_e": d_e}

@@ -187,27 +187,12 @@ class Region:
         """Origin-centred annulus {a <= |x| <= b}; b may be inf."""
         return Region("annulus", (float(a), float(b)))
 
-    @property
-    def convex(self) -> bool:
-        return self.kind == "ball" or self.params[0] == 0.0
-
     def indicator(self, grid) -> np.ndarray:
         if self.kind != "annulus" or not isinstance(grid, RadialGrid):
             raise GridError("region indicators need an annulus on a radial grid")
         r = grid.r
         a, b = self.params
         return ((r >= a) & (r <= b)).astype(float)
-
-    def support_interval(self, e: np.ndarray) -> tuple:
-        """Range [min, max] of e.x over the region (for convex kinds)."""
-        if self.kind == "ball":
-            c, rad = self.params
-            ec = float(e @ c)
-            return ec - rad, ec + rad
-        _, b = self.params
-        if math.isinf(b):
-            return -math.inf, math.inf
-        return -b, b
 
 
 def euclidean_distance(E: Region, F: Region) -> float:

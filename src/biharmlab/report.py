@@ -39,6 +39,8 @@ def write_csv(path: str, header, rows) -> None:
 def read_csv(path: str) -> tuple:
     with open(path, encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    if not lines:
+        raise ValueError("no header line")
     header = lines[0].split(",")
     rows = [ln.split(",") for ln in lines[1:]]
     return header, rows

@@ -149,6 +149,8 @@ class SemigroupEvaluator:
 
     def kernel(self, t: complex) -> KernelMatrix:
         """Kernel of e^{-tA}, carrying its spectrum; K is formed on demand."""
+        if np.real(t) < 0:
+            raise SpectralError("Re t >= 0 required")
         dec = self.op.decomposition
         return KernelMatrix(dec=dec, f=np.exp(-t * dec.mu))
 

@@ -156,6 +156,22 @@ class TestExitCodes:
         assert man["error"].startswith("GridError: p >= 1 required")
         assert not (tmp_path / "solve" / "solve.csv").exists()
 
+    def test_negative_time_exits_two_and_is_recorded(self, tmp_path, capsys):
+        code = cli.main(["offdiag", "--n", "64", "--t=-0.002,0.001",
+                         "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "error in offdiag: SpectralError: Re t >= 0 required" in err
+        man = json.load(open(tmp_path / "offdiag" / "manifest.json"))
+        assert man["error"] == "SpectralError: Re t >= 0 required"
+
+    def test_negative_ell_max_is_config_error(self, tmp_path, capsys):
+        code = cli.main(["rellich", "--ell-max", "-1", "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: --ell-max >= 0 required (got -1)"]
+        assert not (tmp_path / "rellich").exists()
+
     def test_suite_runs_every_experiment_past_errors(self, tmp_path,
                                                      monkeypatch, capsys):
         def broken(args, man, out):
@@ -250,6 +266,21 @@ class TestPlot:
         res = run_cli("plot", str(csv), "--x", "t", "--y", "b",
                       "--out", str(tmp_path / "p.svg"))
         assert res.returncode == 2
+
+
+    def test_missing_csv_is_config_error(self, tmp_path):
+        res = run_cli("plot", str(tmp_path / "none.csv"), "--x", "t",
+                      "--y", "y")
+        assert res.returncode == 2
+        assert res.stderr.startswith(f"cannot read {tmp_path / 'none.csv'}:")
+        assert len(res.stderr.splitlines()) == 1
+
+    def test_empty_csv_is_config_error(self, tmp_path):
+        csv = tmp_path / "empty.csv"
+        csv.write_text("")
+        res = run_cli("plot", str(csv), "--x", "t", "--y", "y")
+        assert res.returncode == 2
+        assert res.stderr == f"cannot read {csv}: no header line\n"
 
 
 class TestReport:

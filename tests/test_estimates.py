@@ -180,14 +180,31 @@ class TestDavies:
     def test_bracket_on_known_pair(self):
         E = Region.ball(np.zeros(5), 1.0)
         F = Region.ball(np.r_[5.0, 0, 0, 0, 0], 1.0)
-        est = davies_distance(E, F, 5, seed=0)
+        est = davies_distance(E, F, 5)
         assert est.d_e == pytest.approx(3.0)
         assert 0.95 * 3.0 <= est.d_lb <= math.sqrt(5) * 3.0 + 1e-9
+
+    def test_closed_form_on_known_pair(self):
+        # u = 3/2, s = 20u = 30: d_lb = 2s tanh(u/s) = 60 tanh(1/20)
+        E = Region.ball(np.zeros(5), 1.0)
+        F = Region.ball(np.r_[5.0, 0, 0, 0, 0], 1.0)
+        est = davies_distance(E, F, 5)
+        assert est.d_lb == pytest.approx(60.0 * math.tanh(1.0 / 20.0),
+                                         rel=1e-15, abs=0.0)
+
+    def test_lower_bound_below_euclidean_distance(self):
+        # tanh x <= x keeps d_lb <= d_e, so no clamp to the bracket is needed
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            c1, c2 = rng.uniform(-5, 5, (2, 5))
+            r1, r2 = rng.uniform(0.0, 2.0, 2)
+            est = davies_distance(Region.ball(c1, r1), Region.ball(c2, r2), 5)
+            assert 0.0 <= est.d_lb <= est.d_e
 
     def test_touching_regions_zero(self):
         E = Region.ball(np.zeros(5), 2.0)
         F = Region.ball(np.r_[3.0, 0, 0, 0, 0], 1.0)
-        est = davies_distance(E, F, 5, seed=0)
+        est = davies_distance(E, F, 5)
         assert est.d_e == 0.0
         assert est.d_lb == 0.0
 
@@ -201,6 +218,12 @@ class TestDavies:
         E = Region.annulus(1.0, 2.0)
         F = Region.ball(np.r_[9.0, 0, 0, 0, 0], 1.0)
         with pytest.raises(EstimateError):
+            davies_distance(E, F, 5)
+
+    def test_annuli_rejected(self):
+        E = Region.annulus(0.0, 1.0)
+        F = Region.annulus(3.0, math.inf)
+        with pytest.raises(EstimateError, match="two balls"):
             davies_distance(E, F, 5)
 
     def test_remark_inequality_disjoint_pair(self):

@@ -119,11 +119,6 @@ class TestRegion:
         F = Region.annulus(3.0, math.inf)
         assert euclidean_distance(E, F) == pytest.approx(2.0)
 
-    def test_convex_flags(self):
-        assert Region.ball(np.zeros(5), 1.0).convex
-        assert Region.annulus(0.0, 1.0).convex
-        assert not Region.annulus(1.0, 2.0).convex
-
 
 class TestPhiFamily:
     def test_certification_100_random(self):

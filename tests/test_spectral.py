@@ -61,6 +61,10 @@ class TestSemigroup:
         with pytest.raises(SpectralError):
             ev.apply(-0.1, rng.standard_normal(op_c1.n))
 
+    def test_kernel_rejects_negative_time(self, op_c1):
+        with pytest.raises(SpectralError, match="Re t >= 0"):
+            make_evaluator(op_c1).kernel(-0.1)
+
     def test_complex_time_on_sector(self, op_c1, rng):
         ev = make_evaluator(op_c1)
         u = rng.standard_normal(op_c1.n)
