@@ -11,9 +11,8 @@ from .grids import (BoxGrid, PhiFamily, RadialGrid, Region, build_box_grid,
                     build_radial_grid, euclidean_distance, make_phi,
                     probe_functions, sphere_area)
 from .operators import (BoxOperator, SectorOperator, TwistedOperator,
-                        assemble_box, assemble_sector, critical_exponents,
-                        forme_inequality_check, paper_rellich_constant, twist,
-                        twisted_form_terms)
+                        assemble_box, assemble_sector, forme_inequality_check,
+                        paper_rellich_constant, twist, twisted_form_terms)
 from .spectral import (KernelMatrix, SemigroupEvaluator, SpectralDecomposition,
                        eigendecompose, inv_sqrt_apply, make_evaluator,
                        riesz_apply, riesz_kernel, sector_angle)

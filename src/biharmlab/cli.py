@@ -159,6 +159,11 @@ def validate(args) -> None:
         raise ConfigError("N >= 5 required")
     if args.ell_max < 0:
         raise ConfigError(f"--ell-max >= 0 required (got {args.ell_max})")
+    if args.seed < 0:
+        raise ConfigError(f"--seed >= 0 required (got {args.seed})")
+    for flag, value in (("--c", args.c), ("--R", args.R)):
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite (got {value})")
     cstar = paper_rellich_constant(args.N)
     if args.c >= cstar and not args.allow_supercritical:
         raise ConfigError(
@@ -181,7 +186,8 @@ def _radial_grid(args, man: report.RunManifest, n: int, R: float = 30.0,
                  mode: str = "uniform"):
     """The experiment's radial grid: `--n/--R/--mode` override the given
     defaults, and the manifest records the grid's hash."""
-    grid = build_radial_grid(args.N, args.R or R, args.n or n,
+    grid = build_radial_grid(args.N, R if args.R is None else args.R,
+                             n if args.n is None else args.n,
                              args.mode or mode)
     man.add_hash("grid", grid.content_hash())
     return grid
@@ -458,10 +464,13 @@ def run_plot(args) -> int:
         pts = [(x, y) for x, y in zip(xs, ys)
                if math.isfinite(x) and math.isfinite(y)]
         series.append((yc, [p[0] for p in pts], [p[1] for p in pts]))
-    guides = []
-    if args.guide:
-        for s in _floats(args.guide):
-            guides.append((s, f"slope {s:g}"))
+    try:
+        guides = [(s, f"slope {s:g}") for s in _floats(args.guide or "")]
+        if not all(math.isfinite(s) for s, _ in guides):
+            raise ValueError("slopes must be finite")
+    except ValueError as exc:
+        print(f"bad --guide {args.guide!r}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     svg = report.svg_plot(series, xlabel=args.x, ylabel=",".join(ycols),
                           logx=args.logx, logy=args.logy, guides=guides,
                           title=os.path.basename(args.csv))

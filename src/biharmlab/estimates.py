@@ -2,8 +2,8 @@
 off-diagonal estimates, Davies distance, twisted semigroup bounds, Riesz
 norm sweeps, the extrapolation check, and the lambda optimizer.
 
-This module measures; it does not prove.  Every fit reports its residual
-and the t-window it was taken from.
+This module measures; it does not prove.  Every fit reports its residual;
+the decay fits also report the times they kept inside the reliable window.
 """
 
 from __future__ import annotations
@@ -34,10 +34,8 @@ class EstimateError(ValueError):
 class FitResult:
     """Fitted constants/exponents with the max relative log residual."""
 
-    model: str
     params: dict
     residual: float
-    data_range: tuple
     target: float | None = None
 
     @property
@@ -88,6 +86,9 @@ def _sector_rellich_matched(grid: RadialGrid, ell: int) -> float:
     r, faces, w = grid.r, grid.faces, grid.w
     sig = sphere_area(N)
     f0, fR = faces[0], faces[-1]
+    if f0 <= 0:
+        raise EstimateError("the matched inner tail needs an inner face "
+                            f"> 0, got {f0:g}; use --mode log")
 
     def lapc(m):
         return m * (m + N - 2) - ell * (ell + N - 2)
@@ -216,13 +217,11 @@ def decay_fit(evaluator: SemigroupEvaluator, p: float, q: float,
         raise EstimateError(
             f"fewer than 5 usable t-points inside the window [{lo:g}, {hi:g}]")
     vals = [interpolation_upper(evaluator.kernel(t), p, q) for t in ts]
-    slope, intercept, resid = _loglog_fit(ts, np.asarray(vals))
-    return FitResult(model="power-law",
-                     params={"exponent": slope, "prefactor": math.exp(intercept),
+    slope, _, resid = _loglog_fit(ts, np.asarray(vals))
+    return FitResult(params={"exponent": slope,
                              "t_values": [float(t) for t in ts],
                              "norm_values": [float(v) for v in vals]},
-                     residual=resid, data_range=(float(ts[0]), float(ts[-1])),
-                     target=-gamma_pq(grid.N, p, q))
+                     residual=resid, target=-gamma_pq(grid.N, p, q))
 
 
 # ------------------------------------------------------- off-diagonal fits
@@ -235,6 +234,26 @@ def _block_norm(kern: KernelMatrix, maskF: np.ndarray, maskE: np.ndarray) -> flo
     """Weighted 2 -> 2 norm of chi_F T chi_E."""
     w = kern.w
     return l2_norm(kern.K[np.ix_(maskF, maskE)], w[maskF], w[maskE])
+
+
+def _distance_model(d, b, s, e):
+    return b + s * d**e
+
+
+def _time_model(t, b, s, e):
+    return b + s * t**-e
+
+
+def _stretched_fit(model, x, v, p0):
+    """Least-squares fit v ~ model(x, b, s, e) from p0: (popt, max
+    |v - model(x, *popt)|), or None if curve_fit does not converge."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", sopt.OptimizeWarning)
+            popt, _ = sopt.curve_fit(model, x, v, p0=p0, maxfev=20000)
+    except RuntimeError:
+        return None
+    return popt, float(np.max(np.abs(v - model(x, *popt))))
 
 
 def offdiag_fit(evaluator: SemigroupEvaluator, E: Region, F_list,
@@ -266,10 +285,6 @@ def offdiag_fit(evaluator: SemigroupEvaluator, E: Region, F_list,
         for j, mF in enumerate(masksF):
             ratios[i, j] = _block_norm(kern, mF, maskE) / full
     usable = ratios > OFFDIAG_FLOOR
-    excluded = int(np.sum(~usable))
-
-    def model_d(d, b, s, e):
-        return b + s * d**e
 
     dist_fits = []
     for i, t in enumerate(ts):
@@ -279,67 +294,36 @@ def offdiag_fit(evaluator: SemigroupEvaluator, E: Region, F_list,
         v = -np.log(ratios[i, ok])
         d = distances[ok]
         p0 = (1.0, max(v[-1] - v[0], 1e-3) / d[-1] ** (4.0 / 3.0), 4.0 / 3.0)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", sopt.OptimizeWarning)
-                popt, _ = sopt.curve_fit(model_d, d, v, p0=p0, maxfev=20000)
-        except RuntimeError:
-            continue
-        resid = float(np.max(np.abs(v - model_d(d, *popt))))
-        dist_fits.append(FitResult(
-            model="stretched-exponential",
-            params={"offset": popt[0], "rate": popt[1], "exponent": popt[2],
-                    "t": float(t)},
-            residual=resid, data_range=(float(d[0]), float(d[-1])),
-            target=4.0 / 3.0))
-
-    def model_t(t, b, s, e):
-        return b + s * t**-e
+        fit = _stretched_fit(_distance_model, d, v, p0)
+        if fit is not None:
+            dist_fits.append(FitResult(
+                params={"exponent": fit[0][2], "t": float(t)},
+                residual=fit[1], target=4.0 / 3.0))
 
     time_fit = None
     j = OFFDIAG_TIME_FIT_INDEX
     ok = usable[:, j]
     if ok.sum() >= 4:
-        v = -np.log(ratios[ok, j])
-        tt = ts[ok]
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", sopt.OptimizeWarning)
-                popt, _ = sopt.curve_fit(model_t, tt, v,
-                                         p0=(1.0, 1.0, 1.0 / 3.0),
-                                         maxfev=20000)
-            resid = float(np.max(np.abs(v - model_t(tt, *popt))))
+        fit = _stretched_fit(_time_model, ts[ok], -np.log(ratios[ok, j]),
+                             (1.0, 1.0, 1.0 / 3.0))
+        if fit is not None:
             time_fit = FitResult(
-                model="stretched-exponential",
-                params={"offset": popt[0], "rate": popt[1], "exponent": popt[2],
-                        "d": float(distances[j])},
-                residual=resid, data_range=(float(tt[0]), float(tt[-1])),
-                target=1.0 / 3.0)
-        except RuntimeError:
-            pass
+                params={"exponent": fit[0][2], "d": float(distances[j])},
+                residual=fit[1], target=1.0 / 3.0)
 
     # joint (c1, c2) at the paper exponents: log ratio = log c1 - c2 d^{4/3}/t^{1/3}
-    rows = []
-    rhs = []
-    for i in range(len(ts)):
-        for j2 in range(len(masksF)):
-            if usable[i, j2]:
-                rows.append([1.0, -distances[j2] ** (4.0 / 3.0) / ts[i] ** (1.0 / 3.0)])
-                rhs.append(math.log(ratios[i, j2]))
+    pairs = list(zip(*np.nonzero(usable)))
     joint_fit = None
-    if len(rows) >= 2:
-        A = np.asarray(rows)
-        b = np.asarray(rhs)
+    if len(pairs) >= 2:
+        A = np.asarray([[1.0, -distances[j] ** (4.0 / 3.0)
+                         / ts[i] ** (1.0 / 3.0)] for i, j in pairs])
+        b = np.asarray([math.log(ratios[i, j]) for i, j in pairs])
         coef, *_ = np.linalg.lstsq(A, b, rcond=None)
-        resid = float(np.max(np.abs(A @ coef - b)))
-        joint_fit = FitResult(
-            model="stretched-exponential",
-            params={"c1": math.exp(coef[0]), "c2": coef[1]},
-            residual=resid,
-            data_range=(float(ts[0]), float(ts[-1])))
+        joint_fit = FitResult(params={"c1": math.exp(coef[0]), "c2": coef[1]},
+                              residual=float(np.max(np.abs(A @ coef - b))))
     return {"distance_fits": dist_fits, "time_fit": time_fit,
-            "joint_fit": joint_fit, "ratios": ratios, "distances": distances,
-            "t_list": ts, "excluded_below_floor": excluded,
+            "joint_fit": joint_fit, "ratios": ratios,
+            "excluded_below_floor": int(np.sum(~usable)),
             "floor": OFFDIAG_FLOOR}
 
 
@@ -349,8 +333,6 @@ def offdiag_fit(evaluator: SemigroupEvaluator, E: Region, F_list,
 class DistanceEstimate:
     """Davies-distance lower bound against the Euclidean bracket."""
 
-    E: Region
-    F: Region
     d_e: float
     d_lb: float
     bracket: tuple
@@ -380,13 +362,13 @@ def davies_distance(E: Region, F: Region, N: int) -> DistanceEstimate:
     d_e = euclidean_distance(E, F)
     bracket = (d_e, math.sqrt(N) * d_e)
     if d_e == 0.0:
-        return DistanceEstimate(E=E, F=F, d_e=0.0, d_lb=0.0, bracket=bracket)
+        return DistanceEstimate(d_e=0.0, d_lb=0.0, bracket=bracket)
     diff = cE - cF
     e = diff / np.linalg.norm(diff)
     u = ((float(e @ cE) - rE) - (float(e @ cF) + rF)) / 2.0
     s = max(20.0 * u, 1.0)
     d_lb = float(2.0 * s * math.tanh(u / s))
-    return DistanceEstimate(E=E, F=F, d_e=d_e, d_lb=d_lb, bracket=bracket)
+    return DistanceEstimate(d_e=d_e, d_lb=d_lb, bracket=bracket)
 
 
 def remark_ball_inequality(x, y, r: float) -> dict:
@@ -398,8 +380,7 @@ def remark_ball_inequality(x, y, r: float) -> dict:
     d_e = max(0.0, sep - 2.0 * r)
     lhs = d_e ** (4.0 / 3.0)
     rhs = 2.0 ** (-1.0 / 3.0) * sep ** (4.0 / 3.0) - (2.0 * r) ** (4.0 / 3.0)
-    return {"lhs": lhs, "rhs": rhs, "ok": lhs >= rhs - 1e-12,
-            "separation": sep, "d_e": d_e}
+    return {"ok": lhs >= rhs - 1e-12, "d_e": d_e}
 
 
 # --------------------------------------------- twisted semigroup bounds
@@ -487,10 +468,9 @@ def laplacian_decay_fit(op: SectorOperator, t_list) -> FitResult:
     ts = np.asarray(t_list, dtype=float)
     vals = [l2_norm(L @ ev.kernel(t).K, op.w, op.w) for t in ts]
     slope, intercept, resid = _loglog_fit(ts, np.asarray(vals))
-    return FitResult(model="power-law",
-                     params={"exponent": slope, "prefactor": math.exp(intercept)},
-                     residual=resid, data_range=(float(ts[0]), float(ts[-1])),
-                     target=-0.5)
+    return FitResult(params={"exponent": slope,
+                             "prefactor": math.exp(intercept)},
+                     residual=resid, target=-0.5)
 
 
 # ------------------------------------------------------ extrapolation / Lp
@@ -501,7 +481,7 @@ def extrapolation_check(evaluator: SemigroupEvaluator, p_list, t_list) -> dict:
     grid = evaluator.op.grid
     lo, hi = reliable_window(grid)
     ts = np.asarray(sorted(t_list), dtype=float)
-    flags = [not (lo <= t <= hi) for t in ts]
+    usable = (lo <= ts) & (ts <= hi)
     out = {}
     for p in p_list:
         uppers = []
@@ -512,12 +492,10 @@ def extrapolation_check(evaluator: SemigroupEvaluator, p_list, t_list) -> dict:
             uppers.append(est.upper)
             lowers.append(est.lower)
         uppers = np.asarray(uppers)
-        usable = np.asarray([not f for f in flags])
         ref = uppers[usable][0] if usable.any() else uppers[0]
         ratio = float(np.max(uppers[usable]) / ref) if usable.any() else math.inf
         out[p] = {"t": ts, "upper": uppers, "lower": np.asarray(lowers),
-                  "window_flags": flags, "max_over_first": ratio,
-                  "ok": ratio <= 2.0}
+                  "max_over_first": ratio, "ok": ratio <= 2.0}
     return out
 
 
@@ -551,7 +529,6 @@ def riesz_pnorm_sweep(op: SectorOperator, p_list,
             est2 = opnorm(kern2, p, p)
             base = results[p]["estimate"].lower
             change = abs(est2.lower - base) / max(base, 1e-300)
-            results[p]["refined"] = est2
             results[p]["stability"] = change
             results[p]["stable"] = change <= 0.25
     return results
@@ -566,10 +543,9 @@ def solve_parabolic(op, f, t_grid, p: float) -> dict:
     for t in t_grid:
         u = ev.apply(t, f)
         rows.append({"t": float(t),
-                     "u": u,
                      "norm_p": weighted_lp(u, op.w, p),
                      "seminorm_p": weighted_lp(op.apply_L(u), op.w, p)})
-    return {"rows": rows, "p": p}
+    return {"rows": rows}
 
 
 # ------------------------------------------------------- lambda optimizer
@@ -593,7 +569,5 @@ def lambda_optimizer_check(omega: float, d: float, z: complex) -> dict:
                                options={"xatol": 1e-14 * lam_star})
     rel = abs(res.x - lam_star) / lam_star
     rel_val = abs(res.fun - val_star) / abs(val_star)
-    return {"lam_star": lam_star, "c_omega": c_omega, "min_value": val_star,
-            "numeric_lam": float(res.x), "numeric_value": float(res.fun),
-            "rel_err_lam": rel, "rel_err_value": rel_val,
-            "ok": rel <= 1e-6}
+    return {"lam_star": lam_star, "c_omega": c_omega,
+            "rel_err_lam": rel, "rel_err_value": rel_val, "ok": rel <= 1e-6}

@@ -24,10 +24,6 @@ def sphere_area(N: int) -> float:
     return 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)
 
 
-def ball_volume(N: int, R: float) -> float:
-    return sphere_area(N) * R**N / N
-
-
 class GridError(ValueError):
     pass
 

@@ -77,8 +77,6 @@ def corner_norm(kernel: KernelMatrix, p: float, q: float) -> float:
         return float(np.max(((w @ aK**q)) ** (1.0 / q)))
     if math.isinf(q):
         pd = _dual(p)
-        if math.isinf(pd):
-            return float(np.max(aK @ w))
         return float(np.max(((aK**pd) @ w) ** (1.0 / pd)))
     raise NormError(f"no exact formula for ({p}, {q})")
 

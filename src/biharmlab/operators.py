@@ -28,11 +28,6 @@ def paper_rellich_constant(N: int) -> float:
     return (N * (N - 4) / 4.0) ** 2
 
 
-def critical_exponents(N: int) -> tuple:
-    """(p0, p0') with p0 = 2N/(N-4) and its conjugate 2N/(N+4)."""
-    return 2.0 * N / (N - 4.0), 2.0 * N / (N + 4.0)
-
-
 class OperatorError(ValueError):
     pass
 
@@ -86,9 +81,6 @@ class WeightedForm:
         Lu, Lv = self.apply_L(u), self.apply_L(v)
         return self.inner(Lu, Lv) - self.c * complex(
             np.sum(self.w * self.V * u * np.conj(v)))
-
-    def form_energy(self, u) -> float:
-        return float(self.form_a(u, u).real)
 
 
 @dataclass
@@ -182,24 +174,11 @@ class BoxOperator(WeightedForm):
     def gradient(self, u: np.ndarray) -> np.ndarray:
         """Centered differences, one-sided at the boundary; (size, N)."""
         g = self.grid
-        m, N, h = g.m, g.N, g.h
         U = u.reshape(g.shape)
-        out = np.empty(U.shape + (N,), dtype=u.dtype)
-        for ax in range(N):
-            gax = (np.roll(U, -1, axis=ax) - np.roll(U, 1, axis=ax)) / (2 * h)
-            sl = [slice(None)] * N
-            sl[ax] = 0
-            s0 = tuple(sl)
-            sl[ax] = 1
-            s1 = tuple(sl)
-            sl[ax] = m - 1
-            sm = tuple(sl)
-            sl[ax] = m - 2
-            sm1 = tuple(sl)
-            gax[s0] = (U[s1] - U[s0]) / h
-            gax[sm] = (U[sm] - U[sm1]) / h
-            out[..., ax] = gax
-        return out.reshape(-1, N)
+        out = np.empty(U.shape + (g.N,), dtype=u.dtype)
+        for ax in range(g.N):
+            out[..., ax] = np.gradient(U, g.h, axis=ax)
+        return out.reshape(-1, g.N)
 
 
 def assemble_box(grid: BoxGrid, c: float = 0.0) -> BoxOperator:

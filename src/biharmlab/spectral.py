@@ -64,10 +64,6 @@ class SpectralDecomposition:
         """Apply f(A) through the spectral calculus."""
         return self.synth(f(self.mu) * self.coeffs(u))
 
-    def fn_kernel(self, f) -> np.ndarray:
-        """Kernel Q f(mu) Q^T of f(A) with respect to the weighted measure."""
-        return self.synth_kernel(f(self.mu))
-
     def synth_kernel(self, fmu: np.ndarray) -> np.ndarray:
         """Kernel Q diag(fmu) Q^T from the values fmu of f on the spectrum."""
         return (self.Q * fmu[None, :]) @ self.Q.T
@@ -125,10 +121,6 @@ class KernelMatrix:
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         return self.K @ (self.w * u)
-
-    def symmetry_residual(self) -> float:
-        s = float(np.max(np.abs(self.K - self.K.T)))
-        return s / max(float(np.max(np.abs(self.K))), 1e-300)
 
 
 @dataclass
@@ -213,7 +205,7 @@ def riesz_kernel(op: SectorOperator) -> KernelMatrix:
     dec = op.decomposition
     if dec.mu[0] <= 0:
         raise SpectralError("indefinite operator: A^{-1/2} undefined")
-    return KernelMatrix(K=op.dense_L() @ dec.fn_kernel(lambda mu: mu**-0.5),
+    return KernelMatrix(K=op.dense_L() @ dec.synth_kernel(dec.mu**-0.5),
                         w=op.w)
 
 
@@ -224,14 +216,6 @@ class NumericalRangeEstimate:
     quotients: np.ndarray
     shift: float
     theta_hat: float
-
-    @property
-    def holomorphy_margin(self) -> float:
-        return 0.5 * math.pi - self.theta_hat
-
-    @property
-    def accretive(self) -> bool:
-        return bool(np.all(self.quotients.real > 0))
 
 
 def sector_angle(tw: TwistedOperator, k: float, samples: int = 100,

@@ -172,6 +172,41 @@ class TestExitCodes:
             "config error: --ell-max >= 0 required (got -1)"]
         assert not (tmp_path / "rellich").exists()
 
+    @pytest.mark.parametrize("flag", ["--R", "--n"])
+    def test_zero_grid_value_reaches_the_grid(self, tmp_path, capsys, flag):
+        code = cli.main(["solve", flag, "0", "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        man = json.load(open(tmp_path / "solve" / "manifest.json"))
+        assert man["error"].startswith("GridError: ")
+        assert man["hashes"] == {}
+        assert "error in solve: GridError: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--c", "nan"], "--c must be finite (got nan)"),
+        (["--c", "inf", "--allow-supercritical"],
+         "--c must be finite (got inf)"),
+        (["--R", "nan"], "--R must be finite (got nan)"),
+        (["--R", "inf"], "--R must be finite (got inf)"),
+        (["--seed", "-1"], "--seed >= 0 required (got -1)"),
+    ], ids=["c-nan", "c-inf", "R-nan", "R-inf", "seed-negative"])
+    def test_nonfinite_or_negative_run_value_is_config_error(
+            self, tmp_path, capsys, argv, message):
+        code = cli.main(["suite", *argv, "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: {message}"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rellich_on_a_uniform_grid_exits_two_and_is_recorded(
+            self, tmp_path, capsys):
+        code = cli.main(["rellich", "--mode", "uniform", "--n", "64",
+                         "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        man = json.load(open(tmp_path / "rellich" / "manifest.json"))
+        assert man["error"].startswith("EstimateError: ")
+        assert "--mode log" in man["error"]
+        assert f"error in rellich: {man['error']}" in capsys.readouterr().err
+
     def test_suite_runs_every_experiment_past_errors(self, tmp_path,
                                                      monkeypatch, capsys):
         def broken(args, man, out):
@@ -216,7 +251,7 @@ class TestExitCodes:
 
 
 class TestBenchmarkReference:
-    def test_coercivity_and_decay_match_the_reference(self, tmp_path):
+    def test_suite_csvs_match_the_reference(self, tmp_path):
         # the benchmark's own comparison, at its tolerance; reads only
         spec = importlib.util.spec_from_file_location(
             "perfbench_check", os.path.join(PERFBENCH, "check.py"))
@@ -231,7 +266,9 @@ class TestBenchmarkReference:
                               ("solve", cli.run_solve),
                               ("twisted", cli.run_twisted),
                               ("distance", cli.run_distance),
-                              ("offdiag", cli.run_offdiag)):
+                              ("offdiag", cli.run_offdiag),
+                              ("riesz", cli.run_riesz),
+                              ("rellich", cli.run_rellich)):
                 out = tmp_path / name
                 out.mkdir()
                 run(args, report.RunManifest({}), str(out))
@@ -241,11 +278,12 @@ class TestBenchmarkReference:
                     "decay/decay_curve.csv", "solve/solve.csv",
                     "twisted/twisted_expansion.csv",
                     "twisted/twisted_semigroup.csv",
-                    "distance/distance.csv", "offdiag/offdiag.csv"):
+                    "distance/distance.csv", "offdiag/offdiag.csv",
+                    "riesz/riesz.csv", "rellich/rellich.csv"):
             ref = os.path.join(PERFBENCH, "reference", "suite", rel)
             got = check.read_table(str(tmp_path / rel))
-            assert check.compare_table(got, check.read_table(ref),
-                                       check.RTOL) == []
+            rtol = check.RTOL_FILE.get(("suite", rel), check.RTOL)
+            assert check.compare_table(got, check.read_table(ref), rtol) == []
 
 
 class TestPlot:
@@ -274,6 +312,17 @@ class TestPlot:
         assert res.returncode == 2
         assert res.stderr.startswith(f"cannot read {tmp_path / 'none.csv'}:")
         assert len(res.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("guide", ["abc", "nan", "0.5,inf"])
+    def test_bad_guide_is_config_error(self, tmp_path, guide):
+        csv = tmp_path / "data.csv"
+        report.write_csv(str(csv), ("t", "y"), [(1, 2)])
+        res = run_cli("plot", str(csv), "--x", "t", "--y", "y",
+                      "--guide", guide, "--out", str(tmp_path / "p.svg"))
+        assert res.returncode == 2
+        assert res.stderr.startswith(f"bad --guide {guide!r}: ")
+        assert len(res.stderr.splitlines()) == 1
+        assert not (tmp_path / "p.svg").exists()
 
     def test_empty_csv_is_config_error(self, tmp_path):
         csv = tmp_path / "empty.csv"

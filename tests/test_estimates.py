@@ -56,6 +56,13 @@ class TestRellich:
         assert res["argmin_ell"] == 0
         assert not res["higher_sector_wins"]
 
+    def test_uniform_grid_is_rejected(self):
+        # the matched inner tail is scaled by the inner face, 0 on a
+        # uniform grid
+        g = build_radial_grid(5, 30.0, 64, "uniform")
+        with pytest.raises(EstimateError, match="--mode log"):
+            rellich_constant(g, ell_max=0)
+
     def test_repeat_calls_identical(self):
         g = build_radial_grid(5, 1000.0, 400, "log")
         a = rellich_constant(g, ell_max=2)["per_sector"]

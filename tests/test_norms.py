@@ -252,7 +252,8 @@ class TestSpectralCorners:
         K = kern.K
         assert kern.K is K
         assert np.array_equal(
-            K, op512.decomposition.fn_kernel(lambda mu: np.exp(-0.05 * mu)))
+            K, op512.decomposition.synth_kernel(
+                np.exp(-0.05 * op512.decomposition.mu)))
 
 
 class TestOpnorm:

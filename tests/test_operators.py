@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from biharmlab import (assemble_box, assemble_sector, build_box_grid,
-                       build_radial_grid, critical_exponents,
-                       forme_inequality_check, make_phi,
+                       build_radial_grid, forme_inequality_check, make_phi,
                        paper_rellich_constant, probe_functions, twist,
                        twisted_form_terms)
 from biharmlab.grids import TANH_HESS_MAX, sphere_area
@@ -19,11 +18,6 @@ class TestConstants:
 
     def test_rellich_constant_n6(self):
         assert paper_rellich_constant(6) == pytest.approx(9.0)
-
-    def test_critical_exponents_n5(self):
-        p0, p0p = critical_exponents(5)
-        assert p0 == pytest.approx(10.0)
-        assert p0p == pytest.approx(10.0 / 9.0)
 
 
 class TestSectorOperator:
@@ -57,15 +51,15 @@ class TestSectorOperator:
         # a(u,u) >= eta ||Lu||^2 with eta = 1 - c/C*
         eta = 1.0 - 1.0 / paper_rellich_constant(5)
         for u in probe_functions(grid128, 6, seed=5):
-            lhs = op_c1.form_energy(u)
+            lhs = op_c1.form_a(u, u).real
             lu = op_c1.apply_L(u)
             rhs = eta * float(op_c1.w @ lu**2)
             assert lhs - rhs >= -1e-12 * max(abs(lhs), 1.0)
 
     def test_angular_sector_raises_energy(self, grid128, rng):
         u = rng.standard_normal(grid128.n)
-        e0 = assemble_sector(grid128, 0, 0.0).form_energy(u)
-        e2 = assemble_sector(grid128, 2, 0.0).form_energy(u)
+        e0 = assemble_sector(grid128, 0, 0.0).form_a(u, u).real
+        e2 = assemble_sector(grid128, 2, 0.0).form_a(u, u).real
         assert e2 > e0
 
     def test_supercritical_warns_and_flags(self, grid128):
@@ -114,7 +108,7 @@ class TestBoxOperator:
 
     def test_form_energy_nonnegative_subcritical(self, box_op_small, rng):
         u = rng.standard_normal(box_op_small.n)
-        assert box_op_small.form_energy(u) > 0
+        assert box_op_small.form_a(u, u).real > 0
 
     def test_gradient_exact_on_linear(self):
         g = build_box_grid(5, 8, 2.0)

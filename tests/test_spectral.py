@@ -80,8 +80,8 @@ class TestSemigroup:
                 / np.linalg.norm(direct)) <= 1e-9
 
     def test_kernel_symmetry(self, op_c1):
-        ev = make_evaluator(op_c1)
-        assert ev.kernel(0.05).symmetry_residual() <= 1e-8
+        K = make_evaluator(op_c1).kernel(0.05).K
+        assert np.max(np.abs(K - K.T)) <= 1e-8 * np.max(np.abs(K))
 
     def test_kernel_diagonal_short_time_trend(self):
         # on-diagonal heat kernel decays like t^{-N/4} for small t
@@ -148,13 +148,13 @@ class TestSectorAngle:
         tw = twist(op_c1, 0.0, radial_phi(op_c1))
         est = sector_angle(tw, k=1.0, samples=50)
         assert est.theta_hat <= 1e-10
-        assert est.accretive
+        assert np.all(est.quotients.real > 0)
 
     def test_twisted_accretive_with_shift(self, op_c1):
         tw = twist(op_c1, 1.0, radial_phi(op_c1))
         est = sector_angle(tw, k=10.0, samples=100)
-        assert est.accretive
-        assert est.holomorphy_margin > 0
+        assert np.all(est.quotients.real > 0)
+        assert est.theta_hat < 0.5 * math.pi
 
 
 def radial_phi(op):
