@@ -30,8 +30,8 @@ prev = None
 for m in (8, 12, 16):
     g = build_box_grid(5, m, 2.5)
     op = assemble_box(g, 1.0)
-    X = g.coords()
-    u = np.exp(-g.radii_sq()) * (1.0 + 0.3j * X[:, 0])
+    x0 = np.repeat(g.axis, g.m**4)            # first coordinate of each node
+    u = np.exp(-g.radii_sq()) * (1.0 + 0.3j * x0)
     phi = make_phi(np.array([0.8, 0.6, 0, 0, 0]), 2.0, 0.2)
     d = twisted_form_terms(op, u, lam, phi)["discrepancy"]
     line = f"  m = {m:2d}  h = {g.h:.4f}  discrepancy {d:.4f}"

@@ -311,7 +311,8 @@ def run_twisted(args, man: report.RunManifest, out: str) -> None:
         box = build_box_grid(args.N, m, 2.5)
         opb = assemble_box(box, args.c)
         r2 = box.radii_sq()
-        u = np.exp(-r2) * (1.0 + 0.3j * box.coords()[:, 0])
+        x0 = np.repeat(box.axis, box.m ** (args.N - 1))   # first coordinate
+        u = np.exp(-r2) * (1.0 + 0.3j * x0)
         res = twisted_form_terms(opb, u, lam, phi_box)
         discs.append(res["discrepancy"])
         hs.append(box.h)

@@ -273,6 +273,10 @@ def offdiag_fit(evaluator: SemigroupEvaluator, E: Region, F_list,
     maskE = E.indicator(grid).astype(bool)
     masksF = [F.indicator(grid).astype(bool) for F in F_list]
     distances = np.array([euclidean_distance(E, F) for F in F_list])
+    if np.any(distances <= 0):
+        bad = ", ".join(f"{F.params[0]:g}" for F, d in zip(F_list, distances)
+                        if d <= 0)
+        raise EstimateError(f"F overlaps or touches E at --d {bad}")
     ts = np.asarray(t_list, dtype=float)
 
     ratios = np.zeros((len(ts), len(masksF)))

@@ -126,18 +126,27 @@ class BoxGrid:
         grids = np.meshgrid(*([self.axis] * self.N), indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=1)
 
-    def radii_sq(self) -> np.ndarray:
-        ax2 = self.axis**2
+    def _axis_sum(self, per_axis: dict) -> np.ndarray:
+        """Flat sum over k of the 1-D array per_axis[k] laid along axis k."""
         out = np.zeros(self.shape)
-        for k in range(self.N):
+        for k, v in per_axis.items():
             sh = [1] * self.N
             sh[k] = self.m
-            out = out + ax2.reshape(sh)
+            out += v.reshape(sh)
         return out.ravel()
+
+    def radii_sq(self) -> np.ndarray:
+        ax2 = self.axis**2
+        return self._axis_sum({k: ax2 for k in range(self.N)})
+
+    def dot(self, e: np.ndarray) -> np.ndarray:
+        """e.x at every node, summed over the axes where e_k != 0."""
+        return self._axis_sum({k: e[k] * self.axis for k in np.flatnonzero(e)})
 
     @property
     def w(self) -> np.ndarray:
-        return np.full(self.size, self.h**self.N)
+        """Uniform weights h^N as a read-only broadcast view."""
+        return np.broadcast_to(self.h**self.N, (self.size,))
 
 
 def build_box_grid(N: int, m: int, B: float) -> BoxGrid:
@@ -237,16 +246,15 @@ class PhiFamily:
         if not isinstance(grid, self.GRID[self.kind]):
             raise GridError(f"a {self.kind} phi is evaluated on "
                             f"{self.GRID[self.kind].__name__}s only")
-        xi = grid.coords() @ self.e if self.kind == "linear" else grid.r
+        xi = grid.dot(self.e) if self.kind == "linear" else grid.r
         return (xi + self.b) / self.s
 
     def values(self, grid) -> np.ndarray:
         return self.s * np.tanh(self._arg(grid))
 
-    def gradient(self, grid: BoxGrid) -> np.ndarray:
-        """(n, N) gradient of a linear phi at box nodes."""
-        t = self._arg(grid)
-        return (1.0 / np.cosh(t) ** 2)[:, None] * self.e[None, :]
+    def sech2(self, grid) -> np.ndarray:
+        """sech^2(t): grad phi is sech2 * e (linear) or sech2 * x/|x| (radial)."""
+        return 1.0 / np.cosh(self._arg(grid)) ** 2
 
     def laplacian(self, grid: BoxGrid) -> np.ndarray:
         t = self._arg(grid)
@@ -260,7 +268,7 @@ class PhiFamily:
         """
         if self.kind == "linear":
             return
-        sech2 = 1.0 / np.cosh(self._arg(grid)) ** 2
+        sech2 = self.sech2(grid)
         hess_max = float(np.max(TANH_HESS_MAX / self.s * sech2 + sech2 / grid.r))
         if not hess_max <= 1.0 + 1e-12:
             raise GridError(

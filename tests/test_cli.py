@@ -165,6 +165,18 @@ class TestExitCodes:
         man = json.load(open(tmp_path / "offdiag" / "manifest.json"))
         assert man["error"] == "SpectralError: Re t >= 0 required"
 
+    def test_offdiag_region_overlapping_e_exits_two(self, tmp_path, capsys):
+        code = cli.main(["offdiag", "--n", "64", "--d=-1,1,2,3",
+                         "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr()
+        assert "error in offdiag: EstimateError: " in err.err
+        assert "F overlaps or touches E at --d -1, 1\n" in err.err
+        assert "offdiag_distance_exponent" not in err.out
+        man = json.load(open(tmp_path / "offdiag" / "manifest.json"))
+        assert man["error"].startswith("EstimateError: ")
+        assert not (tmp_path / "offdiag" / "offdiag.csv").exists()
+
     def test_negative_ell_max_is_config_error(self, tmp_path, capsys):
         code = cli.main(["rellich", "--ell-max", "-1", "--out", str(tmp_path)])
         assert code == cli.EXIT_CONFIG

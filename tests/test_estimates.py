@@ -169,6 +169,13 @@ class TestOffdiag:
         assert block == pytest.approx(ref, rel=1e-12)
         assert 0 < block < plain
 
+    @pytest.mark.parametrize("d", [-1.0, 1.0, 0.5])
+    def test_region_at_zero_distance_is_rejected(self, op_c1, d):
+        E = Region.annulus(0.0, 1.0)
+        Fs = [Region.annulus(x, math.inf) for x in (3.0, d, 6.0)]
+        with pytest.raises(EstimateError, match=f"at --d {d:g}$"):
+            offdiag_fit(make_evaluator(op_c1), E, Fs, [0.05, 0.1])
+
     def test_ratios_decay_with_distance(self, op_c1):
         ev = make_evaluator(op_c1)
         E = Region.annulus(0.0, 1.0)

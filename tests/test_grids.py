@@ -58,6 +58,23 @@ class TestBoxGrid:
         g = build_box_grid(5, 4, 2.0)
         assert g.w[0] * g.size == pytest.approx(4.0**5)
 
+    def test_weights_are_a_read_only_uniform_view(self):
+        g = build_box_grid(5, 6, 2.0)
+        w = g.w
+        assert w.shape == (g.size,)
+        assert np.all(w == g.h**5)
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+
+    @pytest.mark.parametrize("e", [[0.8, 0.6, 0, 0, 0],
+                                   [0.1, -0.3, 0.5, 0.7, -0.2]])
+    def test_dot_matches_coordinates(self, e):
+        g = build_box_grid(5, 6, 2.0)
+        e = np.asarray(e)
+        assert np.allclose(g.dot(e), g.coords() @ e, rtol=0, atol=1e-14)
+        assert np.array_equal(np.repeat(g.axis, g.m**4), g.coords()[:, 0])
+
 
 class TestNorms:
     def test_gaussian_l2_norm(self):
@@ -171,12 +188,17 @@ class TestPhiFamily:
         X = g.coords()
         h = 1e-5
         vals = phi.values(g)
-        grad = phi.gradient(g)
+        grad = phi.sech2(g)[:, None] * phi.e        # rank-one gradient
         fd = (2.0 * np.tanh((X @ phi.e + phi.b + h) / phi.s)
               - 2.0 * np.tanh((X @ phi.e + phi.b - h) / phi.s)) * phi.s / 2.0
         # directional derivative along e
         num = (fd / (2 * h))
         assert np.allclose(grad @ phi.e, num, atol=1e-6)
+        # second difference along e: the Laplacian of phi(e.x)
+        xi, k = X @ phi.e + phi.b, 1e-4
+        f = lambda z: phi.s * np.tanh(z / phi.s)
+        lap = (f(xi + k) - 2.0 * f(xi) + f(xi - k)) / k**2
+        assert np.allclose(phi.laplacian(g), lap, atol=1e-6)
         assert np.max(np.abs(vals)) <= phi.s
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,10 +115,21 @@ class TestBoxOperator:
         g = build_box_grid(5, 8, 2.0)
         op = assemble_box(g, 0.0)
         X = g.coords()
-        u = X @ np.arange(1.0, 6.0)
-        gr = op.gradient(u)
-        interior = np.all(np.abs(X) < 2.0 - 1.5 * g.h, axis=1)
-        assert np.allclose(gr[interior], np.arange(1.0, 6.0), atol=1e-9)
+        a = np.arange(1.0, 6.0)
+        u = X @ a
+        gr = _rank_n_gradient(g, u)
+        assert np.allclose(gr, a, atol=1e-9)
+        e = np.array([0.1, -0.3, 0.5, 0.7, -0.2])
+        assert np.allclose(op.directional(u, e), e @ a, atol=1e-9)
+        assert np.allclose(op.directional(u, e), gr @ e, rtol=1e-13)
+
+    def test_apply_L_matches_padded_stencil(self, rng):
+        g = build_box_grid(5, 6, 2.0)
+        op = assemble_box(g, 1.0)
+        u = rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)
+        ref = _stencil_L(g, u)
+        err = np.max(np.abs(op.apply_L(u) - ref))
+        assert err <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestTwistedOperator:
@@ -155,6 +167,68 @@ class TestTwistedFormExpansion:
             "lam2_re_gradphi2_lap", "lam2_re_lapphi_grad",
             "lam_im_lapphi_lap", "lam2_gradphigrad2", "lam_im_grad_lap"}
 
+    @pytest.mark.parametrize("lam", [0.3, 0.7])
+    @pytest.mark.parametrize("e", [[0.8, 0.6, 0, 0, 0],
+                                   [0.1, -0.3, 0.5, 0.7, -0.2]])
+    def test_matches_the_rank_n_formula(self, lam, e):
+        # reference: the expansion with (size, N) gradients of phi and u
+        # and a padded 2N+1 stencil for L
+        g = build_box_grid(5, 8, 2.5)
+        op = assemble_box(g, 1.0)
+        X = g.coords()
+        u = np.exp(-g.radii_sq()) * (1.0 + 0.3j * X[:, 0])
+        e = np.asarray(e) / np.linalg.norm(e)
+        phi = make_phi(e, 1.0, 0.2)
+        w = g.h**5
+        t = (X @ e + phi.b) / phi.s
+        gphi = (1.0 / np.cosh(t) ** 2)[:, None] * e[None, :]
+        lphi = -2.0 * np.tanh(t) / np.cosh(t) ** 2 / phi.s
+        gu = _rank_n_gradient(g, u)
+        Lu = _stencil_L(g, u)
+        gp2 = (gphi**2).sum(1)
+        dot_gubar = (gphi * np.conj(gu)).sum(1)
+        dot_gu = (gphi * gu).sum(1)
+        au2 = np.abs(u) ** 2
+        ref = {
+            "lam4_gradphi4": lam**4 * w * np.sum(gp2**2 * au2),
+            "lam2_lapphi2": -(lam**2) * w * np.sum(lphi**2 * au2),
+            "lam3_im_gradphi2": 4 * lam**3 * 1j * (w * np.sum(gp2 * dot_gubar * u)).imag,
+            "lam2_re_gradphi2_lap": 2 * lam**2 * (w * np.sum(gp2 * u * np.conj(Lu))).real,
+            "lam2_re_lapphi_grad": -4 * lam**2 * (w * np.sum(lphi * dot_gubar * u)).real,
+            "lam_im_lapphi_lap": 2 * lam * 1j * (w * np.sum(lphi * np.conj(u) * Lu)).imag,
+            "lam2_gradphigrad2": -4 * lam**2 * w * np.sum(np.abs(dot_gu) ** 2),
+            "lam_im_grad_lap": 4 * lam * 1j * (w * np.sum(dot_gubar * Lu)).imag,
+        }
+        V = g.radii_sq() ** -2.0
+
+        def form(v1, v2):
+            return (w * np.sum(_stencil_L(g, v1) * np.conj(_stencil_L(g, v2)))
+                    - op.c * w * np.sum(V * v1 * np.conj(v2)))
+
+        d = np.exp(lam * phi.values(g))
+        direct = form(u / d, d * u) - form(u, u)
+        res = twisted_form_terms(op, u, lam, phi)
+        assert res["terms"].keys() == ref.keys()
+        for key, val in ref.items():
+            assert abs(res["terms"][key] - val) <= 1e-12 * abs(val), key
+        assert abs(res["direct"] - direct) <= 1e-12 * abs(direct)
+
+    def test_holds_few_node_arrays(self):
+        # peak above the inputs, in complex node arrays: 19 with (size, N)
+        # gradients, 7 with the rank-one form
+        g = build_box_grid(5, 12, 2.5)
+        op = assemble_box(g, 1.0)
+        u = np.exp(-g.radii_sq()) * (1.0 + 0.3j * np.repeat(g.axis, g.m**4))
+        phi = make_phi(np.array([0.8, 0.6, 0, 0, 0]), 1.0, 0.2)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            twisted_form_terms(op, u, 0.7, phi)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * u.nbytes
+
     def test_lambda_zero_has_no_correction(self, box_op_small, rng):
         u = rng.standard_normal(box_op_small.n)
         phi = make_phi(np.array([1.0, 0, 0, 0, 0]), 2.0)
@@ -186,3 +260,23 @@ class TestFormEInequality:
 def _unit(rng):
     v = rng.standard_normal(5)
     return v / np.linalg.norm(v)
+
+
+def _rank_n_gradient(g, u):
+    """(size, N) centred-difference gradient, one-sided at the boundary."""
+    U = u.reshape(g.shape)
+    return np.stack([np.gradient(U, g.h, axis=k).ravel()
+                     for k in range(g.N)], axis=1)
+
+
+def _stencil_L(g, u):
+    """2N+1 Laplacian with a zero layer padded around the box."""
+    P = np.pad(u.reshape(g.shape), 1)
+    inner = (slice(1, -1),) * g.N
+    out = -2.0 * g.N * P[inner]
+    for k in range(g.N):
+        for s in (0, 2):
+            idx = list(inner)
+            idx[k] = slice(s, s + g.m)
+            out = out + P[tuple(idx)]
+    return (out / g.h**2).ravel()
