@@ -214,7 +214,7 @@ def run_decay(args, man: report.RunManifest, out: str) -> None:
     ts = _floats(args.t) if args.t else list(np.geomspace(0.01, 0.1, 9))
     rows = []
     curve_rows = []
-    for c in (0.0, args.c):
+    for c in dict.fromkeys((0.0, args.c)):      # distinct, in order
         op = assemble_sector(grid, 0, c)
         ev = make_evaluator(op)
         for q in (math.inf, 10.0):

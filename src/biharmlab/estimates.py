@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.optimize as sopt
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -23,7 +22,8 @@ from .grids import (RadialGrid, Region, euclidean_distance, probe_functions,
 from .norms import NormEstimate, interpolation_upper, l2_norm, opnorm
 from .operators import (SectorOperator, assemble_sector, forme_inequality_check,
                         paper_rellich_constant, stiffness_bands, twist)
-from .spectral import KernelMatrix, SemigroupEvaluator, make_evaluator
+from .spectral import (KernelMatrix, SemigroupEvaluator, _weighted_eigh,
+                       make_evaluator)
 
 
 class EstimateError(ValueError):
@@ -399,7 +399,7 @@ def _sym_part_minimizer(op: SectorOperator, tw) -> np.ndarray:
     A = tw.dense()
     H = op.w[:, None] * A
     H = 0.5 * (H + H.T)
-    _, Q = sla.eigh(H, np.diag(op.w))
+    _, Q = _weighted_eigh(H, op.w)
     return Q[:, 0]
 
 

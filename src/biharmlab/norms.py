@@ -43,7 +43,8 @@ def l2_norm(K: np.ndarray, w_out: np.ndarray, w_in: np.ndarray) -> float:
     from L^2(w_in) to L^2(w_out); 0 for an empty kernel."""
     if K.size == 0:
         return 0.0
-    Kw = np.sqrt(w_out)[:, None] * K * np.sqrt(w_in)[None, :]
+    Kw = np.sqrt(w_out)[:, None] * K
+    Kw *= np.sqrt(w_in)
     return float(np.linalg.norm(Kw, 2))
 
 

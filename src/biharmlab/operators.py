@@ -45,26 +45,6 @@ def stiffness_bands(grid: RadialGrid) -> tuple:
     return a, d
 
 
-def sector_stiffness(grid: RadialGrid, ell: int) -> np.ndarray:
-    """Dense symmetric S = W L for the flux-form radial Laplacian of sector ell.
-
-    Interior coupling through cell faces, zero-flux at the inner face (the
-    innermost cell sees no flux from the origin side), Dirichlet ghost node
-    at the outer face.  S is negative semidefinite and exactly symmetric.
-    """
-    N, n = grid.N, grid.n
-    r, faces, w = grid.r, grid.faces, grid.w
-    a, main = stiffness_bands(grid)
-    main[-1] -= sphere_area(N) * faces[-1] ** (N - 1) / (faces[-1] - r[-1])
-    if ell:
-        main -= ell * (ell + N - 2) / r**2 * w
-    S = np.diag(main)
-    idx = np.arange(n - 1)
-    S[idx, idx + 1] = a
-    S[idx + 1, idx] = a
-    return S
-
-
 class WeightedForm:
     """The form a_h(u, v) = (Lu, Lv)_W - c (Vu, v)_W, shared by the sector
     and box operators; subclasses supply grid, c, V and apply_L."""
@@ -90,13 +70,15 @@ class SectorOperator(WeightedForm):
 
     S = W L is the symmetric stiffness of the sector Laplacian; the form
     matrix is F = S W^{-1} S - c W V, and A_h = W^{-1} F is W-self-adjoint.
+    The operator stores the tridiagonal bands of S: the off-diagonal `a`
+    and the diagonal `diag`.  S and F are formed densely on each read.
     """
 
     grid: RadialGrid
     ell: int
     c: float
-    S: np.ndarray = field(repr=False)
-    F: np.ndarray = field(repr=False)
+    a: np.ndarray = field(repr=False)
+    diag: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -106,8 +88,31 @@ class SectorOperator(WeightedForm):
     def V(self) -> np.ndarray:
         return self.grid.r**-4.0
 
+    @property
+    def S(self) -> np.ndarray:
+        """Dense stiffness S, exactly symmetric."""
+        S = np.diag(self.diag)
+        idx = np.arange(self.n - 1)
+        S[idx, idx + 1] = self.a
+        S[idx + 1, idx] = self.a
+        return S
+
+    @property
+    def F(self) -> np.ndarray:
+        """Dense form matrix F = S W^{-1} S - c W V, exactly symmetric."""
+        S, w = self.S, self.w
+        F = S @ (S / w[:, None])
+        del S
+        F = 0.5 * (F + F.T)
+        if self.c:
+            F[np.diag_indices(self.n)] -= self.c * w * self.V
+        return F
+
     def apply_L(self, u: np.ndarray) -> np.ndarray:
-        return (self.S @ u) / self.w
+        Su = self.diag * u
+        Su[:-1] += self.a * u[1:]
+        Su[1:] += self.a * u[:-1]
+        return Su / self.w
 
     def apply_A(self, u: np.ndarray) -> np.ndarray:
         return (self.F @ u) / self.w
@@ -126,6 +131,10 @@ class SectorOperator(WeightedForm):
 
 
 def assemble_sector(grid: RadialGrid, ell: int = 0, c: float = 0.0) -> SectorOperator:
+    """Sector ell of A: the flux-form radial Laplacian with zero flux at
+    the inner face (the innermost cell sees no flux from the origin side)
+    and a Dirichlet ghost node at the outer face, so S is negative
+    semidefinite."""
     if ell < 0:
         raise OperatorError("angular index ell must be >= 0")
     cstar = paper_rellich_constant(grid.N)
@@ -133,13 +142,12 @@ def assemble_sector(grid: RadialGrid, ell: int = 0, c: float = 0.0) -> SectorOpe
         warnings.warn(
             f"c = {c} >= C* = {cstar}: discrete A may be indefinite",
             stacklevel=2)
-    S = sector_stiffness(grid, ell)
-    w = grid.w
-    F = S @ (S / w[:, None])
-    F = 0.5 * (F + F.T)
-    if c:
-        F = F - np.diag(c * w * grid.r**-4.0)
-    return SectorOperator(grid=grid, ell=ell, c=float(c), S=S, F=F)
+    N, r, faces = grid.N, grid.r, grid.faces
+    a, diag = stiffness_bands(grid)
+    diag[-1] -= sphere_area(N) * faces[-1] ** (N - 1) / (faces[-1] - r[-1])
+    if ell:
+        diag -= ell * (ell + N - 2) / r**2 * grid.w
+    return SectorOperator(grid=grid, ell=ell, c=float(c), a=a, diag=diag)
 
 
 @dataclass

@@ -76,6 +76,15 @@ def _require_sector(op) -> None:
             "grids serve only the twisted-form expansion")
 
 
+def _weighted_eigh(A: np.ndarray, w: np.ndarray) -> tuple:
+    """Eigenpairs of A q = mu W q, W = diag(w), for an exactly symmetric A,
+    which is overwritten.  The transposes are Fortran-ordered views with
+    the same entries, so LAPACK works on A and W in place, without copies.
+    """
+    B = np.diag(w)
+    return sla.eigh(A.T, B.T, overwrite_a=True, overwrite_b=True)
+
+
 def eigendecompose(op: SectorOperator) -> SpectralDecomposition:
     """Dense generalized eigensolve F q = mu W q for a radial sector."""
     _require_sector(op)
@@ -85,12 +94,12 @@ def eigendecompose(op: SectorOperator) -> SpectralDecomposition:
     if op.c == 0.0:
         # A = (-L)^2 exactly; decomposing the stiffness instead of the
         # squared form keeps the small eigenvalues fully accurate
-        nu, Q = sla.eigh(-op.S, np.diag(w))
+        nu, Q = _weighted_eigh(-op.S, w)
         mu = nu**2
         order = np.argsort(mu)
         mu, Q = mu[order], Q[:, order]
     else:
-        mu, Q = sla.eigh(op.F, np.diag(w))
+        mu, Q = _weighted_eigh(op.F, w)
     return SpectralDecomposition(mu=mu, Q=Q, w=w)
 
 

@@ -256,6 +256,16 @@ class TestExitCodes:
             slope, target = float(row[3]), float(row[4])
             assert slope == pytest.approx(target, rel=1e-4)
 
+    def test_decay_at_c_zero_runs_its_study_once(self, tmp_path):
+        code = cli.main(["decay", "--c", "0", "--out", str(tmp_path)])
+        assert code == cli.EXIT_OK
+        _, rows = report.read_csv(str(tmp_path / "decay" / "decay.csv"))
+        assert [row[:3] for row in rows] == [["0.0", "2.0", "inf"],
+                                             ["0.0", "2.0", "10.0"]]
+        man = json.load(open(tmp_path / "decay" / "manifest.json"))
+        names = [chk["name"] for chk in man["checks"]]
+        assert names == ["decay_slope_c0.0_qinf", "decay_slope_c0.0_q10.0"]
+
     def test_rellich_failed_check_exits_one(self, tmp_path):
         res = run_cli("rellich", "--n", "400", "--out", str(tmp_path))
         assert res.returncode == 1

@@ -52,6 +52,14 @@ class TestCornerNorms:
         ref = np.linalg.norm(sw[:, None] * kern.K * sw[None, :], 2)
         assert corner_norm(kern, 2.0, 2.0) == pytest.approx(ref)
 
+    def test_l2_norm_matches_the_two_sided_scaling(self):
+        kern = random_kernel(40, 3, symmetric=False)
+        w_out = np.random.default_rng(4).uniform(0.1, 3.0, 40)
+        sw_out, sw_in = np.sqrt(w_out), np.sqrt(kern.w)
+        ref = float(np.linalg.norm(
+            sw_out[:, None] * kern.K * sw_in[None, :], 2))
+        assert norms.l2_norm(kern.K, w_out, kern.w) == ref
+
     def test_non_corner_rejected(self):
         with pytest.raises(NormError):
             corner_norm(random_kernel(5, 1), 1.5, 3.0)

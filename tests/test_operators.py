@@ -9,8 +9,7 @@ from biharmlab import (assemble_box, assemble_sector, build_box_grid,
                        paper_rellich_constant, probe_functions, twist,
                        twisted_form_terms)
 from biharmlab.grids import TANH_HESS_MAX, sphere_area
-from biharmlab.operators import (OperatorError, sector_stiffness,
-                                 stiffness_bands)
+from biharmlab.operators import OperatorError, stiffness_bands
 
 
 class TestConstants:
@@ -83,10 +82,58 @@ class TestSectorOperator:
         a, d = stiffness_bands(g)
         assert np.array_equal(a, np.diag(ref, 1))
         assert np.array_equal(d, np.diag(ref))
-        S = sector_stiffness(g, 0)
+        S = assemble_sector(g, 0).S
         assert np.array_equal(S[:, :-1], ref[:, :-1])
         assert np.array_equal(S[:-1, -1], ref[:-1, -1])
         assert S[-1, -1] < ref[-1, -1]      # outer Dirichlet closure
+
+
+def _dense_sector(g, ell, c):
+    """S and F assembled densely, as the operator stored them before it
+    kept only the bands of S."""
+    a, main = stiffness_bands(g)
+    main[-1] -= sphere_area(g.N) * g.faces[-1] ** (g.N - 1) / (
+        g.faces[-1] - g.r[-1])
+    if ell:
+        main -= ell * (ell + g.N - 2) / g.r**2 * g.w
+    S = np.diag(main)
+    idx = np.arange(g.n - 1)
+    S[idx, idx + 1] = a
+    S[idx + 1, idx] = a
+    F = S @ (S / g.w[:, None])
+    F = 0.5 * (F + F.T)
+    if c:
+        F = F - np.diag(c * g.w * g.r**-4.0)
+    return S, F
+
+
+class TestBandedSector:
+    def test_holds_no_dense_matrix(self):
+        n = 512
+        op = assemble_sector(build_radial_grid(5, 30.0, n), 2, 1.0)
+        held = sum(v.nbytes for v in vars(op).values()
+                   if isinstance(v, np.ndarray))
+        assert held <= 4 * n * 8
+
+    @pytest.mark.parametrize("mode", ["uniform", "log"])
+    @pytest.mark.parametrize("ell", [0, 2])
+    @pytest.mark.parametrize("c", [0.0, 1.0])
+    def test_dense_matrices_match_the_dense_construction(self, mode, ell, c):
+        g = build_radial_grid(5, 30.0, 200, mode)
+        op = assemble_sector(g, ell, c)
+        S, F = _dense_sector(g, ell, c)
+        assert np.array_equal(op.S, S)
+        assert np.array_equal(op.F, F)
+
+    @pytest.mark.parametrize("mode", ["uniform", "log"])
+    def test_banded_apply_L_matches_dense(self, mode, rng):
+        g = build_radial_grid(5, 30.0, 200, mode)
+        op = assemble_sector(g, 2, 1.0)
+        for u in (rng.standard_normal(g.n),
+                  rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)):
+            ref = (op.S @ u) / g.w
+            err = np.max(np.abs(op.apply_L(u) - ref))
+            assert err <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestBoxOperator:

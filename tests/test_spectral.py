@@ -1,14 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from biharmlab import (assemble_sector, build_radial_grid, eigendecompose,
                        inv_sqrt_apply, laplacian_decay_fit, make_evaluator,
                        make_phi, riesz_apply, riesz_kernel, sector_angle,
                        spectral, twist, twisted_decay_suite)
 from biharmlab.norms import corner_norm
-from biharmlab.spectral import SpectralError, quadrature_nodes
+from biharmlab.spectral import SpectralError, _weighted_eigh, quadrature_nodes
 
 
 class TestEigendecompose:
@@ -37,6 +39,30 @@ class TestEigendecompose:
     def test_rejects_box_operator(self, box_op_small):
         with pytest.raises(SpectralError):
             eigendecompose(box_op_small)
+
+    @pytest.mark.parametrize("c", [0.0, 1.0])
+    def test_working_memory(self, c):
+        # F (or -S), W and LAPACK's 2 n^2 workspace: no copies of either
+        n = 1024
+        op = assemble_sector(build_radial_grid(5, 30.0, n), 0, c)
+        tracemalloc.start()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            eigendecompose(op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 4.5 * n * n * 8
+
+    def test_weighted_eigh_matches_scipy(self, rng):
+        n = 60
+        X = rng.standard_normal((n, n))
+        A = X + X.T
+        w = rng.uniform(0.5, 2.0, n)
+        mu_ref, Q_ref = sla.eigh(A, np.diag(w))
+        mu, Q = _weighted_eigh(A.copy(), w)
+        assert np.array_equal(mu, mu_ref)
+        assert np.array_equal(Q, Q_ref)
 
 
 class TestSemigroup:
