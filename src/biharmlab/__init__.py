@@ -16,7 +16,8 @@ from .operators import (BoxOperator, SectorOperator, TwistedOperator,
 from .spectral import (KernelMatrix, SemigroupEvaluator, SpectralDecomposition,
                        eigendecompose, inv_sqrt_apply, make_evaluator,
                        riesz_apply, riesz_kernel, sector_angle)
-from .norms import NormEstimate, boyd_lower, corner_norm, interpolation_upper, opnorm
+from .norms import (NormEstimate, boyd_lower, corner_norm, interpolation_upper,
+                    opnorm, opnorms)
 from .estimates import (DistanceEstimate, FitResult, davies_distance, decay_fit,
                         discrete_rellich, eta_h, extrapolation_check, gamma_pq,
                         lambda_optimizer_check, laplacian_decay_fit,

@@ -19,8 +19,9 @@ import scipy.sparse.linalg as spla
 
 from .grids import (RadialGrid, Region, euclidean_distance, probe_functions,
                     sphere_area, weighted_lp)
-from .norms import NormEstimate, interpolation_upper, l2_norm, opnorm
-from .operators import (SectorOperator, assemble_sector, forme_inequality_check,
+from .norms import (NormEstimate, boyd_lower, interpolation_upper, l2_norm,
+                    opnorms)
+from .operators import (SectorOperator, forme_inequality_check,
                         paper_rellich_constant, stiffness_bands, twist)
 from .spectral import (KernelMatrix, SemigroupEvaluator, _weighted_eigh,
                        make_evaluator)
@@ -174,9 +175,14 @@ def rellich_constant(grid: RadialGrid, ell_max: int = 8) -> dict:
 
 def discrete_rellich(op: SectorOperator) -> float:
     """Rellich quotient of the operator's Dirichlet-truncated sector: the
-    smallest (Lu, Lu)_W / (r^{-4}u, u)_W on its grid and angular index."""
+    smallest (Lu, Lu)_W / (r^{-4}u, u)_W on its grid and angular index.
+
+    The numerator matrix S W^{-1} S is pentadiagonal and is built sparse
+    from the operator's bands of S, which do not depend on c."""
     grid = op.grid
-    F = sp.csc_matrix(assemble_sector(grid, ell=op.ell, c=0.0).F)
+    S = sp.diags([op.a, op.diag, op.a], [-1, 0, 1], format="csc")
+    F = S @ sp.diags(1.0 / op.w) @ S
+    F = (0.5 * (F + F.T)).tocsc()
     M = sp.diags(op.w * grid.r**-4.0).tocsc()
     mu = spla.eigsh(F, k=1, M=M, sigma=0, which="LM", v0=np.ones(grid.n),
                     return_eigenvectors=False)
@@ -437,7 +443,7 @@ def twisted_decay_suite(op: SectorOperator, lam_list, phi_list, t_list,
     rows = []
     m_hat = 0.0
     ok_all = True
-    w, L = op.w, op.dense_L()
+    w = op.w
     ev = make_evaluator(op)
     kernels = [ev.kernel(t).K for t in t_list]
     for lam, tw in pairs:
@@ -449,7 +455,7 @@ def twisted_decay_suite(op: SectorOperator, lam_list, phi_list, t_list,
             bound = math.exp(grow * t)
             ok = nrm <= bound * (1.0 + 1e-12)
             ok_all = ok_all and ok
-            lnrm = l2_norm(L @ Kt, w, w)
+            lnrm = l2_norm(op.apply_L(Kt), w, w)
             m_cand = lnrm * math.sqrt(t) * math.exp(-grow * t)
             m_hat = max(m_hat, m_cand)
             rows.append({"lam": lam, "t": t, "norm": nrm, "bound": bound,
@@ -468,9 +474,8 @@ def twisted_decay_suite(op: SectorOperator, lam_list, phi_list, t_list,
 def laplacian_decay_fit(op: SectorOperator, t_list) -> FitResult:
     """Fit ||L e^{-tA}||_{2->2} ~ t^{-1/2} over the given times."""
     ev = make_evaluator(op)
-    L = op.dense_L()
     ts = np.asarray(t_list, dtype=float)
-    vals = [l2_norm(L @ ev.kernel(t).K, op.w, op.w) for t in ts]
+    vals = [l2_norm(op.apply_L(ev.kernel(t).K), op.w, op.w) for t in ts]
     slope, intercept, resid = _loglog_fit(ts, np.asarray(vals))
     return FitResult(params={"exponent": slope,
                              "prefactor": math.exp(intercept)},
@@ -486,19 +491,16 @@ def extrapolation_check(evaluator: SemigroupEvaluator, p_list, t_list) -> dict:
     lo, hi = reliable_window(grid)
     ts = np.asarray(sorted(t_list), dtype=float)
     usable = (lo <= ts) & (ts <= hi)
+    pairs = [(p, p) for p in p_list]
+    # one kernel and one dual-ascent block per t; rows t, columns p
+    ests = [opnorms(evaluator.kernel(t), pairs) for t in ts]
     out = {}
-    for p in p_list:
-        uppers = []
-        lowers = []
-        for t in ts:
-            kern = evaluator.kernel(t)
-            est = opnorm(kern, p, p)
-            uppers.append(est.upper)
-            lowers.append(est.lower)
-        uppers = np.asarray(uppers)
+    for j, p in enumerate(p_list):
+        uppers = np.asarray([row[j].upper for row in ests])
         ref = uppers[usable][0] if usable.any() else uppers[0]
         ratio = float(np.max(uppers[usable]) / ref) if usable.any() else math.inf
-        out[p] = {"t": ts, "upper": uppers, "lower": np.asarray(lowers),
+        out[p] = {"t": ts, "upper": uppers,
+                  "lower": np.asarray([row[j].lower for row in ests]),
                   "max_over_first": ratio, "ok": ratio <= 2.0}
     return out
 
@@ -511,28 +513,29 @@ def riesz_pnorm_sweep(op: SectorOperator, p_list,
 
     At p = 2 the weighted SVD value is asserted against eta_h^{-1/2}; for
     p < 2 lower/upper brackets are reported, and if a refined operator is
-    given the lower-bound stability across refinement is included.
+    given the lower-bound stability across refinement is included.  Each
+    kernel runs one dual-ascent block over all p; the refined kernel gets
+    only the lower bound that the stability reads.
     """
     from .spectral import riesz_kernel
 
     kern = riesz_kernel(op)
     eta = eta_h(op)
     results = {}
-    # exact, and read through the kernel's corner cache that opnorm shares
+    # exact, and read through the kernel's corner cache that opnorms shares
     n22 = interpolation_upper(kern, 2.0, 2.0)
     results[2.0] = {"estimate": NormEstimate(p=2.0, q=2.0, lower=n22,
                                              upper=n22, exact=True),
                     "eta_bound": eta**-0.5,
                     "ok": n22 <= eta**-0.5 + 1e-8}
-    for p in p_list:
-        est = opnorm(kern, p, p)
+    pairs = [(p, p) for p in p_list]
+    for p, est in zip(p_list, opnorms(kern, pairs)):
         results[p] = {"estimate": est}
     if refined_op is not None:
-        kern2 = riesz_kernel(refined_op)
-        for p in p_list:
-            est2 = opnorm(kern2, p, p)
+        lowers2 = boyd_lower(riesz_kernel(refined_op), pairs)
+        for p, (lower2, _) in zip(p_list, lowers2):
             base = results[p]["estimate"].lower
-            change = abs(est2.lower - base) / max(base, 1e-300)
+            change = abs(lower2 - base) / max(base, 1e-300)
             results[p]["stability"] = change
             results[p]["stable"] = change <= 0.25
     return results

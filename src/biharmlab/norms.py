@@ -155,68 +155,104 @@ def _lp_unit(u: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
     return u / np.where(nrm > 0, nrm, 1.0)
 
 
-def boyd_lower(kernel: KernelMatrix, p: float, q: float,
-               restarts: int = BOYD_RESTARTS, seed: int = 0) -> tuple:
-    """Dual-ascent lower bound for the weighted p -> q norm with witness.
+def _dual_elements(V: np.ndarray, nv: np.ndarray, w: np.ndarray,
+                   q: float) -> np.ndarray:
+    """Dual elements in L^q(w) of the columns of V, whose norms are nv."""
+    if not math.isinf(q):
+        return np.sign(V) * (np.abs(V) / nv) ** (q - 1.0)
+    Psi = np.zeros_like(V)
+    cols = np.arange(V.shape[1])
+    i = np.argmax(np.abs(V), axis=0)
+    Psi[i, cols] = np.sign(V[i, cols]) / w[i]
+    return Psi
+
+
+def _ascent_step(Z: np.ndarray, U: np.ndarray, w: np.ndarray,
+                 p: float) -> np.ndarray:
+    """Unit L^p(w) iterates aligned with the columns of Z = K^* psi; where
+    an entry of Z is zero, the sign of the previous iterate U is kept."""
+    sgn = np.where(Z != 0, np.sign(Z), np.sign(U) + (U == 0))
+    if p == 1.0:
+        Unew = np.zeros_like(U)
+        cols = np.arange(U.shape[1])
+        i = np.argmax(np.abs(Z), axis=0)
+        Unew[i, cols] = sgn[i, cols] / w[i]
+    elif math.isinf(p):
+        Unew = sgn
+    else:
+        Unew = sgn * np.abs(Z) ** (_dual(p) - 1.0)
+    return _lp_unit(Unew, w, p)
+
+
+def boyd_lower(kernel: KernelMatrix, pairs, restarts: int = BOYD_RESTARTS,
+               seed: int = 0) -> list:
+    """Dual-ascent lower bounds with witnesses for the weighted p -> q
+    norms of one kernel: a (value, witness) per (p, q) in `pairs`.
 
     Alternates u <- |K^* psi|^{p'-1} sgn and psi <- |Ku|^{q-1} sgn dual
     vectors; each step is monotone nondecreasing in ||Tu||_q / ||u||_p.
     On sign ambiguity at zero entries the previous iterate's sign is kept.
-    The starts run as the columns of one block; a column stops when its
-    own step gains no more than 1e-13 relative or its image is zero.  The
-    witness is the first start with the largest value.
+    Each pair has `restarts` starts (at least 2) drawn from its own
+    generator seeded with `seed`, so its value does not depend on the
+    other pairs.  The
+    starts of all pairs run as the columns of one block, and each step
+    reads K twice for all of them; a column keeps its pair's exponents
+    and stops when its own step gains no more than 1e-13 relative or its
+    image is zero.  A pair's witness is its first start with the largest
+    value; a pair whose value is 0 has none.
     """
     K, w = kernel.K, kernel.w
     n = K.shape[1]
-    rng = np.random.default_rng(seed)
-    pd = _dual(p)
-
-    starts = [np.ones(n)]
-    # deltas at the strongest columns make good p ~ 1 starts
-    e = np.zeros(n)
-    e[int(np.argmax(weighted_lp(K, w, q)))] = 1.0
-    starts.append(e)
-    while len(starts) < restarts:
-        starts.append(np.abs(rng.standard_normal(n)) * rng.choice([-1.0, 1.0], n))
-
-    U = _lp_unit(np.column_stack(starts), w, p)
+    m = max(restarts, 2)                      # starts per pair
+    spans = [slice(j * m, (j + 1) * m) for j in range(len(pairs))]
+    owner = np.repeat(np.arange(len(pairs)), m)
+    blocks = []
+    for p, q in pairs:
+        rng = np.random.default_rng(seed)
+        # deltas at the strongest columns make good p ~ 1 starts
+        e = np.zeros(n)
+        e[int(np.argmax(weighted_lp(K, w, q)))] = 1.0
+        starts = [np.ones(n), e]
+        while len(starts) < m:
+            starts.append(np.abs(rng.standard_normal(n))
+                          * rng.choice([-1.0, 1.0], n))
+        blocks.append(_lp_unit(np.column_stack(starts), w, p))
+    U = np.hstack(blocks)
     V = K @ (w[:, None] * U)                  # images of the current iterates
-    nv = weighted_lp(V, w, q)
+    nv = np.empty(U.shape[1])
+    for (_, q), s in zip(pairs, spans):
+        nv[s] = weighted_lp(V[:, s], w, q)
     val = np.zeros(U.shape[1])                # last accepted value per start
     live = np.flatnonzero(nv > 0)
     for _ in range(BOYD_MAX_ITER):
         if live.size == 0:
             break
-        Ul, Vl = U[:, live], V[:, live]
-        cols = np.arange(live.size)
-        # dual elements of the images in L^q
-        if math.isinf(q):
-            Psi = np.zeros_like(Vl)
-            i = np.argmax(np.abs(Vl), axis=0)
-            Psi[i, cols] = np.sign(Vl[i, cols]) / w[i]
-        else:
-            Psi = np.sign(Vl) * (np.abs(Vl) / nv[live]) ** (q - 1.0)
-        Z = K.T @ (w[:, None] * Psi)
-        sgn = np.where(Z != 0, np.sign(Z), np.sign(Ul) + (Ul == 0))
-        if p == 1.0:
-            Unew = np.zeros_like(Ul)
-            i = np.argmax(np.abs(Z), axis=0)
-            Unew[i, cols] = sgn[i, cols] / w[i]
-        elif math.isinf(p):
-            Unew = sgn
-        else:
-            Unew = sgn * np.abs(Z) ** (pd - 1.0)
-        Unew = _lp_unit(Unew, w, p)
+        # positions in `live` of each pair's columns
+        groups = [(p, q, np.flatnonzero(owner[live] == j))
+                  for j, (p, q) in enumerate(pairs)]
+        groups = [g for g in groups if g[2].size]
+        Psi = np.empty((n, live.size))
+        for p, q, g in groups:
+            Psi[:, g] = _dual_elements(V[:, live[g]], nv[live[g]], w, q)
+        # K^T (w psi) as ((w psi)^T K)^T: no transposed copy of K
+        Z = ((w[:, None] * Psi).T @ K).T
+        Unew = np.empty_like(Psi)
+        for p, q, g in groups:
+            Unew[:, g] = _ascent_step(Z[:, g], U[:, live[g]], w, p)
         Vnew = K @ (w[:, None] * Unew)
-        new_val = weighted_lp(Vnew, w, q)
+        new_val = np.empty(live.size)
+        for p, q, g in groups:
+            new_val[g] = weighted_lp(Vnew[:, g], w, q)
         gain = new_val > val[live] * (1.0 + 1e-13)
         live = live[gain]
         U[:, live], V[:, live] = Unew[:, gain], Vnew[:, gain]
         val[live] = nv[live] = new_val[gain]
-    best = int(np.argmax(val))
-    if val[best] > 0.0:
-        return float(val[best]), U[:, best].copy()
-    return 0.0, None
+    out = []
+    for s in spans:
+        best = s.start + int(np.argmax(val[s]))
+        out.append((float(val[best]), U[:, best].copy()) if val[best] > 0.0
+                   else (0.0, None))
+    return out
 
 
 @dataclass
@@ -236,15 +272,23 @@ class NormEstimate:
                 f"bracket inverted: lower {self.lower} > upper {self.upper}")
 
 
+def opnorms(kernel: KernelMatrix, pairs, seed: int = 0) -> list:
+    """Brackets for the weighted L^p -> L^q norms of one kernel operator,
+    one per (p, q) in `pairs`; the lower bounds come from one dual-ascent
+    block."""
+    for p, q in pairs:
+        if p > q:
+            raise NormError("only p <= q is supported")
+        if p < 1 or q < 1:
+            raise NormError("p, q >= 1 required")
+    uppers = [interpolation_upper(kernel, p, q) for p, q in pairs]
+    lowers = boyd_lower(kernel, pairs, seed=seed)
+    return [NormEstimate(p=p, q=q, lower=lower, upper=upper, witness=witness,
+                         exact=_has_exact(p, q))
+            for (p, q), upper, (lower, witness) in zip(pairs, uppers, lowers)]
+
+
 def opnorm(kernel: KernelMatrix, p: float, q: float,
            seed: int = 0) -> NormEstimate:
     """Bracket for the weighted L^p -> L^q norm of a kernel operator."""
-    if p > q:
-        raise NormError("only p <= q is supported")
-    if p < 1 or q < 1:
-        raise NormError("p, q >= 1 required")
-    upper = interpolation_upper(kernel, p, q)
-    exact = _has_exact(p, q)
-    lower, witness = boyd_lower(kernel, p, q, seed=seed)
-    return NormEstimate(p=p, q=q, lower=lower, upper=upper, witness=witness,
-                        exact=exact)
+    return opnorms(kernel, [(p, q)], seed=seed)[0]

@@ -109,16 +109,17 @@ class SectorOperator(WeightedForm):
         return F
 
     def apply_L(self, u: np.ndarray) -> np.ndarray:
-        Su = self.diag * u
-        Su[:-1] += self.a * u[1:]
-        Su[1:] += self.a * u[:-1]
-        return Su / self.w
+        """L u = W^{-1} S u from the bands; a 2-D u is taken column by
+        column."""
+        col = (slice(None),) + (None,) * (u.ndim - 1)
+        a = self.a[col]
+        Su = self.diag[col] * u
+        Su[:-1] += a * u[1:]
+        Su[1:] += a * u[:-1]
+        return Su / self.w[col]
 
     def apply_A(self, u: np.ndarray) -> np.ndarray:
         return (self.F @ u) / self.w
-
-    def dense_L(self) -> np.ndarray:
-        return self.S / self.w[:, None]
 
     def dense_A(self) -> np.ndarray:
         return self.F / self.w[:, None]

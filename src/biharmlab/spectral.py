@@ -214,8 +214,7 @@ def riesz_kernel(op: SectorOperator) -> KernelMatrix:
     dec = op.decomposition
     if dec.mu[0] <= 0:
         raise SpectralError("indefinite operator: A^{-1/2} undefined")
-    return KernelMatrix(K=op.dense_L() @ dec.synth_kernel(dec.mu**-0.5),
-                        w=op.w)
+    return KernelMatrix(K=op.apply_L(dec.synth_kernel(dec.mu**-0.5)), w=op.w)
 
 
 @dataclass

@@ -238,7 +238,7 @@ def _oracle(kern, p, q, seed):
     one behind the reported bracket, plus random p-sphere sampling."""
     best = 0.0
     for s in (seed, seed + 13):
-        v, _ = boyd_lower(kern, p, q, restarts=40, seed=s)
+        [(v, _)] = boyd_lower(kern, [(p, q)], restarts=40, seed=s)
         best = max(best, v)
     rng = np.random.default_rng(seed + 101)
     for x in rng.standard_normal((2000, kern.K.shape[0])):

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from biharmlab import (Region, assemble_sector, build_radial_grid, cli,
                        davies_distance, decay_fit, discrete_rellich,
@@ -71,6 +74,32 @@ class TestRellich:
         for ell in (0, 1):
             op = assemble_sector(g, ell, 0.0)
             assert discrete_rellich(op) == discrete_rellich(op)
+
+    @pytest.mark.parametrize("mode", ["uniform", "log"])
+    @pytest.mark.parametrize("ell", [0, 2])
+    def test_discrete_rellich_matches_the_dense_route(self, mode, ell):
+        g = build_radial_grid(5, 30.0, 256, mode)
+        op = assemble_sector(g, ell, 1.0)
+        # the route before the sparse build: the dense c = 0 form matrix
+        F = sp.csc_matrix(assemble_sector(g, ell, 0.0).F)
+        M = sp.diags(g.w * g.r**-4.0).tocsc()
+        ref = spla.eigsh(F, k=1, M=M, sigma=0, which="LM", v0=np.ones(g.n),
+                         return_eigenvectors=False)[0]
+        # round-off in F moves the shift-invert answer: the dense route
+        # itself moves by up to 3.3e-11 relative when only v0 changes
+        assert discrete_rellich(op) == pytest.approx(ref, rel=1e-9)
+
+    def test_discrete_rellich_forms_no_dense_matrix(self):
+        n = 2048
+        op = assemble_sector(build_radial_grid(5, 30.0, n), 0, 1.0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            discrete_rellich(op)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6       # one n x n matrix is 33.6 MB
 
     def test_discrete_rellich_bounds_eta(self):
         g = build_radial_grid(5, 30.0, 256)
@@ -300,6 +329,25 @@ class TestExtrapolation:
             assert out[p]["ok"]
             assert out[p]["max_over_first"] <= 2.0
 
+    def test_one_block_per_kernel_over_the_p_list(self, op_c1, monkeypatch):
+        blocks = []
+        real = norms.boyd_lower
+
+        def counting(kernel, pairs, **kwargs):
+            blocks.append(list(pairs))
+            return real(kernel, pairs, **kwargs)
+
+        monkeypatch.setattr(norms, "boyd_lower", counting)
+        ev = make_evaluator(op_c1)
+        ts = list(np.geomspace(0.06, 0.6, 4))
+        out = extrapolation_check(ev, [1.5, 4.0], ts)
+        assert blocks == [[(1.5, 1.5), (4.0, 4.0)]] * len(ts)
+        for p in (1.5, 4.0):
+            for t, lo, up in zip(ts, out[p]["lower"], out[p]["upper"]):
+                one = norms.opnorm(ev.kernel(t), p, p)
+                assert up == one.upper
+                assert lo == pytest.approx(one.lower, rel=1e-13)
+
 
 class TestRieszSweep:
     def test_p2_entry_certified(self, op_c1):
@@ -319,7 +367,7 @@ class TestRieszSweep:
         real = norms.corner_norm
 
         def counting(kernel, p, q):
-            calls.append((id(kernel), p, q))
+            calls.append((id(kernel), len(kernel.w), p, q))
             return real(kernel, p, q)
 
         # over estimates' own imported name too, which the p = 2 entry
@@ -329,9 +377,33 @@ class TestRieszSweep:
         ops = [assemble_sector(build_radial_grid(5, 20.0, n, "uniform"), 0, 1.0)
                for n in (32, 48)]
         res = riesz_pnorm_sweep(ops[0], [1.3, 1.5, 1.8], refined_op=ops[1])
-        assert len(calls) == 12
-        assert len(set(calls)) == 12
+        # the refined kernel gets a lower bound only: no corner norm
+        assert len(calls) == 6
+        assert {(p, q) for _, _, p, q in calls} == set(norms.CORNERS)
+        assert {n for _, n, _, _ in calls} == {32}
+        assert len({k for k, _, _, _ in calls}) == 1
         assert res[2.0]["estimate"].upper == real(riesz_kernel(ops[0]), 2.0, 2.0)
+
+    def test_one_dual_ascent_block_per_kernel(self, monkeypatch):
+        blocks = []
+        real = norms.boyd_lower
+
+        def counting(kernel, pairs, **kwargs):
+            blocks.append((len(kernel.w), list(pairs)))
+            return real(kernel, pairs, **kwargs)
+
+        monkeypatch.setattr(norms, "boyd_lower", counting)
+        monkeypatch.setattr(estimates, "boyd_lower", counting)
+        ops = [assemble_sector(build_radial_grid(5, 20.0, n, "uniform"), 0, 1.0)
+               for n in (32, 48)]
+        ps = [1.3, 1.5, 1.8]
+        res = riesz_pnorm_sweep(ops[0], ps, refined_op=ops[1])
+        assert blocks == [(32, [(p, p) for p in ps]), (48, [(p, p) for p in ps])]
+        # the refined lower bounds are the ones the stability reads
+        kern2 = riesz_kernel(ops[1])
+        for p, (lo2, _) in zip(ps, real(kern2, [(p, p) for p in ps])):
+            base = res[p]["estimate"].lower
+            assert res[p]["stability"] == abs(lo2 - base) / base
 
 
 class TestSolveParabolic:

@@ -5,7 +5,7 @@ import pytest
 
 from biharmlab import (assemble_sector, boyd_lower, build_radial_grid,
                        corner_norm, interpolation_upper, make_evaluator, norms,
-                       opnorm)
+                       opnorm, opnorms)
 from biharmlab.grids import weighted_lp
 from biharmlab.norms import (BOYD_MAX_ITER, BOYD_RESTARTS, NormError,
                              NormEstimate, _dual, _lp_unit)
@@ -69,9 +69,10 @@ class TestInterpolation:
     def test_upper_dominates_boyd_lower(self):
         for seed in range(5):
             kern = random_kernel(10, seed)
-            for p, q in [(1.5, 3.0), (10.0 / 9.0, 2.0), (2.0, 10.0)]:
+            pairs = [(1.5, 3.0), (10.0 / 9.0, 2.0), (2.0, 10.0)]
+            for (p, q), (lo, _) in zip(pairs,
+                                       boyd_lower(kern, pairs, seed=seed)):
                 up = interpolation_upper(kern, p, q)
-                lo, _ = boyd_lower(kern, p, q, seed=seed)
                 assert lo <= up * (1 + 1e-12)
 
     def test_log_convex_along_segment(self):
@@ -147,43 +148,69 @@ def _boyd_one_start_at_a_time(kernel, p, q, restarts=BOYD_RESTARTS, seed=0):
     return best_val, best_u
 
 
+def _reproduced(kernel, witness, p, q):
+    """||K x||_q of the witness x scaled to unit L^p norm."""
+    x = _lp_unit(witness, kernel.w, p)
+    return weighted_lp(kernel.apply(x), kernel.w, q)
+
+
 class TestBoydLower:
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_matches_one_start_at_a_time(self, symmetric):
+        # every pair in one block, against each start run on its own
         for seed in range(6):
             kern = random_kernel(12, seed + 40, symmetric=symmetric)
-            for p, q in BOYD_PAIRS:
-                lo, witness = boyd_lower(kern, p, q, seed=seed)
+            block = boyd_lower(kern, BOYD_PAIRS, seed=seed)
+            assert len(block) == len(BOYD_PAIRS)
+            for (p, q), (lo, witness) in zip(BOYD_PAIRS, block):
                 ref, ref_witness = _boyd_one_start_at_a_time(kern, p, q,
                                                              seed=seed)
                 assert lo == pytest.approx(ref, rel=1e-12)
                 assert witness.shape == ref_witness.shape
+                assert _reproduced(kern, witness, p, q) == pytest.approx(
+                    lo, rel=1e-10)
+
+    def test_value_does_not_depend_on_the_block(self):
+        kern = random_kernel(16, 90, symmetric=False)
+        block = boyd_lower(kern, BOYD_PAIRS, seed=3)
+        for i, pair in enumerate(BOYD_PAIRS):
+            alone = boyd_lower(kern, [pair], seed=3)[0][0]
+            shared = boyd_lower(kern, [BOYD_PAIRS[-1 - i], pair],
+                                seed=3)[1][0]
+            assert alone == pytest.approx(block[i][0], rel=1e-13)
+            assert shared == pytest.approx(block[i][0], rel=1e-13)
 
     def test_zero_kernel_has_no_witness(self):
         kern = KernelMatrix(K=np.zeros((6, 6)), w=np.ones(6))
-        for p, q in BOYD_PAIRS:
-            assert boyd_lower(kern, p, q) == (0.0, None)
+        assert boyd_lower(kern, BOYD_PAIRS) == [(0.0, None)] * len(BOYD_PAIRS)
 
     def test_witness_reproduces_lower_bound(self):
         for seed in range(5):
             kern = random_kernel(10, seed + 20)
-            for p, q in BOYD_PAIRS:
-                lo, witness = boyd_lower(kern, p, q, seed=seed)
-                x = _lp_unit(witness, kern.w, p)
-                val = weighted_lp(kern.apply(x), kern.w, q)
-                assert val == pytest.approx(lo, rel=1e-10)
+            block = boyd_lower(kern, BOYD_PAIRS, seed=seed)
+            for (p, q), (lo, witness) in zip(BOYD_PAIRS, block):
+                assert _reproduced(kern, witness, p, q) == pytest.approx(
+                    lo, rel=1e-10)
 
     def test_deterministic(self):
         kern = random_kernel(10, 7)
-        a, wa = boyd_lower(kern, 1.5, 3.0, seed=5)
-        b, wb = boyd_lower(kern, 1.5, 3.0, seed=5)
-        assert a == b
-        assert np.array_equal(wa, wb)
+        a = boyd_lower(kern, BOYD_PAIRS, seed=5)
+        b = boyd_lower(kern, BOYD_PAIRS, seed=5)
+        for (va, wa), (vb, wb) in zip(a, b):
+            assert va == vb
+            assert np.array_equal(wa, wb)
 
     def test_exact_on_identity(self):
         kern = identity_kernel(6)
-        lo, _ = boyd_lower(kern, 1.5, 1.5)
+        [(lo, _)] = boyd_lower(kern, [(1.5, 1.5)])
         assert lo == pytest.approx(1.0, rel=1e-9)
+
+    def test_opnorm_is_a_one_pair_block(self):
+        kern = random_kernel(12, 11, symmetric=False)
+        est = opnorm(kern, 1.5, 3.0, seed=2)
+        [(lo, witness)] = boyd_lower(kern, [(1.5, 3.0)], seed=2)
+        assert est.lower == lo
+        assert np.array_equal(est.witness, witness)
 
 
 class TestCornerCache:
@@ -282,6 +309,18 @@ class TestOpnorm:
     def test_rejects_norm_decreasing_pairs(self):
         with pytest.raises(NormError):
             opnorm(random_kernel(5, 2), 3.0, 1.5)
+        with pytest.raises(NormError):
+            opnorms(random_kernel(5, 2), [(1.5, 3.0), (3.0, 1.5)])
+
+    def test_opnorms_matches_one_pair_calls(self):
+        kern = random_kernel(10, 61, symmetric=False)
+        pairs = [(1.5, 3.0), (2.0, 2.0), (1.0, 2.0), (2.0, 10.0)]
+        for (p, q), est in zip(pairs, opnorms(kern, pairs, seed=4)):
+            one = opnorm(kern, p, q, seed=4)
+            assert (est.p, est.q) == (p, q)
+            assert est.upper == one.upper
+            assert est.exact == one.exact
+            assert est.lower == pytest.approx(one.lower, rel=1e-13)
 
     def test_exact_pairs_tight(self):
         kern = random_kernel(10, 60)

@@ -135,6 +135,22 @@ class TestBandedSector:
             err = np.max(np.abs(op.apply_L(u) - ref))
             assert err <= 1e-13 * np.max(np.abs(ref))
 
+    def test_apply_L_on_columns_matches_one_column_at_a_time(self, rng):
+        g = build_radial_grid(5, 30.0, 200, "log")
+        op = assemble_sector(g, 2, 1.0)
+        U = rng.standard_normal((g.n, 7))
+        cols = np.column_stack([op.apply_L(U[:, j]) for j in range(7)])
+        assert np.array_equal(op.apply_L(U), cols)
+
+    @pytest.mark.parametrize("mode", ["uniform", "log"])
+    def test_apply_L_on_columns_matches_dense(self, mode, rng):
+        g = build_radial_grid(5, 30.0, 200, mode)
+        op = assemble_sector(g, 2, 1.0)
+        U = rng.standard_normal((g.n, 5))
+        ref = (op.S @ U) / g.w[:, None]
+        err = np.max(np.abs(op.apply_L(U) - ref))
+        assert err <= 1e-13 * np.max(np.abs(ref))
+
 
 class TestBoxOperator:
     def test_laplacian_symmetric(self, box_op_small, rng):
