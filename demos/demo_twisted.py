@@ -16,11 +16,25 @@ import math
 import numpy as np
 
 from biharmlab import (assemble_box, assemble_sector, build_box_grid,
-                       build_radial_grid, forme_inequality_check,
-                       m_theta_formula, make_phi, paper_rellich_constant,
-                       probe_functions, sector_angle, twist,
+                       build_radial_grid, forme_inequality_check, make_phi,
+                       paper_rellich_constant, probe_functions, twist,
                        twisted_decay_suite, twisted_form_terms)
 from biharmlab.grids import TANH_HESS_MAX
+
+
+def shifted_quotients(tw, k, samples, seed):
+    """Rayleigh quotients of A_{lam phi} + 2k(1+lam^4) in the W-inner
+    product, sampled at random complex u through the twisted form."""
+    rng = np.random.default_rng(seed)
+    shift = 2.0 * k * (1.0 + tw.lam**4)
+    n, w = tw.base.n, tw.base.w
+    quots = []
+    for _ in range(samples):
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        nrm2 = float(np.sum(w * np.abs(u) ** 2))
+        quots.append((tw.form(u) + shift * nrm2) / nrm2)
+    return np.asarray(quots)
+
 
 # expansion identity: discrepancy between the term sum and the direct
 # difference shrinks at order >= 1.5 in h
@@ -71,11 +85,17 @@ print(f"\ntwisted semigroup bounds hold: {res['ok']}")
 print(f"  empirical k_h = {res['k_h']:.3f}, Laplacian prefactor "
       f"M-hat = {res['m_hat']:.3f}")
 
-# paper's closed-form M_Theta at the sampled numerical-range half-angle of
-# the shifted twisted operators A_{lam phi} + 2 k_h (1 + lam^4)
-theta_emp = max(sector_angle(twist(op, lam, phi), max(res["k_h"], 1e-30),
-                             samples=50, seed=1).theta_hat for lam in lams)
-theta = max(0.5 * math.pi - theta_emp, 1e-3)
+# paper's closed-form M_Theta = 1/sqrt((1 - gamma) eta sin(Theta/4)) at
+# gamma = 1/2 and the sampled numerical-range half-angle of the shifted
+# twisted operators A_{lam phi} + 2 k_h (1 + lam^4), which are accretive
+quots = np.concatenate([
+    shifted_quotients(twist(op, lam, phi), max(res["k_h"], 1e-30),
+                      samples=50, seed=1) for lam in lams])
+assert np.all(quots.real > 0), "a shifted twisted quotient has Re <= 0"
+theta_emp = float(np.max(np.abs(np.angle(quots))))
+assert theta_emp < 0.5 * math.pi, f"half-angle {theta_emp} >= pi/2"
+theta = 0.5 * math.pi - theta_emp
 eta = 1.0 - op.c / paper_rellich_constant(g.N)
+m_theta = 1.0 / math.sqrt((1.0 - 0.5) * eta * math.sin(theta / 4.0))
 print(f"  sector half-angle {theta_emp:.4f} rad, closed-form "
-      f"M_Theta = {m_theta_formula(0.5, eta, theta):.3f}")
+      f"M_Theta = {m_theta:.3f}")

@@ -15,13 +15,13 @@ from .operators import (BoxOperator, SectorOperator, TwistedOperator,
                         paper_rellich_constant, twist, twisted_form_terms)
 from .spectral import (KernelMatrix, SemigroupEvaluator, SpectralDecomposition,
                        eigendecompose, inv_sqrt_apply, make_evaluator,
-                       riesz_apply, riesz_kernel, sector_angle)
+                       riesz_apply, riesz_kernel)
 from .norms import (NormEstimate, boyd_lower, corner_norm, interpolation_upper,
                     opnorm, opnorms)
 from .estimates import (DistanceEstimate, FitResult, davies_distance, decay_fit,
                         discrete_rellich, eta_h, extrapolation_check, gamma_pq,
                         lambda_optimizer_check, laplacian_decay_fit,
-                        m_theta_formula, offdiag_fit, reliable_window,
+                        offdiag_fit, reliable_window,
                         rellich_constant, remark_ball_inequality,
                         riesz_pnorm_sweep, solve_parabolic, twisted_decay_suite)
 

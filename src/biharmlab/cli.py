@@ -47,6 +47,19 @@ def _grid_mode(text: str) -> str:
     return text
 
 
+def _float_list(text: str) -> list:
+    """A comma list of one or more finite floats; empty items are
+    skipped."""
+    try:
+        values = [float(x) for x in text.split(",") if x.strip()]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not values or not all(math.isfinite(v) for v in values):
+        raise argparse.ArgumentTypeError(
+            f"need one or more finite values (got {text!r})")
+    return values
+
+
 # Every experiment option, once: command-line flag, config key, type,
 # default, help.  The name after the config section is the argparse dest;
 # a bool option is a switch that is off unless given.
@@ -60,10 +73,10 @@ OPTIONS = (
     ("--n", "grid.n", int, None, "radial node count"),
     ("--R", "grid.R", float, None, "outer radius"),
     ("--mode", "grid.mode", _grid_mode, None, "radial spacing: uniform or log"),
-    ("--t", "sweep.t", str, None, "comma list of times"),
-    ("--p", "sweep.p", str, None, "comma list of p values"),
-    ("--d", "sweep.d", str, None, "comma list of distances"),
-    ("--lam", "sweep.lam", str, None, "comma list of lambda values"),
+    ("--t", "sweep.t", _float_list, None, "comma list of times"),
+    ("--p", "sweep.p", _float_list, None, "comma list of p values"),
+    ("--d", "sweep.d", _float_list, None, "comma list of distances"),
+    ("--lam", "sweep.lam", _float_list, None, "comma list of lambda values"),
     ("--ell-max", "sweep.ell_max", int, 8, "largest angular index ell"),
 )
 CONFIG_KEYS = {key for _, key, _, _, _ in OPTIONS}
@@ -114,10 +127,6 @@ def config_defaults(cfg: dict) -> dict:
             raise ConfigError(f"bad value {text!r} for {key}: {exc}") from None
         out[key.split(".")[1]] = value
     return out
-
-
-def _floats(s: str):
-    return [float(x) for x in s.split(",") if x.strip()]
 
 
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
@@ -211,7 +220,7 @@ def run_rellich(args, man: report.RunManifest, out: str) -> None:
 
 def run_decay(args, man: report.RunManifest, out: str) -> None:
     grid = _radial_grid(args, man, 512)
-    ts = _floats(args.t) if args.t else list(np.geomspace(0.01, 0.1, 9))
+    ts = args.t or list(np.geomspace(0.01, 0.1, 9))
     rows = []
     curve_rows = []
     for c in dict.fromkeys((0.0, args.c)):      # distinct, in order
@@ -239,8 +248,8 @@ def run_offdiag(args, man: report.RunManifest, out: str) -> None:
     grid = _radial_grid(args, man, 1024, R=40.0)
     op = assemble_sector(grid, 0, args.c)
     ev = make_evaluator(op)
-    ds = _floats(args.d) if args.d else [3.0, 5.0, 8.0, 12.0]
-    ts = _floats(args.t) if args.t else list(np.geomspace(1e-3, 1e-2, 8))
+    ds = args.d or [3.0, 5.0, 8.0, 12.0]
+    ts = args.t or list(np.geomspace(1e-3, 1e-2, 8))
     E = Region.annulus(0.0, 1.0)
     Fs = [Region.annulus(d, math.inf) for d in ds]
     res = offdiag_fit(ev, E, Fs, ts)
@@ -279,7 +288,7 @@ def run_riesz(args, man: report.RunManifest, out: str) -> None:
     route_rel = float(np.linalg.norm(rs - rq) / np.linalg.norm(rs))
     grid2 = build_radial_grid(grid.N, grid.R, 2 * grid.n, grid.mode)
     op2 = assemble_sector(grid2, 0, args.c)
-    ps = _floats(args.p) if args.p else [1.3, 1.5, 1.8]
+    ps = args.p or [1.3, 1.5, 1.8]
     sweep = riesz_pnorm_sweep(op, ps, refined_op=op2)
     rows = [("route_rel_err", route_rel, "", "")]
     for p, entry in sorted(sweep.items()):
@@ -329,11 +338,11 @@ def run_twisted(args, man: report.RunManifest, out: str) -> None:
     # sector twisted semigroup suite
     grid = _radial_grid(args, man, 256)
     op = assemble_sector(grid, 0, args.c)
-    lams = _floats(args.lam) if args.lam else [0.5, 1.0, 2.0]
+    lams = args.lam or [0.5, 1.0, 2.0]
     R = grid.R
     phis = [make_phi(np.zeros(args.N), 1.0, -R / 3.0, kind="radial", grid=grid),
             make_phi(np.zeros(args.N), 2.0, -R / 2.0, kind="radial", grid=grid)]
-    ts = _floats(args.t) if args.t else list(np.geomspace(0.05, 0.5, 6))
+    ts = args.t or list(np.geomspace(0.05, 0.5, 6))
     rep = twisted_decay_suite(op, lams, phis, ts, seed=args.seed)
     rows = [(r["lam"], r["t"], r["norm"], r["bound"], r["lap_norm"],
              r["lap_bound"]) for r in rep["rows"]]
@@ -388,8 +397,8 @@ def run_solve(args, man: report.RunManifest, out: str) -> None:
     grid = _radial_grid(args, man, 256)
     op = assemble_sector(grid, 0, args.c)
     f = probe_functions(grid, 1, seed=args.seed)[0]
-    ts = _floats(args.t) if args.t else list(np.geomspace(0.01, 1.0, 10))
-    p = _floats(args.p)[0] if args.p else 1.5
+    ts = args.t or list(np.geomspace(0.01, 1.0, 10))
+    p = args.p[0] if args.p else 1.5
     traj = solve_parabolic(op, f, ts, p)
     rows = [(r["t"], r["norm_p"], r["seminorm_p"]) for r in traj["rows"]]
     path = os.path.join(out, "solve.csv")
@@ -403,7 +412,7 @@ def run_coercivity(args, man: report.RunManifest, out: str) -> None:
     """Positivity of A and 2->2 contractivity of its semigroup."""
     grid = _radial_grid(args, man, 512)
     op = assemble_sector(grid, 0, args.c)
-    ts = _floats(args.t) if args.t else list(np.geomspace(1e-3, 10.0, 12))
+    ts = args.t or list(np.geomspace(1e-3, 10.0, 12))
     ev = make_evaluator(op)
     norms = [corner_norm(ev.kernel(t), 2.0, 2.0) for t in ts]
     path = os.path.join(out, "contraction.csv")
@@ -466,12 +475,11 @@ def run_plot(args) -> int:
                if math.isfinite(x) and math.isfinite(y)]
         series.append((yc, [p[0] for p in pts], [p[1] for p in pts]))
     try:
-        guides = [(s, f"slope {s:g}") for s in _floats(args.guide or "")]
-        if not all(math.isfinite(s) for s, _ in guides):
-            raise ValueError("slopes must be finite")
-    except ValueError as exc:
+        slopes = _float_list(args.guide) if args.guide else []
+    except argparse.ArgumentTypeError as exc:
         print(f"bad --guide {args.guide!r}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    guides = [(s, f"slope {s:g}") for s in slopes]
     svg = report.svg_plot(series, xlabel=args.x, ylabel=",".join(ycols),
                           logx=args.logx, logy=args.logy, guides=guides,
                           title=os.path.basename(args.csv))
@@ -529,14 +537,9 @@ def _pin_blas_threads():
                 continue
             setter.argtypes, setter.restype = [ctypes.c_int], None
             getter.argtypes, getter.restype = [], ctypes.c_int
-            # Setting even an unchanged count raises the suite's peak RSS
-            # by about 16 MB (heap layout: the rise goes with a fixed
-            # glibc mmap threshold), so a count of 1 is left alone.
             found += 1
-            count = getter()
-            if count != 1:
-                previous.append((setter, count))
-                setter(1)
+            previous.append((setter, getter()))
+            setter(1)
             break
         else:
             pinned = False
@@ -546,6 +549,23 @@ def _pin_blas_threads():
             setter(count)
 
     return restore, pinned and found > 0
+
+
+M_MMAP_THRESHOLD = -3          # glibc's mallopt parameter number
+
+
+def _fix_mmap_threshold() -> None:
+    """Serve every allocation of 4 MiB or more from its own mapping.
+    glibc's default threshold rises as large blocks are freed, so the
+    peak RSS would follow the heap's history (a 16 MiB step in the
+    suite's peak).  Skipped where libc has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, 4 << 20)
 
 
 def main(argv=None) -> int:
@@ -561,6 +581,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    _fix_mmap_threshold()
     restore, pinned = _pin_blas_threads()
     if not pinned:
         print("warning: BLAS threads are not pinned; CSVs may differ "

@@ -24,7 +24,7 @@ from .norms import (NormEstimate, boyd_lower, interpolation_upper, l2_norm,
 from .operators import (SectorOperator, forme_inequality_check,
                         paper_rellich_constant, stiffness_bands, twist)
 from .spectral import (KernelMatrix, SemigroupEvaluator, _weighted_eigh,
-                       make_evaluator)
+                       make_evaluator, riesz_kernel)
 
 
 class EstimateError(ValueError):
@@ -395,17 +395,13 @@ def remark_ball_inequality(x, y, r: float) -> dict:
 
 # --------------------------------------------- twisted semigroup bounds
 
-def m_theta_formula(gamma: float, eta: float, theta: float) -> float:
-    """Closed form M_Theta = 1/sqrt((1-gamma) eta sin(Theta/4))."""
-    return 1.0 / math.sqrt((1.0 - gamma) * eta * math.sin(theta / 4.0))
-
-
-def _sym_part_minimizer(op: SectorOperator, tw) -> np.ndarray:
-    """Minimal eigenvector of the W-symmetric part of the twisted operator."""
-    A = tw.dense()
-    H = op.w[:, None] * A
-    H = 0.5 * (H + H.T)
-    _, Q = _weighted_eigh(H, op.w)
+def _sym_part_minimizer(tw) -> np.ndarray:
+    """Minimiser of Re a_{lam phi}(u) / ||u||_W^2 on a radial sector: the
+    lowest W-eigenvector of F_ij cosh(lam (phi_i - phi_j)), the symmetric
+    part of the twisted form u^* e^{lam phi} F e^{-lam phi} u."""
+    lp = tw.lam * tw.phi_values
+    H = tw.base.F * np.cosh(lp[:, None] - lp[None, :])
+    _, Q = _weighted_eigh(H, tw.base.w)
     return Q[:, 0]
 
 
@@ -431,7 +427,7 @@ def twisted_decay_suite(op: SectorOperator, lam_list, phi_list, t_list,
     for lam in lam_list:
         for phi in phi_list:
             tw = twist(op, lam, phi)
-            u_star = _sym_part_minimizer(op, tw)
+            u_star = _sym_part_minimizer(tw)
             pairs.append((lam, tw))
             samples.append((u_star, lam, phi))
             for u in probes:
@@ -511,14 +507,12 @@ def riesz_pnorm_sweep(op: SectorOperator, p_list,
                       refined_op: SectorOperator | None = None) -> dict:
     """Norm brackets of the Riesz transform R = L A^{-1/2} per p in p_list.
 
-    At p = 2 the weighted SVD value is asserted against eta_h^{-1/2}; for
-    p < 2 lower/upper brackets are reported, and if a refined operator is
-    given the lower-bound stability across refinement is included.  Each
-    kernel runs one dual-ascent block over all p; the refined kernel gets
-    only the lower bound that the stability reads.
+    p = 2 always gets the exact weighted SVD value, asserted against
+    eta_h^{-1/2}; every other p gets a lower/upper bracket.  If a refined
+    operator is given, the lower-bound stability across refinement is
+    included.  Each kernel runs one dual-ascent block over all p; the
+    refined kernel gets only the lower bound that the stability reads.
     """
-    from .spectral import riesz_kernel
-
     kern = riesz_kernel(op)
     eta = eta_h(op)
     results = {}
@@ -530,7 +524,7 @@ def riesz_pnorm_sweep(op: SectorOperator, p_list,
                     "ok": n22 <= eta**-0.5 + 1e-8}
     pairs = [(p, p) for p in p_list]
     for p, est in zip(p_list, opnorms(kern, pairs)):
-        results[p] = {"estimate": est}
+        results.setdefault(p, {"estimate": est})
     if refined_op is not None:
         lowers2 = boyd_lower(riesz_kernel(refined_op), pairs)
         for p, (lower2, _) in zip(p_list, lowers2):

@@ -2,9 +2,9 @@
 
 Upper bounds: exact corner formulas for the pairs (1,1), (inf,inf), (2,2),
 (1,2), (2,inf), (1,inf) plus anything with p = 1 or q = inf, combined by
-Riesz-Thorin interpolation along segments and inside triangles of corner
-points in (1/p, 1/q) coordinates.  Lower bounds: a dual-ascent fixed-point
-iteration (Boyd type) with an explicit witness function.
+Riesz-Thorin interpolation over triangles of corner points in (1/p, 1/q)
+coordinates.  Lower bounds: a dual-ascent fixed-point iteration (Boyd
+type) with an explicit witness function.
 """
 
 from __future__ import annotations
@@ -70,15 +70,12 @@ def corner_norm(kernel: KernelMatrix, p: float, q: float) -> float:
     K, w = kernel.K, kernel.w
     if p == 2.0 and q == 2.0:
         return l2_norm(K, w, w)
-    aK = np.abs(K)
     if p == 1.0:
-        if math.isinf(q):
-            return float(aK.max(initial=0.0))
         # columns K[:, j] are the images of w_j^{-1}-scaled deltas
-        return float(np.max(((w @ aK**q)) ** (1.0 / q)))
+        return float(np.max(weighted_lp(K, w, q)))
     if math.isinf(q):
-        pd = _dual(p)
-        return float(np.max(((aK**pd) @ w) ** (1.0 / pd)))
+        # rows K[i, :] are the functionals u -> (Tu)_i on L^p
+        return float(np.max(weighted_lp(K.T, w, _dual(p))))
     raise NormError(f"no exact formula for ({p}, {q})")
 
 
@@ -101,11 +98,12 @@ def _cached_corner(kernel: KernelMatrix, p: float, q: float) -> float:
 def interpolation_upper(kernel: KernelMatrix, p: float, q: float) -> float:
     """Riesz-Thorin upper bound at (1/p, 1/q) from the exact corner norms.
 
-    Exact pairs return their corner norm.  Otherwise searches convex
-    combinations over pairs and triples of corners; the norm bound is
-    log-convex, so exp of the interpolated log-norms is valid for any
-    combination hitting the target point exactly.  Corner norms are read
-    through the kernel's cache.
+    Exact pairs return their corner norm.  Otherwise the bound is the
+    least exp(sum_i theta_i log m_i) over convex weights theta on the
+    corners that hit the target point: a linear program with three
+    equality constraints, optimal at a triangle of corners (a segment is
+    a triangle with a zero weight).  Corner norms are read through the
+    kernel's cache.
     """
     if _has_exact(p, q):
         return _cached_corner(kernel, p, q)
@@ -116,19 +114,6 @@ def interpolation_upper(kernel: KernelMatrix, p: float, q: float) -> float:
         y = 0.0 if math.isinf(cq) else 1.0 / cq
         pts.append((x, y, _cached_corner(kernel, cp, cq)))
     best = math.inf
-    for (x0, y0, m0), (x1, y1, m1) in combinations(pts, 2):
-        dx, dy = x1 - x0, y1 - y0
-        den = dx * dx + dy * dy
-        if den == 0:
-            continue
-        th = ((tx - x0) * dx + (ty - y0) * dy) / den
-        if -1e-12 <= th <= 1 + 1e-12 and \
-                abs(x0 + th * dx - tx) < 1e-12 and abs(y0 + th * dy - ty) < 1e-12:
-            th = min(max(th, 0.0), 1.0)
-            if m0 > 0 and m1 > 0:
-                best = min(best, m0 ** (1 - th) * m1**th)
-            elif m0 == 0 or m1 == 0:
-                best = 0.0
     for (x0, y0, m0), (x1, y1, m1), (x2, y2, m2) in combinations(pts, 3):
         det = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
         if abs(det) < 1e-14:

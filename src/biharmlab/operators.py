@@ -121,9 +121,6 @@ class SectorOperator(WeightedForm):
     def apply_A(self, u: np.ndarray) -> np.ndarray:
         return (self.F @ u) / self.w
 
-    def dense_A(self) -> np.ndarray:
-        return self.F / self.w[:, None]
-
     @functools.cached_property
     def decomposition(self):
         """W-orthonormal eigendecomposition of A_h, computed on first use."""
@@ -210,20 +207,6 @@ class TwistedOperator:
     base: object
     lam: float
     phi_values: np.ndarray = field(repr=False)
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
-    def w(self) -> np.ndarray:
-        return self.base.w
-
-    def dense(self) -> np.ndarray:
-        if not isinstance(self.base, SectorOperator):
-            raise OperatorError("dense twisted matrix only on radial sectors")
-        d = np.exp(self.lam * self.phi_values)
-        return (self.base.dense_A() * (1.0 / d)[None, :]) * d[:, None]
 
     def form(self, u) -> complex:
         """Twisted form a_{lam phi}(u) = a(e^{-lam phi}u, e^{lam phi}u)."""

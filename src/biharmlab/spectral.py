@@ -1,6 +1,6 @@
 """Spectral calculus: eigendecompositions in the weighted inner product,
 semigroup evaluation e^{-zA}, inverse square root A^{-1/2} by two
-independent routes, kernels, and numerical-range (sector-angle) sampling.
+independent routes, and kernels.
 
 The semigroup (complex time inside the holomorphy sector), its kernels,
 A^{-1/2} and the Riesz transform are sector-only and read a radial
@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 
-from .operators import SectorOperator, TwistedOperator
+from .operators import SectorOperator
 
 DENSE_LIMIT = 8192
 QUADRATURE_NODES = 200  # trapezoid nodes of the A^{-1/2} time quadrature
@@ -215,31 +215,3 @@ def riesz_kernel(op: SectorOperator) -> KernelMatrix:
     if dec.mu[0] <= 0:
         raise SpectralError("indefinite operator: A^{-1/2} undefined")
     return KernelMatrix(K=op.apply_L(dec.synth_kernel(dec.mu**-0.5)), w=op.w)
-
-
-@dataclass
-class NumericalRangeEstimate:
-    """Sampled Rayleigh quotients of A_{lam phi} + 2k(1+lam^4) in the W-ip."""
-
-    quotients: np.ndarray
-    shift: float
-    theta_hat: float
-
-
-def sector_angle(tw: TwistedOperator, k: float, samples: int = 100,
-                 seed: int = 0) -> NumericalRangeEstimate:
-    """Half-angle of the sampled numerical range of A_{lam phi} + 2k(1+lam^4)."""
-    rng = np.random.default_rng(seed)
-    shift = 2.0 * k * (1.0 + tw.lam**4)
-    w = tw.w
-    quots = []
-    for _ in range(samples):
-        u = rng.standard_normal(tw.n) + 1j * rng.standard_normal(tw.n)
-        nrm2 = float(np.sum(w * np.abs(u) ** 2))
-        if nrm2 == 0.0:
-            continue
-        num = tw.form(u) + shift * nrm2
-        quots.append(num / nrm2)
-    quots = np.asarray(quots)
-    theta = float(np.max(np.abs(np.angle(quots))))
-    return NumericalRangeEstimate(quotients=quots, shift=shift, theta_hat=theta)

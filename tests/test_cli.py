@@ -83,7 +83,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("text", ["[tolerances]\nslope_tol = 0.1\n",
                                       "[grid]\nm = 8\n",
                                       "[grid]\nmode = cubic\n",
-                                      "[run]\nN = five\n"])
+                                      "[run]\nN = five\n",
+                                      "[sweep]\nt = ,\n",
+                                      "[sweep]\nlam = 0.5,nan\n"])
     def test_unused_or_malformed_config_is_config_error(self, tmp_path, text):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
@@ -155,6 +157,34 @@ class TestExitCodes:
         man = json.load(open(tmp_path / "solve" / "manifest.json"))
         assert man["error"].startswith("GridError: p >= 1 required")
         assert not (tmp_path / "solve" / "solve.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--p", ","], ["offdiag", "--d", ","], ["solve", "--t", ","],
+        ["twisted", "--lam", ","], ["riesz", "--p", ","],
+        ["solve", "--p", "nan"], ["decay", "--t", "0.01,inf"],
+        ["riesz", "--p", "1.5,two"],
+    ], ids=["solve-p-empty", "offdiag-d-empty", "solve-t-empty",
+            "twisted-lam-empty", "riesz-p-empty", "solve-p-nan",
+            "decay-t-inf", "riesz-p-word"])
+    def test_malformed_list_is_config_error(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--out", str(tmp_path)])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert f"error: argument {argv[1]}: " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_riesz_sweep_through_p_2_writes_its_manifest(self, tmp_path):
+        code = cli.main(["riesz", "--p", "1.5,2", "--n", "64",
+                         "--out", str(tmp_path)])
+        assert code in (cli.EXIT_OK, cli.EXIT_ASSERT)
+        man = json.load(open(tmp_path / "riesz" / "manifest.json"))
+        assert man["error"] is None
+        names = [chk["name"] for chk in man["checks"]]
+        assert {"riesz_l2_bound", "riesz_stability_p1.5",
+                "riesz_stability_p2.0"} <= set(names)
+        _, rows = report.read_csv(str(tmp_path / "riesz" / "riesz.csv"))
+        p2 = [row for row in rows if row[0] == "p=2.0"]
+        assert len(p2) == 1 and p2[0][1] == p2[0][2]    # exact: lower = upper
 
     def test_negative_time_exits_two_and_is_recorded(self, tmp_path, capsys):
         code = cli.main(["offdiag", "--n", "64", "--t=-0.002,0.001",

@@ -11,7 +11,7 @@ from biharmlab import (Region, assemble_sector, build_radial_grid, cli,
                        davies_distance, decay_fit, discrete_rellich,
                        estimates, eta_h, extrapolation_check,
                        lambda_optimizer_check, laplacian_decay_fit,
-                       m_theta_formula, make_evaluator, make_phi, norms,
+                       make_evaluator, make_phi, norms,
                        offdiag_fit, rellich_constant, remark_ball_inequality,
                        report, riesz_pnorm_sweep, solve_parabolic, twist,
                        twisted_decay_suite)
@@ -276,10 +276,6 @@ class TestDavies:
 
 
 class TestTwistedSuite:
-    def test_m_theta_reference_value(self):
-        assert m_theta_formula(0.5, 0.36, math.pi / 2) == pytest.approx(
-            3.8122, rel=1e-3)
-
     def test_bounds_hold_on_samples(self, op_c1, grid128):
         phi = make_phi(np.zeros(5), 2.0, b=-8.0, kind="radial", grid=grid128)
         ts = list(np.geomspace(0.06, 0.3, 4))

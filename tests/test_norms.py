@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from biharmlab import (assemble_sector, boyd_lower, build_radial_grid,
                        corner_norm, interpolation_upper, make_evaluator, norms,
@@ -95,6 +96,24 @@ class TestInterpolation:
         for p, q in [(1.0, 1.0), (2.0, 2.0), (1.0, math.inf)]:
             assert interpolation_upper(kern, p, q) == pytest.approx(
                 corner_norm(kern, p, q))
+
+    def test_equals_the_linear_program_over_the_six_corners(self):
+        # the least exp(sum_i theta_i log m_i) over convex weights theta on
+        # all six corners that hit (1/p, 1/q): an LP with no triangle in it
+        rng = np.random.default_rng(11)
+        xy = [[0.0 if math.isinf(c) else 1.0 / c for c in corner]
+              for corner in norms.CORNERS]
+        A_eq = np.vstack([np.ones(len(xy)), np.transpose(xy)])
+        for seed in range(200):
+            kern = random_kernel(6, seed, symmetric=bool(seed % 2))
+            x = rng.uniform(0.0, 1.0)
+            p, q = 1.0 / x, 1.0 / rng.uniform(0.0, x)
+            logm = np.log([corner_norm(kern, *c) for c in norms.CORNERS])
+            res = linprog(logm, A_eq=A_eq, b_eq=[1.0, 1.0 / p, 1.0 / q],
+                          bounds=(0.0, None), method="highs")
+            assert res.status == 0
+            assert interpolation_upper(kern, p, q) == pytest.approx(
+                math.exp(res.fun), rel=1e-12)
 
 
 def _boyd_one_start_at_a_time(kernel, p, q, restarts=BOYD_RESTARTS, seed=0):

@@ -3,11 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from biharmlab import (assemble_box, assemble_sector, build_box_grid,
                        build_radial_grid, forme_inequality_check, make_phi,
                        paper_rellich_constant, probe_functions, twist,
                        twisted_form_terms)
+from biharmlab.estimates import _sym_part_minimizer
 from biharmlab.grids import TANH_HESS_MAX, sphere_area
 from biharmlab.operators import OperatorError, stiffness_bands
 
@@ -41,10 +43,7 @@ class TestSectorOperator:
         assert abs(val.imag) < 1e-10 * max(abs(val.real), 1.0)
 
     def test_positive_definite_subcritical(self, op_c1):
-        import scipy.linalg as sla
-        W = np.diag(op_c1.w)
-        F = W @ op_c1.dense_A()
-        mu = sla.eigh(0.5 * (F + F.T), W, eigvals_only=True)
+        mu = sla.eigh(op_c1.F, np.diag(op_c1.w), eigvals_only=True)
         assert mu.min() > 0
 
     def test_coercivity_slack(self, op_c1, grid128):
@@ -196,12 +195,29 @@ class TestBoxOperator:
 
 
 class TestTwistedOperator:
-    def test_similarity_spectrum(self, grid128, op_c1):
+    @pytest.mark.parametrize("lam", [0.0, 0.7, 2.0])
+    def test_sym_part_minimizer_minimizes_the_form(
+            self, grid128, op_c1, rng, lam):
+        # Re a_{lam phi}(u) / ||u||_W^2 is least at the minimiser, and its
+        # value there is the least W-eigenvalue of the symmetric part
         phi = make_phi(np.zeros(5), 2.0, b=-8.0, kind="radial", grid=grid128)
-        tw = twist(op_c1, 0.7, phi)
-        a = np.sort(np.linalg.eigvals(op_c1.dense_A()).real)
-        b = np.sort(np.linalg.eigvals(tw.dense()).real)
-        assert np.max(np.abs(a - b)) / np.max(np.abs(a)) < 1e-8
+        tw = twist(op_c1, lam, phi)
+
+        def quotient(u):
+            return tw.form(u).real / float(op_c1.w @ np.abs(u) ** 2)
+
+        u_star = _sym_part_minimizer(tw)
+        q_star = quotient(u_star)
+        d = np.exp(lam * tw.phi_values)
+        H = op_c1.F * d[:, None] / d[None, :]      # W A_{lam phi}
+        mu = sla.eigvalsh(0.5 * (H + H.T), np.diag(op_c1.w))
+        assert q_star == pytest.approx(mu[0], rel=1e-8)
+        for _ in range(200):
+            u = rng.standard_normal(op_c1.n)
+            assert q_star <= quotient(u)
+        for scale in (1e-3, 1e-1):
+            du = scale * rng.standard_normal(op_c1.n) * np.max(np.abs(u_star))
+            assert q_star <= quotient(u_star + du) + 1e-12 * abs(q_star)
 
     def test_lambda_zero_is_identity_conjugation(self, grid128, op_c1, rng):
         phi = make_phi(np.zeros(5), 2.0, b=-8.0, kind="radial", grid=grid128)

@@ -7,8 +7,8 @@ import scipy.linalg as sla
 
 from biharmlab import (assemble_sector, build_radial_grid, eigendecompose,
                        inv_sqrt_apply, laplacian_decay_fit, make_evaluator,
-                       make_phi, riesz_apply, riesz_kernel, sector_angle,
-                       spectral, twist, twisted_decay_suite)
+                       make_phi, riesz_apply, riesz_kernel, spectral,
+                       twisted_decay_suite)
 from biharmlab.norms import corner_norm
 from biharmlab.spectral import SpectralError, _weighted_eigh, quadrature_nodes
 
@@ -167,20 +167,6 @@ class TestRiesz:
         R = riesz_kernel(op_c1)
         a = riesz_apply(op_c1, u, "spectral")
         assert np.allclose(R.apply(u), a, rtol=1e-10, atol=1e-12)
-
-
-class TestSectorAngle:
-    def test_untwisted_self_adjoint_angle_zero(self, op_c1):
-        tw = twist(op_c1, 0.0, radial_phi(op_c1))
-        est = sector_angle(tw, k=1.0, samples=50)
-        assert est.theta_hat <= 1e-10
-        assert np.all(est.quotients.real > 0)
-
-    def test_twisted_accretive_with_shift(self, op_c1):
-        tw = twist(op_c1, 1.0, radial_phi(op_c1))
-        est = sector_angle(tw, k=10.0, samples=100)
-        assert np.all(est.quotients.real > 0)
-        assert est.theta_hat < 0.5 * math.pi
 
 
 def radial_phi(op):
