@@ -9,8 +9,6 @@ a weighted generalized eigenvalue problem with power-law tail matching,
 and watch the error shrink as the grid is refined.
 """
 
-import numpy as np
-
 from biharmlab import build_radial_grid, paper_rellich_constant, rellich_constant
 
 target = paper_rellich_constant(5)

@@ -1,12 +1,14 @@
 """Command-line driver: reproducible experiment runs with CSV artifacts,
 a JSON run manifest, and optional SVG plots.
 
-Subcommands front the estimate-lab operations of the same name; `suite`
-runs the full verification set.  Exit codes: 0 all enabled assertions
-pass, 1 an assertion failed, 2 configuration error, or an experiment
-stopped by an error (a grid, operator or spectral error, such as an
-indefinite operator); that experiment's manifest records the error, and
-`suite` still runs the experiments after it.
+Each experiment in `EXPERIMENTS` has a subcommand of its name; `suite`
+runs them all, in table order, each writing its tables and manifest under
+`<out>/<name>` through a `report.RunManifest`.  A report-only run (c >=
+C* with --allow-supercritical) records no checks.  Exit codes: 0 all
+recorded checks pass, 1 a check failed, 2 configuration error, or an
+experiment stopped by an error (a grid, operator or spectral error, such
+as an indefinite operator); that experiment's manifest records the
+error, and `suite` still runs the experiments after it.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ def _grid_mode(text: str) -> str:
 
 
 def _float_list(text: str) -> list:
-    """A comma list of one or more finite floats; empty items are
-    skipped."""
+    """A comma list of one or more finite floats, each kept once in
+    first-seen order; empty items are skipped."""
     try:
         values = [float(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
@@ -57,7 +59,7 @@ def _float_list(text: str) -> list:
     if not values or not all(math.isfinite(v) for v in values):
         raise argparse.ArgumentTypeError(
             f"need one or more finite values (got {text!r})")
-    return values
+    return list(dict.fromkeys(values))
 
 
 # Every experiment option, once: command-line flag, config key, type,
@@ -79,54 +81,42 @@ OPTIONS = (
     ("--lam", "sweep.lam", _float_list, None, "comma list of lambda values"),
     ("--ell-max", "sweep.ell_max", int, 8, "largest angular index ell"),
 )
-CONFIG_KEYS = {key for _, key, _, _, _ in OPTIONS}
 
 
-def parse_config(path: str) -> dict:
-    """Line-oriented `key = value` file with [section] headers; unknown
-    sections or keys are hard errors."""
-    sections = {key.split(".")[0] for key in CONFIG_KEYS}
-    cfg = {}
+def read_config(path: str) -> dict:
+    """Typed option values (dest -> value) from a line-oriented
+    `key = value` file with [section] headers; an unknown section or key,
+    or a value its option cannot parse, is a hard error."""
+    types = {key: typ for _, key, typ, _, _ in OPTIONS}
+    sections = {key.split(".")[0] for key in types}
+    values = {}
     section = "run"
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
+            where = f"{path}:{lineno}"
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if line.startswith("[") and line.endswith("]"):
                 section = line[1:-1].strip()
                 if section not in sections:
-                    raise ConfigError(f"{path}:{lineno}: unknown section "
-                                      f"[{section}]")
+                    raise ConfigError(f"{where}: unknown section [{section}]")
                 continue
             if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
+                raise ConfigError(f"{where}: expected key = value")
             key, val = (s.strip() for s in line.split("=", 1))
-            if f"{section}.{key}" not in CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r} in "
+            typ = types.get(f"{section}.{key}")
+            if typ is None:
+                raise ConfigError(f"{where}: unknown key {key!r} in "
                                   f"[{section}]")
-            cfg[f"{section}.{key}"] = val
-    return cfg
-
-
-def config_defaults(cfg: dict) -> dict:
-    """Typed parser defaults (dest -> value) from `parse_config` output."""
-    out = {}
-    for _, key, typ, _, _ in OPTIONS:
-        if key not in cfg:
-            continue
-        text = cfg[key]
-        try:
-            if typ is bool:
-                if text.lower() not in ("true", "false"):
+            try:
+                if typ is bool and val.lower() not in ("true", "false"):
                     raise ValueError("expected true or false")
-                value = text.lower() == "true"
-            else:
-                value = typ(text)
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise ConfigError(f"bad value {text!r} for {key}: {exc}") from None
-        out[key.split(".")[1]] = value
-    return out
+                values[key] = val.lower() == "true" if typ is bool else typ(val)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ConfigError(f"{where}: bad value {val!r} for "
+                                  f"{section}.{key}: {exc}") from None
+    return values
 
 
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
@@ -148,8 +138,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
         else:
             common.add_argument(flag, dest=dest, type=typ, default=default,
                                 help=help_text)
-    for name in ("rellich", "decay", "offdiag", "riesz", "twisted", "distance",
-                 "solve", "suite"):
+    for name in (*EXPERIMENTS, "suite"):
         sub.add_parser(name, parents=[common])
     pp = sub.add_parser("plot")
     pp.add_argument("csv")
@@ -163,7 +152,9 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     return ap
 
 
-def validate(args) -> None:
+def validate(args) -> bool:
+    """Reject a bad run configuration; returns whether the run is
+    report-only (c >= C*, admitted by --allow-supercritical)."""
     if args.N < 5:
         raise ConfigError("N >= 5 required")
     if args.ell_max < 0:
@@ -174,21 +165,12 @@ def validate(args) -> None:
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"{flag} must be finite (got {value})")
     cstar = paper_rellich_constant(args.N)
-    if args.c >= cstar and not args.allow_supercritical:
+    report_only = args.c >= cstar
+    if report_only and not args.allow_supercritical:
         raise ConfigError(
             f"c = {args.c} >= C* = {cstar}; pass --allow-supercritical "
             "for exploratory (report-only) runs")
-
-
-def _outdir(args, experiment: str) -> str:
-    d = os.path.join(args.out, experiment)
-    os.makedirs(d, exist_ok=True)
-    return d
-
-
-def _asserting(args) -> bool:
-    return not (args.allow_supercritical
-                and args.c >= paper_rellich_constant(args.N))
+    return report_only
 
 
 def _radial_grid(args, man: report.RunManifest, n: int, R: float = 30.0,
@@ -202,14 +184,30 @@ def _radial_grid(args, man: report.RunManifest, n: int, R: float = 30.0,
     return grid
 
 
-def run_rellich(args, man: report.RunManifest, out: str) -> None:
+def run_coercivity(args, man: report.RunManifest) -> None:
+    """Positivity of A and 2->2 contractivity of its semigroup."""
+    grid = _radial_grid(args, man, 512)
+    op = assemble_sector(grid, 0, args.c)
+    ts = args.t or list(np.geomspace(1e-3, 10.0, 12))
+    ev = make_evaluator(op)
+    norms = [corner_norm(ev.kernel(t), 2.0, 2.0) for t in ts]
+    man.table("contraction.csv", ("t", "norm_2_2"), list(zip(ts, norms)))
+    mu_1 = op.decomposition.mu[0]
+    man.add_check("positive_definite", mu_1 > 0, f"mu_1 = {report.fmt(mu_1)}")
+    # the smallest margin under the bound; a NaN norm makes it NaN
+    slack = float(np.min(1.0 + 1e-12 - np.asarray(norms), initial=math.inf))
+    gram = op.decomposition.gram_norm
+    man.add_check("semigroup_contractive", slack >= 0.0,
+                  f"gram_norm - 1 = {report.fmt(gram - 1.0)}, "
+                  f"min slack {report.fmt(slack)}")
+
+
+def run_rellich(args, man: report.RunManifest) -> None:
     grid = _radial_grid(args, man, 2000, R=1e3, mode="log")
     res = rellich_constant(grid, ell_max=args.ell_max)
     target = res["target"]
     rows = [(ell, val, target) for ell, val in res["per_sector"].items()]
-    path = os.path.join(out, "rellich.csv")
-    report.write_csv(path, ("ell", "constant", "target"), rows)
-    man.add_file(path)
+    man.table("rellich.csv", ("ell", "constant", "target"), rows)
     rel = abs(res["min"] - target) / target
     man.add_check("rellich_within_10pct", rel <= 0.10,
                   f"C*_h = {report.fmt(res['min'])}, target "
@@ -218,7 +216,7 @@ def run_rellich(args, man: report.RunManifest, out: str) -> None:
                   f"argmin ell = {res['argmin_ell']}")
 
 
-def run_decay(args, man: report.RunManifest, out: str) -> None:
+def run_decay(args, man: report.RunManifest) -> None:
     grid = _radial_grid(args, man, 512)
     ts = args.t or list(np.geomspace(0.01, 0.1, 9))
     rows = []
@@ -232,19 +230,14 @@ def run_decay(args, man: report.RunManifest, out: str) -> None:
             rows.append((c, 2.0, q, fit.exponent, fit.target, fit.residual))
             for tv, nv in zip(fit.params["t_values"], fit.params["norm_values"]):
                 curve_rows.append((c, q, tv, nv))
-            if _asserting(args):
-                man.add_check(f"decay_slope_c{c}_q{q}", rel <= 0.15,
-                              f"slope {report.fmt(fit.exponent)} "
-                              f"target {report.fmt(fit.target)}")
-    path = os.path.join(out, "decay.csv")
-    report.write_csv(path, ("c", "p", "q", "slope", "target", "residual"), rows)
-    man.add_file(path)
-    path = os.path.join(out, "decay_curve.csv")
-    report.write_csv(path, ("c", "q", "t", "norm_upper"), curve_rows)
-    man.add_file(path)
+            man.add_check(f"decay_slope_c{c}_q{q}", rel <= 0.15,
+                          f"slope {report.fmt(fit.exponent)} "
+                          f"target {report.fmt(fit.target)}")
+    man.table("decay.csv", ("c", "p", "q", "slope", "target", "residual"), rows)
+    man.table("decay_curve.csv", ("c", "q", "t", "norm_upper"), curve_rows)
 
 
-def run_offdiag(args, man: report.RunManifest, out: str) -> None:
+def run_offdiag(args, man: report.RunManifest) -> None:
     grid = _radial_grid(args, man, 1024, R=40.0)
     op = assemble_sector(grid, 0, args.c)
     ev = make_evaluator(op)
@@ -265,20 +258,17 @@ def run_offdiag(args, man: report.RunManifest, out: str) -> None:
     if jf is not None:
         rows.append(("joint_c1_c2", 0.0, jf.params["c1"], jf.params["c2"],
                      jf.residual))
-    path = os.path.join(out, "offdiag.csv")
-    report.write_csv(path, ("fit", "fixed", "value", "target", "residual"),
-                     rows)
-    man.add_file(path)
-    if _asserting(args):
-        dist_ok = any(f.relative_error() <= 0.15 for f in res["distance_fits"])
-        man.add_check("offdiag_distance_exponent", dist_ok,
-                      "best distance-exponent fit vs 4/3")
-        man.add_check("offdiag_time_exponent",
-                      tf is not None and tf.relative_error() <= 0.15,
-                      "time-exponent fit vs 1/3")
+    man.table("offdiag.csv", ("fit", "fixed", "value", "target", "residual"),
+              rows)
+    dist_ok = any(f.relative_error() <= 0.15 for f in res["distance_fits"])
+    man.add_check("offdiag_distance_exponent", dist_ok,
+                  "best distance-exponent fit vs 4/3")
+    man.add_check("offdiag_time_exponent",
+                  tf is not None and tf.relative_error() <= 0.15,
+                  "time-exponent fit vs 1/3")
 
 
-def run_riesz(args, man: report.RunManifest, out: str) -> None:
+def run_riesz(args, man: report.RunManifest) -> None:
     grid = _radial_grid(args, man, 512)
     op = assemble_sector(grid, 0, args.c)
     rng = np.random.default_rng(args.seed)
@@ -287,6 +277,7 @@ def run_riesz(args, man: report.RunManifest, out: str) -> None:
     rq = riesz_apply(op, u, "quadrature")
     route_rel = float(np.linalg.norm(rs - rq) / np.linalg.norm(rs))
     grid2 = build_radial_grid(grid.N, grid.R, 2 * grid.n, grid.mode)
+    man.add_hash("grid_refined", grid2.content_hash())
     op2 = assemble_sector(grid2, 0, args.c)
     ps = args.p or [1.3, 1.5, 1.8]
     sweep = riesz_pnorm_sweep(op, ps, refined_op=op2)
@@ -295,21 +286,18 @@ def run_riesz(args, man: report.RunManifest, out: str) -> None:
         est = entry["estimate"]
         rows.append((f"p={p}", est.lower, est.upper,
                      entry.get("stability", "")))
-    path = os.path.join(out, "riesz.csv")
-    report.write_csv(path, ("quantity", "lower", "upper", "stability"), rows)
-    man.add_file(path)
-    if _asserting(args):
-        man.add_check("riesz_routes_agree", route_rel <= 1e-6,
-                      f"rel err {report.fmt(route_rel)}")
-        man.add_check("riesz_l2_bound", sweep[2.0]["ok"],
-                      f"||R||_2 = {report.fmt(sweep[2.0]['estimate'].upper)} vs "
-                      f"eta_h^-1/2 = {report.fmt(sweep[2.0]['eta_bound'])}")
-        for p in ps:
-            man.add_check(f"riesz_stability_p{p}", sweep[p]["stable"],
-                          f"change {report.fmt(sweep[p]['stability'])}")
+    man.table("riesz.csv", ("quantity", "lower", "upper", "stability"), rows)
+    man.add_check("riesz_routes_agree", route_rel <= 1e-6,
+                  f"rel err {report.fmt(route_rel)}")
+    man.add_check("riesz_l2_bound", sweep[2.0]["ok"],
+                  f"||R||_2 = {report.fmt(sweep[2.0]['estimate'].upper)} vs "
+                  f"eta_h^-1/2 = {report.fmt(sweep[2.0]['eta_bound'])}")
+    for p in ps:
+        man.add_check(f"riesz_stability_p{p}", sweep[p]["stable"],
+                      f"change {report.fmt(sweep[p]['stability'])}")
 
 
-def run_twisted(args, man: report.RunManifest, out: str) -> None:
+def run_twisted(args, man: report.RunManifest) -> None:
     # box refinement study of the twisted-form expansion
     e = np.zeros(args.N)
     e[0], e[1] = 0.8, 0.6
@@ -328,12 +316,9 @@ def run_twisted(args, man: report.RunManifest, out: str) -> None:
     orders = [math.log(discs[i] / discs[i + 1]) / math.log(hs[i] / hs[i + 1])
               for i in range(len(discs) - 1)]
     rows = [(m, h, d) for m, h, d in zip((8, 12, 16), hs, discs)]
-    path = os.path.join(out, "twisted_expansion.csv")
-    report.write_csv(path, ("m", "h", "discrepancy"), rows)
-    man.add_file(path)
-    if _asserting(args):
-        man.add_check("twisted_expansion_order", min(orders) >= 1.5,
-                      f"orders {', '.join(map(report.fmt, orders))}")
+    man.table("twisted_expansion.csv", ("m", "h", "discrepancy"), rows)
+    man.add_check("twisted_expansion_order", min(orders) >= 1.5,
+                  f"orders {', '.join(map(report.fmt, orders))}")
 
     # sector twisted semigroup suite
     grid = _radial_grid(args, man, 256)
@@ -346,23 +331,19 @@ def run_twisted(args, man: report.RunManifest, out: str) -> None:
     rep = twisted_decay_suite(op, lams, phis, ts, seed=args.seed)
     rows = [(r["lam"], r["t"], r["norm"], r["bound"], r["lap_norm"],
              r["lap_bound"]) for r in rep["rows"]]
-    path = os.path.join(out, "twisted_semigroup.csv")
-    report.write_csv(path, ("lam", "t", "norm", "bound", "lap_norm",
-                            "lap_bound"), rows)
-    man.add_file(path)
-    if _asserting(args):
-        man.add_check("twisted_semigroup_bounds", rep["ok"],
-                      f"k_h {report.fmt(rep['k_h'])} "
-                      f"M-hat {report.fmt(rep['m_hat'])}")
+    man.table("twisted_semigroup.csv", ("lam", "t", "norm", "bound",
+                                        "lap_norm", "lap_bound"), rows)
+    man.add_check("twisted_semigroup_bounds", rep["ok"],
+                  f"k_h {report.fmt(rep['k_h'])} "
+                  f"M-hat {report.fmt(rep['m_hat'])}")
     # t^{-1/2} fit at c=0
     op0 = assemble_sector(grid, 0, 0.0)
     fit = laplacian_decay_fit(op0, np.geomspace(0.01, 0.1, 8))
-    if _asserting(args):
-        man.add_check("laplacian_decay_half", fit.relative_error() <= 0.10,
-                      f"slope {report.fmt(fit.exponent)}")
+    man.add_check("laplacian_decay_half", fit.relative_error() <= 0.10,
+                  f"slope {report.fmt(fit.exponent)}")
 
 
-def run_distance(args, man: report.RunManifest, out: str) -> None:
+def run_distance(args, man: report.RunManifest) -> None:
     rng = np.random.default_rng(args.seed)
     count = 50
     rows = []
@@ -383,17 +364,15 @@ def run_distance(args, man: report.RunManifest, out: str) -> None:
         rem = remark_ball_inequality(c1, c2, min(r1, r2))
         ok_all = ok_all and ok and rem["ok"]
         rows.append((i, est.d_e, est.d_lb, est.bracket[1], ok, rem["ok"]))
-    path = os.path.join(out, "distance.csv")
-    report.write_csv(path, ("pair", "d_e", "d_lb", "bracket_top", "in_bracket",
-                            "remark_ok"), rows)
-    man.add_file(path)
+    man.table("distance.csv", ("pair", "d_e", "d_lb", "bracket_top",
+                               "in_bracket", "remark_ok"), rows)
     man.add_check("davies_distance_bracket", ok_all, f"{count} random pairs")
     res = lambda_optimizer_check(0.25, 1.0, 1.0)
     man.add_check("lambda_optimizer", res["ok"],
                   f"rel err {report.fmt(res['rel_err_lam'])}")
 
 
-def run_solve(args, man: report.RunManifest, out: str) -> None:
+def run_solve(args, man: report.RunManifest) -> None:
     grid = _radial_grid(args, man, 256)
     op = assemble_sector(grid, 0, args.c)
     f = probe_functions(grid, 1, seed=args.seed)[0]
@@ -401,37 +380,15 @@ def run_solve(args, man: report.RunManifest, out: str) -> None:
     p = args.p[0] if args.p else 1.5
     traj = solve_parabolic(op, f, ts, p)
     rows = [(r["t"], r["norm_p"], r["seminorm_p"]) for r in traj["rows"]]
-    path = os.path.join(out, "solve.csv")
-    report.write_csv(path, ("t", "norm_p", "seminorm_p"), rows)
-    man.add_file(path)
+    man.table("solve.csv", ("t", "norm_p", "seminorm_p"), rows)
     finite = all(math.isfinite(r["seminorm_p"]) for r in traj["rows"])
     man.add_check("solution_seminorm_finite", finite, f"p = {p}")
 
 
-def run_coercivity(args, man: report.RunManifest, out: str) -> None:
-    """Positivity of A and 2->2 contractivity of its semigroup."""
-    grid = _radial_grid(args, man, 512)
-    op = assemble_sector(grid, 0, args.c)
-    ts = args.t or list(np.geomspace(1e-3, 10.0, 12))
-    ev = make_evaluator(op)
-    norms = [corner_norm(ev.kernel(t), 2.0, 2.0) for t in ts]
-    path = os.path.join(out, "contraction.csv")
-    report.write_csv(path, ("t", "norm_2_2"), list(zip(ts, norms)))
-    man.add_file(path)
-    if _asserting(args):
-        mu_1 = op.decomposition.mu[0]
-        man.add_check("positive_definite", mu_1 > 0,
-                      f"mu_1 = {report.fmt(mu_1)}")
-        # the smallest margin under the bound; a NaN norm makes it NaN
-        slack = float(np.min(1.0 + 1e-12 - np.asarray(norms),
-                             initial=math.inf))
-        gram = op.decomposition.gram_norm
-        man.add_check("semigroup_contractive", slack >= 0.0,
-                      f"gram_norm - 1 = {report.fmt(gram - 1.0)}, "
-                      f"min slack {report.fmt(slack)}")
-
-
-SUBCOMMANDS = {
+# Every experiment, once, in suite order: each has a subcommand of its
+# name and writes its files under `<out>/<name>`.
+EXPERIMENTS = {
+    "coercivity": run_coercivity,
     "rellich": run_rellich,
     "decay": run_decay,
     "offdiag": run_offdiag,
@@ -448,13 +405,10 @@ def run_plot(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"cannot read {args.csv}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.x not in header:
-        print(f"column {args.x!r} missing from {args.csv}", file=sys.stderr)
-        return EXIT_CONFIG
     ycols = args.y.split(",")
-    for yc in ycols:
-        if yc not in header:
-            print(f"column {yc!r} missing from {args.csv}", file=sys.stderr)
+    for name in (args.x, *ycols):
+        if name not in header:
+            print(f"column {name!r} missing from {args.csv}", file=sys.stderr)
             return EXIT_CONFIG
     xi = header.index(args.x)
 
@@ -574,9 +528,8 @@ def main(argv=None) -> int:
         return run_plot(args)
     try:
         if args.config is not None:
-            defaults = config_defaults(parse_config(args.config))
-            args = build_parser(defaults).parse_args(argv)
-        validate(args)
+            args = build_parser(read_config(args.config)).parse_args(argv)
+        report_only = validate(args)
     except (ConfigError, GridError, OperatorError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -587,34 +540,26 @@ def main(argv=None) -> int:
         print("warning: BLAS threads are not pinned; CSVs may differ "
               "between thread counts", file=sys.stderr)
     try:
-        if args.cmd == "suite":
-            experiments = [("coercivity", run_coercivity)] + \
-                list(SUBCOMMANDS.items())
-        else:
-            experiments = [(args.cmd, SUBCOMMANDS[args.cmd])]
-        ok = True
-        errored = False
-        for name, fn in experiments:
-            out = _outdir(args, name)
-            man = report.RunManifest({
-                "experiment": name, "N": args.N, "c": args.c,
-                "seed": args.seed,
-            })
+        manifests = []
+        for name in EXPERIMENTS if args.cmd == "suite" else [args.cmd]:
+            man = report.RunManifest({"experiment": name, "N": args.N,
+                                      "c": args.c, "seed": args.seed},
+                                     os.path.join(args.out, name), report_only)
             try:
-                fn(args, man, out)
+                EXPERIMENTS[name](args, man)
             except (GridError, OperatorError, SpectralError,
                     ValueError) as exc:
                 man.error = f"{type(exc).__name__}: {exc}"
-            man.write(os.path.join(out, "manifest.json"))
+            man.write()
             for check in man.checks:
                 status = "PASS" if check["pass"] else "FAIL"
                 print(f"[{status}] {name}:{check['name']} {check['detail']}")
             if man.error is not None:
                 print(f"error in {name}: {man.error}", file=sys.stderr)
-                errored = True
-            ok = ok and man.all_pass
-        if errored:
+            manifests.append(man)
+        if any(man.error is not None for man in manifests):
             return EXIT_CONFIG
+        ok = all(man.all_pass for man in manifests)
         return EXIT_OK if ok else EXIT_ASSERT
     finally:
         restore()

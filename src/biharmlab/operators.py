@@ -128,6 +128,15 @@ class SectorOperator(WeightedForm):
         return spectral.eigendecompose(self)
 
 
+def _warn_supercritical(N: int, c: float) -> None:
+    """Warn the caller of an assembly that c >= C*."""
+    cstar = paper_rellich_constant(N)
+    if c >= cstar:
+        warnings.warn(
+            f"c = {c} >= C* = {cstar}: discrete A may be indefinite",
+            stacklevel=3)
+
+
 def assemble_sector(grid: RadialGrid, ell: int = 0, c: float = 0.0) -> SectorOperator:
     """Sector ell of A: the flux-form radial Laplacian with zero flux at
     the inner face (the innermost cell sees no flux from the origin side)
@@ -135,11 +144,7 @@ def assemble_sector(grid: RadialGrid, ell: int = 0, c: float = 0.0) -> SectorOpe
     semidefinite."""
     if ell < 0:
         raise OperatorError("angular index ell must be >= 0")
-    cstar = paper_rellich_constant(grid.N)
-    if c >= cstar:
-        warnings.warn(
-            f"c = {c} >= C* = {cstar}: discrete A may be indefinite",
-            stacklevel=2)
+    _warn_supercritical(grid.N, c)
     N, r, faces = grid.N, grid.r, grid.faces
     a, diag = stiffness_bands(grid)
     diag[-1] -= sphere_area(N) * faces[-1] ** (N - 1) / (faces[-1] - r[-1])
@@ -192,11 +197,7 @@ class BoxOperator(WeightedForm):
 
 
 def assemble_box(grid: BoxGrid, c: float = 0.0) -> BoxOperator:
-    cstar = paper_rellich_constant(grid.N)
-    if c >= cstar:
-        warnings.warn(
-            f"c = {c} >= C* = {cstar}: discrete A may be indefinite",
-            stacklevel=2)
+    _warn_supercritical(grid.N, c)
     return BoxOperator(grid=grid, c=float(c))
 
 

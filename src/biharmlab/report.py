@@ -47,32 +47,43 @@ def read_csv(path: str) -> tuple:
 
 
 class RunManifest:
-    """Accumulates config echo, content hashes, per-check pass/fail and the
-    artifact list; written atomically at the end of the run.  `error` holds
-    the error that stopped the experiment, if one did."""
+    """One experiment's output directory `out`: its CSV tables and a
+    manifest of config echo, content hashes, per-check pass/fail and the
+    table list, written atomically at the end of the run.  A report-only
+    run records no checks.  `error` holds the error that stopped the
+    experiment, if one did."""
 
-    def __init__(self, config: dict):
-        self.config = config
+    def __init__(self, config: dict, out: str, report_only: bool):
+        self.config = {**config, "report_only": report_only}
+        self.out = out
+        self.report_only = report_only
         self.hashes = {}
         self.checks = []
         self.files = []
         self.error = None
         self._t0 = time.monotonic()
+        os.makedirs(out, exist_ok=True)
 
     def add_hash(self, name: str, value: str) -> None:
         self.hashes[name] = value
 
     def add_check(self, name: str, ok: bool, detail: str = "") -> None:
-        self.checks.append({"name": name, "pass": bool(ok), "detail": detail})
+        if not self.report_only:
+            self.checks.append({"name": name, "pass": bool(ok),
+                                "detail": detail})
 
-    def add_file(self, path: str) -> None:
+    def table(self, name: str, header, rows) -> None:
+        """Write the CSV table `<out>/<name>` and list it."""
+        path = os.path.join(self.out, name)
+        write_csv(path, header, rows)
         self.files.append(path)
 
     @property
     def all_pass(self) -> bool:
         return self.error is None and all(c["pass"] for c in self.checks)
 
-    def write(self, path: str) -> None:
+    def write(self) -> None:
+        """Write `<out>/manifest.json`."""
         body = {
             "config": self.config,
             "hashes": self.hashes,
@@ -82,6 +93,7 @@ class RunManifest:
             "all_pass": self.all_pass,
             "error": self.error,
         }
+        path = os.path.join(self.out, "manifest.json")
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(body, fh, indent=1, sort_keys=True)

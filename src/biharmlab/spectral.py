@@ -180,6 +180,15 @@ def quadrature_nodes(mu_min: float, mu_max: float) -> tuple:
     return np.exp(s), wts
 
 
+def _positive_decomposition(op) -> SpectralDecomposition:
+    """A radial sector's decomposition, where A^{-1/2} exists."""
+    _require_sector(op)
+    dec = op.decomposition
+    if dec.mu[0] <= 0:
+        raise SpectralError("indefinite operator: A^{-1/2} undefined")
+    return dec
+
+
 def inv_sqrt_apply(op, u, route: str = "spectral") -> np.ndarray:
     """A^{-1/2} u on a radial sector via the spectral calculus or the
     heat-semigroup quadrature, with e^{-tA} from the same decomposition:
@@ -187,10 +196,7 @@ def inv_sqrt_apply(op, u, route: str = "spectral") -> np.ndarray:
         A^{-1/2} = Gamma(1/2)^{-1} int_0^inf t^{-1/2} e^{-tA} dt.
     """
     uv = np.asarray(u)
-    _require_sector(op)
-    dec = op.decomposition
-    if dec.mu[0] <= 0:
-        raise SpectralError("indefinite operator: A^{-1/2} undefined")
+    dec = _positive_decomposition(op)
     if route == "spectral":
         return dec.fn_apply(lambda m: m**-0.5, uv)
     if route != "quadrature":
@@ -210,8 +216,5 @@ def riesz_apply(op, u, route: str = "spectral") -> np.ndarray:
 
 def riesz_kernel(op: SectorOperator) -> KernelMatrix:
     """Riesz transform as a kernel with respect to the weighted measure."""
-    _require_sector(op)
-    dec = op.decomposition
-    if dec.mu[0] <= 0:
-        raise SpectralError("indefinite operator: A^{-1/2} undefined")
+    dec = _positive_decomposition(op)
     return KernelMatrix(K=op.apply_L(dec.synth_kernel(dec.mu**-0.5)), w=op.w)

@@ -8,7 +8,6 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
 from biharmlab import (Region, assemble_box, assemble_sector, boyd_lower,
                        build_box_grid, build_radial_grid, corner_norm,

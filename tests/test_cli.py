@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from biharmlab import build_radial_grid, cli, report, spectral
-from biharmlab.cli import (ConfigError, build_parser, config_defaults,
-                           parse_config)
+from biharmlab.cli import ConfigError, build_parser, read_config
 
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
@@ -30,26 +29,25 @@ class TestConfigParsing:
     def test_sections_and_values(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[run]\nseed=3\nc=0.5\n[grid]\nn=300\nmode=log\n")
-        parsed = parse_config(str(cfg))
-        assert parsed["run.seed"] == "3"
-        assert parsed["grid.mode"] == "log"
+        assert read_config(str(cfg)) == {"seed": 3, "c": 0.5, "n": 300,
+                                         "mode": "log"}
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[run]\nbogus=1\n")
         with pytest.raises(ConfigError):
-            parse_config(str(cfg))
+            read_config(str(cfg))
 
     def test_unknown_section_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[nosuch]\nn=4\n")
         with pytest.raises(ConfigError):
-            parse_config(str(cfg))
+            read_config(str(cfg))
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# comment\n\n[run]\nseed=1\n")
-        assert parse_config(str(cfg))["run.seed"] == "1"
+        assert read_config(str(cfg)) == {"seed": 1}
 
     def test_explicit_flag_beats_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -64,9 +62,23 @@ class TestConfigParsing:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[run]\nseed = 3\nallow_supercritical = true\n"
                        "[grid]\nmode = log\n")
-        defaults = config_defaults(parse_config(str(cfg)))
-        args = build_parser(defaults).parse_args(["solve", "--seed", "5"])
+        args = build_parser(read_config(str(cfg))).parse_args(
+            ["solve", "--seed", "5"])
         assert (args.seed, args.allow_supercritical, args.mode) == (5, True, "log")
+
+    @pytest.mark.parametrize("text, lineno, message", [
+        ("[run]\nseed = 1\nN = five\n", 3, "bad value 'five' for run.N: "),
+        ("# N\n[grid]\nmode = cubic\n", 3, "bad value 'cubic' for grid.mode: "),
+        ("[run]\nallow_supercritical = yes\n", 2,
+         "bad value 'yes' for run.allow_supercritical: expected true or false"),
+    ], ids=["int", "mode", "bool"])
+    def test_badly_typed_value_names_its_line(self, tmp_path, text, lineno,
+                                              message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        with pytest.raises(ConfigError) as exc:
+            read_config(str(cfg))
+        assert str(exc.value).startswith(f"{cfg}:{lineno}: {message}")
 
 
 class TestExitCodes:
@@ -109,13 +121,49 @@ class TestExitCodes:
         assert man["all_pass"]
         assert os.path.exists(tmp_path / "solve" / "solve.csv")
 
+    def test_supercritical_run_is_report_only(self, tmp_path):
+        with pytest.warns(UserWarning, match="may be indefinite"):
+            code = cli.main(["solve", "--c", "2", "--allow-supercritical",
+                             "--n", "64", "--out", str(tmp_path)])
+        assert code == cli.EXIT_OK
+        man = json.load(open(tmp_path / "solve" / "manifest.json"))
+        assert man["checks"] == []
+        assert man["config"]["report_only"] is True
+        assert man["files"] == [str(tmp_path / "solve" / "solve.csv")]
+
+    def test_coercivity_subcommand_writes_its_table(self, tmp_path):
+        code = cli.main(["coercivity", "--n", "64", "--out", str(tmp_path)])
+        assert code == cli.EXIT_OK
+        assert (tmp_path / "coercivity" / "contraction.csv").exists()
+        man = json.load(open(tmp_path / "coercivity" / "manifest.json"))
+        assert man["config"]["report_only"] is False
+
     def test_coercivity_records_its_grid_hash(self, tmp_path):
         args = build_parser().parse_args(["suite", "--n", "64"])
-        man = report.RunManifest({})
-        cli.run_coercivity(args, man, str(tmp_path))
+        man = report.RunManifest({}, str(tmp_path), False)
+        cli.run_coercivity(args, man)
         grid = build_radial_grid(5, 30.0, 64, "uniform")
         assert man.hashes == {"grid": grid.content_hash()}
         assert man.all_pass
+
+    def test_riesz_records_both_grid_hashes(self, tmp_path):
+        args = build_parser().parse_args(["riesz", "--n", "64"])
+        man = report.RunManifest({}, str(tmp_path), False)
+        cli.run_riesz(args, man)
+        assert man.hashes == {
+            "grid": build_radial_grid(5, 30.0, 64, "uniform").content_hash(),
+            "grid_refined":
+                build_radial_grid(5, 30.0, 128, "uniform").content_hash()}
+
+    def test_repeated_list_value_runs_once(self, tmp_path):
+        code = cli.main(["riesz", "--p", "1.5,1.5", "--n", "64",
+                         "--out", str(tmp_path)])
+        assert code in (cli.EXIT_OK, cli.EXIT_ASSERT)
+        man = json.load(open(tmp_path / "riesz" / "manifest.json"))
+        names = [chk["name"] for chk in man["checks"]]
+        assert names.count("riesz_stability_p1.5") == 1
+        assert build_parser().parse_args(
+            ["decay", "--t", "0.1,0.2,0.1,0.3"]).t == [0.1, 0.2, 0.3]
 
     def test_riesz_decomposes_each_grid_once(self, tmp_path, monkeypatch):
         sizes = []
@@ -134,10 +182,10 @@ class TestExitCodes:
 
     def test_spectral_error_exits_two_and_is_recorded(self, tmp_path,
                                                       monkeypatch, capsys):
-        def indefinite(args, man, out):
+        def indefinite(args, man):
             raise spectral.SpectralError("indefinite operator")
 
-        monkeypatch.setitem(cli.SUBCOMMANDS, "solve", indefinite)
+        monkeypatch.setitem(cli.EXPERIMENTS, "solve", indefinite)
         code = cli.main(["solve", "--n", "64", "--out", str(tmp_path)])
         assert code == cli.EXIT_CONFIG
         err = capsys.readouterr().err.splitlines()
@@ -251,14 +299,17 @@ class TestExitCodes:
 
     def test_suite_runs_every_experiment_past_errors(self, tmp_path,
                                                      monkeypatch, capsys):
-        def broken(args, man, out):
+        def broken(args, man):
             raise spectral.SpectralError("indefinite operator")
 
-        def passing(args, man, out):
+        def passing(args, man):
             man.add_check("ran", True, "")
 
-        for name in cli.SUBCOMMANDS:
-            monkeypatch.setitem(cli.SUBCOMMANDS, name,
+        assert list(cli.EXPERIMENTS) == ["coercivity", "rellich", "decay",
+                                         "offdiag", "riesz", "twisted",
+                                         "distance", "solve"]
+        for name in cli.EXPERIMENTS.keys() - {"coercivity"}:   # runs as is
+            monkeypatch.setitem(cli.EXPERIMENTS, name,
                                 broken if name in ("rellich", "riesz")
                                 else passing)
         code = cli.main(["suite", "--n", "64", "--out", str(tmp_path)])
@@ -270,7 +321,7 @@ class TestExitCodes:
         assert "[PASS] solve:ran" in captured.out
         assert "[PASS] coercivity:semigroup_contractive gram_norm - 1 = " \
             in captured.out
-        for name in ["coercivity", *cli.SUBCOMMANDS]:
+        for name in cli.EXPERIMENTS:
             man = json.load(open(tmp_path / name / "manifest.json"))
             broke = name in ("rellich", "riesz")
             assert man["error"] == ("SpectralError: indefinite operator"
@@ -321,9 +372,7 @@ class TestBenchmarkReference:
                               ("offdiag", cli.run_offdiag),
                               ("riesz", cli.run_riesz),
                               ("rellich", cli.run_rellich)):
-                out = tmp_path / name
-                out.mkdir()
-                run(args, report.RunManifest({}), str(out))
+                run(args, report.RunManifest({}, str(tmp_path / name), False))
         finally:
             restore()
         for rel in ("coercivity/contraction.csv", "decay/decay.csv",
@@ -402,15 +451,28 @@ class TestReport:
         assert float(got[1][1]) == 1 / 3
 
     def test_manifest_write_and_flags(self, tmp_path):
-        man = report.RunManifest({"seed": 7})
+        man = report.RunManifest({"seed": 7}, str(tmp_path), False)
         man.add_check("a", True, "fine")
         man.add_check("b", False, "broken")
+        man.write()
         path = str(tmp_path / "manifest.json")
-        man.write(path)
         body = json.load(open(path))
         assert body["all_pass"] is False
-        assert body["config"]["seed"] == 7
+        assert body["config"] == {"seed": 7, "report_only": False}
         assert not os.path.exists(path + ".tmp")
+
+    def test_manifest_lists_its_tables_and_report_only_records_no_check(
+            self, tmp_path):
+        out = tmp_path / "exp"
+        man = report.RunManifest({}, str(out), True)
+        man.table("t.csv", ("i", "v"), [(1, 0.5)])
+        man.add_check("a", False, "ignored")
+        man.write()
+        body = json.load(open(out / "manifest.json"))
+        assert body["files"] == [str(out / "t.csv")]
+        assert body["checks"] == [] and body["all_pass"] is True
+        assert report.read_csv(str(out / "t.csv")) == (["i", "v"],
+                                                       [["1", "0.5"]])
 
     def test_svg_plot_empty_series(self):
         text = report.svg_plot([("empty", [], [])], logx=True, logy=True)

@@ -159,7 +159,7 @@ class TestSpectralRoute:
         monkeypatch.setattr(norms, "l2_norm", refuse)
         kernels = collect_kernels(monkeypatch)
         args = cli.build_parser().parse_args(["suite", "--n", "128"])
-        cli.run_coercivity(args, report.RunManifest({}), str(tmp_path))
+        cli.run_coercivity(args, report.RunManifest({}, str(tmp_path), False))
         decay_fit(make_evaluator(op_c1), 2.0, math.inf,
                   list(np.geomspace(0.06, 0.6, 6)))
         assert len(kernels) == 12 + 6
