@@ -44,8 +44,9 @@ prev = None
 for m in (8, 12, 16):
     g = build_box_grid(5, m, 2.5)
     op = assemble_box(g, 1.0)
-    x0 = np.repeat(g.axis, g.m**4)            # first coordinate of each node
-    u = np.exp(-g.radii_sq()) * (1.0 + 0.3j * x0)
+    # u = e^{-|x|^2} (1 + 0.3i x_0), the x_0 factor broadcast per plane
+    u = (np.exp(-g.radii_sq()).reshape(m, -1)
+         * (1.0 + 0.3j * g.axis)[:, None]).ravel()
     phi = make_phi(np.array([0.8, 0.6, 0, 0, 0]), 2.0, 0.2)
     d = twisted_form_terms(op, u, lam, phi)["discrepancy"]
     line = f"  m = {m:2d}  h = {g.h:.4f}  discrepancy {d:.4f}"

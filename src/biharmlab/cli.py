@@ -29,8 +29,9 @@ from .estimates import (davies_distance, decay_fit, laplacian_decay_fit,
 from .grids import (GridError, Region, build_box_grid, build_radial_grid,
                     make_phi, probe_functions)
 from .norms import corner_norm
-from .operators import (OperatorError, assemble_box, assemble_sector,
-                        paper_rellich_constant, twisted_form_terms)
+from .operators import (TWISTED_PLANES, OperatorError, assemble_box,
+                        assemble_sector, paper_rellich_constant,
+                        twisted_form_terms)
 from .spectral import SpectralError, make_evaluator, riesz_apply
 
 EXIT_OK = 0
@@ -297,25 +298,45 @@ def run_riesz(args, man: report.RunManifest) -> None:
                       f"change {report.fmt(sweep[p]['stability'])}")
 
 
+BOX_LADDER = (8, 12, 16)       # per-axis counts of the twisted box study
+BOX_BUDGET_BYTES = 1 << 30     # memory the study may take on its largest box
+
+
+def box_study_bytes(N: int, m: int) -> int:
+    """Bytes the box study holds on an m^N box at its peak: the complex
+    probe u with its real Gaussian factor while u is built, then u with
+    the planes twisted_form_terms holds."""
+    plane = m ** (N - 1)
+    return max(24 * m * plane, 16 * (m + TWISTED_PLANES) * plane)
+
+
 def run_twisted(args, man: report.RunManifest) -> None:
     # box refinement study of the twisted-form expansion
+    need = box_study_bytes(args.N, BOX_LADDER[-1])
+    if need > BOX_BUDGET_BYTES:
+        raise GridError(
+            f"the m = {BOX_LADDER[-1]} box at N = {args.N} needs about "
+            f"{need >> 20} MiB, over the box budget of "
+            f"{BOX_BUDGET_BYTES >> 20} MiB")
     e = np.zeros(args.N)
     e[0], e[1] = 0.8, 0.6
     phi_box = make_phi(e, 1.0, 0.2)
     lam = 0.7
     discs, hs = [], []
-    for m in (8, 12, 16):
+    for m in BOX_LADDER:
         box = build_box_grid(args.N, m, 2.5)
         opb = assemble_box(box, args.c)
-        r2 = box.radii_sq()
-        x0 = np.repeat(box.axis, box.m ** (args.N - 1))   # first coordinate
-        u = np.exp(-r2) * (1.0 + 0.3j * x0)
+        # u = e^{-|x|^2} (1 + 0.3i x_0), the x_0 factor broadcast per plane
+        gauss = box.radii_sq()
+        np.exp(np.negative(gauss, out=gauss), out=gauss)
+        u = (gauss.reshape(m, -1) * (1.0 + 0.3j * box.axis)[:, None]).ravel()
+        del gauss
         res = twisted_form_terms(opb, u, lam, phi_box)
         discs.append(res["discrepancy"])
         hs.append(box.h)
     orders = [math.log(discs[i] / discs[i + 1]) / math.log(hs[i] / hs[i + 1])
               for i in range(len(discs) - 1)]
-    rows = [(m, h, d) for m, h, d in zip((8, 12, 16), hs, discs)]
+    rows = list(zip(BOX_LADDER, hs, discs))
     man.table("twisted_expansion.csv", ("m", "h", "discrepancy"), rows)
     man.add_check("twisted_expansion_order", min(orders) >= 1.5,
                   f"orders {', '.join(map(report.fmt, orders))}")

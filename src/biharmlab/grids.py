@@ -126,22 +126,26 @@ class BoxGrid:
         grids = np.meshgrid(*([self.axis] * self.N), indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=1)
 
-    def _axis_sum(self, per_axis: dict) -> np.ndarray:
-        """Flat sum over k of the 1-D array per_axis[k] laid along axis k."""
-        out = np.zeros(self.shape)
+    def _axis_sum(self, per_axis: dict, rows: slice) -> np.ndarray:
+        """Flat sum over k of the 1-D array per_axis[k] laid along axis k,
+        on the axis-0 planes `rows`."""
+        out = np.zeros((len(range(self.m)[rows]),) + self.shape[1:])
         for k, v in per_axis.items():
             sh = [1] * self.N
-            sh[k] = self.m
-            out += v.reshape(sh)
+            sh[k] = -1
+            out += (v[rows] if k == 0 else v).reshape(sh)
         return out.ravel()
 
-    def radii_sq(self) -> np.ndarray:
+    def radii_sq(self, rows: slice = slice(None)) -> np.ndarray:
+        """|x|^2 at the nodes of the axis-0 planes `rows` (all by default)."""
         ax2 = self.axis**2
-        return self._axis_sum({k: ax2 for k in range(self.N)})
+        return self._axis_sum({k: ax2 for k in range(self.N)}, rows)
 
-    def dot(self, e: np.ndarray) -> np.ndarray:
-        """e.x at every node, summed over the axes where e_k != 0."""
-        return self._axis_sum({k: e[k] * self.axis for k in np.flatnonzero(e)})
+    def dot(self, e: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        """e.x at the nodes of the axis-0 planes `rows`, summed over the
+        axes where e_k != 0."""
+        return self._axis_sum({k: e[k] * self.axis for k in np.flatnonzero(e)},
+                              rows)
 
     @property
     def w(self) -> np.ndarray:
@@ -241,23 +245,24 @@ class PhiFamily:
         if self.kind == "linear" and abs(np.linalg.norm(self.e) - 1.0) > 1e-10:
             raise GridError("direction must be a unit vector")
 
-    def _arg(self, grid) -> np.ndarray:
-        """(xi + b)/s with xi = e.x on a box grid and xi = r on a radial grid."""
+    def _arg(self, grid, rows: slice) -> np.ndarray:
+        """(xi + b)/s with xi = e.x on a box grid and xi = r on a radial
+        grid, at the nodes of the axis-0 rows `rows`."""
         if not isinstance(grid, self.GRID[self.kind]):
             raise GridError(f"a {self.kind} phi is evaluated on "
                             f"{self.GRID[self.kind].__name__}s only")
-        xi = grid.dot(self.e) if self.kind == "linear" else grid.r
+        xi = grid.dot(self.e, rows) if self.kind == "linear" else grid.r[rows]
         return (xi + self.b) / self.s
 
-    def values(self, grid) -> np.ndarray:
-        return self.s * np.tanh(self._arg(grid))
+    def values(self, grid, rows: slice = slice(None)) -> np.ndarray:
+        return self.s * np.tanh(self._arg(grid, rows))
 
-    def sech2(self, grid) -> np.ndarray:
+    def sech2(self, grid, rows: slice = slice(None)) -> np.ndarray:
         """sech^2(t): grad phi is sech2 * e (linear) or sech2 * x/|x| (radial)."""
-        return 1.0 / np.cosh(self._arg(grid)) ** 2
+        return 1.0 / np.cosh(self._arg(grid, rows)) ** 2
 
-    def laplacian(self, grid: BoxGrid) -> np.ndarray:
-        t = self._arg(grid)
+    def laplacian(self, grid: BoxGrid, rows: slice = slice(None)) -> np.ndarray:
+        t = self._arg(grid, rows)
         return -2.0 * np.tanh(t) / np.cosh(t) ** 2 / self.s
 
     def certify(self, grid=None) -> None:

@@ -169,36 +169,37 @@ class BoxOperator(WeightedForm):
         return self.grid.radii_sq() ** -2.0
 
     def apply_L(self, u: np.ndarray) -> np.ndarray:
+        return self.stencil(u.reshape(self.grid.shape)).reshape(-1)
+
+    def stencil(self, U: np.ndarray, below=None, above=None) -> np.ndarray:
+        """L on U, which spans the grid's last U.ndim axes, with zero
+        neighbours outside the box (Dirichlet truncation).  When U is one
+        axis-0 plane, `below` and `above` are its neighbour planes (None
+        outside the box)."""
         g = self.grid
-        N = g.N
-        U = u.reshape(g.shape)
-        out = -2.0 * N * U
-        for ax in range(N):
-            # Dirichlet truncation: neighbours outside the box are zero
-            lo = [slice(None)] * N
-            hi = [slice(None)] * N
+        out = -2.0 * g.N * U
+        for plane in (above, below):
+            if plane is not None:
+                out += plane
+        for ax in range(U.ndim):
+            lo = [slice(None)] * U.ndim
+            hi = [slice(None)] * U.ndim
             lo[ax], hi[ax] = slice(None, -1), slice(1, None)
             out[tuple(lo)] += U[tuple(hi)]
             out[tuple(hi)] += U[tuple(lo)]
         out /= g.h**2
-        return out.reshape(-1)
-
-    def directional(self, u: np.ndarray, e: np.ndarray) -> np.ndarray:
-        """e . grad u by centred differences, one-sided at the boundary,
-        summed over the axes where e_k != 0."""
-        g = self.grid
-        U = u.reshape(g.shape)
-        out = np.zeros(U.shape, dtype=u.dtype)
-        for ax in np.flatnonzero(e):
-            d = np.gradient(U, g.h, axis=ax)
-            d *= e[ax]
-            out += d
-        return out.reshape(-1)
+        return out
 
 
 def assemble_box(grid: BoxGrid, c: float = 0.0) -> BoxOperator:
     _warn_supercritical(grid.N, c)
     return BoxOperator(grid=grid, c=float(c))
+
+
+def _check_clamp(lam: float, phi_values: np.ndarray) -> None:
+    if abs(lam) * float(np.max(np.abs(phi_values))) > EXP_CLAMP:
+        raise OperatorError(
+            f"|lambda|*max|phi| exceeds the exponent clamp {EXP_CLAMP}")
 
 
 @dataclass
@@ -218,10 +219,13 @@ class TwistedOperator:
 def twist(op, lam: float, phi: PhiFamily) -> TwistedOperator:
     phi.certify(grid=op.grid)
     vals = phi.values(op.grid)
-    if abs(lam) * float(np.max(np.abs(vals))) > EXP_CLAMP:
-        raise OperatorError(
-            f"|lambda|*max|phi| exceeds the exponent clamp {EXP_CLAMP}")
+    _check_clamp(lam, vals)
     return TwistedOperator(base=op, lam=float(lam), phi_values=vals)
+
+
+# Complex axis-0 planes twisted_form_terms holds above its input u, with a
+# margin: tracemalloc measures 15-16 at N = 5 (m = 8, 12, 16) and N = 6.
+TWISTED_PLANES = 20
 
 
 def twisted_form_terms(op: BoxOperator, u, lam: float, phi: PhiFamily) -> dict:
@@ -241,34 +245,92 @@ def twisted_form_terms(op: BoxOperator, u, lam: float, phi: PhiFamily) -> dict:
     the discrepancy between the two (a discrete Leibniz error of order
     >= 1.5 under grid refinement).
 
-    A linear phi has the rank-one gradient sech^2(t) e, so |grad phi|^2 =
-    sech^4 (e.e) and grad phi . grad u = sech^2 (e . grad u): no (size, N)
-    array is formed.
+    The sums run over the box one axis-0 plane at a time.  Plane i needs
+    e^{-+lam phi} u on planes i-1, i and i+1 for the stencil across planes,
+    so a window of three planes rolls along axis 0 and the peak above u is
+    O(m^{N-1}).  The derivative across planes is centred, and one-sided at
+    the box faces, as np.gradient takes it.  A linear phi has the rank-one
+    gradient sech^2(t) e, so |grad phi|^2 = sech^4 (e.e) and
+    grad phi . grad u = sech^2 (e . grad u).
     """
     if not isinstance(op, BoxOperator):
         raise OperatorError("the expansion needs a box operator (gradients)")
-    direct = twist(op, lam, phi).form(u) - op.form_a(u, u)
-    grid = op.grid
-    w = float(grid.w[0])
-    sech2 = phi.sech2(grid)
-    gp2 = float(phi.e @ phi.e) * sech2**2                 # |grad phi|^2
-    # grad phi . grad u-bar; |grad phi . grad u| is its modulus
-    dot_gubar = np.conj(sech2 * op.directional(u, phi.e))
-    del sech2
-    lphi = phi.laplacian(grid)
-    Lu = op.apply_L(u)
-    au2 = np.abs(u) ** 2
+    g = op.grid
+    m, h, e = g.m, g.h, phi.e
+    U = u.reshape(g.shape)
+    plane = g.shape[1:]
+    ee = float(e @ e)
+
+    def twisted(i):
+        """(e^{-lam phi} u, e^{lam phi} u) on plane i; None off the box."""
+        if not 0 <= i < m:
+            return None, None
+        vals = phi.values(g, slice(i, i + 1))
+        _check_clamp(lam, vals)
+        lp = lam * vals.reshape(plane)
+        return np.exp(-lp) * U[i], np.exp(lp) * U[i]
+
+    # per-plane sums: the eight terms, then (L u-, L u+), (V u-, u+),
+    # (L u, L u) and (V u, u) for the direct difference
+    acc = np.zeros(12, dtype=complex)
+    below, here = (None, None), twisted(0)
+    for i in range(m):
+        rows = slice(i, i + 1)
+        above = twisted(i + 1)
+        V = g.radii_sq(rows).reshape(plane) ** -2.0
+        Lm = op.stencil(here[0], below[0], above[0])
+        Lp = op.stencil(here[1], below[1], above[1])
+        twisted_sums = [np.sum(Lm * np.conj(Lp)),
+                        np.sum(V * here[0] * np.conj(here[1]))]
+        del Lm, Lp
+        below, here = here, above
+
+        ui = U[i]
+        lo = U[i - 1] if i > 0 else None
+        hi = U[i + 1] if i + 1 < m else None
+        Lu = op.stencil(ui, lo, hi)
+        directional = np.zeros(plane, dtype=u.dtype)      # e . grad u
+        for ax in np.flatnonzero(e):
+            if ax:
+                d = np.gradient(ui, h, axis=ax - 1)
+            else:
+                d = (ui if hi is None else hi) - (ui if lo is None else lo)
+                d /= 2.0 * h if 0 < i < m - 1 else h
+            d *= e[ax]
+            directional += d
+        sech2 = phi.sech2(g, rows).reshape(plane)
+        gp2 = ee * sech2**2                               # |grad phi|^2
+        # grad phi . grad u-bar; |grad phi . grad u| is its modulus
+        dot_gubar = np.conj(sech2 * directional)
+        del sech2, directional
+        lphi = phi.laplacian(g, rows).reshape(plane)
+        au2 = np.abs(ui) ** 2
+        acc += [np.sum(gp2**2 * au2),
+                np.sum(lphi**2 * au2),
+                np.sum(gp2 * dot_gubar * ui),
+                np.sum(gp2 * ui * np.conj(Lu)),
+                np.sum(lphi * dot_gubar * ui),
+                np.sum(lphi * np.conj(ui) * Lu),
+                np.sum(np.abs(dot_gubar) ** 2),
+                np.sum(dot_gubar * Lu),
+                *twisted_sums,
+                np.sum(Lu * np.conj(Lu)),
+                np.sum(V * ui * np.conj(ui))]
+
+    w = float(g.w[0])
+    s = [w * complex(a) for a in acc]
     terms = {
-        "lam4_gradphi4": lam**4 * w * float(np.sum(gp2**2 * au2)),
-        "lam2_lapphi2": -(lam**2) * w * float(np.sum(lphi**2 * au2)),
-        "lam3_im_gradphi2": 4 * lam**3 * 1j * (w * np.sum(gp2 * dot_gubar * u)).imag,
-        "lam2_re_gradphi2_lap": 2 * lam**2 * (w * np.sum(gp2 * u * np.conj(Lu))).real,
-        "lam2_re_lapphi_grad": -4 * lam**2 * (w * np.sum(lphi * dot_gubar * u)).real,
-        "lam_im_lapphi_lap": 2 * lam * 1j * (w * np.sum(lphi * np.conj(u) * Lu)).imag,
-        "lam2_gradphigrad2": -4 * lam**2 * w * float(np.sum(np.abs(dot_gubar) ** 2)),
-        "lam_im_grad_lap": 4 * lam * 1j * (w * np.sum(dot_gubar * Lu)).imag,
+        "lam4_gradphi4": lam**4 * s[0].real,
+        "lam2_lapphi2": -(lam**2) * s[1].real,
+        "lam3_im_gradphi2": 4 * lam**3 * 1j * s[2].imag,
+        "lam2_re_gradphi2_lap": 2 * lam**2 * s[3].real,
+        "lam2_re_lapphi_grad": -4 * lam**2 * s[4].real,
+        "lam_im_lapphi_lap": 2 * lam * 1j * s[5].imag,
+        "lam2_gradphigrad2": -4 * lam**2 * s[6].real,
+        "lam_im_grad_lap": 4 * lam * 1j * s[7].imag,
     }
     total = sum(terms.values())
+    direct = (s[8] - op.c * s[9]) - (s[10] - op.c * s[11])
     return {
         "terms": terms,
         "sum": total,
@@ -283,12 +345,16 @@ def forme_inequality_check(op, samples, gamma: float = 0.5) -> dict:
     `samples` is an iterable of (u, lam, phi) triples.  k is derived from
     the small parameter eps via k = 18 N^2 eps^{-6}, where eps is the
     value making 9 eps^2 / eta equal to the requested gamma, with
-    eta = 1 - max(c, 0)/C*(N).
+    eta = 1 - max(c, 0)/C*(N); that needs c < C*.
     """
     if not (0.0 < gamma < 1.0):
         raise OperatorError("gamma must lie in (0, 1)")
     N = op.grid.N
-    eta = 1.0 - max(op.c, 0.0) / paper_rellich_constant(N)
+    cstar = paper_rellich_constant(N)
+    if op.c >= cstar:
+        raise OperatorError(
+            f"the form inequality needs c < C* (c = {op.c}, C* = {cstar})")
+    eta = 1.0 - max(op.c, 0.0) / cstar
     eps = math.sqrt(gamma * eta / 9.0)
     k = 18.0 * N**2 * eps**-6.0
     rows = []

@@ -109,8 +109,8 @@ def test_criterion_05_twisted_form_suite():
     for m in (8, 12, 16):
         g = build_box_grid(5, m, 2.5)
         op = assemble_box(g, 1.0)
-        X = g.coords()
-        u = np.exp(-g.radii_sq()) * (1.0 + 0.3j * X[:, 0])
+        u = (np.exp(-g.radii_sq()).reshape(m, -1)
+             * (1.0 + 0.3j * g.axis)[:, None]).ravel()
         phi = make_phi(np.array([0.8, 0.6, 0, 0, 0]), 2.0, 0.2)
         discs.append(twisted_form_terms(op, u, lam, phi)["discrepancy"])
         hs.append(g.h)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -130,6 +131,37 @@ class TestExitCodes:
         assert man["checks"] == []
         assert man["config"]["report_only"] is True
         assert man["files"] == [str(tmp_path / "solve" / "solve.csv")]
+
+    def test_supercritical_twisted_names_c_star(self, tmp_path):
+        # the form inequality has no constant at c >= C*: an operator
+        # error that names both, not a math domain error
+        with pytest.warns(UserWarning, match="may be indefinite"):
+            code = cli.main(["twisted", "--c", "2", "--allow-supercritical",
+                             "--n", "64", "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        man = json.load(open(tmp_path / "twisted" / "manifest.json"))
+        assert man["error"] == ("OperatorError: the form inequality needs "
+                                "c < C* (c = 2.0, C* = 1.5625)")
+
+    def test_box_over_budget_exits_two_before_allocating(self, tmp_path):
+        # the m = 16 box at N = 7 would need about 9.7 GB
+        tracemalloc.start()
+        try:
+            code = cli.main(["twisted", "--N", "7", "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == cli.EXIT_CONFIG
+        assert peak < 1 << 20
+        man = json.load(open(tmp_path / "twisted" / "manifest.json"))
+        assert man["error"] == (
+            f"GridError: the m = 16 box at N = 7 needs about "
+            f"{cli.box_study_bytes(7, 16) >> 20} MiB, over the box budget "
+            f"of {cli.BOX_BUDGET_BYTES >> 20} MiB")
+
+    def test_box_budget_admits_five_and_six_dimensions(self):
+        assert cli.box_study_bytes(5, 16) < cli.box_study_bytes(6, 16)
+        assert cli.box_study_bytes(6, 16) <= cli.BOX_BUDGET_BYTES
 
     def test_coercivity_subcommand_writes_its_table(self, tmp_path):
         code = cli.main(["coercivity", "--n", "64", "--out", str(tmp_path)])

@@ -74,6 +74,12 @@ class TestBoxGrid:
         e = np.asarray(e)
         assert np.allclose(g.dot(e), g.coords() @ e, rtol=0, atol=1e-14)
         assert np.array_equal(np.repeat(g.axis, g.m**4), g.coords()[:, 0])
+        # one axis-0 plane at a time gives the same values, bit for bit
+        planes = [slice(i, i + 1) for i in range(g.m)]
+        assert np.array_equal(np.concatenate([g.dot(e, r) for r in planes]),
+                              g.dot(e))
+        assert np.array_equal(np.concatenate([g.radii_sq(r) for r in planes]),
+                              g.radii_sq())
 
 
 class TestNorms:
