@@ -77,7 +77,8 @@ OPTIONS = (
     ("--R", "grid.R", float, None, "outer radius"),
     ("--mode", "grid.mode", _grid_mode, None, "radial spacing: uniform or log"),
     ("--t", "sweep.t", _float_list, None, "comma list of times"),
-    ("--p", "sweep.p", _float_list, None, "comma list of p values"),
+    ("--p", "sweep.p", _float_list, None,
+     "comma list of p values (one for solve)"),
     ("--d", "sweep.d", _float_list, None, "comma list of distances"),
     ("--lam", "sweep.lam", _float_list, None, "comma list of lambda values"),
     ("--ell-max", "sweep.ell_max", int, 8, "largest angular index ell"),
@@ -272,16 +273,18 @@ def run_offdiag(args, man: report.RunManifest) -> None:
 def run_riesz(args, man: report.RunManifest) -> None:
     grid = _radial_grid(args, man, 512)
     op = assemble_sector(grid, 0, args.c)
+    grid2 = build_radial_grid(grid.N, grid.R, 2 * grid.n, grid.mode)
+    man.add_hash("grid_refined", grid2.content_hash())
+    ps = args.p or [1.3, 1.5, 1.8]
+    # the sweep decomposes the refined operator before op, and nothing
+    # holds it after the sweep; the route check reuses op's decomposition
+    sweep = riesz_pnorm_sweep(op, ps,
+                              refined_op=assemble_sector(grid2, 0, args.c))
     rng = np.random.default_rng(args.seed)
     u = rng.standard_normal(grid.n)
     rs = riesz_apply(op, u, "spectral")
     rq = riesz_apply(op, u, "quadrature")
     route_rel = float(np.linalg.norm(rs - rq) / np.linalg.norm(rs))
-    grid2 = build_radial_grid(grid.N, grid.R, 2 * grid.n, grid.mode)
-    man.add_hash("grid_refined", grid2.content_hash())
-    op2 = assemble_sector(grid2, 0, args.c)
-    ps = args.p or [1.3, 1.5, 1.8]
-    sweep = riesz_pnorm_sweep(op, ps, refined_op=op2)
     rows = [("route_rel_err", route_rel, "", "")]
     for p, entry in sorted(sweep.items()):
         est = entry["estimate"]
@@ -394,6 +397,9 @@ def run_distance(args, man: report.RunManifest) -> None:
 
 
 def run_solve(args, man: report.RunManifest) -> None:
+    if args.p and len(args.p) > 1:
+        raise ConfigError("solve takes one --p value (got "
+                          f"{', '.join(map(report.fmt, args.p))})")
     grid = _radial_grid(args, man, 256)
     op = assemble_sector(grid, 0, args.c)
     f = probe_functions(grid, 1, seed=args.seed)[0]

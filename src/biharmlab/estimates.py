@@ -4,6 +4,9 @@ norm sweeps, the extrapolation check, and the lambda optimizer.
 
 This module measures; it does not prove.  Every fit reports its residual;
 the decay fits also report the times they kept inside the reliable window.
+The optimiser and sparse stacks of scipy are imported by the functions
+that use them, on first use, so that a run that never calls them does
+not hold them.
 """
 
 from __future__ import annotations
@@ -13,9 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize as sopt
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .grids import (RadialGrid, Region, euclidean_distance, probe_functions,
                     sphere_area, weighted_lp)
@@ -83,6 +83,9 @@ def _sector_rellich_matched(grid: RadialGrid, ell: int) -> float:
     tails contribute closed-form numerator and denominator integrals, so
     every discrete trial maps to a genuine H^2(R^N) function.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     N, n = grid.N, grid.n
     r, faces, w = grid.r, grid.faces, grid.w
     sig = sphere_area(N)
@@ -179,6 +182,9 @@ def discrete_rellich(op: SectorOperator) -> float:
 
     The numerator matrix S W^{-1} S is pentadiagonal and is built sparse
     from the operator's bands of S, which do not depend on c."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     grid = op.grid
     S = sp.diags([op.a, op.diag, op.a], [-1, 0, 1], format="csc")
     F = S @ sp.diags(1.0 / op.w) @ S
@@ -253,6 +259,8 @@ def _time_model(t, b, s, e):
 def _stretched_fit(model, x, v, p0):
     """Least-squares fit v ~ model(x, b, s, e) from p0: (popt, max
     |v - model(x, *popt)|), or None if curve_fit does not converge."""
+    import scipy.optimize as sopt
+
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", sopt.OptimizeWarning)
@@ -512,7 +520,13 @@ def riesz_pnorm_sweep(op: SectorOperator, p_list,
     operator is given, the lower-bound stability across refinement is
     included.  Each kernel runs one dual-ascent block over all p; the
     refined kernel gets only the lower bound that the stability reads.
+    It runs first, so that nothing of the base operator's spectrum is
+    held during the larger eigensolve.
     """
+    pairs = [(p, p) for p in p_list]
+    lowers2 = None
+    if refined_op is not None:
+        lowers2 = [lo for lo, _ in boyd_lower(riesz_kernel(refined_op), pairs)]
     kern = riesz_kernel(op)
     eta = eta_h(op)
     results = {}
@@ -522,12 +536,10 @@ def riesz_pnorm_sweep(op: SectorOperator, p_list,
                                              upper=n22, exact=True),
                     "eta_bound": eta**-0.5,
                     "ok": n22 <= eta**-0.5 + 1e-8}
-    pairs = [(p, p) for p in p_list]
     for p, est in zip(p_list, opnorms(kern, pairs)):
         results.setdefault(p, {"estimate": est})
-    if refined_op is not None:
-        lowers2 = boyd_lower(riesz_kernel(refined_op), pairs)
-        for p, (lower2, _) in zip(p_list, lowers2):
+    if lowers2 is not None:
+        for p, lower2 in zip(p_list, lowers2):
             base = results[p]["estimate"].lower
             change = abs(lower2 - base) / max(base, 1e-300)
             results[p]["stability"] = change
@@ -555,6 +567,8 @@ def lambda_optimizer_check(omega: float, d: float, z: complex) -> dict:
     """Closed-form minimizer of lam -> -lam d + omega lam^4 |z| against a
     1-D numerical search: lam* = (d/(4 omega |z|))^{1/3}, and the minimum
     value -c_omega d^{4/3}/|z|^{1/3} with c_omega = 3/(4 (4 omega)^{1/3})."""
+    import scipy.optimize as sopt
+
     az = abs(z)
     if omega <= 0 or d <= 0 or az <= 0:
         raise EstimateError("omega, d, |z| must be positive")

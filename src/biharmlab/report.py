@@ -7,7 +7,13 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import time
+
+try:
+    import resource
+except ImportError:         # not on Windows
+    resource = None
 
 
 def fmt(x) -> str:
@@ -46,12 +52,23 @@ def read_csv(path: str) -> tuple:
     return header, rows
 
 
+def peak_rss_mb() -> float | None:
+    """The process's peak resident memory so far in MB (ru_maxrss, which
+    is in KiB on Linux and in bytes on macOS), or None where the
+    `resource` module is missing."""
+    if resource is None:
+        return None
+    unit = 1 if sys.platform == "darwin" else 1 << 10
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit
+                 / (1 << 20), 1)
+
+
 class RunManifest:
     """One experiment's output directory `out`: its CSV tables and a
-    manifest of config echo, content hashes, per-check pass/fail and the
-    table list, written atomically at the end of the run.  A report-only
-    run records no checks.  `error` holds the error that stopped the
-    experiment, if one did."""
+    manifest of config echo, content hashes, per-check pass/fail, the
+    table list and the process's peak memory so far, written atomically
+    at the end of the run.  A report-only run records no checks.  `error`
+    holds the error that stopped the experiment, if one did."""
 
     def __init__(self, config: dict, out: str, report_only: bool):
         self.config = {**config, "report_only": report_only}
@@ -90,6 +107,7 @@ class RunManifest:
             "checks": self.checks,
             "files": sorted(self.files),
             "wall_clock_s": round(time.monotonic() - self._t0, 3),
+            "peak_rss_mb": peak_rss_mb(),
             "all_pass": self.all_pass,
             "error": self.error,
         }

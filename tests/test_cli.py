@@ -122,6 +122,26 @@ class TestExitCodes:
         assert man["all_pass"]
         assert os.path.exists(tmp_path / "solve" / "solve.csv")
 
+    def test_solve_takes_one_p(self, tmp_path, capsys):
+        code = cli.main(["solve", "--p", "1.5,3", "--n", "64",
+                         "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        message = "ConfigError: solve takes one --p value (got 1.5, 3.0)"
+        assert f"error in solve: {message}" in capsys.readouterr().err
+        man = json.load(open(tmp_path / "solve" / "manifest.json"))
+        assert man["error"] == message
+        assert man["hashes"] == {}          # stopped before the grid
+        assert not (tmp_path / "solve" / "solve.csv").exists()
+
+    def test_solve_runs_at_the_given_p(self, tmp_path, capsys):
+        code = cli.main(["solve", "--p", "3", "--n", "64",
+                         "--out", str(tmp_path)])
+        assert code == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert "[PASS] solve:solution_seminorm_finite p = 3.0" in out
+        man = json.load(open(tmp_path / "solve" / "manifest.json"))
+        assert man["checks"][0]["detail"] == "p = 3.0"
+
     def test_supercritical_run_is_report_only(self, tmp_path):
         with pytest.warns(UserWarning, match="may be indefinite"):
             code = cli.main(["solve", "--c", "2", "--allow-supercritical",
@@ -210,7 +230,9 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "eigendecompose", counted, raising=False)
         code = cli.main(["riesz", "--n", "64", "--out", str(tmp_path)])
         assert code in (0, 1)
-        assert sizes == [64, 128]
+        # the refined operator first: nothing of the base grid's spectrum
+        # is held during the larger eigensolve
+        assert sizes == [128, 64]
 
     def test_spectral_error_exits_two_and_is_recorded(self, tmp_path,
                                                       monkeypatch, capsys):
@@ -492,6 +514,17 @@ class TestReport:
         assert body["all_pass"] is False
         assert body["config"] == {"seed": 7, "report_only": False}
         assert not os.path.exists(path + ".tmp")
+
+    def test_manifest_records_peak_memory(self, tmp_path, monkeypatch):
+        man = report.RunManifest({}, str(tmp_path), False)
+        man.write()
+        peak = json.load(open(tmp_path / "manifest.json"))["peak_rss_mb"]
+        # numpy alone keeps a process above 10 MB
+        assert 10.0 < peak <= report.peak_rss_mb()
+        monkeypatch.setattr(report, "resource", None)
+        man.write()
+        body = json.load(open(tmp_path / "manifest.json"))
+        assert body["peak_rss_mb"] is None
 
     def test_manifest_lists_its_tables_and_report_only_records_no_check(
             self, tmp_path):

@@ -394,12 +394,28 @@ class TestRieszSweep:
                for n in (32, 48)]
         ps = [1.3, 1.5, 1.8]
         res = riesz_pnorm_sweep(ops[0], ps, refined_op=ops[1])
-        assert blocks == [(32, [(p, p) for p in ps]), (48, [(p, p) for p in ps])]
+        # the refined kernel first, before the base operator is decomposed
+        assert blocks == [(48, [(p, p) for p in ps]), (32, [(p, p) for p in ps])]
         # the refined lower bounds are the ones the stability reads
         kern2 = riesz_kernel(ops[1])
         for p, (lo2, _) in zip(ps, real(kern2, [(p, p) for p in ps])):
             base = res[p]["estimate"].lower
             assert res[p]["stability"] == abs(lo2 - base) / base
+
+    def test_peak_memory_is_one_refined_eigensolve(self):
+        # the refined operator's eigensolve (F, W and LAPACK's workspace)
+        # is the peak; nothing of the base operator is held during it
+        n = 256
+        ops = [assemble_sector(build_radial_grid(5, 30.0, m, "uniform"), 0,
+                               1.0) for m in (n, 2 * n)]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            riesz_pnorm_sweep(ops[0], [1.3, 1.5, 1.8], refined_op=ops[1])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.25 * (2 * n) ** 2 * 8
 
 
 class TestSolveParabolic:

@@ -1,8 +1,11 @@
 """Every imported name is used: an `ast` scan of the package, its tests
-and its demos."""
+and its demos.  The CLI loads scipy's optimiser and sparse stacks only
+where they are used."""
 
 import ast
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -49,3 +52,15 @@ def test_scan_flags_only_unread_names():
 def test_every_import_is_used(path):
     with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+def test_cli_import_defers_the_optimiser_and_sparse_stacks():
+    code = ("import sys, biharmlab.cli\n"
+            "print(sorted({'scipy.optimize', 'scipy.sparse',\n"
+            "              'scipy.sparse.linalg'} & set(sys.modules)))\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, cwd=ROOT,
+                         env={**os.environ,
+                              "PYTHONPATH": os.path.join(ROOT, "src")})
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
