@@ -69,7 +69,7 @@ for i in range(50):
                     float(rng.uniform(0.1, 2.0)),
                     make_phi(e, float(rng.uniform(TANH_HESS_MAX, 4.0)),
                              float(rng.uniform(-1, 1)))))
-chk = forme_inequality_check(op, samples, gamma=0.5)
+chk = forme_inequality_check(op, samples)
 print(f"\nform inequality: {len(chk['rows'])} samples, "
       f"violations {len(chk['violations'])}")
 print(f"  formula k = {chk['k']:.3e}, empirical minimal k = "

@@ -17,7 +17,7 @@ from .spectral import (KernelMatrix, SemigroupEvaluator, SpectralDecomposition,
                        eigendecompose, inv_sqrt_apply, make_evaluator,
                        riesz_apply, riesz_kernel)
 from .norms import (NormEstimate, boyd_lower, corner_norm, interpolation_upper,
-                    opnorm, opnorms)
+                    opnorms)
 from .estimates import (DistanceEstimate, FitResult, davies_distance, decay_fit,
                         discrete_rellich, eta_h, extrapolation_check, gamma_pq,
                         lambda_optimizer_check, laplacian_decay_fit,

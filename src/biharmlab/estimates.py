@@ -76,6 +76,31 @@ def _power_int_inf(p: float, x: float) -> float:
     return -(x ** (p + 1)) / (p + 1)
 
 
+def _rellich_pencil(grid: RadialGrid, bands, tails=None) -> float:
+    """Smallest mu of the Rellich pencil F u = mu M u of a radial sector:
+    L = W^{-1} tridiag(lower, main, upper) from the stiffness `bands`,
+    F = L^T W L and M = W r^{-4}.  `tails` holds 2 x 2 blocks
+    (F_in, F_out, M_in, M_out), added on the first and last two nodes."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    n, w = grid.n, grid.w
+    L = sp.diags(1.0 / w) @ sp.diags(bands, [-1, 0, 1], format="csr")
+    F = (L.T @ sp.diags(w) @ L).tolil()
+    M = sp.diags(w * grid.r**-4.0).tolil()
+    if tails is not None:
+        F_in, F_out, M_in, M_out = tails
+        F[0:2, 0:2] += F_in
+        F[n - 2:n, n - 2:n] += F_out
+        M[0:2, 0:2] += M_in
+        M[n - 2:n, n - 2:n] += M_out
+    F = F.tocsc()
+    F = (F + F.T) / 2.0
+    mu = spla.eigsh(F, k=1, M=M.tocsc(), sigma=0, which="LM", v0=np.ones(n),
+                    return_eigenvectors=False)
+    return float(mu[0])
+
+
 def _sector_rellich_matched(grid: RadialGrid, ell: int) -> float:
     """Smallest Rellich quotient over grid profiles extended by biharmonic
     tails: psi = alpha r^ell + a r^{ell+2} inside the inner face, and
@@ -83,13 +108,9 @@ def _sector_rellich_matched(grid: RadialGrid, ell: int) -> float:
     tails contribute closed-form numerator and denominator integrals, so
     every discrete trial maps to a genuine H^2(R^N) function.
     """
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
-    N, n = grid.N, grid.n
-    r, faces, w = grid.r, grid.faces, grid.w
+    N, r = grid.N, grid.r
     sig = sphere_area(N)
-    f0, fR = faces[0], faces[-1]
+    f0, fR = grid.faces[0], grid.faces[-1]
     if f0 <= 0:
         raise EstimateError("the matched inner tail needs an inner face "
                             f"> 0, got {f0:g}; use --mode log")
@@ -114,30 +135,22 @@ def _sector_rellich_matched(grid: RadialGrid, ell: int) -> float:
     flux_out = sig * fR ** (N - 1) * np.array(
         [p / fR for p in p_out]) @ Cout
 
-    # interior flux stencil, closed by the tail fluxes in rows 0 and n-1
-    a, main = stiffness_bands(grid)
+    # the sector's flux stencil, closed by the tail fluxes in rows 0 and n-1
+    a, main = stiffness_bands(grid, ell)
     upper, lower = a.copy(), a.copy()
     main[0] += flux_in[0]
     upper[0] += flux_in[1]
     lower[-1] -= flux_out[0]
     main[-1] -= flux_out[1]
-    L = sp.diags([lower, main, upper], [-1, 0, 1], format="csr")
-    L = sp.diags(1.0 / w) @ L
-    if ell:
-        L = L - sp.diags(ell * (ell + N - 2) / r**2)
-    F = (L.T @ sp.diags(w) @ L).tolil()
 
     # numerator tails: |Delta_ell psi|^2 integrals (only the non-harmonic
     # basis member of each tail contributes)
     cin = lapc(ell + 2) / f0 ** (ell + 2)       # Delta_ell of inner basis 2
-    F[0:2, 0:2] += (cin**2 * sig * _power_int_0(2 * ell + N - 1, f0)
-                    * np.outer(Cin[1], Cin[1]))
+    F_in = (cin**2 * sig * _power_int_0(2 * ell + N - 1, f0)
+            * np.outer(Cin[1], Cin[1]))
     cout = lapc(4 - N - ell) / fR ** (4 - N - ell)
-    F[n - 2:n, n - 2:n] += (cout**2 * sig
-                            * _power_int_inf(2 * (2 - N - ell) + N - 1, fR)
-                            * np.outer(Cout[1], Cout[1]))
-
-    M = sp.diags(w * r**-4.0).tolil()
+    F_out = (cout**2 * sig * _power_int_inf(2 * (2 - N - ell) + N - 1, fR)
+             * np.outer(Cout[1], Cout[1]))
 
     def tail_mass(C, powers, x0, integral):
         out = np.zeros((2, 2))
@@ -148,14 +161,10 @@ def _sector_rellich_matched(grid: RadialGrid, ell: int) -> float:
                     * np.outer(C[i], C[j])
         return sig * out
 
-    M[0:2, 0:2] += tail_mass(Cin, p_in, f0, _power_int_0)
-    M[n - 2:n, n - 2:n] += tail_mass(Cout, p_out, fR, _power_int_inf)
-
-    F = F.tocsc()
-    F = (F + F.T) / 2.0
-    mu = spla.eigsh(F, k=1, M=M.tocsc(), sigma=0, which="LM", v0=np.ones(n),
-                    return_eigenvectors=False)
-    return float(mu[0])
+    return _rellich_pencil(grid, (lower, main, upper),
+                           (F_in, F_out,
+                            tail_mass(Cin, p_in, f0, _power_int_0),
+                            tail_mass(Cout, p_out, fR, _power_int_inf)))
 
 
 def rellich_constant(grid: RadialGrid, ell_max: int = 8) -> dict:
@@ -178,21 +187,9 @@ def rellich_constant(grid: RadialGrid, ell_max: int = 8) -> dict:
 
 def discrete_rellich(op: SectorOperator) -> float:
     """Rellich quotient of the operator's Dirichlet-truncated sector: the
-    smallest (Lu, Lu)_W / (r^{-4}u, u)_W on its grid and angular index.
-
-    The numerator matrix S W^{-1} S is pentadiagonal and is built sparse
+    smallest (Lu, Lu)_W / (r^{-4}u, u)_W on its grid and angular index,
     from the operator's bands of S, which do not depend on c."""
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
-    grid = op.grid
-    S = sp.diags([op.a, op.diag, op.a], [-1, 0, 1], format="csc")
-    F = S @ sp.diags(1.0 / op.w) @ S
-    F = (0.5 * (F + F.T)).tocsc()
-    M = sp.diags(op.w * grid.r**-4.0).tocsc()
-    mu = spla.eigsh(F, k=1, M=M, sigma=0, which="LM", v0=np.ones(grid.n),
-                    return_eigenvectors=False)
-    return float(mu[0])
+    return _rellich_pencil(op.grid, (op.a, op.diag, op.a))
 
 
 def eta_h(op: SectorOperator) -> float:
@@ -512,21 +509,19 @@ def extrapolation_check(evaluator: SemigroupEvaluator, p_list, t_list) -> dict:
 # ------------------------------------------------------------ Riesz sweep
 
 def riesz_pnorm_sweep(op: SectorOperator, p_list,
-                      refined_op: SectorOperator | None = None) -> dict:
+                      refined_op: SectorOperator) -> dict:
     """Norm brackets of the Riesz transform R = L A^{-1/2} per p in p_list.
 
     p = 2 always gets the exact weighted SVD value, asserted against
-    eta_h^{-1/2}; every other p gets a lower/upper bracket.  If a refined
-    operator is given, the lower-bound stability across refinement is
-    included.  Each kernel runs one dual-ascent block over all p; the
-    refined kernel gets only the lower bound that the stability reads.
-    It runs first, so that nothing of the base operator's spectrum is
-    held during the larger eigensolve.
+    eta_h^{-1/2}; every other p gets a lower/upper bracket and the
+    stability of its lower bound under refinement to `refined_op`.  Each
+    kernel runs one dual-ascent block over all p; the refined kernel gets
+    only the lower bound that the stability reads.  It runs first, so
+    that nothing of the base operator's spectrum is held during the
+    larger eigensolve.
     """
     pairs = [(p, p) for p in p_list]
-    lowers2 = None
-    if refined_op is not None:
-        lowers2 = [lo for lo, _ in boyd_lower(riesz_kernel(refined_op), pairs)]
+    lowers2 = [lo for lo, _ in boyd_lower(riesz_kernel(refined_op), pairs)]
     kern = riesz_kernel(op)
     eta = eta_h(op)
     results = {}
@@ -538,12 +533,11 @@ def riesz_pnorm_sweep(op: SectorOperator, p_list,
                     "ok": n22 <= eta**-0.5 + 1e-8}
     for p, est in zip(p_list, opnorms(kern, pairs)):
         results.setdefault(p, {"estimate": est})
-    if lowers2 is not None:
-        for p, lower2 in zip(p_list, lowers2):
-            base = results[p]["estimate"].lower
-            change = abs(lower2 - base) / max(base, 1e-300)
-            results[p]["stability"] = change
-            results[p]["stable"] = change <= 0.25
+    for p, lower2 in zip(p_list, lowers2):
+        base = results[p]["estimate"].lower
+        change = abs(lower2 - base) / max(base, 1e-300)
+        results[p]["stability"] = change
+        results[p]["stable"] = change <= 0.25
     return results
 
 

@@ -262,6 +262,9 @@ class PhiFamily:
         return 1.0 / np.cosh(self._arg(grid, rows)) ** 2
 
     def laplacian(self, grid: BoxGrid, rows: slice = slice(None)) -> np.ndarray:
+        """Laplacian phi''(e.x) = -2 tanh sech^2 / s of a linear phi."""
+        if self.kind != "linear":   # a radial phi adds (N-1) phi'/r
+            raise GridError("the Laplacian is evaluated for a linear phi only")
         t = self._arg(grid, rows)
         return -2.0 * np.tanh(t) / np.cosh(t) ** 2 / self.s
 

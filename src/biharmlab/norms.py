@@ -271,9 +271,3 @@ def opnorms(kernel: KernelMatrix, pairs, seed: int = 0) -> list:
     return [NormEstimate(p=p, q=q, lower=lower, upper=upper, witness=witness,
                          exact=_has_exact(p, q))
             for (p, q), upper, (lower, witness) in zip(pairs, uppers, lowers)]
-
-
-def opnorm(kernel: KernelMatrix, p: float, q: float,
-           seed: int = 0) -> NormEstimate:
-    """Bracket for the weighted L^p -> L^q norm of a kernel operator."""
-    return opnorms(kernel, [(p, q)], seed=seed)[0]

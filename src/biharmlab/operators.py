@@ -32,16 +32,19 @@ class OperatorError(ValueError):
     pass
 
 
-def stiffness_bands(grid: RadialGrid) -> tuple:
-    """Bands (a, d) of the flux-form radial Laplacian before any boundary
-    closure: face couplings a_i = sigma f_i^{N-1}/(r_{i+1} - r_i) and the
-    interior diagonal d_i = -(a_{i-1} + a_i), with a_{-1} = a_{n-1} = 0.
+def stiffness_bands(grid: RadialGrid, ell: int = 0) -> tuple:
+    """Bands (a, d) of the flux-form Laplacian of sector ell before any
+    boundary closure: face couplings a_i = sigma f_i^{N-1}/(r_{i+1} - r_i)
+    and the diagonal d_i = -(a_{i-1} + a_i) - ell(ell+N-2) w_i/r_i^2, with
+    a_{-1} = a_{n-1} = 0.
     """
     N, r, faces = grid.N, grid.r, grid.faces
     a = sphere_area(N) * faces[1:-1] ** (N - 1) / np.diff(r)
     d = np.zeros(grid.n)
     d[:-1] -= a
     d[1:] -= a
+    if ell:
+        d -= ell * (ell + N - 2) / r**2 * grid.w
     return a, d
 
 
@@ -146,10 +149,8 @@ def assemble_sector(grid: RadialGrid, ell: int = 0, c: float = 0.0) -> SectorOpe
         raise OperatorError("angular index ell must be >= 0")
     _warn_supercritical(grid.N, c)
     N, r, faces = grid.N, grid.r, grid.faces
-    a, diag = stiffness_bands(grid)
+    a, diag = stiffness_bands(grid, ell)
     diag[-1] -= sphere_area(N) * faces[-1] ** (N - 1) / (faces[-1] - r[-1])
-    if ell:
-        diag -= ell * (ell + N - 2) / r**2 * grid.w
     return SectorOperator(grid=grid, ell=ell, c=float(c), a=a, diag=diag)
 
 
@@ -339,16 +340,20 @@ def twisted_form_terms(op: BoxOperator, u, lam: float, phi: PhiFamily) -> dict:
     }
 
 
-def forme_inequality_check(op, samples, gamma: float = 0.5) -> dict:
-    """Check |a_{lam phi}(u) - a(u)| <= gamma a(u) + k (1+lam^4) ||u||_2^2.
+# the form inequality's share gamma of a(u), in (0, 1)
+FORME_GAMMA = 0.5
+
+
+def forme_inequality_check(op, samples) -> dict:
+    """Check |a_{lam phi}(u) - a(u)| <= gamma a(u) + k (1+lam^4) ||u||_2^2
+    with gamma = FORME_GAMMA.
 
     `samples` is an iterable of (u, lam, phi) triples.  k is derived from
     the small parameter eps via k = 18 N^2 eps^{-6}, where eps is the
-    value making 9 eps^2 / eta equal to the requested gamma, with
+    value making 9 eps^2 / eta equal to gamma, with
     eta = 1 - max(c, 0)/C*(N); that needs c < C*.
     """
-    if not (0.0 < gamma < 1.0):
-        raise OperatorError("gamma must lie in (0, 1)")
+    gamma = FORME_GAMMA
     N = op.grid.N
     cstar = paper_rellich_constant(N)
     if op.c >= cstar:

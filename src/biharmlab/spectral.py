@@ -86,20 +86,22 @@ def _weighted_eigh(A: np.ndarray, w: np.ndarray) -> tuple:
 
 
 def eigendecompose(op: SectorOperator) -> SpectralDecomposition:
-    """Dense generalized eigensolve F q = mu W q for a radial sector."""
+    """W-orthonormal eigenpairs of a radial sector's A: at c = 0 from the
+    tridiagonal stiffness, otherwise by the dense generalized eigensolve
+    F q = mu W q."""
     _require_sector(op)
     if op.n > DENSE_LIMIT:
         raise SpectralError(f"dense decomposition limited to n <= {DENSE_LIMIT}")
     w = op.w
     if op.c == 0.0:
-        # A = (-L)^2 exactly; decomposing the stiffness instead of the
-        # squared form keeps the small eigenvalues fully accurate
-        nu, Q = _weighted_eigh(-op.S, w)
-        mu = nu**2
-        order = np.argsort(mu)
-        mu, Q = mu[order], Q[:, order]
-    else:
-        mu, Q = _weighted_eigh(op.F, w)
+        # A = T^2 exactly for the tridiagonal T = W^{-1/2}(-S)W^{-1/2}, so
+        # the small eigenvalues stay fully accurate; -S is positive
+        # definite, so nu > 0 comes out ascending
+        s = np.sqrt(w)
+        nu, Q = sla.eigh_tridiagonal(-op.diag / w, -op.a / (s[:-1] * s[1:]))
+        Q /= s[:, None]
+        return SpectralDecomposition(mu=nu**2, Q=Q, w=w)
+    mu, Q = _weighted_eigh(op.F, w)
     return SpectralDecomposition(mu=mu, Q=Q, w=w)
 
 

@@ -13,7 +13,7 @@ from biharmlab import (Region, assemble_box, assemble_sector, boyd_lower,
                        build_box_grid, build_radial_grid, corner_norm,
                        davies_distance, decay_fit, forme_inequality_check,
                        lambda_optimizer_check, laplacian_decay_fit,
-                       make_evaluator, make_phi, offdiag_fit, opnorm,
+                       make_evaluator, make_phi, offdiag_fit, opnorms,
                        paper_rellich_constant, probe_functions,
                        rellich_constant, remark_ball_inequality, riesz_apply,
                        riesz_kernel, riesz_pnorm_sweep, twisted_decay_suite,
@@ -132,7 +132,7 @@ def test_criterion_05_twisted_form_suite():
         phi = make_phi(e, float(rng.uniform(TANH_HESS_MAX, 4.0)),
                        float(rng.uniform(-1.0, 1.0)))
         samples.append((u, lam_i, phi))
-    chk = forme_inequality_check(op, samples, gamma=0.5)
+    chk = forme_inequality_check(op, samples)
     ok = order_ok and chk["ok"]
     record("criterion 5 (twisted-form suite)", ok,
            f"expansion orders {orders[0]:.2f}/{orders[1]:.2f} (>= 1.5), "
@@ -254,7 +254,7 @@ def test_criterion_10_norm_bracket_soundness():
         kern = KernelMatrix(K=rng.standard_normal((20, 20)),
                             w=rng.uniform(0.5, 2.0, 20))
         for p, q in pairs:
-            est = opnorm(kern, p, q, seed=i)
+            est = opnorms(kern, [(p, q)], seed=i)[0]
             orc = _oracle(kern, p, q, seed=i)
             if not (est.lower * (1.0 - 1e-6) - 1e-12 <= orc
                     <= est.upper * (1.0 + 1e-12)):

@@ -340,20 +340,27 @@ class TestExtrapolation:
         assert blocks == [[(1.5, 1.5), (4.0, 4.0)]] * len(ts)
         for p in (1.5, 4.0):
             for t, lo, up in zip(ts, out[p]["lower"], out[p]["upper"]):
-                one = norms.opnorm(ev.kernel(t), p, p)
+                one = norms.opnorms(ev.kernel(t), [(p, p)])[0]
                 assert up == one.upper
                 assert lo == pytest.approx(one.lower, rel=1e-13)
 
 
+@pytest.fixture(scope="module")
+def op_c1_refined(grid128):
+    # op_c1 at twice the nodes of the same grid
+    g = build_radial_grid(grid128.N, grid128.R, 2 * grid128.n, grid128.mode)
+    return assemble_sector(g, 0, 1.0)
+
+
 class TestRieszSweep:
-    def test_p2_entry_certified(self, op_c1):
-        res = riesz_pnorm_sweep(op_c1, [1.5])
+    def test_p2_entry_certified(self, op_c1, op_c1_refined):
+        res = riesz_pnorm_sweep(op_c1, [1.5], op_c1_refined)
         ent = res[2.0]
         assert ent["ok"]
         assert ent["estimate"].upper <= ent["eta_bound"] + 1e-8
 
-    def test_bracket_per_p(self, op_c1):
-        res = riesz_pnorm_sweep(op_c1, [1.3, 1.8])
+    def test_bracket_per_p(self, op_c1, op_c1_refined):
+        res = riesz_pnorm_sweep(op_c1, [1.3, 1.8], op_c1_refined)
         for p in (1.3, 1.8):
             est = res[p]["estimate"]
             assert est.lower <= est.upper * (1 + 1e-12)

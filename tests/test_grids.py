@@ -207,6 +207,12 @@ class TestPhiFamily:
         assert np.allclose(phi.laplacian(g), lap, atol=1e-6)
         assert np.max(np.abs(vals)) <= phi.s
 
+    def test_laplacian_rejects_the_radial_kind(self, grid128):
+        # phi''(r) alone misses the radial Laplacian's (N-1) phi'/r term
+        phi = make_phi(np.zeros(5), 2.0, b=5.0, kind="radial", grid=grid128)
+        with pytest.raises(GridError, match="linear phi only"):
+            phi.laplacian(grid128)
+
 
 class TestProbes:
     def test_deterministic(self, grid128):

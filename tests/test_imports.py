@@ -1,8 +1,10 @@
-"""Every imported name is used: an `ast` scan of the package, its tests
-and its demos.  The CLI loads scipy's optimiser and sparse stacks only
-where they are used."""
+"""Every imported name is used, and every public function and class of
+the package has a user outside the tests: `ast` scans of the package,
+its tests, its demos and its benchmark.  The CLI loads scipy's optimiser
+and sparse stacks only where they are used."""
 
 import ast
+import glob
 import os
 import subprocess
 import sys
@@ -12,6 +14,13 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # the package namespace imports its public API to re-export it
 REEXPORTS = os.path.join("src", "biharmlab", "__init__.py")
+PACKAGE = os.path.dirname(REEXPORTS)
+
+# public functions and classes that nothing outside the tests names, each
+# kept for the reason given
+KEPT = {
+    "extrapolation_check": "ROADMAP direction 3 makes it a suite gate",
+}
 
 
 def _sources() -> list:
@@ -64,3 +73,60 @@ def test_cli_import_defers_the_optimiser_and_sparse_stacks():
                               "PYTHONPATH": os.path.join(ROOT, "src")})
     assert res.returncode == 0, res.stderr
     assert res.stdout == "[]\n"
+
+
+def named(tree) -> set:
+    """Names a tree reads or imports: Name ids, Attribute attrs and import
+    aliases."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out |= {node.name.split(".")[0], node.asname} - {None}
+    return out
+
+
+def unnamed_definitions(package: dict, others) -> list:
+    """Public module-level functions and classes of `package` (path ->
+    source) that nothing names outside their own definition: neither
+    another top-level statement of the package nor a source in `others`."""
+    used = set().union(*(named(ast.parse(src)) for src in others))
+    defined = set()
+    for source in package.values():
+        for stmt in ast.parse(source).body:
+            own = getattr(stmt, "name", None)
+            if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    and not own.startswith("_")):
+                defined.add(own)
+            used |= named(stmt) - {own}
+    return sorted(defined - used)
+
+
+def test_definition_scan_flags_only_unnamed_ones():
+    package = {"a.py": "def f(n):\n    return f(n - 1)\n\n"
+                       "def g():\n    pass\n\n"
+                       "class C:\n    pass\n\n"
+                       "def h():\n    pass\n\n"
+                       "def _k():\n    return g\n",
+               "b.py": "from a import C\n"}
+    assert unnamed_definitions(package, ["import a\na.h()\n"]) == ["f"]
+
+
+def _read(paths) -> dict:
+    out = {}
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            out[path] = fh.read()
+    return out
+
+
+def test_every_public_definition_has_a_user():
+    package = _read(p for p in glob.glob(os.path.join(ROOT, PACKAGE, "*.py"))
+                    if not p.endswith(REEXPORTS))
+    others = _read([os.path.join(ROOT, p) for p in _sources()
+                    if p.startswith("demos")]
+                   + glob.glob(os.path.join(ROOT, "perfbench", "*.py")))
+    assert unnamed_definitions(package, others.values()) == sorted(KEPT)

@@ -6,7 +6,7 @@ from scipy.optimize import linprog
 
 from biharmlab import (assemble_sector, boyd_lower, build_radial_grid,
                        corner_norm, interpolation_upper, make_evaluator, norms,
-                       opnorm, opnorms)
+                       opnorms)
 from biharmlab.grids import weighted_lp
 from biharmlab.norms import (BOYD_MAX_ITER, BOYD_RESTARTS, NormError,
                              NormEstimate, _dual, _lp_unit)
@@ -226,7 +226,7 @@ class TestBoydLower:
 
     def test_opnorm_is_a_one_pair_block(self):
         kern = random_kernel(12, 11, symmetric=False)
-        est = opnorm(kern, 1.5, 3.0, seed=2)
+        [est] = opnorms(kern, [(1.5, 3.0)], seed=2)
         [(lo, witness)] = boyd_lower(kern, [(1.5, 3.0)], seed=2)
         assert est.lower == lo
         assert np.array_equal(est.witness, witness)
@@ -316,7 +316,7 @@ class TestOpnorm:
             kern = random_kernel(10, seed + 50)
             for p, q in [(1.5, 3.0), (10.0 / 9.0, 2.0), (2.0, 10.0),
                          (2.0, 2.0), (1.0, 2.0)]:
-                est = opnorm(kern, p, q)
+                est = opnorms(kern, [(p, q)])[0]
                 assert est.lower <= est.upper * (1 + 1e-12)
 
     def test_inverted_bracket_raises(self):
@@ -327,7 +327,7 @@ class TestOpnorm:
 
     def test_rejects_norm_decreasing_pairs(self):
         with pytest.raises(NormError):
-            opnorm(random_kernel(5, 2), 3.0, 1.5)
+            opnorms(random_kernel(5, 2), [(3.0, 1.5)])
         with pytest.raises(NormError):
             opnorms(random_kernel(5, 2), [(1.5, 3.0), (3.0, 1.5)])
 
@@ -335,7 +335,7 @@ class TestOpnorm:
         kern = random_kernel(10, 61, symmetric=False)
         pairs = [(1.5, 3.0), (2.0, 2.0), (1.0, 2.0), (2.0, 10.0)]
         for (p, q), est in zip(pairs, opnorms(kern, pairs, seed=4)):
-            one = opnorm(kern, p, q, seed=4)
+            one = opnorms(kern, [(p, q)], seed=4)[0]
             assert (est.p, est.q) == (p, q)
             assert est.upper == one.upper
             assert est.exact == one.exact
@@ -343,7 +343,7 @@ class TestOpnorm:
 
     def test_exact_pairs_tight(self):
         kern = random_kernel(10, 60)
-        est = opnorm(kern, 2.0, 2.0)
+        [est] = opnorms(kern, [(2.0, 2.0)])
         assert est.exact
         assert est.upper == pytest.approx(corner_norm(kern, 2.0, 2.0))
 
@@ -352,7 +352,7 @@ class TestOpnorm:
         rng = np.random.default_rng(9)
         kern = random_kernel(10, 70)
         for p, q in [(1.5, 3.0), (2.0, 10.0)]:
-            est = opnorm(kern, p, q)
+            est = opnorms(kern, [(p, q)])[0]
             for _ in range(200):
                 x = _lp_unit(rng.standard_normal(10), kern.w, p)
                 val = weighted_lp(kern.apply(x), kern.w, q)

@@ -81,6 +81,10 @@ class TestSectorOperator:
         a, d = stiffness_bands(g)
         assert np.array_equal(a, np.diag(ref, 1))
         assert np.array_equal(d, np.diag(ref))
+        # sector ell = 2 adds the angular term to the diagonal only
+        a2, d2 = stiffness_bands(g, 2)
+        assert np.array_equal(a2, a)
+        assert np.array_equal(d2, d - 2 * (2 + 5 - 2) / g.r**2 * g.w)
         S = assemble_sector(g, 0).S
         assert np.array_equal(S[:, :-1], ref[:, :-1])
         assert np.array_equal(S[:-1, -1], ref[:-1, -1])
@@ -327,7 +331,7 @@ class TestFormEInequality:
             phi = make_phi(_unit(rng), float(rng.uniform(TANH_HESS_MAX, 4.0)),
                            float(rng.uniform(-1, 1)))
             samples.append((u, lam, phi))
-        res = forme_inequality_check(box_op_small, samples, gamma=0.5)
+        res = forme_inequality_check(box_op_small, samples)
         assert res["ok"]
         assert len(res["violations"]) == 0
         assert res["k"] == pytest.approx(18 * 25 * res["eps"] ** -6)

@@ -42,7 +42,9 @@ class TestEigendecompose:
 
     @pytest.mark.parametrize("c", [0.0, 1.0])
     def test_working_memory(self, c):
-        # F (or -S), W and LAPACK's 2 n^2 workspace: no copies of either
+        # c > 0: F, W and LAPACK's 2 n^2 workspace, no copies of either;
+        # c = 0: the eigenvectors of the tridiagonal T and LAPACK's n^2
+        # workspace, no n x n input
         n = 1024
         op = assemble_sector(build_radial_grid(5, 30.0, n), 0, c)
         tracemalloc.start()
@@ -52,7 +54,25 @@ class TestEigendecompose:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - base <= 4.5 * n * n * 8
+        assert peak - base <= (4.5 if c else 2.25) * n * n * 8
+
+    @pytest.mark.parametrize("mode", ["uniform", "log"])
+    @pytest.mark.parametrize("ell", [0, 2])
+    def test_c0_matches_the_dense_generalized_route(self, mode, ell):
+        op = assemble_sector(build_radial_grid(5, 30.0, 256, mode), ell, 0.0)
+        dec = eigendecompose(op)
+        # reference: the dense route -S q = nu W q, with mu = nu^2 sorted
+        nu, Q = _weighted_eigh(-op.S, op.w)
+        order = np.argsort(nu**2)
+        ref = spectral.SpectralDecomposition(mu=nu[order] ** 2,
+                                             Q=Q[:, order], w=op.w)
+        assert np.all(np.diff(dec.mu) > 0)
+        assert np.allclose(dec.mu, ref.mu, rtol=1e-10, atol=0.0)
+        got, want = (spectral.KernelMatrix(dec=d, f=np.exp(-0.05 * d.mu))
+                     for d in (dec, ref))
+        for p, q in [(2.0, math.inf), (1.0, 1.0)]:
+            assert corner_norm(got, p, q) == pytest.approx(
+                corner_norm(want, p, q), rel=1e-12)
 
     def test_weighted_eigh_matches_scipy(self, rng):
         n = 60
