@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 
-from biharmlab import assemble_sector, build_radial_grid, decay_fit, make_evaluator
+from biharmlab import (SemigroupEvaluator, assemble_sector, build_radial_grid,
+                       decay_fit)
 from biharmlab.report import svg_plot
 
 grid = build_radial_grid(5, 30.0, 512)
@@ -21,7 +22,7 @@ ts = list(np.geomspace(0.01, 0.1, 9))
 
 series = []
 for c in (0.0, 1.0):
-    ev = make_evaluator(assemble_sector(grid, 0, c))
+    ev = SemigroupEvaluator(assemble_sector(grid, 0, c))
     for q, tgt in ((math.inf, -5.0 / 8.0), (10.0, -0.5)):
         fit = decay_fit(ev, 2.0, q, ts)
         rel = abs(fit.exponent - tgt) / abs(tgt)

@@ -13,10 +13,11 @@ import math
 
 import numpy as np
 
-from biharmlab import Region, assemble_sector, build_radial_grid, make_evaluator, offdiag_fit
+from biharmlab import (Region, SemigroupEvaluator, assemble_sector,
+                       build_radial_grid, offdiag_fit)
 
 grid = build_radial_grid(5, 40.0, 1024)
-ev = make_evaluator(assemble_sector(grid, 0, 1.0))
+ev = SemigroupEvaluator(assemble_sector(grid, 0, 1.0))
 
 ds = [3.0, 5.0, 8.0, 12.0]
 E = Region.annulus(0.0, 1.0)

@@ -14,8 +14,8 @@ from .operators import (BoxOperator, SectorOperator, TwistedOperator,
                         assemble_box, assemble_sector, forme_inequality_check,
                         paper_rellich_constant, twist, twisted_form_terms)
 from .spectral import (KernelMatrix, SemigroupEvaluator, SpectralDecomposition,
-                       eigendecompose, inv_sqrt_apply, make_evaluator,
-                       riesz_apply, riesz_kernel)
+                       eigendecompose, inv_sqrt_apply, riesz_apply,
+                       riesz_kernel)
 from .norms import (NormEstimate, boyd_lower, corner_norm, interpolation_upper,
                     opnorms)
 from .estimates import (DistanceEstimate, FitResult, davies_distance, decay_fit,

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import sys
 import time
@@ -14,6 +15,8 @@ try:
     import resource
 except ImportError:         # not on Windows
     resource = None
+
+CHECK_OPS = {"<=": operator.le, ">=": operator.ge, ">": operator.gt}
 
 
 def fmt(x) -> str:
@@ -65,7 +68,7 @@ def peak_rss_mb() -> float | None:
 
 class RunManifest:
     """One experiment's output directory `out`: its CSV tables and a
-    manifest of config echo, content hashes, per-check pass/fail, the
+    manifest of config echo, content hashes, per-check records, the
     table list and the process's peak memory so far, written atomically
     at the end of the run.  A report-only run records no checks.  `error`
     holds the error that stopped the experiment, if one did."""
@@ -84,10 +87,17 @@ class RunManifest:
     def add_hash(self, name: str, value: str) -> None:
         self.hashes[name] = value
 
-    def add_check(self, name: str, ok: bool, detail: str = "") -> None:
+    def add_check(self, name: str, value: float, op: str, bound: float,
+                  detail: str = "") -> None:
+        """Record whether `value op bound` holds (a NaN value fails) and
+        its slack: bound - value for `<=`, else value - bound."""
         if not self.report_only:
-            self.checks.append({"name": name, "pass": bool(ok),
-                                "detail": detail})
+            value, bound = float(value), float(bound)
+            self.checks.append({
+                "name": name, "pass": CHECK_OPS[op](value, bound),
+                "value": value, "op": op, "bound": bound,
+                "slack": bound - value if op == "<=" else value - bound,
+                "detail": detail})
 
     def table(self, name: str, header, rows) -> None:
         """Write the CSV table `<out>/<name>` and list it."""

@@ -158,10 +158,6 @@ class SemigroupEvaluator:
         return KernelMatrix(dec=dec, f=np.exp(-t * dec.mu))
 
 
-def make_evaluator(op: SectorOperator) -> SemigroupEvaluator:
-    return SemigroupEvaluator(op=op)
-
-
 def quadrature_nodes(mu_min: float, mu_max: float) -> tuple:
     """Trapezoid nodes for Gamma(1/2)^{-1} int t^{-1/2} e^{-tA} dt, t = e^s.
 
@@ -217,6 +213,9 @@ def riesz_apply(op, u, route: str = "spectral") -> np.ndarray:
 
 
 def riesz_kernel(op: SectorOperator) -> KernelMatrix:
-    """Riesz transform as a kernel with respect to the weighted measure."""
+    """Riesz transform as a kernel with respect to the weighted measure;
+    at c = 0 it is -Q Q^T, as the tridiagonal factor gives L Q = -Q nu."""
     dec = _positive_decomposition(op)
+    if op.c == 0.0:
+        return KernelMatrix(K=-dec.synth_kernel(np.ones(op.n)), w=op.w)
     return KernelMatrix(K=op.apply_L(dec.synth_kernel(dec.mu**-0.5)), w=op.w)

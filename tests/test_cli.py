@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -288,6 +289,16 @@ class TestExitCodes:
         p2 = [row for row in rows if row[0] == "p=2.0"]
         assert len(p2) == 1 and p2[0][1] == p2[0][2]    # exact: lower = upper
 
+    def test_riesz_at_c_zero_on_a_log_grid_is_an_isometry(self, tmp_path):
+        # R = -Q Q^T from the tridiagonal factor; applying the banded L to
+        # the low modes read ||R||_2 = 1 + 6.2e-6 on this grid
+        cli.main(["riesz", "--c", "0", "--n", "256", "--mode", "log",
+                  "--out", str(tmp_path)])
+        man = json.load(open(tmp_path / "riesz" / "manifest.json"))
+        l2 = {chk["name"]: chk for chk in man["checks"]}["riesz_l2_bound"]
+        assert l2["pass"]
+        assert abs(l2["value"] - 1.0) <= 1e-12
+
     def test_negative_time_exits_two_and_is_recorded(self, tmp_path, capsys):
         code = cli.main(["offdiag", "--n", "64", "--t=-0.002,0.001",
                          "--out", str(tmp_path)])
@@ -357,7 +368,7 @@ class TestExitCodes:
             raise spectral.SpectralError("indefinite operator")
 
         def passing(args, man):
-            man.add_check("ran", True, "")
+            man.add_check("ran", 0, "<=", 0)
 
         assert list(cli.EXPERIMENTS) == ["coercivity", "rellich", "decay",
                                          "offdiag", "riesz", "twisted",
@@ -407,6 +418,20 @@ class TestExitCodes:
         assert "[FAIL]" in res.stdout
 
 
+# the suite's checks in the order it records them
+SUITE_CHECKS = (
+    "positive_definite", "semigroup_contractive",
+    "rellich_within_10pct", "rellich_min_at_ell0",
+    "decay_slope_c0.0_qinf", "decay_slope_c0.0_q10.0",
+    "decay_slope_c1.0_qinf", "decay_slope_c1.0_q10.0",
+    "offdiag_distance_exponent", "offdiag_time_exponent",
+    "riesz_routes_agree", "riesz_l2_bound", "riesz_stability_p1.3",
+    "riesz_stability_p1.5", "riesz_stability_p1.8",
+    "twisted_expansion_order", "twisted_semigroup_bounds",
+    "laplacian_decay_half", "davies_distance_bracket", "lambda_optimizer",
+    "solution_seminorm_finite")
+
+
 class TestBenchmarkReference:
     def test_suite_csvs_match_the_reference(self, tmp_path):
         # the benchmark's own comparison, at its tolerance; reads only
@@ -416,6 +441,7 @@ class TestBenchmarkReference:
         spec.loader.exec_module(check)
         args = build_parser().parse_args(["suite", "--seed", "7",
                                           "--out", str(tmp_path)])
+        mans = {}
         restore, _ = cli._pin_blas_threads()
         try:
             for name, run in (("coercivity", cli.run_coercivity),
@@ -426,9 +452,18 @@ class TestBenchmarkReference:
                               ("offdiag", cli.run_offdiag),
                               ("riesz", cli.run_riesz),
                               ("rellich", cli.run_rellich)):
-                run(args, report.RunManifest({}, str(tmp_path / name), False))
+                mans[name] = report.RunManifest({}, str(tmp_path / name),
+                                                False)
+                run(args, mans[name])
         finally:
             restore()
+        checks = [chk for name in cli.EXPERIMENTS for chk in mans[name].checks]
+        failing = {"rellich_within_10pct", "riesz_l2_bound"}
+        assert [(chk["name"], chk["pass"]) for chk in checks] == [
+            (name, name not in failing) for name in SUITE_CHECKS]
+        ops = {"<=": operator.le, ">=": operator.ge, ">": operator.gt}
+        for chk in checks:
+            assert chk["pass"] == ops[chk["op"]](chk["value"], chk["bound"])
         for rel in ("coercivity/contraction.csv", "decay/decay.csv",
                     "decay/decay_curve.csv", "solve/solve.csv",
                     "twisted/twisted_expansion.csv",
@@ -506,14 +541,33 @@ class TestReport:
 
     def test_manifest_write_and_flags(self, tmp_path):
         man = report.RunManifest({"seed": 7}, str(tmp_path), False)
-        man.add_check("a", True, "fine")
-        man.add_check("b", False, "broken")
+        man.add_check("a", 1.0, "<=", 2.0, "fine")
+        man.add_check("b", 3.0, "<=", 2.0, "broken")
         man.write()
         path = str(tmp_path / "manifest.json")
         body = json.load(open(path))
         assert body["all_pass"] is False
         assert body["config"] == {"seed": 7, "report_only": False}
         assert not os.path.exists(path + ".tmp")
+
+    @pytest.mark.parametrize("op, value, passes, slack", [
+        ("<=", 1.0, True, 1.0), ("<=", 2.0, True, 0.0),
+        ("<=", 3.0, False, -1.0), (">=", 3.0, True, 1.0),
+        (">=", 2.0, True, 0.0), (">=", 1.0, False, -1.0),
+        (">", 3.0, True, 1.0), (">", 2.0, False, 0.0),
+        (">", 1.0, False, -1.0)])
+    def test_check_compares_its_value_with_its_bound(self, tmp_path, op,
+                                                     value, passes, slack):
+        man = report.RunManifest({}, str(tmp_path), False)
+        man.add_check("a", value, op, 2.0, "why")
+        man.add_check("nan", math.nan, op, 2.0)
+        man.write()
+        body = json.load(open(tmp_path / "manifest.json"))
+        a, nan = body["checks"]
+        assert a == {"name": "a", "pass": passes, "value": value, "op": op,
+                     "bound": 2.0, "slack": slack, "detail": "why"}
+        assert nan["pass"] is False and math.isnan(nan["slack"])
+        assert body["all_pass"] is False
 
     def test_manifest_records_peak_memory(self, tmp_path, monkeypatch):
         man = report.RunManifest({}, str(tmp_path), False)
@@ -531,7 +585,8 @@ class TestReport:
         out = tmp_path / "exp"
         man = report.RunManifest({}, str(out), True)
         man.table("t.csv", ("i", "v"), [(1, 0.5)])
-        man.add_check("a", False, "ignored")
+        for op in report.CHECK_OPS:
+            man.add_check("a", math.nan, op, 0.0, "ignored")
         man.write()
         body = json.load(open(out / "manifest.json"))
         assert body["files"] == [str(out / "t.csv")]

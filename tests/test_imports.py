@@ -1,7 +1,7 @@
-"""Every imported name is used, and every public function and class of
-the package has a user outside the tests: `ast` scans of the package,
-its tests, its demos and its benchmark.  The CLI loads scipy's optimiser
-and sparse stacks only where they are used."""
+"""Every imported name is used, and every public function, class and
+method of the package has a user outside the tests: `ast` scans of the
+package, its tests, its demos and its benchmark.  The CLI loads scipy's
+optimiser and sparse stacks only where they are used."""
 
 import ast
 import glob
@@ -16,10 +16,14 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REEXPORTS = os.path.join("src", "biharmlab", "__init__.py")
 PACKAGE = os.path.dirname(REEXPORTS)
 
-# public functions and classes that nothing outside the tests names, each
-# kept for the reason given
+# public functions, classes and methods that nothing outside the tests
+# names, each kept for the reason given
 KEPT = {
     "extrapolation_check": "ROADMAP direction 3 makes it a suite gate",
+    "orthonormality_residual": "ROADMAP direction 5 records it in the "
+                               "manifest",
+    "coords": "the test reference for BoxGrid.radii_sq and BoxGrid.dot",
+    "apply_A": "a test reference until ROADMAP direction 16",
 }
 
 
@@ -89,19 +93,37 @@ def named(tree) -> set:
     return out
 
 
+def _public(node) -> set:
+    """The public name a function or class definition binds, as a set."""
+    if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")):
+        return {node.name}
+    return set()
+
+
 def unnamed_definitions(package: dict, others) -> list:
-    """Public module-level functions and classes of `package` (path ->
-    source) that nothing names outside their own definition: neither
-    another top-level statement of the package nor a source in `others`."""
+    """Public module-level functions and classes, and public methods of
+    those classes, of `package` (path -> source) that nothing names
+    outside their own definition: neither another top-level statement or
+    method of the package nor a source in `others`.  A method is matched
+    by its attribute name."""
     used = set().union(*(named(ast.parse(src)) for src in others))
     defined = set()
     for source in package.values():
         for stmt in ast.parse(source).body:
-            own = getattr(stmt, "name", None)
-            if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-                    and not own.startswith("_")):
-                defined.add(own)
-            used |= named(stmt) - {own}
+            own = _public(stmt)
+            defined |= own
+            if not isinstance(stmt, ast.ClassDef):
+                used |= named(stmt) - own
+                continue
+            # the class header, then each statement of its body, which may
+            # name the class and its other methods
+            for node in (*stmt.bases, *stmt.keywords, *stmt.decorator_list):
+                used |= named(node) - own
+            for node in stmt.body:
+                method = _public(node)
+                defined |= method
+                used |= named(node) - own - method
     return sorted(defined - used)
 
 
@@ -111,8 +133,15 @@ def test_definition_scan_flags_only_unnamed_ones():
                        "class C:\n    pass\n\n"
                        "def h():\n    pass\n\n"
                        "def _k():\n    return g\n",
-               "b.py": "from a import C\n"}
-    assert unnamed_definitions(package, ["import a\na.h()\n"]) == ["f"]
+               "b.py": "from a import C\n",
+               "c.py": "class D:\n"
+                       "    def m(self):\n        return self.m()\n\n"
+                       "    def n(self):\n        return self.p()\n\n"
+                       "    def p(self):\n        pass\n\n"
+                       "    def q(self):\n        pass\n\n"
+                       "    def _r(self):\n        pass\n"}
+    others = ["import a\na.h()\nc.D().n()\nx.q\n"]
+    assert unnamed_definitions(package, others) == ["f", "m"]
 
 
 def _read(paths) -> dict:

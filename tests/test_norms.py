@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from biharmlab import (assemble_sector, boyd_lower, build_radial_grid,
-                       corner_norm, interpolation_upper, make_evaluator, norms,
-                       opnorms)
+from biharmlab import (SemigroupEvaluator, assemble_sector, boyd_lower,
+                       build_radial_grid, corner_norm, interpolation_upper,
+                       norms, opnorms)
 from biharmlab.grids import weighted_lp
 from biharmlab.norms import (BOYD_MAX_ITER, BOYD_RESTARTS, NormError,
                              NormEstimate, _dual, _lp_unit)
@@ -278,7 +278,7 @@ def op512(request):
 class TestSpectralCorners:
     @pytest.mark.parametrize("t", [1e-3, 1e-2, 0.05, 1.0, 0.01 + 0.01j])
     def test_bound_the_formed_kernel_tightly(self, op512, t):
-        kern = make_evaluator(op512).kernel(t)
+        kern = SemigroupEvaluator(op512).kernel(t)
         n22 = corner_norm(kern, 2.0, 2.0)
         n2inf = corner_norm(kern, 2.0, math.inf)
         assert "K" not in kern.__dict__
@@ -301,7 +301,7 @@ class TestSpectralCorners:
         assert n22 > 1.0 + 1e-12
 
     def test_kernel_formed_once_on_demand(self, op512):
-        kern = make_evaluator(op512).kernel(0.05)
+        kern = SemigroupEvaluator(op512).kernel(0.05)
         assert "K" not in kern.__dict__
         K = kern.K
         assert kern.K is K

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from biharmlab import (assemble_sector, build_radial_grid, eigendecompose,
-                       inv_sqrt_apply, laplacian_decay_fit, make_evaluator,
-                       make_phi, riesz_apply, riesz_kernel, spectral,
-                       twisted_decay_suite)
+from biharmlab import (SemigroupEvaluator, assemble_sector,
+                       build_radial_grid, eigendecompose, inv_sqrt_apply,
+                       laplacian_decay_fit, make_phi, riesz_apply,
+                       riesz_kernel, spectral, twisted_decay_suite)
 from biharmlab.norms import corner_norm
 from biharmlab.spectral import SpectralError, _weighted_eigh, quadrature_nodes
 
@@ -87,14 +87,14 @@ class TestEigendecompose:
 
 class TestSemigroup:
     def test_semigroup_law(self, op_c1, rng):
-        ev = make_evaluator(op_c1)
+        ev = SemigroupEvaluator(op_c1)
         u = rng.standard_normal(op_c1.n)
         a = ev.apply(0.3, ev.apply(0.2, u))
         b = ev.apply(0.5, u)
         assert np.linalg.norm(a - b) / np.linalg.norm(b) <= 1e-9
 
     def test_contractivity(self, op_c1, dec_c1, rng):
-        ev = make_evaluator(op_c1)
+        ev = SemigroupEvaluator(op_c1)
         u = rng.standard_normal(op_c1.n)
         n0 = math.sqrt(float(op_c1.w @ u**2))
         for t in np.geomspace(1e-3, 10.0, 8):
@@ -103,22 +103,22 @@ class TestSemigroup:
             assert nt <= math.exp(-t * dec_c1.mu[0]) * n0 * (1 + 1e-12)
 
     def test_rejects_negative_time(self, op_c1, rng):
-        ev = make_evaluator(op_c1)
+        ev = SemigroupEvaluator(op_c1)
         with pytest.raises(SpectralError):
             ev.apply(-0.1, rng.standard_normal(op_c1.n))
 
     def test_kernel_rejects_negative_time(self, op_c1):
         with pytest.raises(SpectralError, match="Re t >= 0"):
-            make_evaluator(op_c1).kernel(-0.1)
+            SemigroupEvaluator(op_c1).kernel(-0.1)
 
     def test_complex_time_on_sector(self, op_c1, rng):
-        ev = make_evaluator(op_c1)
+        ev = SemigroupEvaluator(op_c1)
         u = rng.standard_normal(op_c1.n)
         out = ev.apply(0.01 + 0.01j, u)
         assert np.all(np.isfinite(out.real)) and np.all(np.isfinite(out.imag))
 
     def test_kernel_property(self, op_c1, rng):
-        ev = make_evaluator(op_c1)
+        ev = SemigroupEvaluator(op_c1)
         u = rng.standard_normal(op_c1.n)
         kern = ev.kernel(0.05)
         direct = ev.apply(0.05, u)
@@ -126,13 +126,13 @@ class TestSemigroup:
                 / np.linalg.norm(direct)) <= 1e-9
 
     def test_kernel_symmetry(self, op_c1):
-        K = make_evaluator(op_c1).kernel(0.05).K
+        K = SemigroupEvaluator(op_c1).kernel(0.05).K
         assert np.max(np.abs(K - K.T)) <= 1e-8 * np.max(np.abs(K))
 
     def test_kernel_diagonal_short_time_trend(self):
         # on-diagonal heat kernel decays like t^{-N/4} for small t
         g = build_radial_grid(5, 20.0, 512)
-        ev = make_evaluator(assemble_sector(g, 0, 0.0))
+        ev = SemigroupEvaluator(assemble_sector(g, 0, 0.0))
         ts = np.geomspace(2e-4, 2e-3, 6)
         vals = [ev.kernel(t).K[0, 0] for t in ts]
         slope = np.polyfit(np.log(ts), np.log(vals), 1)[0]
@@ -206,7 +206,7 @@ class TestOneDecomposition:
         monkeypatch.setattr(spectral, "eigendecompose", counted)
         op = assemble_sector(build_radial_grid(5, 10.0, 64), 0, 1.0)
         u = np.random.default_rng(0).standard_normal(op.n)
-        make_evaluator(op).kernel(0.05)
+        SemigroupEvaluator(op).kernel(0.05)
         riesz_kernel(op)
         riesz_apply(op, u, "quadrature")
         laplacian_decay_fit(op, np.geomspace(0.01, 0.1, 5))
@@ -233,8 +233,8 @@ class TestOneDecomposition:
     def test_box_kernel_and_inverse_square_root_rejected(self, box_op_small):
         u = np.ones(box_op_small.n)
         with pytest.raises(SpectralError):
-            make_evaluator(box_op_small)
+            SemigroupEvaluator(box_op_small)
         with pytest.raises(SpectralError):
-            make_evaluator(box_op_small).kernel(0.01)
+            SemigroupEvaluator(box_op_small).kernel(0.01)
         with pytest.raises(SpectralError):
             inv_sqrt_apply(box_op_small, u, "quadrature")
