@@ -16,6 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from .grids import (RadialGrid, Region, euclidean_distance, probe_functions,
                     sphere_area, weighted_lp)
@@ -23,8 +24,7 @@ from .norms import (NormEstimate, boyd_lower, interpolation_upper, l2_norm,
                     opnorms)
 from .operators import (SectorOperator, forme_inequality_check,
                         paper_rellich_constant, stiffness_bands, twist)
-from .spectral import (KernelMatrix, SemigroupEvaluator, _weighted_eigh,
-                       riesz_kernel)
+from .spectral import KernelMatrix, SemigroupEvaluator, riesz_kernel
 
 
 class EstimateError(ValueError):
@@ -62,20 +62,6 @@ def reliable_window(grid: RadialGrid) -> tuple:
 
 # ----------------------------------------------------------------- Rellich
 
-def _power_int_0(p: float, x: float) -> float:
-    """int_0^x r^p dr, requires p > -1."""
-    if p <= -1:
-        raise EstimateError("divergent inner tail integral")
-    return x ** (p + 1) / (p + 1)
-
-
-def _power_int_inf(p: float, x: float) -> float:
-    """int_x^inf r^p dr, requires p < -1."""
-    if p >= -1:
-        raise EstimateError("divergent outer tail integral")
-    return -(x ** (p + 1)) / (p + 1)
-
-
 def _rellich_pencil(grid: RadialGrid, bands, tails=None) -> float:
     """Smallest mu of the Rellich pencil F u = mu M u of a radial sector:
     L = W^{-1} tridiag(lower, main, upper) from the stiffness `bands`,
@@ -101,6 +87,39 @@ def _rellich_pencil(grid: RadialGrid, bands, tails=None) -> float:
     return float(mu[0])
 
 
+def _biharmonic_tail(N: int, face: float, nodes, powers, side: int) -> tuple:
+    """A radial biharmonic tail psi = sum_k c_k (r/face)^{powers[k]} fixed
+    by its values at the two `nodes`, on [0, face] (side = +1) or on
+    [face, inf) (side = -1); powers[0] is the harmonic member.  Returns,
+    as maps of the two node values: the flux row sigma f^{N-1} psi'(f),
+    and the 2 x 2 blocks of sigma int |Delta_ell psi|^2 r^{N-1} and
+    sigma int psi^2 r^{N-5} over the tail."""
+    sig = sphere_area(N)
+    C = np.linalg.inv(np.array([[(x / face) ** p for p in powers]
+                                for x in nodes]))
+
+    def integral(p):
+        """int r^p over the tail."""
+        if side * (p + 1) <= 0:
+            raise EstimateError("divergent tail integral")
+        return face ** (p + 1) / abs(p + 1)
+
+    # d/dr (r/f)^p at f is p/f; the angular part is carried by the
+    # diagonal -ell(ell+N-2)/r^2 term of the stiffness
+    flux = sig * face ** (N - 1) * np.array([p / face for p in powers]) @ C
+    # Delta_ell r^m = (m(m+N-2) - ell(ell+N-2)) r^{m-2}, and the harmonic
+    # member has m(m+N-2) = ell(ell+N-2): only the other one contributes
+    h, m = powers
+    lap = (m * (m + N - 2) - h * (h + N - 2)) / face ** m
+    F = lap**2 * sig * integral(2 * (m - 2) + N - 1) * np.outer(C[1], C[1])
+    M = np.zeros((2, 2))
+    for i in range(2):
+        for j in range(2):
+            e = powers[i] + powers[j]
+            M += face ** -e * integral(e + N - 5) * np.outer(C[i], C[j])
+    return flux, F, sig * M
+
+
 def _sector_rellich_matched(grid: RadialGrid, ell: int) -> float:
     """Smallest Rellich quotient over grid profiles extended by biharmonic
     tails: psi = alpha r^ell + a r^{ell+2} inside the inner face, and
@@ -109,32 +128,13 @@ def _sector_rellich_matched(grid: RadialGrid, ell: int) -> float:
     every discrete trial maps to a genuine H^2(R^N) function.
     """
     N, r = grid.N, grid.r
-    sig = sphere_area(N)
     f0, fR = grid.faces[0], grid.faces[-1]
     if f0 <= 0:
         raise EstimateError("the matched inner tail needs an inner face "
                             f"> 0, got {f0:g}; use --mode log")
-
-    def lapc(m):
-        return m * (m + N - 2) - ell * (ell + N - 2)
-
-    # tail bases scaled to O(1) at the matching face
-    p_in = (ell, ell + 2)
-    p_out = (2 - N - ell, 4 - N - ell)
-    Vin = np.array([[(r[0] / f0) ** p for p in p_in],
-                    [(r[1] / f0) ** p for p in p_in]])
-    Cin = np.linalg.inv(Vin)            # coefficients from (u_0, u_1)
-    Vout = np.array([[(r[-2] / fR) ** p for p in p_out],
-                     [(r[-1] / fR) ** p for p in p_out]])
-    Cout = np.linalg.inv(Vout)
-
-    # flux of the tail at the matching faces (radial derivative only;
-    # the angular part is carried by the diagonal -ell(ell+N-2)/r^2 term)
-    flux_in = sig * f0 ** (N - 1) * np.array(
-        [p / f0 for p in p_in]) @ Cin     # d/dr (r/f0)^p at f0 = p/f0
-    flux_out = sig * fR ** (N - 1) * np.array(
-        [p / fR for p in p_out]) @ Cout
-
+    flux_in, F_in, M_in = _biharmonic_tail(N, f0, r[:2], (ell, ell + 2), 1)
+    flux_out, F_out, M_out = _biharmonic_tail(
+        N, fR, r[-2:], (2 - N - ell, 4 - N - ell), -1)
     # the sector's flux stencil, closed by the tail fluxes in rows 0 and n-1
     a, main = stiffness_bands(grid, ell)
     upper, lower = a.copy(), a.copy()
@@ -142,29 +142,8 @@ def _sector_rellich_matched(grid: RadialGrid, ell: int) -> float:
     upper[0] += flux_in[1]
     lower[-1] -= flux_out[0]
     main[-1] -= flux_out[1]
-
-    # numerator tails: |Delta_ell psi|^2 integrals (only the non-harmonic
-    # basis member of each tail contributes)
-    cin = lapc(ell + 2) / f0 ** (ell + 2)       # Delta_ell of inner basis 2
-    F_in = (cin**2 * sig * _power_int_0(2 * ell + N - 1, f0)
-            * np.outer(Cin[1], Cin[1]))
-    cout = lapc(4 - N - ell) / fR ** (4 - N - ell)
-    F_out = (cout**2 * sig * _power_int_inf(2 * (2 - N - ell) + N - 1, fR)
-             * np.outer(Cout[1], Cout[1]))
-
-    def tail_mass(C, powers, x0, integral):
-        out = np.zeros((2, 2))
-        for i in range(2):
-            for j in range(2):
-                scale = x0 ** -(powers[i] + powers[j])
-                out += scale * integral(powers[i] + powers[j] + N - 5, x0) \
-                    * np.outer(C[i], C[j])
-        return sig * out
-
     return _rellich_pencil(grid, (lower, main, upper),
-                           (F_in, F_out,
-                            tail_mass(Cin, p_in, f0, _power_int_0),
-                            tail_mass(Cout, p_out, fR, _power_int_inf)))
+                           (F_in, F_out, M_in, M_out))
 
 
 def rellich_constant(grid: RadialGrid, ell_max: int = 8) -> dict:
@@ -214,16 +193,22 @@ def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple:
     return float(slope), float(intercept), resid
 
 
-def decay_fit(evaluator: SemigroupEvaluator, p: float, q: float,
-              t_list) -> FitResult:
-    """Slope of log ||e^{-tA}||_{p->q} against log t, on the Riesz-Thorin
-    upper bound of each norm."""
-    grid = evaluator.op.grid
+def _window_times(grid: RadialGrid, t_list) -> np.ndarray:
+    """The times of t_list inside reliable_window(grid), at least 5."""
     lo, hi = reliable_window(grid)
     ts = np.asarray([t for t in t_list if lo <= t <= hi], dtype=float)
     if len(ts) < 5:
         raise EstimateError(
             f"fewer than 5 usable t-points inside the window [{lo:g}, {hi:g}]")
+    return ts
+
+
+def decay_fit(evaluator: SemigroupEvaluator, p: float, q: float,
+              t_list) -> FitResult:
+    """Slope of log ||e^{-tA}||_{p->q} against log t, on the Riesz-Thorin
+    upper bound of each norm."""
+    grid = evaluator.op.grid
+    ts = _window_times(grid, t_list)
     vals = [interpolation_upper(evaluator.kernel(t), p, q) for t in ts]
     slope, _, resid = _loglog_fit(ts, np.asarray(vals))
     return FitResult(params={"exponent": slope,
@@ -401,12 +386,17 @@ def remark_ball_inequality(x, y, r: float) -> dict:
 
 def _sym_part_minimizer(tw) -> np.ndarray:
     """Minimiser of Re a_{lam phi}(u) / ||u||_W^2 on a radial sector: the
-    lowest W-eigenvector of F_ij cosh(lam (phi_i - phi_j)), the symmetric
-    part of the twisted form u^* e^{lam phi} F e^{-lam phi} u."""
+    lowest W-eigenvector of H = F_ij cosh(lam (phi_i - phi_j)), the
+    symmetric part of the twisted form u^* e^{lam phi} F e^{-lam phi} u,
+    read as q/sqrt(w) from the lowest eigenvector q of the standard form
+    W^{-1/2} H W^{-1/2}."""
     lp = tw.lam * tw.phi_values
+    s = np.sqrt(tw.base.w)
     H = tw.base.F * np.cosh(lp[:, None] - lp[None, :])
-    _, Q = _weighted_eigh(H, tw.base.w)
-    return Q[:, 0]
+    H /= s[:, None]
+    H /= s
+    _, q = sla.eigh(H, subset_by_index=[0, 0], overwrite_a=True)
+    return q[:, 0] / s
 
 
 def twisted_decay_suite(op: SectorOperator, lam_list, phi_list, t_list,
@@ -464,13 +454,15 @@ def twisted_decay_suite(op: SectorOperator, lam_list, phi_list, t_list,
 
 
 def laplacian_decay_fit(op: SectorOperator, t_list) -> FitResult:
-    """Fit ||L e^{-tA}||_{2->2} ~ t^{-1/2} over the given times."""
+    """Fit ||L e^{-tA}||_{2->2} ~ t^{-1/2} over the given times inside the
+    reliable window."""
     ev = SemigroupEvaluator(op)
-    ts = np.asarray(t_list, dtype=float)
+    ts = _window_times(op.grid, t_list)
     vals = [l2_norm(op.apply_L(ev.kernel(t).K), op.w, op.w) for t in ts]
     slope, intercept, resid = _loglog_fit(ts, np.asarray(vals))
     return FitResult(params={"exponent": slope,
-                             "prefactor": math.exp(intercept)},
+                             "prefactor": math.exp(intercept),
+                             "t_values": [float(t) for t in ts]},
                      residual=resid, target=-0.5)
 
 

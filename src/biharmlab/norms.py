@@ -140,33 +140,19 @@ def _lp_unit(u: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
     return u / np.where(nrm > 0, nrm, 1.0)
 
 
-def _dual_elements(V: np.ndarray, nv: np.ndarray, w: np.ndarray,
-                   q: float) -> np.ndarray:
-    """Dual elements in L^q(w) of the columns of V, whose norms are nv."""
-    if not math.isinf(q):
-        return np.sign(V) * (np.abs(V) / nv) ** (q - 1.0)
-    Psi = np.zeros_like(V)
-    cols = np.arange(V.shape[1])
-    i = np.argmax(np.abs(V), axis=0)
-    Psi[i, cols] = np.sign(V[i, cols]) / w[i]
-    return Psi
-
-
-def _ascent_step(Z: np.ndarray, U: np.ndarray, w: np.ndarray,
-                 p: float) -> np.ndarray:
-    """Unit L^p(w) iterates aligned with the columns of Z = K^* psi; where
-    an entry of Z is zero, the sign of the previous iterate U is kept."""
-    sgn = np.where(Z != 0, np.sign(Z), np.sign(U) + (U == 0))
-    if p == 1.0:
-        Unew = np.zeros_like(U)
-        cols = np.arange(U.shape[1])
-        i = np.argmax(np.abs(Z), axis=0)
-        Unew[i, cols] = sgn[i, cols] / w[i]
-    elif math.isinf(p):
-        Unew = sgn
-    else:
-        Unew = sgn * np.abs(Z) ** (_dual(p) - 1.0)
-    return _lp_unit(Unew, w, p)
+def _duality_map(X: np.ndarray, nx, sgn: np.ndarray, w: np.ndarray,
+                 r: float) -> np.ndarray:
+    """sgn (|X|/nx)^{r-1} column by column, or at r = inf a delta
+    sgn_i / w_i at the largest |X_i|: where nx holds the L^r(w) norms of
+    the columns of X, the unit elements of L^{r'}(w) that attain them.
+    sgn is the sign of X where X is nonzero."""
+    if not math.isinf(r):
+        return sgn * (np.abs(X) / nx) ** (r - 1.0)
+    Y = np.zeros_like(X)
+    cols = np.arange(X.shape[1])
+    i = np.argmax(np.abs(X), axis=0)
+    Y[i, cols] = sgn[i, cols] / w[i]
+    return Y
 
 
 def boyd_lower(kernel: KernelMatrix, pairs, restarts: int = BOYD_RESTARTS,
@@ -218,12 +204,18 @@ def boyd_lower(kernel: KernelMatrix, pairs, restarts: int = BOYD_RESTARTS,
         groups = [g for g in groups if g[2].size]
         Psi = np.empty((n, live.size))
         for p, q, g in groups:
-            Psi[:, g] = _dual_elements(V[:, live[g]], nv[live[g]], w, q)
+            Vg = V[:, live[g]]
+            Psi[:, g] = _duality_map(Vg, nv[live[g]], np.sign(Vg), w, q)
         # K^T (w psi) as ((w psi)^T K)^T: no transposed copy of K
         Z = ((w[:, None] * Psi).T @ K).T
         Unew = np.empty_like(Psi)
         for p, q, g in groups:
-            Unew[:, g] = _ascent_step(Z[:, g], U[:, live[g]], w, p)
+            Zg, Ug = Z[:, g], U[:, live[g]]
+            # where Z is zero, the previous iterate's sign is kept; the
+            # map at unit nx gives the direction, which _lp_unit scales
+            sgn = np.where(Zg != 0, np.sign(Zg), np.sign(Ug) + (Ug == 0))
+            Unew[:, g] = _lp_unit(_duality_map(Zg, 1.0, sgn, w, _dual(p)),
+                                  w, p)
         Vnew = K @ (w[:, None] * Unew)
         new_val = np.empty(live.size)
         for p, q, g in groups:

@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.integrate import quad
 
 from biharmlab import (Region, assemble_sector, build_radial_grid, cli,
                        davies_distance, decay_fit, discrete_rellich,
@@ -15,8 +16,9 @@ from biharmlab import (Region, assemble_sector, build_radial_grid, cli,
                        offdiag_fit, rellich_constant, remark_ball_inequality,
                        report, riesz_pnorm_sweep, solve_parabolic, twist,
                        twisted_decay_suite)
-from biharmlab.estimates import (EstimateError, gamma_pq, reliable_window,
-                                 _block_norm)
+from biharmlab.estimates import (DistanceEstimate, EstimateError, gamma_pq,
+                                 reliable_window, _block_norm)
+from biharmlab.grids import sphere_area
 from biharmlab.norms import corner_norm, interpolation_upper, l2_norm
 from biharmlab.spectral import SemigroupEvaluator, riesz_kernel
 
@@ -65,6 +67,53 @@ class TestRellich:
         g = build_radial_grid(5, 30.0, 64, "uniform")
         with pytest.raises(EstimateError, match="--mode log"):
             rellich_constant(g, ell_max=0)
+
+    @pytest.mark.parametrize("N", [5, 6])
+    @pytest.mark.parametrize("ell", [0, 1, 3])
+    def test_tail_blocks_match_quadrature(self, ell, N):
+        # each face's flux row and blocks, entry (i, j) for the tails with
+        # node values e_i and e_j, against adaptive quadrature of the
+        # radial Laplacian psi'' + (N-1) psi'/r - ell(ell+N-2) psi/r^2
+        g = build_radial_grid(N, 1000.0, 200, "log")
+        rng = np.random.default_rng(10 * N + ell)
+        f_in, f_out = rng.uniform(0.1, 10.0, 2)
+        faces = [(g.faces[0], g.r[:2], 1), (g.faces[-1], g.r[-2:], -1),
+                 (f_in, np.sort(f_in * rng.uniform(1.05, 2.0, 2)), 1),
+                 (f_out, np.sort(f_out * rng.uniform(0.5, 0.95, 2)), -1)]
+        sig = sphere_area(N)
+        for f, nodes, side in faces:
+            powers = np.array((ell, ell + 2) if side == 1
+                              else (2 - N - ell, 4 - N - ell))
+            flux, F, M = estimates._biharmonic_tail(N, f, nodes,
+                                                    tuple(powers), side)
+            # coefficients of (r/f)^p for the node values e_0 and e_1
+            C = np.linalg.solve((nodes[:, None] / f) ** powers, np.eye(2))
+
+            def psi(i, r, d=0):
+                # d-th derivative: p (p-1) ... (p-d+1) r^{p-d} / f^p
+                fall = np.prod([powers - k for k in range(d)], axis=0)
+                return C[:, i] @ (fall * r ** (powers - d) / f**powers)
+
+            def lap(i, r):
+                return (psi(i, r, 2) + (N - 1) * psi(i, r, 1) / r
+                        - ell * (ell + N - 2) * psi(i, r) / r**2)
+
+            span = (0.0, f) if side == 1 else (f, np.inf)
+
+            def integral(fn):
+                return sig * quad(fn, *span, epsabs=0.0, epsrel=1e-13,
+                                  limit=200)[0]
+
+            F_ref = np.array([[integral(
+                lambda r: lap(i, r) * lap(j, r) * r ** (N - 1))
+                for j in range(2)] for i in range(2)])
+            M_ref = np.array([[integral(
+                lambda r: psi(i, r) * psi(j, r) * r ** (N - 5))
+                for j in range(2)] for i in range(2)])
+            flux_ref = sig * f ** (N - 1) * np.array([psi(i, f, 1)
+                                                      for i in range(2)])
+            for got, ref in ((flux, flux_ref), (F, F_ref), (M, M_ref)):
+                assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     def test_repeat_calls_identical(self):
         g = build_radial_grid(5, 1000.0, 400, "log")
@@ -135,6 +184,17 @@ class TestDecayFit:
         fit = laplacian_decay_fit(op_c0, list(np.geomspace(0.06, 0.6, 8)))
         assert fit.target == pytest.approx(-0.5)
         assert abs(fit.exponent - (-0.5)) <= 0.05
+
+    def test_laplacian_fit_keeps_the_reliable_window(self, op_c0):
+        # decay_fit's window and its rule of at least 5 points
+        lo, hi = reliable_window(op_c0.grid)
+        below = [lo / 4.0, lo / 2.0]
+        ts = below + list(np.geomspace(1.5 * lo, 20.0 * lo, 6))
+        fit = laplacian_decay_fit(op_c0, ts)
+        assert fit.params["t_values"] == ts[2:]
+        with pytest.raises(EstimateError, match="fewer than 5"):
+            laplacian_decay_fit(op_c0, below + list(
+                np.geomspace(1.5 * lo, 3.0 * lo, 4)))
 
 
 def collect_kernels(monkeypatch) -> list:
@@ -244,6 +304,14 @@ class TestDavies:
             est = davies_distance(Region.ball(c1, r1), Region.ball(c2, r2), 5)
             assert 0.0 <= est.d_lb <= est.d_e
 
+    def test_estimate_outside_the_bracket_is_rejected(self):
+        # the one place the sqrt(N) d_e side is enforced, for the CLI too
+        top = math.sqrt(5) * 3.0
+        DistanceEstimate(d_e=3.0, d_lb=top, bracket=(3.0, top))
+        for d_lb in (top + 1e-8, -1e-12):
+            with pytest.raises(EstimateError):
+                DistanceEstimate(d_e=3.0, d_lb=d_lb, bracket=(3.0, top))
+
     def test_touching_regions_zero(self):
         E = Region.ball(np.zeros(5), 2.0)
         F = Region.ball(np.r_[3.0, 0, 0, 0, 0], 1.0)
@@ -310,7 +378,8 @@ class TestTwistedSuite:
             assert row["lap_norm"] == pytest.approx(
                 np.linalg.norm(Lw @ T, 2), rel=1e-9)
 
-        ts = np.geomspace(0.01, 0.1, 6)
+        # inside the reliable window [0.77, 39] of this grid
+        ts = np.geomspace(0.8, 8.0, 6)
         vals = [np.linalg.norm(Lw @ sla.expm(-t * B), 2) for t in ts]
         slope, intercept = np.polyfit(np.log(ts), np.log(vals), 1)
         fit = laplacian_decay_fit(op, ts)

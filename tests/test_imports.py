@@ -1,7 +1,8 @@
-"""Every imported name is used, and every public function, class and
-method of the package has a user outside the tests: `ast` scans of the
-package, its tests, its demos and its benchmark.  The CLI loads scipy's
-optimiser and sparse stacks only where they are used."""
+"""Every imported name is used, no package module imports another's
+private names, and every public function, class and method of the
+package has a user outside the tests: `ast` scans of the package, its
+tests, its demos and its benchmark.  The CLI loads scipy's optimiser and
+sparse stacks only where they are used."""
 
 import ast
 import glob
@@ -65,6 +66,35 @@ def test_scan_flags_only_unread_names():
 def test_every_import_is_used(path):
     with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+def private_imports(source: str) -> list:
+    """(line, name) of every underscore name, dunders aside, that `source`
+    imports from a module of the package."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "biharmlab"):
+            out += [(node.lineno, alias.name) for alias in node.names
+                    if alias.name.startswith("_")
+                    and not alias.name.startswith("__")]
+    return sorted(out)
+
+
+def test_private_import_scan_flags_only_package_privates():
+    source = ("from __future__ import annotations\n"
+              "from .grids import sphere_area, _private\n"
+              "from biharmlab.spectral import _weighted_eigh\n"
+              "from . import __version__\n"
+              "from os.path import _joinrealpath\n")
+    assert private_imports(source) == [(2, "_private"), (3, "_weighted_eigh")]
+
+
+@pytest.mark.parametrize("path", [p for p in _sources()
+                                  if p.startswith(PACKAGE)])
+def test_no_module_imports_another_modules_private_names(path):
+    with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+        assert private_imports(fh.read()) == []
 
 
 def test_cli_import_defers_the_optimiser_and_sparse_stacks():

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import linprog
 
 from biharmlab import (SemigroupEvaluator, assemble_sector, boyd_lower,
@@ -9,7 +12,7 @@ from biharmlab import (SemigroupEvaluator, assemble_sector, boyd_lower,
                        norms, opnorms)
 from biharmlab.grids import weighted_lp
 from biharmlab.norms import (BOYD_MAX_ITER, BOYD_RESTARTS, NormError,
-                             NormEstimate, _dual, _lp_unit)
+                             NormEstimate, _dual, _duality_map, _lp_unit)
 from biharmlab.spectral import KernelMatrix, SpectralDecomposition
 
 # the dual-ascent pairs under test; (2, inf) and (1, inf) run the q = inf
@@ -198,6 +201,32 @@ class TestBoydLower:
                                 seed=3)[1][0]
             assert alone == pytest.approx(block[i][0], rel=1e-13)
             assert shared == pytest.approx(block[i][0], rel=1e-13)
+
+    @given(data=st.data(), r=st.sampled_from([1.0, 1.5, 3.0, math.inf]))
+    @settings(max_examples=60, deadline=None)
+    def test_duality_map_attains_the_norm(self, data, r):
+        # both half-steps of the ascent: psi of V in L^{q'} with q = r, and
+        # U of Z in L^p with p = r, each of unit norm and attaining the
+        # norm of its argument in the dual exponent
+        n = data.draw(st.integers(1, 12))
+        cols = data.draw(st.integers(1, 4))
+        entry = st.one_of(st.just(0.0), st.floats(1e-3, 1e2),
+                          st.floats(-1e2, -1e-3))
+        X = data.draw(hnp.arrays(float, (n, cols), elements=entry))
+        assume(np.all(np.any(X != 0, axis=0)))
+        w = data.draw(hnp.arrays(float, n, elements=st.floats(0.1, 10.0)))
+        # the ascent keeps a previous iterate's sign where Z is zero
+        prev = data.draw(hnp.arrays(float, (n, cols),
+                                    elements=st.sampled_from([-1.0, 1.0])))
+        sgn = np.where(X != 0, np.sign(X), prev)
+        rd = _dual(r)
+        psi = _duality_map(X, weighted_lp(X, w, r), np.sign(X), w, r)
+        U = _lp_unit(_duality_map(X, 1.0, sgn, w, rd), w, r)
+        for Y, s, t in ((psi, rd, r), (U, r, rd)):
+            norm = weighted_lp(X, w, t)
+            np.testing.assert_allclose(weighted_lp(Y, w, s), 1.0, rtol=1e-12)
+            np.testing.assert_allclose(np.sum(w[:, None] * Y * X, axis=0),
+                                       norm, rtol=1e-12)
 
     def test_zero_kernel_has_no_witness(self):
         kern = KernelMatrix(K=np.zeros((6, 6)), w=np.ones(6))

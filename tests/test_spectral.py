@@ -209,7 +209,7 @@ class TestOneDecomposition:
         SemigroupEvaluator(op).kernel(0.05)
         riesz_kernel(op)
         riesz_apply(op, u, "quadrature")
-        laplacian_decay_fit(op, np.geomspace(0.01, 0.1, 5))
+        laplacian_decay_fit(op, np.geomspace(0.05, 0.5, 5))
         twisted_decay_suite(op, [0.5], [radial_phi(op)], [0.05, 0.1],
                             n_probes=2)
         assert len(calls) == 1 and calls[0] is op
@@ -227,7 +227,7 @@ class TestOneDecomposition:
         op = assemble_sector(build_radial_grid(5, 10.0, 64), 0, 1.0)
         twisted_decay_suite(op, [0.5], [radial_phi(op)], [0.05, 0.1, 0.2],
                             n_probes=2)
-        laplacian_decay_fit(op, np.geomspace(0.01, 0.1, 5))
+        laplacian_decay_fit(op, np.geomspace(0.05, 0.5, 5))
         assert len(calls) == 8
 
     def test_box_kernel_and_inverse_square_root_rejected(self, box_op_small):
