@@ -6,9 +6,10 @@ runs them all, in table order, each writing its tables and manifest under
 `<out>/<name>` through a `report.RunManifest`.  A report-only run (c >=
 C* with --allow-supercritical) records no checks.  Exit codes: 0 all
 recorded checks pass, 1 a check failed, 2 configuration error, or an
-experiment stopped by an error (a grid, operator or spectral error, such
-as an indefinite operator); that experiment's manifest records the
-error, and `suite` still runs the experiments after it.
+experiment stopped by an error (a grid, operator, spectral or arithmetic
+error, such as an indefinite operator or an overflow); that experiment's
+manifest records the error, and `suite` still runs the experiments after
+it.
 """
 
 from __future__ import annotations
@@ -364,7 +365,7 @@ def run_twisted(args, man: report.RunManifest) -> None:
                   f"M-hat {report.fmt(rep['m_hat'])}")
     # t^{-1/2} fit at c=0
     op0 = assemble_sector(grid, 0, 0.0)
-    fit = laplacian_decay_fit(op0, np.geomspace(0.01, 0.1, 8))
+    fit = laplacian_decay_fit(op0, ts)
     man.add_check("laplacian_decay_half", fit.relative_error(), "<=", 0.10,
                   f"slope {report.fmt(fit.exponent)}")
 
@@ -578,8 +579,8 @@ def main(argv=None) -> int:
                                      os.path.join(args.out, name), report_only)
             try:
                 EXPERIMENTS[name](args, man)
-            except (GridError, OperatorError, SpectralError,
-                    ValueError) as exc:
+            except (GridError, OperatorError, SpectralError, ValueError,
+                    ArithmeticError) as exc:
                 man.error = f"{type(exc).__name__}: {exc}"
             man.write()
             for check in man.checks:

@@ -64,25 +64,24 @@ def reliable_window(grid: RadialGrid) -> tuple:
 
 def _rellich_pencil(grid: RadialGrid, bands, tails=None) -> float:
     """Smallest mu of the Rellich pencil F u = mu M u of a radial sector:
-    L = W^{-1} tridiag(lower, main, upper) from the stiffness `bands`,
-    F = L^T W L and M = W r^{-4}.  `tails` holds 2 x 2 blocks
-    (F_in, F_out, M_in, M_out), added on the first and last two nodes."""
+    F = B^T B, exactly symmetric, with B = W^{-1/2} tridiag(lower, main,
+    upper) from the stiffness `bands` (so F = L^T W L for L = W^{-1}
+    tridiag), and M = W r^{-4}.  `tails` holds 2 x 2 blocks (F_in, F_out,
+    M_in, M_out), added on the first and last two nodes."""
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
     n, w = grid.n, grid.w
-    L = sp.diags(1.0 / w) @ sp.diags(bands, [-1, 0, 1], format="csr")
-    F = (L.T @ sp.diags(w) @ L).tolil()
-    M = sp.diags(w * grid.r**-4.0).tolil()
+    B = sp.diags(w**-0.5, format="csr") @ sp.diags(bands, [-1, 0, 1],
+                                                   format="csr")
+    F = B.T @ B
+    M = sp.diags(w * grid.r**-4.0, format="csr")
     if tails is not None:
         F_in, F_out, M_in, M_out = tails
-        F[0:2, 0:2] += F_in
-        F[n - 2:n, n - 2:n] += F_out
-        M[0:2, 0:2] += M_in
-        M[n - 2:n, n - 2:n] += M_out
-    F = F.tocsc()
-    F = (F + F.T) / 2.0
-    mu = spla.eigsh(F, k=1, M=M.tocsc(), sigma=0, which="LM", v0=np.ones(n),
+        gap = sp.csr_matrix((n - 4, n - 4))
+        F = F + sp.block_diag((F_in, gap, F_out))
+        M = M + sp.block_diag((M_in, gap, M_out))
+    mu = spla.eigsh(F, k=1, M=M, sigma=0, which="LM", v0=np.ones(n),
                     return_eigenvectors=False)
     return float(mu[0])
 
@@ -186,21 +185,23 @@ def gamma_pq(N: int, p: float, q: float) -> float:
     return N / 4.0 * (ip - iq)
 
 
-def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple:
-    lx, ly = np.log(x), np.log(y)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = float(np.max(np.abs(ly - (slope * lx + intercept))))
-    return float(slope), float(intercept), resid
-
-
-def _window_times(grid: RadialGrid, t_list) -> np.ndarray:
-    """The times of t_list inside reliable_window(grid), at least 5."""
+def _power_fit(grid: RadialGrid, t_list, norm, target: float) -> FitResult:
+    """Log-log fit of norm(t) ~ prefactor t^exponent over the times of
+    t_list inside reliable_window(grid), which must hold at least 5."""
     lo, hi = reliable_window(grid)
     ts = np.asarray([t for t in t_list if lo <= t <= hi], dtype=float)
     if len(ts) < 5:
         raise EstimateError(
             f"fewer than 5 usable t-points inside the window [{lo:g}, {hi:g}]")
-    return ts
+    vals = [float(norm(t)) for t in ts]
+    lt, lv = np.log(ts), np.log(vals)
+    slope, intercept = np.polyfit(lt, lv, 1)
+    resid = float(np.max(np.abs(lv - (slope * lt + intercept))))
+    return FitResult(params={"exponent": float(slope),
+                             "prefactor": math.exp(intercept),
+                             "t_values": [float(t) for t in ts],
+                             "norm_values": vals},
+                     residual=resid, target=target)
 
 
 def decay_fit(evaluator: SemigroupEvaluator, p: float, q: float,
@@ -208,13 +209,9 @@ def decay_fit(evaluator: SemigroupEvaluator, p: float, q: float,
     """Slope of log ||e^{-tA}||_{p->q} against log t, on the Riesz-Thorin
     upper bound of each norm."""
     grid = evaluator.op.grid
-    ts = _window_times(grid, t_list)
-    vals = [interpolation_upper(evaluator.kernel(t), p, q) for t in ts]
-    slope, _, resid = _loglog_fit(ts, np.asarray(vals))
-    return FitResult(params={"exponent": slope,
-                             "t_values": [float(t) for t in ts],
-                             "norm_values": [float(v) for v in vals]},
-                     residual=resid, target=-gamma_pq(grid.N, p, q))
+    return _power_fit(grid, t_list,
+                      lambda t: interpolation_upper(evaluator.kernel(t), p, q),
+                      -gamma_pq(grid.N, p, q))
 
 
 # ------------------------------------------------------- off-diagonal fits
@@ -457,13 +454,9 @@ def laplacian_decay_fit(op: SectorOperator, t_list) -> FitResult:
     """Fit ||L e^{-tA}||_{2->2} ~ t^{-1/2} over the given times inside the
     reliable window."""
     ev = SemigroupEvaluator(op)
-    ts = _window_times(op.grid, t_list)
-    vals = [l2_norm(op.apply_L(ev.kernel(t).K), op.w, op.w) for t in ts]
-    slope, intercept, resid = _loglog_fit(ts, np.asarray(vals))
-    return FitResult(params={"exponent": slope,
-                             "prefactor": math.exp(intercept),
-                             "t_values": [float(t) for t in ts]},
-                     residual=resid, target=-0.5)
+    return _power_fit(
+        op.grid, t_list,
+        lambda t: l2_norm(op.apply_L(ev.kernel(t).K), op.w, op.w), -0.5)
 
 
 # ------------------------------------------------------ extrapolation / Lp

@@ -76,15 +76,6 @@ def _require_sector(op) -> None:
             "grids serve only the twisted-form expansion")
 
 
-def _weighted_eigh(A: np.ndarray, w: np.ndarray) -> tuple:
-    """Eigenpairs of A q = mu W q, W = diag(w), for an exactly symmetric A,
-    which is overwritten.  The transposes are Fortran-ordered views with
-    the same entries, so LAPACK works on A and W in place, without copies.
-    """
-    B = np.diag(w)
-    return sla.eigh(A.T, B.T, overwrite_a=True, overwrite_b=True)
-
-
 def eigendecompose(op: SectorOperator) -> SpectralDecomposition:
     """W-orthonormal eigenpairs of a radial sector's A: at c = 0 from the
     tridiagonal stiffness, otherwise by the dense generalized eigensolve
@@ -101,7 +92,10 @@ def eigendecompose(op: SectorOperator) -> SpectralDecomposition:
         nu, Q = sla.eigh_tridiagonal(-op.diag / w, -op.a / (s[:-1] * s[1:]))
         Q /= s[:, None]
         return SpectralDecomposition(mu=nu**2, Q=Q, w=w)
-    mu, Q = _weighted_eigh(op.F, w)
+    # F is exactly symmetric, so its transpose, like W's, is a
+    # Fortran-ordered view with the same entries: LAPACK works on F and W
+    # in place, without copies
+    mu, Q = sla.eigh(op.F.T, np.diag(w).T, overwrite_a=True, overwrite_b=True)
     return SpectralDecomposition(mu=mu, Q=Q, w=w)
 
 

@@ -393,6 +393,57 @@ class TestExitCodes:
                                     if broke else None)
             assert man["all_pass"] is not broke
 
+    def test_overflow_stops_only_its_experiment(self, tmp_path, capsys):
+        # 2 k_h (1 + lam^4) t is about 1,060 at lam = 2 and t = 4.8, past
+        # what math.exp can represent
+        code = cli.main(["twisted", "--n", "128", "--t", "0.3,0.6,1.2,2.4,4.8",
+                         "--seed", "7", "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        man = json.load(open(tmp_path / "twisted" / "manifest.json"))
+        assert man["error"].startswith("OverflowError: ")
+        assert f"error in twisted: {man['error']}" in capsys.readouterr().err
+
+    def test_suite_runs_past_an_arithmetic_error(self, tmp_path, monkeypatch,
+                                                 capsys):
+        def overflowing(args, man):
+            raise OverflowError("math range error")
+
+        def passing(args, man):
+            man.add_check("ran", 0, "<=", 0)
+
+        for name in cli.EXPERIMENTS:
+            monkeypatch.setitem(cli.EXPERIMENTS, name,
+                                overflowing if name == "twisted" else passing)
+        code = cli.main(["suite", "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error in twisted: OverflowError: math range error"]
+        for name in ("distance", "solve"):
+            assert f"[PASS] {name}:ran" in captured.out
+            man = json.load(open(tmp_path / name / "manifest.json"))
+            assert man["error"] is None
+
+    def test_twisted_fits_the_laplacian_on_its_own_times(self, tmp_path,
+                                                         monkeypatch):
+        # this grid's reliable window starts at 0.244, above every time of
+        # a fixed 0.01-0.1 list
+        seen = []
+        fit = cli.laplacian_decay_fit
+
+        def recorded(op, ts):
+            seen.append(list(ts))
+            return fit(op, ts)
+
+        monkeypatch.setattr(cli, "laplacian_decay_fit", recorded)
+        code = cli.main(["twisted", "--n", "128", "--t",
+                         "0.25,0.35,0.5,0.7,1.0", "--out", str(tmp_path)])
+        assert code == cli.EXIT_OK
+        assert seen == [[0.25, 0.35, 0.5, 0.7, 1.0]]
+        man = json.load(open(tmp_path / "twisted" / "manifest.json"))
+        assert man["error"] is None
+        assert "laplacian_decay_half" in [chk["name"] for chk in man["checks"]]
+
     def test_decay_on_a_log_grid_passes(self, tmp_path):
         code = cli.main(["decay", "--mode", "log", "--c", "0",
                          "--out", str(tmp_path)])

@@ -115,6 +115,81 @@ class TestRellich:
             for got, ref in ((flux, flux_ref), (F, F_ref), (M, M_ref)):
                 assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
+    @staticmethod
+    def captured_pencils(monkeypatch) -> list:
+        """The (F, M) of every Rellich pencil eigsh solves from now on."""
+        pencils = []
+        solve = spla.eigsh
+
+        def capture(F, *args, M=None, **kwargs):
+            pencils.append((F.toarray(), M.toarray()))
+            return solve(F, *args, M=M, **kwargs)
+
+        monkeypatch.setattr(spla, "eigsh", capture)
+        return pencils
+
+    @staticmethod
+    def dense_stiffness(g, ell) -> np.ndarray:
+        """The sector's flux-form stiffness, node by node: face coupling
+        sigma f^{N-1}/(r_{i+1} - r_i) and the angular term on the
+        diagonal, with no flux closure at either end."""
+        N, r, f, w = g.N, g.r, g.faces, g.w
+        S = np.zeros((g.n, g.n))
+        for i in range(g.n - 1):
+            a = sphere_area(N) * f[i + 1] ** (N - 1) / (r[i + 1] - r[i])
+            S[i, i + 1] = S[i + 1, i] = a
+            S[i, i] -= a
+            S[i + 1, i + 1] -= a
+        for i in range(g.n):
+            S[i, i] -= ell * (ell + N - 2) * w[i] / r[i] ** 2
+        return S
+
+    @staticmethod
+    def assert_pencil(got, ref):
+        # each entry to 1e-13 of sqrt(|X_ii X_jj|) of the reference, which
+        # implies 1e-13 of its largest entry; the inner tail is far below
+        # the largest entry of a log grid's F
+        scale = np.sqrt(np.abs(np.diag(ref)))
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.outer(scale, scale))
+
+    @pytest.mark.parametrize("ell", [0, 3])
+    def test_matched_pencil_is_the_closed_stiffness_plus_tails(
+            self, ell, monkeypatch):
+        g = build_radial_grid(5, 1000.0, 200, "log")
+        n, N, w = g.n, g.N, g.w
+        pencils = self.captured_pencils(monkeypatch)
+        estimates._sector_rellich_matched(g, ell)
+        (F, M), = pencils
+        assert np.array_equal(F, F.T)
+        tails = [estimates._biharmonic_tail(N, g.faces[0], g.r[:2],
+                                            (ell, ell + 2), 1),
+                 estimates._biharmonic_tail(N, g.faces[-1], g.r[-2:],
+                                            (2 - N - ell, 4 - N - ell), -1)]
+        S = self.dense_stiffness(g, ell)
+        # the tail fluxes close rows 0 and n-1
+        S[0, :2] += tails[0][0]
+        S[-1, -2:] -= tails[1][0]
+        F_ref = S.T @ np.diag(1.0 / w) @ S
+        M_ref = np.diag(w * g.r**-4.0)
+        for (_, F_t, M_t), block in zip(tails, (slice(0, 2),
+                                                slice(n - 2, n))):
+            F_ref[block, block] += F_t
+            M_ref[block, block] += M_t
+        self.assert_pencil(F, F_ref)
+        self.assert_pencil(M, M_ref)
+
+    def test_dirichlet_pencil_has_no_tails(self, monkeypatch):
+        g = build_radial_grid(5, 30.0, 128, "uniform")
+        pencils = self.captured_pencils(monkeypatch)
+        discrete_rellich(assemble_sector(g, 2, 1.0))
+        (F, M), = pencils
+        assert np.array_equal(F, F.T)
+        S = self.dense_stiffness(g, 2)
+        # the Dirichlet ghost node beyond the outer face
+        S[-1, -1] -= sphere_area(g.N) * g.R ** (g.N - 1) / (g.R - g.r[-1])
+        self.assert_pencil(F, S.T @ np.diag(1.0 / g.w) @ S)
+        self.assert_pencil(M, np.diag(g.w * g.r**-4.0))
+
     def test_repeat_calls_identical(self):
         g = build_radial_grid(5, 1000.0, 400, "log")
         a = rellich_constant(g, ell_max=2)["per_sector"]
@@ -195,6 +270,21 @@ class TestDecayFit:
         with pytest.raises(EstimateError, match="fewer than 5"):
             laplacian_decay_fit(op_c0, below + list(
                 np.geomspace(1.5 * lo, 3.0 * lo, 4)))
+
+    def test_both_fits_share_one_body(self, op_c0):
+        ts = list(np.geomspace(0.06, 0.6, 6))
+        fits = [decay_fit(SemigroupEvaluator(op_c0), 2.0, 10.0, ts),
+                laplacian_decay_fit(op_c0, ts)]
+        assert fits[0].params.keys() == fits[1].params.keys() == {
+            "exponent", "prefactor", "t_values", "norm_values"}
+        for fit in fits:
+            lt = np.log(fit.params["t_values"])
+            lv = np.log(fit.params["norm_values"])
+            slope, intercept = np.polyfit(lt, lv, 1)
+            assert fit.exponent == slope
+            assert fit.params["prefactor"] == math.exp(intercept)
+            assert fit.residual == np.max(np.abs(lv - (slope * lt
+                                                       + intercept)))
 
 
 def collect_kernels(monkeypatch) -> list:

@@ -84,10 +84,10 @@ def private_imports(source: str) -> list:
 def test_private_import_scan_flags_only_package_privates():
     source = ("from __future__ import annotations\n"
               "from .grids import sphere_area, _private\n"
-              "from biharmlab.spectral import _weighted_eigh\n"
+              "from biharmlab.estimates import _power_fit\n"
               "from . import __version__\n"
               "from os.path import _joinrealpath\n")
-    assert private_imports(source) == [(2, "_private"), (3, "_weighted_eigh")]
+    assert private_imports(source) == [(2, "_private"), (3, "_power_fit")]
 
 
 @pytest.mark.parametrize("path", [p for p in _sources()

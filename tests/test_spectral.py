@@ -10,7 +10,7 @@ from biharmlab import (SemigroupEvaluator, assemble_sector,
                        laplacian_decay_fit, make_phi, riesz_apply,
                        riesz_kernel, spectral, twisted_decay_suite)
 from biharmlab.norms import corner_norm
-from biharmlab.spectral import SpectralError, _weighted_eigh, quadrature_nodes
+from biharmlab.spectral import SpectralError, quadrature_nodes
 
 
 class TestEigendecompose:
@@ -62,7 +62,7 @@ class TestEigendecompose:
         op = assemble_sector(build_radial_grid(5, 30.0, 256, mode), ell, 0.0)
         dec = eigendecompose(op)
         # reference: the dense route -S q = nu W q, with mu = nu^2 sorted
-        nu, Q = _weighted_eigh(-op.S, op.w)
+        nu, Q = sla.eigh(-op.S, np.diag(op.w))
         order = np.argsort(nu**2)
         ref = spectral.SpectralDecomposition(mu=nu[order] ** 2,
                                              Q=Q[:, order], w=op.w)
@@ -74,15 +74,16 @@ class TestEigendecompose:
             assert corner_norm(got, p, q) == pytest.approx(
                 corner_norm(want, p, q), rel=1e-12)
 
-    def test_weighted_eigh_matches_scipy(self, rng):
-        n = 60
-        X = rng.standard_normal((n, n))
-        A = X + X.T
-        w = rng.uniform(0.5, 2.0, n)
-        mu_ref, Q_ref = sla.eigh(A, np.diag(w))
-        mu, Q = _weighted_eigh(A.copy(), w)
-        assert np.array_equal(mu, mu_ref)
-        assert np.array_equal(Q, Q_ref)
+    @pytest.mark.parametrize("mode", ["uniform", "log"])
+    def test_c1_is_the_generalized_eigh_bit_for_bit(self, mode):
+        # eigendecompose works on F and W in place, yet must return what
+        # scipy returns on copies, bit for bit: offdiag.csv is compared
+        # with a stored reference at 1e-10
+        op = assemble_sector(build_radial_grid(5, 30.0, 128, mode), 0, 1.0)
+        dec = eigendecompose(op)
+        mu, Q = sla.eigh(op.F, np.diag(op.w))
+        assert np.array_equal(dec.mu, mu)
+        assert np.array_equal(dec.Q, Q)
 
 
 class TestSemigroup:
