@@ -246,6 +246,7 @@ def run_offdiag(args, man: report.RunManifest) -> None:
     E = Region.annulus(0.0, 1.0)
     Fs = [Region.annulus(d, math.inf) for d in ds]
     res = offdiag_fit(ev, E, Fs, ts)
+    man.runtime.update(res["runtime"])
     rows = []
     for fit in res["distance_fits"]:
         rows.append(("distance", fit.params["t"], fit.exponent, fit.target,
@@ -577,6 +578,7 @@ def main(argv=None) -> int:
             man = report.RunManifest({"experiment": name, "N": args.N,
                                       "c": args.c, "seed": args.seed},
                                      os.path.join(args.out, name), report_only)
+            man.runtime["blas_pinned"] = pinned
             try:
                 EXPERIMENTS[name](args, man)
             except (GridError, OperatorError, SpectralError, ValueError,

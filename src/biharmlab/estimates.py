@@ -20,11 +20,11 @@ import scipy.linalg as sla
 
 from .grids import (RadialGrid, Region, euclidean_distance, probe_functions,
                     sphere_area, weighted_lp)
-from .norms import (NormEstimate, boyd_lower, interpolation_upper, l2_norm,
-                    opnorms)
+from .norms import (NormEstimate, boyd_lower, interpolation_upper,
+                    kernel_block_norms, l2_norm, opnorms)
 from .operators import (SectorOperator, forme_inequality_check,
                         paper_rellich_constant, stiffness_bands, twist)
-from .spectral import KernelMatrix, SemigroupEvaluator, riesz_kernel
+from .spectral import SemigroupEvaluator, riesz_kernel
 
 
 class EstimateError(ValueError):
@@ -220,12 +220,6 @@ OFFDIAG_FLOOR = 1e-12   # weighted-subnorm noise floor of float64 kernels
 OFFDIAG_TIME_FIT_INDEX = 1   # F_list entry whose distance the time fit fixes
 
 
-def _block_norm(kern: KernelMatrix, maskF: np.ndarray, maskE: np.ndarray) -> float:
-    """Weighted 2 -> 2 norm of chi_F T chi_E."""
-    w = kern.w
-    return l2_norm(kern.K[np.ix_(maskF, maskE)], w[maskF], w[maskE])
-
-
 def _distance_model(d, b, s, e):
     return b + s * d**e
 
@@ -271,15 +265,16 @@ def offdiag_fit(evaluator: SemigroupEvaluator, E: Region, F_list,
         raise EstimateError(f"F overlaps or touches E at --d {bad}")
     ts = np.asarray(t_list, dtype=float)
 
-    ratios = np.zeros((len(ts), len(masksF)))
-    for i, t in enumerate(ts):
-        kern = evaluator.kernel(t)
-        # the SVD of the formed kernel, not the spectral (2,2) value: the
-        # time fit is ill-conditioned, and a 3e-15 relative change in this
-        # normaliser moves its exponent by 3.9e-8 at n = 2048
-        full = l2_norm(kern.K, kern.w, kern.w)
-        for j, mF in enumerate(masksF):
-            ratios[i, j] = _block_norm(kern, mF, maskE) / full
+    # the SVD of each formed kernel, not the spectral (2,2) value, is the
+    # normaliser.  The time fit is well-conditioned (its Jacobian's
+    # condition number is about 2.6e3) but curve_fit stops it at
+    # ftol = xtol = 1.5e-8, so a 3e-15 relative change in one normaliser
+    # moves its exponent by 3.9e-8 at n = 2048: the normaliser must stay
+    # bit-identical until perfbench/reference is re-based
+    table, runtime = kernel_block_norms(
+        evaluator.op.decomposition, [evaluator.values(t) for t in ts],
+        [(mF, maskE) for mF in masksF])
+    ratios = table[:, :-1] / table[:, -1:]
     usable = ratios > OFFDIAG_FLOOR
 
     dist_fits = []
@@ -320,7 +315,7 @@ def offdiag_fit(evaluator: SemigroupEvaluator, E: Region, F_list,
     return {"distance_fits": dist_fits, "time_fit": time_fit,
             "joint_fit": joint_fit, "ratios": ratios,
             "excluded_below_floor": int(np.sum(~usable)),
-            "floor": OFFDIAG_FLOOR}
+            "floor": OFFDIAG_FLOOR, "runtime": runtime}
 
 
 # --------------------------------------------------------- Davies distance

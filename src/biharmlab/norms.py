@@ -9,14 +9,17 @@ type) with an explicit witness function.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
 from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
 
 from .grids import weighted_lp
-from .spectral import KernelMatrix
+from .spectral import KernelMatrix, SpectralDecomposition
 
 
 class NormError(ValueError):
@@ -28,6 +31,12 @@ CORNERS = ((1.0, 1.0), (2.0, 2.0), (math.inf, math.inf),
 
 BOYD_MAX_ITER = 500     # dual-ascent fixed-point steps per start
 BOYD_RESTARTS = 8       # dual-ascent starts, run as the columns of one block
+# threads of kernel_block_norms.  Each holds its kernel and about 0.09 n^2
+# more (a row block of synth_kernel, the block copies, dgesdd's workspace),
+# so Q plus two stay within the 4 n^2 doubles of the eigensolve that made
+# Q and a third does not: offdiag --n 2048 peaks at 201 MB on two, 212 MB
+# on three
+KERNEL_WORKERS = 2
 
 
 def _dual(p: float) -> float:
@@ -38,14 +47,143 @@ def _dual(p: float) -> float:
     return p / (p - 1.0)
 
 
+def _numpy_openblas(symbol: str):
+    """`symbol` of the OpenBLAS that numpy's linalg module links, bound
+    through ctypes; None where it cannot be reached."""
+    from numpy.linalg import _umath_linalg
+
+    try:
+        return getattr(ctypes.CDLL(_umath_linalg.__file__), symbol)
+    except (OSError, AttributeError):
+        return None
+
+
+@functools.cache
+def _dgesdd():
+    """The dgesdd that numpy's own SVD calls: in numpy's wheels, the
+    ILP64 `scipy_dgesdd_64_`.  None where it cannot be reached."""
+    fn = _numpy_openblas("scipy_dgesdd_64_")
+    if fn is None:
+        return None
+    i64, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+    # jobz, m, n, a, lda, s, u, ldu, vt, ldvt, work, lwork, iwork, info and
+    # the hidden length of the jobz string
+    fn.argtypes = [ctypes.c_char_p, i64, i64, ptr, i64, ptr, ptr, i64, ptr,
+                   i64, ptr, i64, ptr, i64, ctypes.c_size_t]
+    fn.restype = None
+    return fn
+
+
+def _sigma_max(A: np.ndarray) -> float:
+    """Largest singular value of the 2-D array A, bit for bit
+    np.linalg.norm(A, 2): the same LAPACK dgesdd, without singular
+    vectors, on the same column-major matrix with the workspace it asks
+    for.  A float64 Fortran-ordered A is overwritten; any other A, or any
+    A where the routine is not bound, is left as it is and costs a copy."""
+    if A.size == 0:
+        return 0.0
+    gesdd = _dgesdd()
+    if gesdd is None or A.dtype != np.float64:
+        return float(np.linalg.norm(A, 2))
+    if not (A.flags.f_contiguous and A.flags.writeable):
+        A = np.array(A, order="F")
+    m, n = (ctypes.c_int64(k) for k in A.shape)
+    one, info = ctypes.c_int64(1), ctypes.c_int64()
+    s = np.empty(min(A.shape))
+    iwork = np.empty(8 * len(s), dtype=np.int64)
+
+    def call(work, lwork):
+        # u and vt are not referenced at jobz = 'N'
+        gesdd(b"N", m, n, A.ctypes.data, m, s.ctypes.data, None, one, None,
+              one, work.ctypes.data, ctypes.c_int64(lwork), iwork.ctypes.data,
+              info, 1)
+        if info.value != 0:
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+    query = np.empty(1)
+    call(query, -1)                  # workspace query
+    lwork = max(int(query[0]), 1)
+    call(np.empty(lwork), lwork)
+    return float(s.max())
+
+
 def l2_norm(K: np.ndarray, w_out: np.ndarray, w_in: np.ndarray) -> float:
     """Weighted 2 -> 2 norm ||W_out^{1/2} K W_in^{1/2}||_2 of the kernel K
-    from L^2(w_in) to L^2(w_out); 0 for an empty kernel."""
+    from L^2(w_in) to L^2(w_out); 0 for an empty kernel.  The SVD works
+    in place on the weighted copy."""
     if K.size == 0:
         return 0.0
-    Kw = np.sqrt(w_out)[:, None] * K
+    Kw = np.multiply(np.sqrt(w_out)[:, None], K, order="F")
     Kw *= np.sqrt(w_in)
-    return float(np.linalg.norm(Kw, 2))
+    return _sigma_max(Kw)
+
+
+@functools.cache
+def _blas_threads_getter():
+    """numpy's OpenBLAS thread-count getter; None where it cannot be
+    reached."""
+    fn = _numpy_openblas("scipy_openblas_get_num_threads64_")
+    if fn is not None:
+        fn.argtypes, fn.restype = [], ctypes.c_int
+    return fn
+
+
+def _norm_workers(tasks: int) -> int:
+    """Threads for `tasks` kernels: one per core this process may run on,
+    at most one per kernel and KERNEL_WORKERS.  One where the SVD cannot
+    work in place, since each thread would then hold a second n x n copy,
+    and one unless numpy's BLAS is read to run one thread, since each
+    thread would otherwise start its own team of BLAS threads."""
+    getter = _blas_threads_getter()
+    if _dgesdd() is None or getter is None or getter() != 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return max(1, min(cores, tasks, KERNEL_WORKERS))
+
+
+def _weighted_kernel_norms(dec: SpectralDecomposition, f: np.ndarray,
+                           sw: np.ndarray, blocks) -> list:
+    """One row of kernel_block_norms, holding one n x n array: K is scaled
+    in place by sw = w^{1/2} on rows, then on columns, the two products
+    l2_norm takes, so each block of it is the weighted block l2_norm
+    forms; the full norm's SVD then overwrites it."""
+    Kw = dec.synth_kernel(f)
+    Kw *= sw[:, None]
+    Kw *= sw
+    row = [_sigma_max(Kw[np.ix_(rows, cols)]) for rows, cols in blocks]
+    return row + [_sigma_max(Kw)]
+
+
+def kernel_block_norms(dec: SpectralDecomposition, fs, blocks) -> tuple:
+    """Weighted 2 -> 2 norms of the kernels K = Q diag(f) Q^T, f in `fs`,
+    bit for bit those l2_norm takes: `(table, runtime)`, where row k of
+    `table` holds the norm of each block chi_F K chi_E, (F, E) boolean
+    masks in `blocks`, then the norm of the full kernel.
+
+    The kernels are independent, so they run on
+    `runtime["kernel_workers"]` threads (_norm_workers), each holding one
+    kernel; more than one only while BLAS and LAPACK run single-threaded,
+    so the table does not depend on the thread count.
+    `runtime["numpy_dgesdd"]` tells whether the SVDs ran in place.  The threads call no public
+    function of the package, so a span tracer wrapping those sees one
+    thread.
+    """
+    sw = np.sqrt(dec.w)
+    workers = _norm_workers(len(fs))
+
+    def row(f):
+        return _weighted_kernel_norms(dec, f, sw, blocks)
+
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        rows = list(pool.map(row, fs))
+    table = np.array(rows, dtype=float).reshape(len(fs), len(blocks) + 1)
+    return table, {"kernel_workers": workers,
+                   "numpy_dgesdd": _dgesdd() is not None}
 
 
 def corner_norm(kernel: KernelMatrix, p: float, q: float) -> float:

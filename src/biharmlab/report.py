@@ -69,9 +69,11 @@ def peak_rss_mb() -> float | None:
 class RunManifest:
     """One experiment's output directory `out`: its CSV tables and a
     manifest of config echo, content hashes, per-check records, the
-    table list and the process's peak memory so far, written atomically
-    at the end of the run.  A report-only run records no checks.  `error`
-    holds the error that stopped the experiment, if one did."""
+    table list, the runtime it ran under and the process's peak memory
+    so far, written atomically at the end of the run.  A report-only run
+    records no checks.  `runtime` holds facts of the run that do not
+    change its numbers (BLAS pinning, thread counts); `error` holds the
+    error that stopped the experiment, if one did."""
 
     def __init__(self, config: dict, out: str, report_only: bool):
         self.config = {**config, "report_only": report_only}
@@ -80,6 +82,7 @@ class RunManifest:
         self.hashes = {}
         self.checks = []
         self.files = []
+        self.runtime = {}
         self.error = None
         self._t0 = time.monotonic()
         os.makedirs(out, exist_ok=True)
@@ -116,6 +119,7 @@ class RunManifest:
             "hashes": self.hashes,
             "checks": self.checks,
             "files": sorted(self.files),
+            "runtime": self.runtime,
             "wall_clock_s": round(time.monotonic() - self._t0, 3),
             "peak_rss_mb": peak_rss_mb(),
             "all_pass": self.all_pass,

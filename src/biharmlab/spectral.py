@@ -21,6 +21,7 @@ from .operators import SectorOperator
 
 DENSE_LIMIT = 8192
 QUADRATURE_NODES = 200  # trapezoid nodes of the A^{-1/2} time quadrature
+SYNTH_BLOCKS = 16       # row blocks in which synth_kernel forms a kernel
 
 
 class SpectralError(RuntimeError):
@@ -65,8 +66,25 @@ class SpectralDecomposition:
         return self.synth(f(self.mu) * self.coeffs(u))
 
     def synth_kernel(self, fmu: np.ndarray) -> np.ndarray:
-        """Kernel Q diag(fmu) Q^T from the values fmu of f on the spectrum."""
-        return (self.Q * fmu[None, :]) @ self.Q.T
+        """Kernel Q diag(fmu) Q^T from the values fmu of f on the spectrum,
+        as a Fortran-ordered array.
+
+        Formed by row blocks, K[a:b] = (Q[a:b] fmu) Q^T, which is bit for
+        bit the one product (Q fmu) Q^T: each block's Q fmu rows are taken
+        in K's own storage, and only the block's product needs a
+        temporary of n^2 / SYNTH_BLOCKS entries.
+        """
+        n = self.n
+        K = np.empty((n, n), dtype=np.result_type(self.Q, fmu), order="F")
+        # a complex f casts Q once, as the one product would
+        QT = self.Q.astype(K.dtype, copy=False).T
+        rows = -(-n // SYNTH_BLOCKS)
+        buf = np.empty((min(rows, n), n), dtype=K.dtype)
+        for a in range(0, n, rows):
+            Kb = K[a:a + rows]
+            np.multiply(self.Q[a:a + rows], fmu, out=Kb)
+            Kb[...] = np.matmul(Kb, QT, out=buf[:len(Kb)])
+        return K
 
 
 def _require_sector(op) -> None:
@@ -144,12 +162,16 @@ class SemigroupEvaluator:
         return self.op.decomposition.fn_apply(lambda mu: np.exp(-z * mu),
                                               np.asarray(u))
 
-    def kernel(self, t: complex) -> KernelMatrix:
-        """Kernel of e^{-tA}, carrying its spectrum; K is formed on demand."""
+    def values(self, t: complex) -> np.ndarray:
+        """The values e^{-t mu} of e^{-tA} on the spectrum."""
         if np.real(t) < 0:
             raise SpectralError("Re t >= 0 required")
-        dec = self.op.decomposition
-        return KernelMatrix(dec=dec, f=np.exp(-t * dec.mu))
+        return np.exp(-t * self.op.decomposition.mu)
+
+    def kernel(self, t: complex) -> KernelMatrix:
+        """Kernel of e^{-tA}, carrying its spectrum; K is formed on demand."""
+        f = self.values(t)
+        return KernelMatrix(dec=self.op.decomposition, f=f)
 
 
 def quadrature_nodes(mu_min: float, mu_max: float) -> tuple:

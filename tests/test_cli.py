@@ -527,6 +527,79 @@ class TestBenchmarkReference:
             assert check.compare_table(got, check.read_table(ref), rtol) == []
 
 
+# runs `cli.main(argv[2:])` under perfbench's tracer on two cores and
+# writes the spans and the wall time of the call to argv[1]
+TRACED_RUN = """
+import json, os, sys, time
+sys.path.insert(0, {perfbench!r})
+os.sched_getaffinity = lambda pid: {{0, 1}}
+import biharmlab.cli as cli
+import tracer
+tr = tracer.Tracer()
+tracer.install_biharmlab(tr)
+t0 = time.perf_counter()
+rc = cli.main(sys.argv[2:])
+wall_s = time.perf_counter() - t0
+with open(sys.argv[1], "w") as fh:
+    json.dump({{"rc": rc, "wall_s": wall_s, "spans": tr.spans}}, fh)
+"""
+
+
+def unnested_overlaps(spans) -> list:
+    """(outer, inner) names of span pairs where one starts inside the
+    other but does not lie inside it as its descendant."""
+    by_id = {s["id"]: s for s in spans}
+
+    def ancestors(span):
+        p = span["parent"]
+        while p is not None:
+            yield p
+            p = by_id[p]["parent"]
+
+    return [(a["name"], b["name"]) for a in spans for b in spans
+            if a is not b and a["t0"] <= b["t0"] < a["t1"]
+            and (b["t1"] > a["t1"] or a["id"] not in ancestors(b))]
+
+
+class TestTrace:
+    def test_overlap_scan_flags_only_unnested_spans(self):
+        def span(i, parent, t0, t1):
+            return {"id": i, "parent": parent, "name": f"s{i}", "t0": t0,
+                    "t1": t1}
+
+        nested = [span(0, None, 0.0, 10.0), span(1, 0, 1.0, 4.0),
+                  span(2, 1, 2.0, 3.0), span(3, 0, 4.0, 9.0)]
+        assert unnested_overlaps(nested) == []
+        # a span recorded under the main thread's stack while a sibling ran
+        assert unnested_overlaps(nested + [span(4, 0, 2.5, 5.0)]) == [
+            ("s1", "s4"), ("s2", "s4"), ("s4", "s3")]
+
+    def test_traced_offdiag_keeps_one_nested_span_tree(self, tmp_path):
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_tracer", os.path.join(PERFBENCH, "tracer.py"))
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        result = tmp_path / "traced.json"
+        res = subprocess.run(
+            [sys.executable, "-c", TRACED_RUN.format(perfbench=PERFBENCH),
+             str(result), "offdiag", "--n", "256", "--seed", "7",
+             "--out", str(tmp_path)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(
+                os.path.dirname(cli.__file__))})
+        assert res.returncode == 0, res.stderr
+        run = json.loads(result.read_text())
+        assert run["rc"] in (cli.EXIT_OK, cli.EXIT_ASSERT)
+        runtime = json.loads((tmp_path / "offdiag" / "manifest.json")
+                             .read_text())["runtime"]
+        if runtime["numpy_dgesdd"] and runtime["blas_pinned"]:
+            assert runtime["kernel_workers"] == 2
+        spans = run["spans"]
+        assert any(s["name"] == "norms.kernel_block_norms" for s in spans)
+        assert tracer.root_problems(spans, run["wall_s"], 1e-3) == []
+        assert unnested_overlaps(spans) == []
+
+
 class TestPlot:
     def test_plot_from_csv(self, tmp_path):
         csv = tmp_path / "data.csv"
@@ -681,6 +754,28 @@ class TestDeterminism:
             csvs.append((out / "riesz" / "riesz.csv").read_bytes())
         assert csvs[0] == csvs[1]
 
+    def test_offdiag_csv_identical_at_one_and_two_workers(self, tmp_path,
+                                                          monkeypatch):
+        csvs, workers = [], []
+        for count in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, c=count: set(range(c)),
+                                raising=False)
+            out = tmp_path / str(count)
+            # the coarse grid fails the time-exponent check: exit 1
+            code = cli.main(["offdiag", "--n", "256", "--seed", "7",
+                             "--out", str(out)])
+            assert code in (cli.EXIT_OK, cli.EXIT_ASSERT)
+            csvs.append((out / "offdiag" / "offdiag.csv").read_bytes())
+            body = json.loads((out / "offdiag" / "manifest.json").read_text())
+            assert set(body["runtime"]) == {"blas_pinned", "kernel_workers",
+                                            "numpy_dgesdd"}
+            workers.append(body["runtime"]["kernel_workers"])
+            threads = (body["runtime"]["numpy_dgesdd"]
+                       and body["runtime"]["blas_pinned"])
+        assert csvs[0] == csvs[1]
+        assert workers == ([1, 2] if threads else [1, 1])
+
     def test_warns_when_blas_threads_cannot_be_pinned(self, tmp_path,
                                                       monkeypatch, capsys):
         monkeypatch.setattr(cli, "_blas_libraries", lambda: [])
@@ -688,7 +783,8 @@ class TestDeterminism:
         assert code == cli.EXIT_OK
         err = capsys.readouterr().err
         assert "BLAS threads are not pinned" in err
-        assert (tmp_path / "solve" / "manifest.json").exists()
+        body = json.loads((tmp_path / "solve" / "manifest.json").read_text())
+        assert body["runtime"] == {"blas_pinned": False}
 
     def test_unsettable_blas_library_is_reported(self, monkeypatch):
         libs = cli._blas_libraries() + ["libm.so.6"]

@@ -17,9 +17,9 @@ from biharmlab import (Region, assemble_sector, build_radial_grid, cli,
                        report, riesz_pnorm_sweep, solve_parabolic, twist,
                        twisted_decay_suite)
 from biharmlab.estimates import (DistanceEstimate, EstimateError, gamma_pq,
-                                 reliable_window, _block_norm)
+                                 reliable_window)
 from biharmlab.grids import sphere_area
-from biharmlab.norms import corner_norm, interpolation_upper, l2_norm
+from biharmlab.norms import corner_norm, interpolation_upper, kernel_block_norms
 from biharmlab.spectral import SemigroupEvaluator, riesz_kernel
 
 
@@ -315,36 +315,45 @@ class TestSpectralRoute:
         assert len(kernels) == 12 + 6
         assert not any("K" in kern.__dict__ for kern in kernels)
 
-    def test_offdiag_normalises_by_the_formed_kernel(self, monkeypatch):
+    def test_offdiag_normalises_by_the_formed_kernel(self):
+        # each ratio is numpy's SVD of the weighted block over that of the
+        # weighted kernel (Q f) Q^T, bit for bit
         op = assemble_sector(build_radial_grid(5, 40.0, 256), 0, 1.0)
         E = Region.annulus(0.0, 1.0)
         Fs = [Region.annulus(d, math.inf) for d in (3.0, 5.0, 8.0, 12.0)]
         ts = np.geomspace(1e-3, 1e-2, 4)
-        kernels = collect_kernels(monkeypatch)
         res = offdiag_fit(SemigroupEvaluator(op), E, Fs, ts)
-        assert "gram_norm" not in vars(op.decomposition)
+        dec = op.decomposition
+        assert "gram_norm" not in vars(dec)
         mE = E.indicator(op.grid).astype(bool)
-        ref = np.array([[_block_norm(kern, F.indicator(op.grid).astype(bool),
-                                     mE) / l2_norm(kern.K, kern.w, kern.w)
-                         for F in Fs] for kern in kernels])
-        assert np.array_equal(res["ratios"], ref)
+        sw = np.sqrt(op.w)
+        ref = []
+        for t in ts:
+            K = (dec.Q * np.exp(-t * dec.mu)) @ dec.Q.T
+            full = np.linalg.norm(sw[:, None] * K * sw, 2)
+            ref.append([])
+            for F in Fs:
+                mF = F.indicator(op.grid).astype(bool)
+                block = sw[mF][:, None] * K[np.ix_(mF, mE)] * sw[mE]
+                ref[-1].append(np.linalg.norm(block, 2) / full)
+        assert np.array_equal(res["ratios"], np.array(ref))
 
 
 class TestOffdiag:
     def test_zero_distance_reduces_to_plain_norm(self, op_c1):
-        ev = SemigroupEvaluator(op_c1)
-        kern = ev.kernel(0.1)
+        kern = SemigroupEvaluator(op_c1).kernel(0.1)
         full = np.ones(op_c1.n, dtype=bool)
         plain = corner_norm(kern, 2.0, 2.0)
-        assert _block_norm(kern, full, full) == pytest.approx(plain)
         # a proper, non-square sub-block against the explicit SVD of
         # W_F^{1/2} K_FE W_E^{1/2}
         r, w = op_c1.grid.r, kern.w
         mF, mE = (r > 0.5) & (r < 3.0), r < 1.5
         assert 0 < mE.sum() < mF.sum() < op_c1.n
+        (whole, block, kernel), = kernel_block_norms(
+            op_c1.decomposition, [kern.f], [(full, full), (mF, mE)])[0]
+        assert whole == kernel == pytest.approx(plain)
         ref = np.linalg.svd(np.diag(np.sqrt(w[mF])) @ kern.K[mF][:, mE]
                             @ np.diag(np.sqrt(w[mE])), compute_uv=False)[0]
-        block = _block_norm(kern, mF, mE)
         assert block == pytest.approx(ref, rel=1e-12)
         assert 0 < block < plain
 

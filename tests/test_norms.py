@@ -1,4 +1,6 @@
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import linprog
 
-from biharmlab import (SemigroupEvaluator, assemble_sector, boyd_lower,
-                       build_radial_grid, corner_norm, interpolation_upper,
-                       norms, opnorms)
+from biharmlab import (Region, SemigroupEvaluator, assemble_sector,
+                       boyd_lower, build_radial_grid, cli, corner_norm,
+                       interpolation_upper, norms, opnorms)
 from biharmlab.grids import weighted_lp
 from biharmlab.norms import (BOYD_MAX_ITER, BOYD_RESTARTS, NormError,
                              NormEstimate, _dual, _duality_map, _lp_unit)
@@ -337,6 +339,175 @@ class TestSpectralCorners:
         assert np.array_equal(
             K, op512.decomposition.synth_kernel(
                 np.exp(-0.05 * op512.decomposition.mu)))
+
+
+needs_dgesdd = pytest.mark.skipif(norms._dgesdd() is None,
+                                  reason="numpy's dgesdd is not bound")
+
+
+def cores(monkeypatch, count):
+    """Let this process see `count` cores."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)), raising=False)
+
+
+@pytest.fixture
+def one_blas_thread():
+    """numpy's BLAS pinned to one thread, as the CLI runs it."""
+    restore, _ = cli._pin_blas_threads()
+    yield
+    restore()
+
+
+class TestSigmaMax:
+    @pytest.mark.parametrize("shape", ["square", "tall", "wide"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_is_numpys_2_norm_bit_for_bit(self, shape, data):
+        m = data.draw(st.integers(1, 40))
+        n = {"square": m, "tall": max(1, m // 3),
+             "wide": m + data.draw(st.integers(1, 40))}[shape]
+        A = data.draw(hnp.arrays(np.float64, (m, n), elements=st.floats(
+            -1e3, 1e3, allow_nan=False)))
+        ref = np.linalg.norm(A, 2)
+        kept = A.copy()
+        if not A.flags.f_contiguous:
+            # C-ordered: a copy is taken, A is left as it is
+            assert norms._sigma_max(A) == ref
+            assert np.array_equal(A, kept)
+        assert norms._sigma_max(np.array(kept, order="F")) == ref
+
+    def test_offdiag_kernels_bit_for_bit(self):
+        op = assemble_sector(build_radial_grid(5, 40.0, 256), 0, 1.0)
+        dec, sw = op.decomposition, np.sqrt(op.w)
+        for t in np.geomspace(1e-3, 1e-2, 8):
+            K = (dec.Q * np.exp(-t * dec.mu)) @ dec.Q.T
+            Kw = sw[:, None] * K * sw
+            assert norms._sigma_max(np.asfortranarray(Kw)) == \
+                np.linalg.norm(Kw, 2)
+
+    @needs_dgesdd
+    def test_works_in_place_on_a_fortran_array(self):
+        A = np.asfortranarray(np.random.default_rng(5).standard_normal((9, 7)))
+        kept = A.copy()
+        assert norms._sigma_max(A) == np.linalg.norm(kept, 2)
+        assert not np.array_equal(A, kept)
+
+    def test_unbound_routine_copies_and_runs_one_worker(self, monkeypatch):
+        monkeypatch.setattr(norms, "_dgesdd", lambda: None)
+        cores(monkeypatch, 4)
+        A = np.asfortranarray(np.random.default_rng(6).standard_normal((30, 20)))
+        kept = A.copy()
+        assert norms._sigma_max(A) == np.linalg.norm(kept, 2)
+        assert np.array_equal(A, kept)
+        assert norms._norm_workers(8) == 1
+
+    def test_nan_entry_raises_like_numpy(self):
+        A = np.ones((4, 3), order="F")
+        A[1, 2] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.norm(A, 2)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            norms._sigma_max(A)
+
+    def test_empty_matrix_has_norm_zero(self):
+        assert norms._sigma_max(np.zeros((0, 3), order="F")) == 0.0
+
+
+@pytest.fixture(scope="module")
+def offdiag1024():
+    """The default offdiag operator (n = 1024, R = 40, c = 1), four of its
+    times and its four (F, E) blocks."""
+    op = assemble_sector(build_radial_grid(5, 40.0, 1024), 0, 1.0)
+    ev = SemigroupEvaluator(op)
+    mE = Region.annulus(0.0, 1.0).indicator(op.grid).astype(bool)
+    blocks = [(Region.annulus(d, math.inf).indicator(op.grid).astype(bool), mE)
+              for d in (3.0, 5.0, 8.0, 12.0)]
+    return op.decomposition, [ev.values(t) for t in
+                              np.geomspace(1e-3, 1e-2, 4)], blocks
+
+
+class TestKernelBlockNorms:
+    @needs_dgesdd
+    @pytest.mark.parametrize("count, workers", [(1, 1), (2, 2), (3, 2),
+                                                (8, 2)])
+    def test_workers_follow_cores_kernels_and_the_cap(self, monkeypatch,
+                                                      one_blas_thread,
+                                                      count, workers):
+        cores(monkeypatch, count)
+        assert norms._norm_workers(8) == workers
+        assert norms._norm_workers(1) == 1
+
+    def test_threaded_or_unread_blas_runs_one_worker(self, monkeypatch):
+        cores(monkeypatch, 4)
+        monkeypatch.setattr(norms, "_blas_threads_getter", lambda: lambda: 2)
+        assert norms._norm_workers(8) == 1
+        monkeypatch.setattr(norms, "_blas_threads_getter", lambda: None)
+        assert norms._norm_workers(8) == 1
+
+    def test_table_does_not_depend_on_the_worker_count(self, monkeypatch,
+                                                       one_blas_thread):
+        op = assemble_sector(build_radial_grid(5, 40.0, 256), 0, 1.0)
+        ev = SemigroupEvaluator(op)
+        fs = [ev.values(t) for t in np.geomspace(1e-3, 1e-2, 5)]
+        r = op.grid.r
+        blocks = [(r > 3.0, r < 1.0), (r > 8.0, r <= 1.0), (r < 0.0, r < 1.0)]
+        tables = []
+        for count in (1, 2):
+            cores(monkeypatch, count)
+            table, runtime = norms.kernel_block_norms(op.decomposition, fs,
+                                                      blocks)
+            assert runtime["kernel_workers"] == (
+                count if runtime["numpy_dgesdd"] else 1)
+            tables.append(table)
+        assert np.array_equal(tables[0], tables[1])
+        w = op.w
+        for row, f in zip(tables[0], fs):
+            K = (op.decomposition.Q * f) @ op.decomposition.Q.T
+            ref = [norms.l2_norm(K[np.ix_(mF, mE)], w[mF], w[mE])
+                   for mF, mE in blocks] + [norms.l2_norm(K, w, w)]
+            assert row.tolist() == ref
+        assert np.all(tables[0][:, 2] == 0.0)     # the empty block
+
+    @needs_dgesdd
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_two_workers_hold_one_kernel_each(self, monkeypatch,
+                                              one_blas_thread, offdiag1024,
+                                              count):
+        # each worker: its kernel, synth_kernel's row block, the small
+        # (F, E) block copies and dgesdd's workspace, about 1.09 n^2 (a
+        # third would take Q and the workers past the eigensolve's 4 n^2);
+        # one unthreaded time held a kernel, its weighted copy and numpy's
+        # SVD copy of that (whose malloc tracemalloc does not see)
+        dec, fs, blocks = offdiag1024
+        n = dec.n
+        cores(monkeypatch, count)
+        tracemalloc.start()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            _, runtime = norms.kernel_block_norms(dec, fs, blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert runtime["kernel_workers"] == 2
+        assert peak - base <= 2.5 * n * n * 8
+
+    @needs_dgesdd
+    def test_svds_copy_nothing(self, monkeypatch):
+        # numpy's SVD copies its input with a malloc that tracemalloc
+        # does not see, so the in-place route is checked by refusing it
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy's copying SVD was called")
+
+        op = assemble_sector(build_radial_grid(5, 40.0, 64), 0, 1.0)
+        f = SemigroupEvaluator(op).values(0.01)
+        r = op.grid.r
+        monkeypatch.setattr(np.linalg, "norm", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        table, _ = norms.kernel_block_norms(op.decomposition, [f],
+                                            [(r > 3.0, r < 1.0)])
+        assert norms.l2_norm(op.decomposition.synth_kernel(f), op.w,
+                             op.w) == table[0, -1]
 
 
 class TestOpnorm:

@@ -86,6 +86,37 @@ class TestEigendecompose:
         assert np.array_equal(dec.Q, Q)
 
 
+class TestSynthKernel:
+    @pytest.mark.parametrize("t", [0.05, 0.05 + 0.02j])
+    def test_row_blocks_are_the_one_product_bit_for_bit(self, t):
+        dec = assemble_sector(build_radial_grid(5, 30.0, 200), 0,
+                              1.0).decomposition
+        rows = -(-dec.n // spectral.SYNTH_BLOCKS)
+        assert dec.n % rows != 0
+        f = np.exp(-t * dec.mu)
+        K = dec.synth_kernel(f)
+        assert K.flags.f_contiguous and K.dtype == f.dtype
+        assert np.array_equal(K, (dec.Q * f[None, :]) @ dec.Q.T)
+
+    def test_working_memory(self):
+        # the kernel, one row block's product and numpy's small ufunc
+        # buffers: no n x n Q f temporary
+        n = 1024
+        rng = np.random.default_rng(0)
+        dec = spectral.SpectralDecomposition(
+            mu=np.sort(rng.uniform(0.0, 1e4, n)),
+            Q=rng.standard_normal((n, n)), w=np.ones(n))
+        f = np.exp(-1e-3 * dec.mu)
+        tracemalloc.start()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            dec.synth_kernel(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 1.1 * n * n * 8
+
+
 class TestSemigroup:
     def test_semigroup_law(self, op_c1, rng):
         ev = SemigroupEvaluator(op_c1)
