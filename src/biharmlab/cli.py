@@ -29,7 +29,7 @@ from .estimates import (davies_distance, decay_fit, laplacian_decay_fit,
                         solve_parabolic, twisted_decay_suite)
 from .grids import (GridError, Region, build_box_grid, build_radial_grid,
                     make_phi, probe_functions)
-from .norms import corner_norm
+from .norms import corner_norm, pin_blas_threads
 from .operators import (TWISTED_PLANES, OperatorError, assemble_box,
                         assemble_sector, paper_rellich_constant,
                         twisted_form_terms)
@@ -477,67 +477,6 @@ def run_plot(args) -> int:
     return EXIT_OK
 
 
-# (prefix, suffix) around `set_num_threads` / `get_num_threads` in the
-# OpenBLAS builds: numpy's and scipy's wheels, then plain OpenBLAS, each
-# with and without the 64-bit-integer symbol suffix.
-_OPENBLAS_SYMBOLS = (("scipy_openblas_", "64_"), ("scipy_openblas_", ""),
-                     ("openblas_", "64_"), ("openblas_", ""))
-
-
-def _blas_libraries() -> list:
-    """Paths of the BLAS libraries mapped into this process: shared
-    libraries whose file name holds `blas`, `blis` or `mkl` (OpenBLAS,
-    reference BLAS, FlexiBLAS, BLIS, MKL).  Empty where /proc/self/maps
-    cannot be read."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            rows = [line.split(None, 5) for line in fh]
-    except OSError:
-        return []
-    names = {row[5].strip(): os.path.basename(row[5].strip())
-             for row in rows if len(row) == 6 and row[5].startswith("/")}
-    return sorted(path for path, name in names.items()
-                  if name.startswith("lib")
-                  and any(k in name for k in ("blas", "blis", "mkl")))
-
-
-def _pin_blas_threads():
-    """Run every mapped OpenBLAS single-threaded, so that results do not
-    depend on the BLAS thread count.  Returns `(restore, pinned)`:
-    `restore()` puts the previous thread counts back, and `pinned` is
-    False if no BLAS library could be set or one that cannot be set is
-    loaded."""
-    previous = []
-    found = 0
-    pinned = True
-    for path in _blas_libraries():
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            pinned = False
-            continue
-        for prefix, suffix in _OPENBLAS_SYMBOLS:
-            try:
-                setter = getattr(lib, f"{prefix}set_num_threads{suffix}")
-                getter = getattr(lib, f"{prefix}get_num_threads{suffix}")
-            except AttributeError:
-                continue
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            getter.argtypes, getter.restype = [], ctypes.c_int
-            found += 1
-            previous.append((setter, getter()))
-            setter(1)
-            break
-        else:
-            pinned = False
-
-    def restore():
-        for setter, count in previous:
-            setter(count)
-
-    return restore, pinned and found > 0
-
-
 M_MMAP_THRESHOLD = -3          # glibc's mallopt parameter number
 
 
@@ -568,7 +507,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     _fix_mmap_threshold()
-    restore, pinned = _pin_blas_threads()
+    restore, pinned = pin_blas_threads()
     if not pinned:
         print("warning: BLAS threads are not pinned; CSVs may differ "
               "between thread counts", file=sys.stderr)

@@ -434,13 +434,18 @@ def twisted_decay_suite(op: SectorOperator, lam_list, phi_list, t_list,
             Kt = d[:, None] * K / d[None, :]     # kernel of D e^{-tA} D^{-1}
             lnrm = l2_norm(op.apply_L(Kt), w, w)
             m_hat = max(m_hat, lnrm * math.sqrt(t) * math.exp(-grow * t))
+            try:
+                bound = math.exp(grow * t)
+            except OverflowError:
+                bound = math.inf
             rows.append({"lam": lam, "t": t, "norm": l2_norm(Kt, w, w),
-                         "bound": math.exp(grow * t), "lap_norm": lnrm})
+                         "bound": bound, "lap_norm": lnrm})
     # the fitted prefactor certifies the Laplacian bound on all samples
     m_hat *= 1.0 + 1e-12
     for row in rows:
-        row["lap_bound"] = m_hat * row["t"] ** -0.5 * math.exp(
-            2.0 * k_h * (1.0 + row["lam"] ** 4) * row["t"])
+        # an unrepresentable bound stays inf, even at m_hat = 0
+        row["lap_bound"] = (m_hat * row["t"] ** -0.5 * row["bound"]
+                            if math.isfinite(row["bound"]) else math.inf)
     return {"rows": rows, "k_h": k_h, "m_hat": m_hat,
             "inequality_report": ineq}
 

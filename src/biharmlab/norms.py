@@ -4,7 +4,8 @@ Upper bounds: exact corner formulas for the pairs (1,1), (inf,inf), (2,2),
 (1,2), (2,inf), (1,inf) plus anything with p = 1 or q = inf, combined by
 Riesz-Thorin interpolation over triangles of corner points in (1/p, 1/q)
 coordinates.  Lower bounds: a dual-ascent fixed-point iteration (Boyd
-type) with an explicit witness function.
+type) with an explicit witness function.  The module also owns the one
+OpenBLAS binding, read by `pin_blas_threads` and the kernel workers' rule.
 """
 
 from __future__ import annotations
@@ -47,23 +48,84 @@ def _dual(p: float) -> float:
     return p / (p - 1.0)
 
 
-def _numpy_openblas(symbol: str):
-    """`symbol` of the OpenBLAS that numpy's linalg module links, bound
-    through ctypes; None where it cannot be reached."""
-    from numpy.linalg import _umath_linalg
+# (prefix, suffix) around `set_num_threads` / `get_num_threads` in the
+# OpenBLAS builds: numpy's and scipy's wheels, then plain OpenBLAS, each
+# with and without the 64-bit-integer symbol suffix.
+_OPENBLAS_SYMBOLS = (("scipy_openblas_", "64_"), ("scipy_openblas_", ""),
+                     ("openblas_", "64_"), ("openblas_", ""))
 
+
+def _blas_libraries() -> list:
+    """Paths of the BLAS libraries mapped into this process: shared
+    libraries whose file name holds `blas`, `blis` or `mkl` (OpenBLAS,
+    reference BLAS, FlexiBLAS, BLIS, MKL).  Empty where /proc/self/maps
+    cannot be read."""
     try:
-        return getattr(ctypes.CDLL(_umath_linalg.__file__), symbol)
-    except (OSError, AttributeError):
-        return None
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            rows = [line.split(None, 5) for line in fh]
+    except OSError:
+        return []
+    names = {row[5].strip(): os.path.basename(row[5].strip())
+             for row in rows if len(row) == 6 and row[5].startswith("/")}
+    return sorted(path for path, name in names.items()
+                  if name.startswith("lib")
+                  and any(k in name for k in ("blas", "blis", "mkl")))
+
+
+def _blas_thread_handles() -> list:
+    """The (set, get) thread-count functions of each BLAS library mapped
+    into this process, bound through ctypes; None for a library that
+    cannot be loaded or has no OpenBLAS thread symbols."""
+    handles = []
+    for path in _blas_libraries():
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            handles.append(None)
+            continue
+        for prefix, suffix in _OPENBLAS_SYMBOLS:
+            try:
+                setter = getattr(lib, f"{prefix}set_num_threads{suffix}")
+                getter = getattr(lib, f"{prefix}get_num_threads{suffix}")
+            except AttributeError:
+                continue
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            handles.append((setter, getter))
+            break
+        else:
+            handles.append(None)
+    return handles
+
+
+def pin_blas_threads():
+    """Run every mapped OpenBLAS single-threaded, so that results do not
+    depend on the BLAS thread count.  Returns `(restore, pinned)`:
+    `restore()` puts the previous thread counts back, and `pinned` is
+    False if no BLAS library could be set or one that cannot be set is
+    loaded."""
+    handles = _blas_thread_handles()
+    previous = [(setter, getter()) for setter, getter in filter(None, handles)]
+    for setter, _ in previous:
+        setter(1)
+
+    def restore():
+        for setter, count in previous:
+            setter(count)
+
+    return restore, bool(previous) and None not in handles
 
 
 @functools.cache
 def _dgesdd():
     """The dgesdd that numpy's own SVD calls: in numpy's wheels, the
-    ILP64 `scipy_dgesdd_64_`.  None where it cannot be reached."""
-    fn = _numpy_openblas("scipy_dgesdd_64_")
-    if fn is None:
+    ILP64 `scipy_dgesdd_64_` of the OpenBLAS its linalg module links.
+    None where it cannot be reached."""
+    from numpy.linalg import _umath_linalg
+
+    try:
+        fn = ctypes.CDLL(_umath_linalg.__file__).scipy_dgesdd_64_
+    except (OSError, AttributeError):
         return None
     i64, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
     # jobz, m, n, a, lda, s, u, ldu, vt, ldvt, work, lwork, iwork, info and
@@ -118,24 +180,16 @@ def l2_norm(K: np.ndarray, w_out: np.ndarray, w_in: np.ndarray) -> float:
     return _sigma_max(Kw)
 
 
-@functools.cache
-def _blas_threads_getter():
-    """numpy's OpenBLAS thread-count getter; None where it cannot be
-    reached."""
-    fn = _numpy_openblas("scipy_openblas_get_num_threads64_")
-    if fn is not None:
-        fn.argtypes, fn.restype = [], ctypes.c_int
-    return fn
-
-
 def _norm_workers(tasks: int) -> int:
     """Threads for `tasks` kernels: one per core this process may run on,
     at most one per kernel and KERNEL_WORKERS.  One where the SVD cannot
     work in place, since each thread would then hold a second n x n copy,
-    and one unless numpy's BLAS is read to run one thread, since each
-    thread would otherwise start its own team of BLAS threads."""
-    getter = _blas_threads_getter()
-    if _dgesdd() is None or getter is None or getter() != 1:
+    and one unless every mapped BLAS library can be set and reads one
+    thread (the state pin_blas_threads leaves), since each thread would
+    otherwise start its own team of BLAS threads."""
+    handles = _blas_thread_handles()
+    if (_dgesdd() is None or not handles or None in handles
+            or any(getter() != 1 for _, getter in handles)):
         return 1
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
@@ -165,8 +219,8 @@ def kernel_block_norms(dec: SpectralDecomposition, fs, blocks) -> tuple:
 
     The kernels are independent, so they run on
     `runtime["kernel_workers"]` threads (_norm_workers), each holding one
-    kernel; more than one only while BLAS and LAPACK run single-threaded,
-    so the table does not depend on the thread count.
+    kernel; more than one only while every BLAS library is pinned to one
+    thread, so the table does not depend on the thread count.
     `runtime["numpy_dgesdd"]` tells whether the SVDs ran in place.  The threads call no public
     function of the package, so a span tracer wrapping those sees one
     thread.

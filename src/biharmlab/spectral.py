@@ -157,10 +157,8 @@ class SemigroupEvaluator:
         _require_sector(self.op)
 
     def apply(self, z: complex, u) -> np.ndarray:
-        if np.real(z) < 0:
-            raise SpectralError("Re z >= 0 required")
-        return self.op.decomposition.fn_apply(lambda mu: np.exp(-z * mu),
-                                              np.asarray(u))
+        dec = self.op.decomposition
+        return dec.synth(self.values(z) * dec.coeffs(u))
 
     def values(self, t: complex) -> np.ndarray:
         """The values e^{-t mu} of e^{-tA} on the spectrum."""

@@ -456,6 +456,19 @@ class TestTwistedSuite:
         assert res["m_hat"] > 0
         assert res["inequality_report"]["ok"]
 
+    def test_unrepresentable_bound_reads_inf(self, op_c1, grid128):
+        # e^{2 k_h (1 + lam^4) t} overflows at t = 1e3: that bound and its
+        # Laplacian bound read inf, not NaN, even where M-hat underflows to 0
+        phi = make_phi(np.zeros(5), 2.0, b=-8.0, kind="radial", grid=grid128)
+        for ts in ([0.1, 1e3], [1e3]):
+            res = twisted_decay_suite(op_c1, [2.0], [phi], ts, n_probes=2,
+                                      seed=1)
+            last = res["rows"][-1]
+            assert math.isinf(last["bound"]) and math.isinf(last["lap_bound"])
+            assert math.isfinite(last["norm"])
+            assert math.isfinite(last["lap_norm"])
+        assert res["m_hat"] == 0.0
+
     def test_norms_match_dense_expm(self):
         # reference: e^{-tA} = W^{-1/2} expm(-tB) W^{1/2} with the symmetric
         # B = W^{-1/2} F W^{-1/2}, independent of the eigendecomposition

@@ -97,6 +97,14 @@ def test_no_module_imports_another_modules_private_names(path):
         assert private_imports(fh.read()) == []
 
 
+def test_only_norms_binds_the_blas_thread_count():
+    # one module finds OpenBLAS and reads or sets its thread count, so the
+    # CLI's pin and the kernel workers' rule cannot disagree
+    package = _read(glob.glob(os.path.join(ROOT, PACKAGE, "*.py")))
+    assert [os.path.basename(path) for path, source in sorted(package.items())
+            if "num_threads" in source] == ["norms.py"]
+
+
 def test_cli_import_defers_the_optimiser_and_sparse_stacks():
     code = ("import sys, biharmlab.cli\n"
             "print(sorted({'scipy.optimize', 'scipy.sparse',\n"

@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.optimize import linprog
 
 from biharmlab import (Region, SemigroupEvaluator, assemble_sector,
-                       boyd_lower, build_radial_grid, cli, corner_norm,
+                       boyd_lower, build_radial_grid, corner_norm,
                        interpolation_upper, norms, opnorms)
 from biharmlab.grids import weighted_lp
 from biharmlab.norms import (BOYD_MAX_ITER, BOYD_RESTARTS, NormError,
@@ -353,8 +353,8 @@ def cores(monkeypatch, count):
 
 @pytest.fixture
 def one_blas_thread():
-    """numpy's BLAS pinned to one thread, as the CLI runs it."""
-    restore, _ = cli._pin_blas_threads()
+    """Every mapped BLAS pinned to one thread, as the CLI runs it."""
+    restore, _ = norms.pin_blas_threads()
     yield
     restore()
 
@@ -438,12 +438,17 @@ class TestKernelBlockNorms:
         assert norms._norm_workers(8) == workers
         assert norms._norm_workers(1) == 1
 
+    @needs_dgesdd
     def test_threaded_or_unread_blas_runs_one_worker(self, monkeypatch):
+        # one library at one thread runs two workers; one at two threads,
+        # one that cannot be set, or none found runs one
         cores(monkeypatch, 4)
-        monkeypatch.setattr(norms, "_blas_threads_getter", lambda: lambda: 2)
-        assert norms._norm_workers(8) == 1
-        monkeypatch.setattr(norms, "_blas_threads_getter", lambda: None)
-        assert norms._norm_workers(8) == 1
+        one, two = (None, lambda: 1), (None, lambda: 2)
+        for handles, workers in (([one], 2), ([one, two], 1),
+                                 ([one, None], 1), ([], 1)):
+            monkeypatch.setattr(norms, "_blas_thread_handles",
+                                lambda h=handles: h)
+            assert norms._norm_workers(8) == workers
 
     def test_table_does_not_depend_on_the_worker_count(self, monkeypatch,
                                                        one_blas_thread):

@@ -136,7 +136,7 @@ class TestSemigroup:
 
     def test_rejects_negative_time(self, op_c1, rng):
         ev = SemigroupEvaluator(op_c1)
-        with pytest.raises(SpectralError):
+        with pytest.raises(SpectralError, match="Re t >= 0"):
             ev.apply(-0.1, rng.standard_normal(op_c1.n))
 
     def test_kernel_rejects_negative_time(self, op_c1):
