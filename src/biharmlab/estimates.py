@@ -20,11 +20,11 @@ import scipy.linalg as sla
 
 from .grids import (RadialGrid, Region, euclidean_distance, probe_functions,
                     sphere_area, weighted_lp)
-from .norms import (NormEstimate, boyd_lower, interpolation_upper,
-                    kernel_block_norms, l2_norm, opnorms)
+from .norms import (NormEstimate, boyd_lower, corner_norm,
+                    interpolation_upper, kernel_block_norms, l2_norm, opnorms)
 from .operators import (SectorOperator, forme_inequality_check,
                         paper_rellich_constant, stiffness_bands, twist)
-from .spectral import SemigroupEvaluator, riesz_kernel
+from .spectral import KernelMatrix, SemigroupEvaluator, riesz_kernel
 
 
 class EstimateError(ValueError):
@@ -452,11 +452,20 @@ def twisted_decay_suite(op: SectorOperator, lam_list, phi_list, t_list,
 
 def laplacian_decay_fit(op: SectorOperator, t_list) -> FitResult:
     """Fit ||L e^{-tA}||_{2->2} ~ t^{-1/2} over the given times inside the
-    reliable window."""
+    reliable window.  At c = 0 the tridiagonal factor gives L Q = -Q nu
+    with nu = mu^{1/2}, so L e^{-tA} is the kernel Q (-nu e^{-t mu}) Q^T
+    and its norm is read off the spectrum, with no formed kernel."""
     ev = SemigroupEvaluator(op)
-    return _power_fit(
-        op.grid, t_list,
-        lambda t: l2_norm(op.apply_L(ev.kernel(t).K), op.w, op.w), -0.5)
+    if op.c == 0.0:
+        nu = np.sqrt(op.decomposition.mu)
+
+        def norm(t):
+            return corner_norm(KernelMatrix(dec=op.decomposition,
+                                            f=-nu * ev.values(t)), 2.0, 2.0)
+    else:
+        def norm(t):
+            return l2_norm(op.apply_L(ev.kernel(t).K), op.w, op.w)
+    return _power_fit(op.grid, t_list, norm, -0.5)
 
 
 # ------------------------------------------------------ extrapolation / Lp

@@ -240,6 +240,10 @@ def kernel_block_norms(dec: SpectralDecomposition, fs, blocks) -> tuple:
                    "numpy_dgesdd": _dgesdd() is not None}
 
 
+# corner -> its transpose (q', p'), the same norm for a symmetric kernel
+_TRANSPOSED = {(math.inf, math.inf): (1.0, 1.0), (1.0, 2.0): (2.0, math.inf)}
+
+
 def corner_norm(kernel: KernelMatrix, p: float, q: float) -> float:
     """Exact weighted p -> q norm where a closed formula exists.
 
@@ -251,9 +255,18 @@ def corner_norm(kernel: KernelMatrix, p: float, q: float) -> float:
         ||K||_{2->2} <= gram_norm max_k |f_k|,
         ||K||_{2->inf}^2 <= gram_norm max_i sum_k Q_ik^2 |f_k|^2,
 
-    upper bounds that are exact for a W-orthonormal Q.
+    upper bounds that are exact for a W-orthonormal Q.  For real f, K is
+    symmetric, so the operator is its own adjoint and (inf,inf) and (1,2)
+    are the kernel's (1,1) and (2,inf), read through its corner cache;
+    for f >= 0, K is positive semidefinite, so its largest entry, the
+    (1,inf) norm, is its largest diagonal entry max_i sum_k Q_ik^2 f_k.
     """
     dec = kernel.dec
+    if dec is not None and np.isrealobj(kernel.f):
+        if (p, q) in _TRANSPOSED:
+            return _corner(kernel, *_TRANSPOSED[(p, q)])
+        if p == 1.0 and math.isinf(q) and np.all(kernel.f >= 0):
+            return float(np.max(dec.Q**2 @ kernel.f))
     if p == 2.0 and dec is not None and (q == 2.0 or math.isinf(q)):
         af = np.abs(kernel.f)
         if q == 2.0:
@@ -275,13 +288,18 @@ def _has_exact(p: float, q: float) -> bool:
     return p == 1.0 or math.isinf(q) or (p == 2.0 and q == 2.0)
 
 
-def _cached_corner(kernel: KernelMatrix, p: float, q: float) -> float:
-    """corner_norm(kernel, p, q), evaluated once per kernel and (p, q); an
-    inf or NaN corner raises, since no interpolated bound can use it."""
+def _corner(kernel: KernelMatrix, p: float, q: float) -> float:
+    """corner_norm(kernel, p, q), evaluated once per kernel and (p, q)."""
     cache = kernel.corner_norms
     if (p, q) not in cache:
         cache[(p, q)] = corner_norm(kernel, p, q)
-    value = cache[(p, q)]
+    return cache[(p, q)]
+
+
+def _cached_corner(kernel: KernelMatrix, p: float, q: float) -> float:
+    """_corner(kernel, p, q); an inf or NaN corner raises, since no
+    interpolated bound can use it."""
+    value = _corner(kernel, p, q)
     if not math.isfinite(value):
         raise NormError(f"corner ({p}, {q}) norm is not finite: {value}")
     return value

@@ -66,14 +66,30 @@ def peak_rss_mb() -> float | None:
                  / (1 << 20), 1)
 
 
+STATM = "/proc/self/statm"
+
+
+def rss_mb() -> float | None:
+    """The process's resident memory now in MB, from the resident page
+    count in /proc/self/statm, or None where that file cannot be read."""
+    try:
+        with open(STATM, encoding="ascii") as fh:
+            pages = int(fh.read().split()[1])
+    except (OSError, IndexError, ValueError):
+        return None
+    return round(pages * os.sysconf("SC_PAGE_SIZE") / (1 << 20), 1)
+
+
 class RunManifest:
     """One experiment's output directory `out`: its CSV tables and a
     manifest of config echo, content hashes, per-check records, the
-    table list, the runtime it ran under and the process's peak memory
-    so far, written atomically at the end of the run.  A report-only run
-    records no checks.  `runtime` holds facts of the run that do not
-    change its numbers (BLAS pinning, thread counts); `error` holds the
-    error that stopped the experiment, if one did."""
+    table list, the runtime it ran under, the process's resident memory
+    when the manifest is made (`rss_start_mb`, what the experiment
+    inherits) and its peak memory so far, written atomically at the end
+    of the run.  A report-only run records no checks.  `runtime` holds
+    facts of the run that do not change its numbers (BLAS pinning,
+    thread counts); `error` holds the error that stopped the experiment,
+    if one did."""
 
     def __init__(self, config: dict, out: str, report_only: bool):
         self.config = {**config, "report_only": report_only}
@@ -85,6 +101,7 @@ class RunManifest:
         self.runtime = {}
         self.error = None
         self._t0 = time.monotonic()
+        self.rss_start_mb = rss_mb()
         os.makedirs(out, exist_ok=True)
 
     def add_hash(self, name: str, value: str) -> None:
@@ -122,6 +139,7 @@ class RunManifest:
             "runtime": self.runtime,
             "wall_clock_s": round(time.monotonic() - self._t0, 3),
             "peak_rss_mb": peak_rss_mb(),
+            "rss_start_mb": self.rss_start_mb,
             "all_pass": self.all_pass,
             "error": self.error,
         }

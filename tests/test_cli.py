@@ -385,8 +385,8 @@ class TestExitCodes:
             man.add_check("ran", 0, "<=", 0)
 
         assert list(cli.EXPERIMENTS) == ["coercivity", "rellich", "decay",
-                                         "offdiag", "riesz", "twisted",
-                                         "distance", "solve"]
+                                         "riesz", "twisted", "solve",
+                                         "offdiag", "distance"]
         for name in cli.EXPERIMENTS.keys() - {"coercivity"}:   # runs as is
             monkeypatch.setitem(cli.EXPERIMENTS, name,
                                 broken if name in ("rellich", "riesz")
@@ -499,12 +499,79 @@ SUITE_CHECKS = (
     "rellich_within_10pct", "rellich_min_at_ell0",
     "decay_slope_c0.0_qinf", "decay_slope_c0.0_q10.0",
     "decay_slope_c1.0_qinf", "decay_slope_c1.0_q10.0",
-    "offdiag_distance_exponent", "offdiag_time_exponent",
     "riesz_routes_agree", "riesz_l2_bound", "riesz_stability_p1.3",
     "riesz_stability_p1.5", "riesz_stability_p1.8",
     "twisted_expansion_order", "twisted_semigroup_bounds",
-    "laplacian_decay_half", "davies_distance_bracket", "lambda_optimizer",
-    "solution_seminorm_finite")
+    "laplacian_decay_half", "solution_seminorm_finite",
+    "offdiag_distance_exponent", "offdiag_time_exponent",
+    "davies_distance_bracket", "lambda_optimizer")
+
+
+# runs `suite --seed 7` into argv[2] with each experiment wrapped to
+# record whether scipy's optimiser stack is loaded when it starts, and
+# writes that, in run order, with the state at the end to argv[1]
+OPTIMIZER_PROBE_RUN = """
+import json, sys
+import biharmlab.cli as cli
+seen = {}
+
+
+def probed(name, run):
+    def wrapped(args, man):
+        seen[name] = "scipy.optimize" in sys.modules
+        return run(args, man)
+    return wrapped
+
+
+for name, run in list(cli.EXPERIMENTS.items()):
+    cli.EXPERIMENTS[name] = probed(name, run)
+rc = cli.main(["suite", "--seed", "7", "--out", sys.argv[2]])
+with open(sys.argv[1], "w") as fh:
+    json.dump({"rc": rc, "at_start": list(seen.items()),
+               "at_end": "scipy.optimize" in sys.modules}, fh)
+"""
+
+
+@pytest.fixture(scope="module")
+def probed_suite(tmp_path_factory):
+    """The default suite run once in a fresh interpreter: (the probe's
+    record, the output directory)."""
+    tmp = tmp_path_factory.mktemp("probed_suite")
+    result = tmp / "probe.json"
+    res = subprocess.run(
+        [sys.executable, "-c", OPTIMIZER_PROBE_RUN, str(result),
+         str(tmp / "out")],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(
+            os.path.dirname(cli.__file__))})
+    assert res.returncode == 0, res.stderr
+    return json.loads(result.read_text()), tmp / "out"
+
+
+class TestSuiteOrder:
+    def test_optimizer_stack_loads_after_the_largest_arrays(self,
+                                                            probed_suite):
+        # scipy.optimize stays resident once imported, so it must not be
+        # under the peaks of riesz's eigensolves and twisted's box grid
+        probe, _ = probed_suite
+        assert probe["rc"] == cli.EXIT_ASSERT      # the two known failures
+        names = [name for name, _ in probe["at_start"]]
+        assert names == list(cli.EXPERIMENTS)
+        last = max(names.index("riesz"), names.index("twisted"))
+        loaded = [name for name, seen in probe["at_start"] if seen]
+        assert all(names.index(name) > last for name in loaded)
+        assert probe["at_end"] is True         # the probe can see it
+
+    def test_manifests_record_inherited_memory(self, probed_suite):
+        _, out = probed_suite
+        starts = {}
+        for name in cli.EXPERIMENTS:
+            man = json.loads((out / name / "manifest.json").read_text())
+            assert 10.0 < man["rss_start_mb"] <= man["peak_rss_mb"]
+            starts[name] = man["rss_start_mb"]
+        # distance, which runs right after offdiag, inherits offdiag's
+        # optimiser stack (about 16.5 MB)
+        assert starts["distance"] - starts["offdiag"] > 10.0
 
 
 class TestBenchmarkReference:
@@ -727,6 +794,24 @@ class TestReport:
         man.write()
         body = json.load(open(tmp_path / "manifest.json"))
         assert body["peak_rss_mb"] is None
+
+    def test_manifest_records_resident_memory_at_its_start(self, tmp_path,
+                                                           monkeypatch):
+        man = report.RunManifest({}, str(tmp_path), False)
+        # the experiment's own 64 MB, held until the manifest is written;
+        # the kernel's peak and current counts may differ by a few pages,
+        # far less than that
+        held = np.ones(8 << 20)
+        man.write()
+        del held
+        body = json.load(open(tmp_path / "manifest.json"))
+        assert 10.0 < body["rss_start_mb"]
+        assert body["rss_start_mb"] + 32.0 <= body["peak_rss_mb"]
+        monkeypatch.setattr(report, "STATM", str(tmp_path / "missing"))
+        assert report.rss_mb() is None
+        report.RunManifest({}, str(tmp_path), False).write()
+        body = json.load(open(tmp_path / "manifest.json"))
+        assert body["rss_start_mb"] is None
 
     def test_manifest_lists_its_tables_and_report_only_records_no_check(
             self, tmp_path):

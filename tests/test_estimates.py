@@ -19,7 +19,8 @@ from biharmlab import (Region, assemble_sector, build_radial_grid, cli,
 from biharmlab.estimates import (DistanceEstimate, EstimateError, gamma_pq,
                                  reliable_window)
 from biharmlab.grids import sphere_area
-from biharmlab.norms import corner_norm, interpolation_upper, kernel_block_norms
+from biharmlab.norms import (corner_norm, interpolation_upper,
+                             kernel_block_norms, l2_norm)
 from biharmlab.spectral import SemigroupEvaluator, riesz_kernel
 
 
@@ -259,6 +260,18 @@ class TestDecayFit:
         fit = laplacian_decay_fit(op_c0, list(np.geomspace(0.06, 0.6, 8)))
         assert fit.target == pytest.approx(-0.5)
         assert abs(fit.exponent - (-0.5)) <= 0.05
+
+    def test_laplacian_norms_at_c_zero_match_the_formed_kernel(
+            self, op_c0, monkeypatch):
+        ts = list(np.geomspace(0.06, 0.6, 6))
+        ev = SemigroupEvaluator(op_c0)
+        ref = [l2_norm(op_c0.apply_L(ev.kernel(t).K), op_c0.w, op_c0.w)
+               for t in ts]
+        kernels = collect_kernels(monkeypatch)
+        fit = laplacian_decay_fit(op_c0, ts)
+        assert kernels == []                  # read off the spectrum
+        assert fit.params["norm_values"] == pytest.approx(ref, rel=1e-13,
+                                                      abs=0.0)
 
     def test_laplacian_fit_keeps_the_reliable_window(self, op_c0):
         # decay_fit's window and its rule of at least 5 points

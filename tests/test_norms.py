@@ -341,6 +341,59 @@ class TestSpectralCorners:
                 np.exp(-0.05 * op512.decomposition.mu)))
 
 
+@pytest.fixture(scope="module", params=[0.0, 1.0])
+def op256(request):
+    return assemble_sector(build_radial_grid(5, 30.0, 256), 0, request.param)
+
+
+def entries(kern: KernelMatrix) -> KernelMatrix:
+    """The same kernel, built from its entries."""
+    return KernelMatrix(K=kern.K, w=kern.w)
+
+
+class TestSymmetricCorners:
+    @pytest.mark.parametrize("t", [1e-3, 0.05, 1.0])
+    def test_transposed_corners_match_the_formed_kernel(self, op256, t):
+        ev = SemigroupEvaluator(op256)
+        kern = ev.kernel(t)
+        n12 = corner_norm(kern, 1.0, 2.0)
+        n1inf = corner_norm(kern, 1.0, math.inf)
+        assert "K" not in kern.__dict__           # both from the spectrum
+        assert n12 == kern.corner_norms[(2.0, math.inf)]
+        ninf = corner_norm(kern, math.inf, math.inf)
+        assert ninf == kern.corner_norms[(1.0, 1.0)]
+        formed = entries(ev.kernel(t))
+        for value, (p, q) in ((n12, (1.0, 2.0)), (n1inf, (1.0, math.inf)),
+                              (ninf, (math.inf, math.inf))):
+            assert value == pytest.approx(corner_norm(formed, p, q),
+                                          rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("p, q", [(math.inf, math.inf), (1.0, 2.0),
+                                      (1.0, math.inf)])
+    def test_complex_time_reads_the_entries(self, op256, p, q):
+        kern = SemigroupEvaluator(op256).kernel(0.01 + 0.01j)
+        assert corner_norm(kern, p, q) == corner_norm(entries(kern), p, q)
+        assert kern.corner_norms == {}
+
+    def test_sign_changing_f_reads_its_largest_entry(self, op256):
+        dec = op256.decomposition
+        f = -np.sqrt(dec.mu) * np.exp(-0.05 * dec.mu)
+        kern = KernelMatrix(dec=dec, f=f)
+        assert corner_norm(kern, 1.0, math.inf) == float(
+            np.max(np.abs(kern.K)))
+
+    def test_kernel_from_entries_is_not_taken_as_symmetric(self):
+        kern = random_kernel(12, 5, symmetric=False)
+        w = kern.w
+        rows = float(np.max(np.abs(kern.K) @ w))
+        cols = float(np.max(w @ np.abs(kern.K)))
+        assert corner_norm(kern, math.inf, math.inf) == pytest.approx(rows)
+        assert corner_norm(kern, 1.0, 1.0) == pytest.approx(cols)
+        assert rows != pytest.approx(cols)
+        assert corner_norm(kern, 1.0, math.inf) == float(
+            np.max(np.abs(kern.K)))
+
+
 needs_dgesdd = pytest.mark.skipif(norms._dgesdd() is None,
                                   reason="numpy's dgesdd is not bound")
 
