@@ -19,6 +19,7 @@ from biharmlab import (assemble_box, assemble_sector, build_box_grid,
                        build_radial_grid, forme_inequality_check, make_phi,
                        paper_rellich_constant, probe_functions, twist,
                        twisted_decay_suite, twisted_form_terms)
+from biharmlab.cli import box_probe
 from biharmlab.grids import TANH_HESS_MAX
 
 
@@ -44,11 +45,9 @@ prev = None
 for m in (8, 12, 16):
     g = build_box_grid(5, m, 2.5)
     op = assemble_box(g, 1.0)
-    # u = e^{-|x|^2} (1 + 0.3i x_0), the x_0 factor broadcast per plane
-    u = (np.exp(-g.radii_sq()).reshape(m, -1)
-         * (1.0 + 0.3j * g.axis)[:, None]).ravel()
+    # u = e^{-|x|^2} (1 + 0.3i x_0), built one axis-0 plane at a time
     phi = make_phi(np.array([0.8, 0.6, 0, 0, 0]), 2.0, 0.2)
-    d = twisted_form_terms(op, u, lam, phi)["discrepancy"]
+    d = twisted_form_terms(op, box_probe(g), lam, phi)["discrepancy"]
     line = f"  m = {m:2d}  h = {g.h:.4f}  discrepancy {d:.4f}"
     if prev is not None:
         order = math.log(prev[0] / d) / math.log(prev[1] / g.h)

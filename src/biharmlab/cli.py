@@ -254,6 +254,8 @@ def run_offdiag(args, man: report.RunManifest) -> None:
     Fs = [Region.annulus(d, math.inf) for d in ds]
     res = offdiag_fit(ev, E, Fs, ts)
     man.runtime.update(res["runtime"])
+    man.numerics.update(excluded_below_floor=res["excluded_below_floor"],
+                        floor=res["floor"])
     rows = []
     for fit in res["distance_fits"]:
         rows.append(("distance", fit.params["t"], fit.exponent, fit.target,
@@ -314,11 +316,24 @@ BOX_BUDGET_BYTES = 1 << 30     # memory the study may take on its largest box
 
 
 def box_study_bytes(N: int, m: int) -> int:
-    """Bytes the box study holds on an m^N box at its peak: the complex
-    probe u with its real Gaussian factor while u is built, then u with
-    the planes twisted_form_terms holds."""
-    plane = m ** (N - 1)
-    return max(24 * m * plane, 16 * (m + TWISTED_PLANES) * plane)
+    """Bytes the box study holds on an m^N box at its peak: the
+    TWISTED_PLANES complex axis-0 planes twisted_form_terms holds, the
+    probe's own planes included; no m^N array is formed."""
+    return 16 * TWISTED_PLANES * m ** (N - 1)
+
+
+def box_probe(box):
+    """u = e^{-|x|^2} (1 + 0.3i x_0) on the box, as the function of the
+    axis-0 plane index that twisted_form_terms takes: each plane is built
+    from box.radii_sq on that plane alone."""
+    factor = 1.0 + 0.3j * box.axis
+
+    def plane(i: int) -> np.ndarray:
+        gauss = box.radii_sq(slice(i, i + 1))
+        np.exp(np.negative(gauss, out=gauss), out=gauss)
+        return gauss * factor[i]
+
+    return plane
 
 
 def run_twisted(args, man: report.RunManifest) -> None:
@@ -337,12 +352,7 @@ def run_twisted(args, man: report.RunManifest) -> None:
     for m in BOX_LADDER:
         box = build_box_grid(args.N, m, 2.5)
         opb = assemble_box(box, args.c)
-        # u = e^{-|x|^2} (1 + 0.3i x_0), the x_0 factor broadcast per plane
-        gauss = box.radii_sq()
-        np.exp(np.negative(gauss, out=gauss), out=gauss)
-        u = (gauss.reshape(m, -1) * (1.0 + 0.3j * box.axis)[:, None]).ravel()
-        del gauss
-        res = twisted_form_terms(opb, u, lam, phi_box)
+        res = twisted_form_terms(opb, box_probe(box), lam, phi_box)
         discs.append(res["discrepancy"])
         hs.append(box.h)
     orders = [math.log(discs[i] / discs[i + 1]) / math.log(hs[i] / hs[i + 1])
@@ -429,7 +439,10 @@ def run_solve(args, man: report.RunManifest) -> None:
 # name and writes its files under `<out>/<name>`.  offdiag and distance,
 # whose fits import scipy's optimiser stack (about 16.5 MB resident that
 # is never released), run after riesz, twisted and solve, so that stack
-# is not held under the peaks of riesz's and twisted's largest arrays.
+# is not held under riesz's n = 1024 eigensolve (94.0 MiB in `suite
+# --seed 7`) or twisted's m = 16 box (85.8 MiB).  The suite's peak is
+# offdiag's two-worker kernel phase at n = 1024 (100.2 MiB), before its
+# fits load the stack.
 EXPERIMENTS = {
     "coercivity": run_coercivity,
     "rellich": run_rellich,

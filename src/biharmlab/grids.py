@@ -17,6 +17,7 @@ import numpy as np
 
 TANH_HESS_MAX = 4.0 / (3.0 * math.sqrt(3.0))  # max of |d/dt sech^2(t)|
 TAPER_START = 0.8  # probe functions are untapered for r <= TAPER_START * R
+LP_BLOCK_COLUMNS = 64   # columns weighted_lp reduces at a time
 
 
 def sphere_area(N: int) -> float:
@@ -167,16 +168,41 @@ def weighted_lp(values: np.ndarray, w: np.ndarray,
                 p: float) -> float | np.ndarray:
     """(sum_i w_i |v_i|^p)^{1/p}; p = inf gives the sup over nodes.
 
-    A 2-D `values` (nodes x columns) gives the array of column norms.
+    A 2-D `values` (nodes x columns) gives the array of column norms,
+    reduced LP_BLOCK_COLUMNS columns at a time: |v| and |v|^p are held
+    for one block, never for the whole array, so the norms of an n x n
+    kernel's columns (a dual-ascent start scan, an entry-based (1,1) or
+    (inf,inf) corner) take n LP_BLOCK_COLUMNS doubles, not 2 n^2.  Blocks
+    start at multiples of LP_BLOCK_COLUMNS and none is narrower, so at
+    one BLAS thread each column norm is bit for bit the one-shot
+    (w @ |V|^p)^{1/p}: BLAS groups a matrix-vector product's columns
+    alike in both.
     """
     if p < 1:
         raise GridError(f"p >= 1 required (got {p})")
+    if values.ndim == 1:
+        return float(_lp_reduce(values, w, p))
+    m = values.shape[1]
+    out = np.empty(m)
+    j = 0
+    while j < m:
+        # a last block narrower than LP_BLOCK_COLUMNS joins the one before:
+        # numpy takes a one-column product as a dot, not a matrix-vector one
+        k = m if m - j < 2 * LP_BLOCK_COLUMNS else j + LP_BLOCK_COLUMNS
+        out[j:k] = _lp_reduce(values[:, j:k], w, p)
+        j = k
+    return out
+
+
+def _lp_reduce(values: np.ndarray, w: np.ndarray,
+               p: float) -> float | np.ndarray:
+    """weighted_lp of a 1-D array, or of each column of a 2-D one, in one
+    shot."""
     a = np.abs(values)
     if math.isinf(p):
-        out = a.max(axis=0, initial=0.0)
-    else:
-        out = (w @ a**p) ** (1.0 / p)
-    return float(out) if a.ndim == 1 else out
+        return a.max(axis=0, initial=0.0)
+    a **= p
+    return (w @ a) ** (1.0 / p)
 
 
 @dataclass(frozen=True)

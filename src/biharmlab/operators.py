@@ -21,6 +21,7 @@ import numpy as np
 from .grids import BoxGrid, PhiFamily, RadialGrid, sphere_area
 
 EXP_CLAMP = 300.0
+APPLY_L_ENTRIES = 1 << 15   # entries per row block of SectorOperator.apply_L
 
 
 def paper_rellich_constant(N: int) -> float:
@@ -111,15 +112,39 @@ class SectorOperator(WeightedForm):
             F[np.diag_indices(self.n)] -= self.c * w * self.V
         return F
 
-    def apply_L(self, u: np.ndarray) -> np.ndarray:
-        """L u = W^{-1} S u from the bands; a 2-D u is taken column by
-        column."""
+    def apply_L(self, u: np.ndarray, out: np.ndarray | None = None
+                ) -> np.ndarray:
+        """L u = W^{-1} S u from the bands, into `out`: a new array by
+        default, or any array of u's shape, u itself included.  A 2-D u
+        is taken column by column.
+
+        u is read by row blocks of about APPLY_L_ENTRIES entries, so the
+        working memory is two such blocks, whatever the size of u: a 2-D
+        u of n^2 entries is mapped in place with n^2/16 entries more at
+        n = 1024, where the one-shot form held three n^2 temporaries.
+        Across a block edge only the one original row above the block is
+        carried, since `out` may already hold its image.  Each entry is
+        formed as diag_i u_i, then + a_i u_{i+1}, then + a_{i-1} u_{i-1},
+        then / w_i, whatever the blocking.
+        """
+        n = self.n
+        if out is None:
+            out = np.empty_like(u, dtype=np.result_type(self.diag, u))
         col = (slice(None),) + (None,) * (u.ndim - 1)
-        a = self.a[col]
-        Su = self.diag[col] * u
-        Su[:-1] += a * u[1:]
-        Su[1:] += a * u[:-1]
-        return Su / self.w[col]
+        a, d, w = self.a[col], self.diag[col], self.w[col]
+        rows = max(1, APPLY_L_ENTRIES * n // max(u.size, 1))
+        above = None                # the original row s - 1
+        for s in range(0, n, rows):
+            e = min(s + rows, n)
+            top = min(e, n - 1)     # rows s..top-1 have a neighbour below
+            Su = d[s:e] * u[s:e]
+            Su[:top - s] += a[s:top] * u[s + 1:top + 1]
+            Su[1:] += a[s:e - 1] * u[s:e - 1]
+            if s:
+                Su[0] += a[s - 1] * above
+            above = u[e - 1].copy()
+            np.divide(Su, w[s:e], out=out[s:e])
+        return out
 
     def apply_A(self, u: np.ndarray) -> np.ndarray:
         return (self.F @ u) / self.w
@@ -224,9 +249,11 @@ def twist(op, lam: float, phi: PhiFamily) -> TwistedOperator:
     return TwistedOperator(base=op, lam=float(lam), phi_values=vals)
 
 
-# Complex axis-0 planes twisted_form_terms holds above its input u, with a
-# margin: tracemalloc measures 15-16 at N = 5 (m = 8, 12, 16) and N = 6.
-TWISTED_PLANES = 20
+# Complex axis-0 planes twisted_form_terms holds at its peak, the planes
+# its probe function makes included, with a margin: tracemalloc measures
+# 11.9 at N = 5 (m = 12, 16) and N = 6 (m = 8, 12), and 12.8 at N = 5,
+# m = 8, with cli.box_probe
+TWISTED_PLANES = 14
 
 
 def twisted_form_terms(op: BoxOperator, u, lam: float, phi: PhiFamily) -> dict:
@@ -246,51 +273,48 @@ def twisted_form_terms(op: BoxOperator, u, lam: float, phi: PhiFamily) -> dict:
     the discrepancy between the two (a discrete Leibniz error of order
     >= 1.5 under grid refinement).
 
-    The sums run over the box one axis-0 plane at a time.  Plane i needs
-    e^{-+lam phi} u on planes i-1, i and i+1 for the stencil across planes,
-    so a window of three planes rolls along axis 0 and the peak above u is
-    O(m^{N-1}).  The derivative across planes is centred, and one-sided at
-    the box faces, as np.gradient takes it.  A linear phi has the rank-one
-    gradient sech^2(t) e, so |grad phi|^2 = sech^4 (e.e) and
+    `u` is the probe as a function of the axis-0 plane index: u(i) is its
+    plane i, of shape grid.shape[1:] or flat, for 0 <= i < m, so the m^N
+    probe need never exist; a caller holding the probe as an array U of
+    shape grid.shape passes U.__getitem__.  The sums run over the box one
+    plane at a time.  Plane i needs u and e^{-+lam phi} u on planes i-1,
+    i and i+1 for the stencil across planes, so windows of three planes
+    roll along axis 0 and the peak is TWISTED_PLANES complex planes,
+    O(m^{N-1}): at N = 5 and m = 16 under an m^N array.  The derivative
+    across planes is centred, and one-sided at the box faces, as
+    np.gradient takes it.  A linear phi has the rank-one gradient
+    sech^2(t) e, so |grad phi|^2 = sech^4 (e.e) and
     grad phi . grad u = sech^2 (e . grad u).
     """
     if not isinstance(op, BoxOperator):
         raise OperatorError("the expansion needs a box operator (gradients)")
     g = op.grid
     m, h, e = g.m, g.h, phi.e
-    U = u.reshape(g.shape)
     plane = g.shape[1:]
     ee = float(e @ e)
 
-    def twisted(i):
+    def probe(i):
+        """Plane i of u; None off the box."""
+        return np.reshape(u(i), plane) if 0 <= i < m else None
+
+    def twisted(i, ui):
         """(e^{-lam phi} u, e^{lam phi} u) on plane i; None off the box."""
-        if not 0 <= i < m:
+        if ui is None:
             return None, None
         vals = phi.values(g, slice(i, i + 1))
         _check_clamp(lam, vals)
         lp = lam * vals.reshape(plane)
-        return np.exp(-lp) * U[i], np.exp(lp) * U[i]
+        return np.exp(-lp) * ui, np.exp(lp) * ui
 
     # per-plane sums: the eight terms, then (L u-, L u+), (V u-, u+),
     # (L u, L u) and (V u, u) for the direct difference
     acc = np.zeros(12, dtype=complex)
-    below, here = (None, None), twisted(0)
+    lo, ui, hi = None, probe(0), probe(1)
+    below, here = (None, None), twisted(0, ui)
     for i in range(m):
         rows = slice(i, i + 1)
-        above = twisted(i + 1)
-        V = g.radii_sq(rows).reshape(plane) ** -2.0
-        Lm = op.stencil(here[0], below[0], above[0])
-        Lp = op.stencil(here[1], below[1], above[1])
-        twisted_sums = [np.sum(Lm * np.conj(Lp)),
-                        np.sum(V * here[0] * np.conj(here[1]))]
-        del Lm, Lp
-        below, here = here, above
-
-        ui = U[i]
-        lo = U[i - 1] if i > 0 else None
-        hi = U[i + 1] if i + 1 < m else None
         Lu = op.stencil(ui, lo, hi)
-        directional = np.zeros(plane, dtype=u.dtype)      # e . grad u
+        directional = np.zeros(plane, dtype=ui.dtype)     # e . grad u
         for ax in np.flatnonzero(e):
             if ax:
                 d = np.gradient(ui, h, axis=ax - 1)
@@ -299,6 +323,7 @@ def twisted_form_terms(op: BoxOperator, u, lam: float, phi: PhiFamily) -> dict:
                 d /= 2.0 * h if 0 < i < m - 1 else h
             d *= e[ax]
             directional += d
+        del lo, d
         sech2 = phi.sech2(g, rows).reshape(plane)
         gp2 = ee * sech2**2                               # |grad phi|^2
         # grad phi . grad u-bar; |grad phi . grad u| is its modulus
@@ -306,17 +331,29 @@ def twisted_form_terms(op: BoxOperator, u, lam: float, phi: PhiFamily) -> dict:
         del sech2, directional
         lphi = phi.laplacian(g, rows).reshape(plane)
         au2 = np.abs(ui) ** 2
-        acc += [np.sum(gp2**2 * au2),
+        sums = [np.sum(gp2**2 * au2),
                 np.sum(lphi**2 * au2),
                 np.sum(gp2 * dot_gubar * ui),
                 np.sum(gp2 * ui * np.conj(Lu)),
                 np.sum(lphi * dot_gubar * ui),
                 np.sum(lphi * np.conj(ui) * Lu),
                 np.sum(np.abs(dot_gubar) ** 2),
-                np.sum(dot_gubar * Lu),
-                *twisted_sums,
-                np.sum(Lu * np.conj(Lu)),
-                np.sum(V * ui * np.conj(ui))]
+                np.sum(dot_gubar * Lu)]
+        direct_Lu = np.sum(Lu * np.conj(Lu))
+        del au2, gp2, lphi, dot_gubar, Lu
+
+        above = twisted(i + 1, hi)
+        Lm = op.stencil(here[0], below[0], above[0])
+        Lp = op.stencil(here[1], below[1], above[1])
+        sums.append(np.sum(Lm * np.conj(Lp)))
+        del Lm, Lp
+        V = g.radii_sq(rows).reshape(plane) ** -2.0
+        sums += [np.sum(V * here[0] * np.conj(here[1])), direct_Lu,
+                 np.sum(V * ui * np.conj(ui))]
+        del V
+        acc += sums
+        below, here = here, above
+        lo, ui, hi = ui, hi, probe(i + 2)
 
     w = float(g.w[0])
     s = [w * complex(a) for a in acc]

@@ -55,23 +55,45 @@ def read_csv(path: str) -> tuple:
     return header, rows
 
 
-def peak_rss_mb() -> float | None:
-    """The process's peak resident memory so far in MB (ru_maxrss, which
-    is in KiB on Linux and in bytes on macOS), or None where the
-    `resource` module is missing."""
-    if resource is None:
+STATUS = "/proc/self/status"
+STATM = "/proc/self/statm"
+
+
+def _status_mb(key: str) -> float | None:
+    """The `key` line of /proc/self/status (a size in kB) in MB, or None
+    where that file or line cannot be read."""
+    try:
+        with open(STATUS, encoding="ascii") as fh:
+            for line in fh:
+                name, _, value = line.partition(":")
+                if name == key:
+                    return round(int(value.split()[0]) / (1 << 10), 1)
+    except (OSError, IndexError, ValueError):
         return None
+    return None
+
+
+def peak_rss_mb() -> float | None:
+    """The process's peak resident memory so far in MB: the kernel's
+    high-water mark VmHWM, the counter rss_mb's VmRSS rises to, so a
+    start never reads above a later peak.  Where /proc/self/status cannot
+    be read, ru_maxrss (in KiB on Linux, bytes on macOS); None where the
+    `resource` module is missing too.  The mark is never reset."""
+    peak = _status_mb("VmHWM")
+    if peak is not None or resource is None:
+        return peak
     unit = 1 if sys.platform == "darwin" else 1 << 10
     return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit
                  / (1 << 20), 1)
 
 
-STATM = "/proc/self/statm"
-
-
 def rss_mb() -> float | None:
-    """The process's resident memory now in MB, from the resident page
-    count in /proc/self/statm, or None where that file cannot be read."""
+    """The process's resident memory now in MB: VmRSS of
+    /proc/self/status, else the resident page count of /proc/self/statm,
+    else None."""
+    rss = _status_mb("VmRSS")
+    if rss is not None:
+        return rss
     try:
         with open(STATM, encoding="ascii") as fh:
             pages = int(fh.read().split()[1])
@@ -88,8 +110,9 @@ class RunManifest:
     inherits) and its peak memory so far, written atomically at the end
     of the run.  A report-only run records no checks.  `runtime` holds
     facts of the run that do not change its numbers (BLAS pinning,
-    thread counts); `error` holds the error that stopped the experiment,
-    if one did."""
+    thread counts); `numerics` holds the numerical health the experiment
+    computed (offdiag's ratio floor and the ratios excluded below it);
+    `error` holds the error that stopped the experiment, if one did."""
 
     def __init__(self, config: dict, out: str, report_only: bool):
         self.config = {**config, "report_only": report_only}
@@ -99,6 +122,7 @@ class RunManifest:
         self.checks = []
         self.files = []
         self.runtime = {}
+        self.numerics = {}
         self.error = None
         self._t0 = time.monotonic()
         self.rss_start_mb = rss_mb()
@@ -137,6 +161,7 @@ class RunManifest:
             "checks": self.checks,
             "files": sorted(self.files),
             "runtime": self.runtime,
+            "numerics": self.numerics,
             "wall_clock_s": round(time.monotonic() - self._t0, 3),
             "peak_rss_mb": peak_rss_mb(),
             "rss_start_mb": self.rss_start_mb,

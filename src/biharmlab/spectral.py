@@ -265,8 +265,12 @@ def riesz_apply(op, u, route: str = "spectral") -> np.ndarray:
 
 def riesz_kernel(op: SectorOperator) -> KernelMatrix:
     """Riesz transform as a kernel with respect to the weighted measure;
-    at c = 0 it is -Q Q^T, as the tridiagonal factor gives L Q = -Q nu."""
+    at c = 0 it is -Q Q^T, as the tridiagonal factor gives L Q = -Q nu.
+    L (or the sign) is applied in place to the kernel synth_kernel
+    forms, so the kernel is the one n x n array made."""
     dec = _positive_decomposition(op)
     if op.c == 0.0:
-        return KernelMatrix(K=-dec.synth_kernel(np.ones(op.n)), w=op.w)
-    return KernelMatrix(K=op.apply_L(dec.synth_kernel(dec.mu**-0.5)), w=op.w)
+        K = dec.synth_kernel(np.ones(op.n))
+        return KernelMatrix(K=np.negative(K, out=K), w=op.w)
+    K = dec.synth_kernel(dec.mu**-0.5)
+    return KernelMatrix(K=op.apply_L(K, out=K), w=op.w)

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from biharmlab import (assemble_sector, build_box_grid, build_radial_grid,
-                       assemble_box)
+                       assemble_box, norms)
 
 ACCEPTANCE_LINES = []
 
@@ -60,3 +62,29 @@ def box_op_small(box_grid_small):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def one_blas_thread():
+    """Every mapped BLAS pinned to one thread, as the CLI runs it."""
+    restore, _ = norms.pin_blas_threads()
+    yield
+    restore()
+
+
+@pytest.fixture
+def traced_peak():
+    """measure(fn, *args, **kwargs) -> (peak, result): the most bytes the
+    call held at once above what was traced when it started, as
+    tracemalloc counts them (numpy's arrays; not memory a library
+    allocates with its own malloc)."""
+    def measure(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = fn(*args, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        return peak, result
+    return measure

@@ -19,6 +19,7 @@ from biharmlab import (Region, SemigroupEvaluator, assemble_box,
                        rellich_constant, remark_ball_inequality, riesz_apply,
                        riesz_kernel, riesz_pnorm_sweep, twisted_decay_suite,
                        twisted_form_terms)
+from biharmlab.cli import box_probe
 from biharmlab.grids import TANH_HESS_MAX, weighted_lp
 from biharmlab.norms import _lp_unit
 from biharmlab.spectral import KernelMatrix
@@ -110,10 +111,9 @@ def test_criterion_05_twisted_form_suite():
     for m in (8, 12, 16):
         g = build_box_grid(5, m, 2.5)
         op = assemble_box(g, 1.0)
-        u = (np.exp(-g.radii_sq()).reshape(m, -1)
-             * (1.0 + 0.3j * g.axis)[:, None]).ravel()
         phi = make_phi(np.array([0.8, 0.6, 0, 0, 0]), 2.0, 0.2)
-        discs.append(twisted_form_terms(op, u, lam, phi)["discrepancy"])
+        discs.append(twisted_form_terms(op, box_probe(g), lam,
+                                        phi)["discrepancy"])
         hs.append(g.h)
     orders = [math.log(discs[i] / discs[i + 1])
               / math.log(hs[i] / hs[i + 1]) for i in range(2)]

@@ -5,7 +5,6 @@ import operator
 import os
 import subprocess
 import sys
-import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -13,6 +12,7 @@ import pytest
 
 from biharmlab import build_radial_grid, cli, norms, report, spectral
 from biharmlab.cli import ConfigError, build_parser, read_config
+from biharmlab.estimates import OFFDIAG_FLOOR, offdiag_fit
 
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
@@ -164,14 +164,11 @@ class TestExitCodes:
         assert man["error"] == ("OperatorError: the form inequality needs "
                                 "c < C* (c = 2.0, C* = 1.5625)")
 
-    def test_box_over_budget_exits_two_before_allocating(self, tmp_path):
-        # the m = 16 box at N = 7 would need about 9.7 GB
-        tracemalloc.start()
-        try:
-            code = cli.main(["twisted", "--N", "7", "--out", str(tmp_path)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    def test_box_over_budget_exits_two_before_allocating(self, tmp_path,
+                                                         traced_peak):
+        # the m = 16 box at N = 7 would need about 3.5 GiB
+        peak, code = traced_peak(
+            cli.main, ["twisted", "--N", "7", "--out", str(tmp_path)])
         assert code == cli.EXIT_CONFIG
         assert peak < 1 << 20
         man = json.load(open(tmp_path / "twisted" / "manifest.json"))
@@ -197,6 +194,9 @@ class TestExitCodes:
     def test_box_budget_admits_five_and_six_dimensions(self):
         assert cli.box_study_bytes(5, 16) < cli.box_study_bytes(6, 16)
         assert cli.box_study_bytes(6, 16) <= cli.BOX_BUDGET_BYTES
+        assert cli.box_study_bytes(7, 16) > cli.BOX_BUDGET_BYTES
+        # planes only: under the one complex m^N probe the study once held
+        assert cli.box_study_bytes(6, 16) < 16 * 16**6
 
     def test_coercivity_subcommand_writes_its_table(self, tmp_path):
         code = cli.main(["coercivity", "--n", "64", "--out", str(tmp_path)])
@@ -224,6 +224,25 @@ class TestExitCodes:
         assert man.config["grid"] == {"n": 64, "R": 30.0, "mode": "uniform"}
         assert man.config["grid_refined"] == {"n": 128, "R": 30.0,
                                               "mode": "uniform"}
+
+    def test_offdiag_records_the_ratios_below_its_floor(self, tmp_path,
+                                                        monkeypatch):
+        fits = []
+
+        def fit(*args):
+            fits.append(offdiag_fit(*args))
+            return fits[-1]
+
+        monkeypatch.setattr(cli, "offdiag_fit", fit)
+        args = build_parser().parse_args(["offdiag", "--n", "256"])
+        man = report.RunManifest({}, str(tmp_path), False)
+        cli.run_offdiag(args, man)
+        man.write()
+        body = json.load(open(tmp_path / "manifest.json"))
+        excluded = fits[0]["excluded_below_floor"]
+        assert excluded > 0
+        assert body["numerics"] == {"excluded_below_floor": excluded,
+                                    "floor": OFFDIAG_FLOOR}
 
     def test_manifest_config_records_the_grid_that_ran(self, tmp_path):
         # rellich's defaults (n = 2000, R = 1e3, log) with --n overridden
@@ -802,6 +821,9 @@ class TestReport:
         peak = json.load(open(tmp_path / "manifest.json"))["peak_rss_mb"]
         # numpy alone keeps a process above 10 MB
         assert 10.0 < peak <= report.peak_rss_mb()
+        # without /proc/self/status, the rusage high-water mark
+        monkeypatch.setattr(report, "STATUS", str(tmp_path / "missing"))
+        assert 10.0 < report.peak_rss_mb()
         monkeypatch.setattr(report, "resource", None)
         man.write()
         body = json.load(open(tmp_path / "manifest.json"))
@@ -809,16 +831,15 @@ class TestReport:
 
     def test_manifest_records_resident_memory_at_its_start(self, tmp_path,
                                                            monkeypatch):
+        # start and peak are VmRSS and VmHWM of /proc/self/status, one
+        # kernel count, so a manifest written with nothing allocated since
+        # it was made reads a start no higher than its peak
         man = report.RunManifest({}, str(tmp_path), False)
-        # the experiment's own 64 MB, held until the manifest is written;
-        # the kernel's peak and current counts may differ by a few pages,
-        # far less than that
-        held = np.ones(8 << 20)
         man.write()
-        del held
         body = json.load(open(tmp_path / "manifest.json"))
-        assert 10.0 < body["rss_start_mb"]
-        assert body["rss_start_mb"] + 32.0 <= body["peak_rss_mb"]
+        assert 10.0 < body["rss_start_mb"] <= body["peak_rss_mb"]
+        monkeypatch.setattr(report, "STATUS", str(tmp_path / "missing"))
+        assert 10.0 < report.rss_mb()           # the statm fallback
         monkeypatch.setattr(report, "STATM", str(tmp_path / "missing"))
         assert report.rss_mb() is None
         report.RunManifest({}, str(tmp_path), False).write()

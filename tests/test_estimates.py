@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,16 +213,10 @@ class TestRellich:
         # itself moves by up to 3.3e-11 relative when only v0 changes
         assert discrete_rellich(op) == pytest.approx(ref, rel=1e-9)
 
-    def test_discrete_rellich_forms_no_dense_matrix(self):
+    def test_discrete_rellich_forms_no_dense_matrix(self, traced_peak):
         n = 2048
         op = assemble_sector(build_radial_grid(5, 30.0, n), 0, 1.0)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            discrete_rellich(op)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(discrete_rellich, op)
         assert peak < 5e6       # one n x n matrix is 33.6 MB
 
     def test_discrete_rellich_bounds_eta(self):
@@ -607,19 +600,14 @@ class TestRieszSweep:
             assert res[p]["stability"] == abs(lo2 - base) / base
             assert "stable" not in res[p]
 
-    def test_peak_memory_is_one_refined_eigensolve(self):
+    def test_peak_memory_is_one_refined_eigensolve(self, traced_peak):
         # the refined operator's eigensolve (F, W and LAPACK's workspace)
         # is the peak; nothing of the base operator is held during it
         n = 256
         ops = [assemble_sector(build_radial_grid(5, 30.0, m, "uniform"), 0,
                                1.0) for m in (n, 2 * n)]
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            riesz_pnorm_sweep(ops[0], [1.3, 1.5, 1.8], refined_op=ops[1])
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(riesz_pnorm_sweep, ops[0], [1.3, 1.5, 1.8],
+                              refined_op=ops[1])
         assert peak <= 4.25 * (2 * n) ** 2 * 8
 
 

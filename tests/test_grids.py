@@ -115,6 +115,22 @@ class TestNorms:
                  else (w @ np.abs(v) ** p) ** (1.0 / p))
         assert weighted_lp(v, w, p) == float(plain)
 
+    @pytest.mark.parametrize("p", [1.0, 1.3, math.inf])
+    def test_column_blocks_are_the_one_shot_form_bit_for_bit(
+            self, p, one_blas_thread):
+        # column blocks of 64, the last one 64 to 127 wide: 300 columns by
+        # column and by row (the transposed view an (inf, inf) corner
+        # reads), 129 and a C-ordered 200
+        rng = np.random.default_rng(5)
+        n = 300
+        w = rng.uniform(0.1, 3.0, n)
+        K = np.asfortranarray(rng.standard_normal((n, n)))
+        for V in (K, K.T, K[:, :129], np.ascontiguousarray(K[:, :200])):
+            a = np.abs(V)
+            one_shot = (a.max(axis=0, initial=0.0) if math.isinf(p)
+                        else (w @ a**p) ** (1.0 / p))
+            assert np.array_equal(weighted_lp(V, w, p), one_shot)
+
 
 class TestRegion:
     def test_indicator_binary(self, grid128):

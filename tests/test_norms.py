@@ -1,6 +1,5 @@
 import math
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from scipy.optimize import linprog
 
 from biharmlab import (Region, SemigroupEvaluator, assemble_sector,
                        boyd_lower, build_radial_grid, corner_norm,
-                       interpolation_upper, norms, opnorms)
+                       interpolation_upper, norms, opnorms, riesz_kernel)
 from biharmlab.grids import weighted_lp
 from biharmlab.norms import (BOYD_MAX_ITER, BOYD_RESTARTS, NormError,
                              NormEstimate, _dual, _duality_map, _lp_unit)
@@ -193,6 +192,17 @@ class TestBoydLower:
                 assert witness.shape == ref_witness.shape
                 assert _reproduced(kern, witness, p, q) == pytest.approx(
                     lo, rel=1e-10)
+
+    def test_start_scan_copies_no_kernel(self, traced_peak):
+        # the riesz sweep's pairs on an n = 1024 kernel: the column scans
+        # reduce |K|^q by column blocks, and the ascent's n x 24 iterates
+        # set the peak; a whole-kernel scan held |K| and |K|^q, 2 n^2
+        n = 1024
+        kern = riesz_kernel(assemble_sector(build_radial_grid(5, 30.0, n),
+                                            0, 0.0))
+        peak, _ = traced_peak(boyd_lower, kern,
+                              [(p, p) for p in (1.3, 1.5, 1.8)])
+        assert peak <= 0.25 * n * n * 8
 
     def test_value_does_not_depend_on_the_block(self):
         kern = random_kernel(16, 90, symmetric=False)
@@ -404,14 +414,6 @@ def cores(monkeypatch, count):
                         lambda pid: set(range(count)), raising=False)
 
 
-@pytest.fixture
-def one_blas_thread():
-    """Every mapped BLAS pinned to one thread, as the CLI runs it."""
-    restore, _ = norms.pin_blas_threads()
-    yield
-    restore()
-
-
 class TestSigmaMax:
     @pytest.mark.parametrize("shape", ["square", "tall", "wide"])
     @settings(max_examples=40, deadline=None)
@@ -531,7 +533,7 @@ class TestKernelBlockNorms:
     @pytest.mark.parametrize("count", [2, 3])
     def test_two_workers_hold_one_kernel_each(self, monkeypatch,
                                               one_blas_thread, offdiag1024,
-                                              count):
+                                              count, traced_peak):
         # each worker: its kernel, synth_kernel's row block, the small
         # (F, E) block copies and dgesdd's workspace, about 1.09 n^2 (37
         # MB at n = 2048, where Q and two workers peak 10 MB above the
@@ -541,15 +543,10 @@ class TestKernelBlockNorms:
         dec, fs, blocks = offdiag1024
         n = dec.n
         cores(monkeypatch, count)
-        tracemalloc.start()
-        base = tracemalloc.get_traced_memory()[0]
-        try:
-            _, runtime = norms.kernel_block_norms(dec, fs, blocks)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, (_, runtime) = traced_peak(norms.kernel_block_norms, dec, fs,
+                                         blocks)
         assert runtime["kernel_workers"] == 2
-        assert peak - base <= 2.5 * n * n * 8
+        assert peak <= 2.5 * n * n * 8
 
     @needs_dgesdd
     def test_svds_copy_nothing(self, monkeypatch):

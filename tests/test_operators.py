@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -8,6 +6,8 @@ from biharmlab import (assemble_box, assemble_sector, build_box_grid,
                        build_radial_grid, forme_inequality_check, make_phi,
                        paper_rellich_constant, probe_functions, twist,
                        twisted_form_terms)
+from biharmlab import operators
+from biharmlab.cli import box_probe
 from biharmlab.estimates import _sym_part_minimizer
 from biharmlab.grids import TANH_HESS_MAX, sphere_area
 from biharmlab.operators import (TWISTED_PLANES, OperatorError,
@@ -145,6 +145,24 @@ class TestBandedSector:
         cols = np.column_stack([op.apply_L(U[:, j]) for j in range(7)])
         assert np.array_equal(op.apply_L(U), cols)
 
+    @pytest.mark.parametrize("entries", [1 << 15, 287])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_blocked_apply_L_is_the_one_shot_form_bit_for_bit(
+            self, monkeypatch, order, entries, rng):
+        # row blocks of 109 and 1 rows (n x n), one block and 41 rows
+        # (n x 7): n = 300 is no multiple of the block
+        g = build_radial_grid(5, 30.0, 300, "log")
+        op = assemble_sector(g, 2, 1.0)
+        monkeypatch.setattr(operators, "APPLY_L_ENTRIES", entries)
+        for U in (rng.standard_normal((g.n, g.n)),
+                  rng.standard_normal((g.n, 7)), rng.standard_normal(g.n)):
+            U = np.asarray(U, order=order)
+            ref = _apply_L_one_shot(op, U)
+            assert np.array_equal(op.apply_L(U), ref)
+            V = U.copy(order="K")
+            assert op.apply_L(V, out=V) is V
+            assert np.array_equal(V, ref)
+
     @pytest.mark.parametrize("mode", ["uniform", "log"])
     def test_apply_L_on_columns_matches_dense(self, mode, rng):
         g = build_radial_grid(5, 30.0, 200, mode)
@@ -227,9 +245,8 @@ class TestTwistedFormExpansion:
     def test_nine_term_identity_small_discrepancy(self):
         g = build_box_grid(5, 12, 2.5)
         op = assemble_box(g, 1.0)
-        u = _probe(g)
         phi = make_phi(np.array([0.8, 0.6, 0, 0, 0]), 2.0, 0.2)
-        res = twisted_form_terms(op, u, 0.7, phi)
+        res = twisted_form_terms(op, box_probe(g), 0.7, phi)
         assert res["discrepancy"] < 0.1 * max(abs(res["direct"]), 1.0)
         assert set(res["terms"]) == {
             "lam4_gradphi4", "lam2_lapphi2", "lam3_im_gradphi2",
@@ -281,7 +298,7 @@ class TestTwistedFormExpansion:
 
         d = np.exp(lam * phi.values(g))
         direct = form(u / d, d * u) - form(u, u)
-        res = twisted_form_terms(op, u, lam, phi)
+        res = twisted_form_terms(op, u.reshape(g.shape).__getitem__, lam, phi)
         assert res["terms"].keys() == ref.keys()
         scale = max(abs(val) for val in ref.values())
         for key, val in ref.items():
@@ -293,27 +310,39 @@ class TestTwistedFormExpansion:
             assert abs(res["terms"][key] - val) <= tol, key
         assert abs(res["direct"] - direct) <= 1e-12 * abs(direct)
 
-    def test_holds_few_node_arrays(self):
-        # peak above u, in complex axis-0 planes: the same bound at m = 12
-        # and m = 16, where whole node arrays would be 12 and 16 planes each
+    def test_holds_few_node_arrays(self, traced_peak):
+        # peak in complex axis-0 planes, the probe's own planes included:
+        # the same bound at m = 12 and m = 16; at m = 16 it is under one
+        # complex m^N array, the probe the box study once formed
         phi = make_phi(np.array([0.8, 0.6, 0, 0, 0]), 1.0, 0.2)
         for m in (12, 16):
             g = build_box_grid(5, m, 2.5)
             op = assemble_box(g, 1.0)
-            u = _probe(g)
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                twisted_form_terms(op, u, 0.7, phi)
-                peak = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
-            assert peak <= TWISTED_PLANES * (u.nbytes // m), m
+            peak, _ = traced_peak(
+                lambda: twisted_form_terms(op, box_probe(g), 0.7, phi))
+            assert peak <= TWISTED_PLANES * 16 * m ** 4, m
+        assert peak < 16 * g.size
+
+    @pytest.mark.parametrize("N, m", [(5, 8), (5, 16), (6, 6)])
+    def test_probe_planes_are_the_formed_probe_bit_for_bit(self, N, m):
+        g = build_box_grid(N, m, 2.5)
+        op = assemble_box(g, 1.0)
+        e = np.zeros(N)
+        e[:2] = 0.8, 0.6
+        phi = make_phi(e, 1.0, 0.2)
+        U = _probe(g).reshape(g.shape)
+        probe = box_probe(g)
+        for i in range(m):
+            assert np.array_equal(probe(i), U[i].ravel()), i
+        assert (twisted_form_terms(op, probe, 0.7, phi)
+                == twisted_form_terms(op, U.__getitem__, 0.7, phi))
 
     def test_lambda_zero_has_no_correction(self, box_op_small, rng):
         u = rng.standard_normal(box_op_small.n)
         phi = make_phi(np.array([1.0, 0, 0, 0, 0]), 2.0)
-        res = twisted_form_terms(box_op_small, u, 0.0, phi)
+        res = twisted_form_terms(
+            box_op_small, u.reshape(box_op_small.grid.shape).__getitem__,
+            0.0, phi)
         assert abs(res["sum"]) == 0.0
         assert abs(res["direct"]) < 1e-10
         assert all(abs(v) == 0.0 for v in res["terms"].values())
@@ -350,6 +379,16 @@ class TestFormEInequality:
 def _unit(rng):
     v = rng.standard_normal(5)
     return v / np.linalg.norm(v)
+
+
+def _apply_L_one_shot(op, u):
+    """L u as the banded one-shot product: three whole-size temporaries."""
+    col = (slice(None),) + (None,) * (u.ndim - 1)
+    a = op.a[col]
+    Su = op.diag[col] * u
+    Su[:-1] += a * u[1:]
+    Su[1:] += a * u[:-1]
+    return Su / op.w[col]
 
 
 def _probe(g):

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,21 +41,15 @@ class TestEigendecompose:
             eigendecompose(box_op_small)
 
     @pytest.mark.parametrize("c", [0.0, 1.0])
-    def test_working_memory(self, c):
+    def test_working_memory(self, c, traced_peak):
         # c > 0: F and dsyevd's 2 n^2 workspace, with the eigenvectors
         # written over F and no n x n diag(w) (the generalized eigh held
         # 4 n^2); c = 0: the eigenvectors of the tridiagonal T and
         # LAPACK's n^2 workspace, no n x n input
         n = 1024
         op = assemble_sector(build_radial_grid(5, 30.0, n), 0, c)
-        tracemalloc.start()
-        base = tracemalloc.get_traced_memory()[0]
-        try:
-            eigendecompose(op)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - base <= (3.25 if c else 2.25) * n * n * 8
+        peak, _ = traced_peak(eigendecompose, op)
+        assert peak <= (3.25 if c else 2.25) * n * n * 8
 
     @pytest.mark.parametrize("mode", ["uniform", "log"])
     @pytest.mark.parametrize("ell", [0, 2])
@@ -161,7 +154,7 @@ class TestSynthKernel:
         assert K.flags.f_contiguous and K.dtype == f.dtype
         assert np.array_equal(K, (dec.Q * f[None, :]) @ dec.Q.T)
 
-    def test_working_memory(self):
+    def test_working_memory(self, traced_peak):
         # the kernel, one row block's product and numpy's small ufunc
         # buffers: no n x n Q f temporary
         n = 1024
@@ -170,14 +163,8 @@ class TestSynthKernel:
             mu=np.sort(rng.uniform(0.0, 1e4, n)),
             Q=rng.standard_normal((n, n)), w=np.ones(n))
         f = np.exp(-1e-3 * dec.mu)
-        tracemalloc.start()
-        base = tracemalloc.get_traced_memory()[0]
-        try:
-            dec.synth_kernel(f)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - base <= 1.1 * n * n * 8
+        peak, _ = traced_peak(dec.synth_kernel, f)
+        assert peak <= 1.1 * n * n * 8
 
 
 class TestSemigroup:
@@ -282,6 +269,20 @@ class TestRiesz:
         R = riesz_kernel(op_c1)
         a = riesz_apply(op_c1, u, "spectral")
         assert np.allclose(R.apply(u), a, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("c", [0.0, 1.0])
+    def test_kernel_is_the_one_n_by_n_array(self, c, traced_peak):
+        # with the decomposition cached: the kernel and synth_kernel's
+        # row block, then apply_L's two row blocks; L applied out of place
+        # held three n x n temporaries more
+        n = 1024
+        op = assemble_sector(build_radial_grid(5, 30.0, n), 0, c)
+        dec = op.decomposition
+        peak, kern = traced_peak(riesz_kernel, op)
+        assert peak <= 1.1 * n * n * 8
+        if c:
+            K = dec.synth_kernel(dec.mu**-0.5)
+            assert np.array_equal(kern.K, op.apply_L(K))
 
 
 def radial_phi(op):
