@@ -172,7 +172,9 @@ def weighted_lp(values: np.ndarray, w: np.ndarray,
     reduced LP_BLOCK_COLUMNS columns at a time: |v| and |v|^p are held
     for one block, never for the whole array, so the norms of an n x n
     kernel's columns (a dual-ascent start scan, an entry-based (1,1) or
-    (inf,inf) corner) take n LP_BLOCK_COLUMNS doubles, not 2 n^2.  Blocks
+    (inf,inf) corner) take under 2 n LP_BLOCK_COLUMNS doubles, not 2 n^2:
+    on riesz's n = 1024 kernel, boyd_lower's peak above the kernel falls
+    from 2.03 to 0.23 n^2, its dual ascent's iterates.  Blocks
     start at multiples of LP_BLOCK_COLUMNS and none is narrower, so at
     one BLAS thread each column norm is bit for bit the one-shot
     (w @ |V|^p)^{1/p}: BLAS groups a matrix-vector product's columns

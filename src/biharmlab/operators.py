@@ -121,7 +121,9 @@ class SectorOperator(WeightedForm):
         u is read by row blocks of about APPLY_L_ENTRIES entries, so the
         working memory is two such blocks, whatever the size of u: a 2-D
         u of n^2 entries is mapped in place with n^2/16 entries more at
-        n = 1024, where the one-shot form held three n^2 temporaries.
+        n = 1024, where the one-shot form held three n^2 temporaries, so
+        riesz_kernel's peak there is synth_kernel's 1.09 n^2 (3.02
+        before) and riesz's own peak is its n = 1024 eigensolve.
         Across a block edge only the one original row above the block is
         carried, since `out` may already hold its image.  Each entry is
         formed as diag_i u_i, then + a_i u_{i+1}, then + a_{i-1} u_{i-1},
@@ -280,10 +282,11 @@ def twisted_form_terms(op: BoxOperator, u, lam: float, phi: PhiFamily) -> dict:
     plane at a time.  Plane i needs u and e^{-+lam phi} u on planes i-1,
     i and i+1 for the stencil across planes, so windows of three planes
     roll along axis 0 and the peak is TWISTED_PLANES complex planes,
-    O(m^{N-1}): at N = 5 and m = 16 under an m^N array.  The derivative
-    across planes is centred, and one-sided at the box faces, as
-    np.gradient takes it.  A linear phi has the rank-one gradient
-    sech^2(t) e, so |grad phi|^2 = sech^4 (e.e) and
+    O(m^{N-1}): 11.9 measured at N = 5 and m = 16, where the study held
+    31 with its formed probe, so twisted no longer sets the suite's peak.
+    The derivative across planes is centred, and one-sided at the box
+    faces, as np.gradient takes it.  A linear phi has the rank-one
+    gradient sech^2(t) e, so |grad phi|^2 = sech^4 (e.e) and
     grad phi . grad u = sech^2 (e . grad u).
     """
     if not isinstance(op, BoxOperator):
