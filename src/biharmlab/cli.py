@@ -190,7 +190,7 @@ def _radial_grid(args, man: report.RunManifest, n: int, R: float = 30.0,
 def _record_grid(man: report.RunManifest, name: str, grid) -> None:
     """Record a radial grid the experiment built under `name`: its content
     hash, and its n, R and mode in the config."""
-    man.add_hash(name, grid.content_hash())
+    man.hashes[name] = grid.content_hash()
     man.config[name] = {"n": grid.n, "R": grid.R, "mode": grid.mode}
 
 

@@ -420,7 +420,6 @@ def boyd_lower(kernel: KernelMatrix, pairs, restarts: int = BOYD_RESTARTS,
         # K^T (w psi) as ((w psi)^T K)^T: no transposed copy of K
         Z = ((w[:, None] * Psi).T @ K).T
         Unew = np.empty_like(Psi)
-        del Psi             # each n x starts array freed once read
         for p, q, g in groups:
             Zg, Ug = Z[:, g], U[:, live[g]]
             # where Z is zero, the previous iterate's sign is kept; the
@@ -428,7 +427,6 @@ def boyd_lower(kernel: KernelMatrix, pairs, restarts: int = BOYD_RESTARTS,
             sgn = np.where(Zg != 0, np.sign(Zg), np.sign(Ug) + (Ug == 0))
             Unew[:, g] = _lp_unit(_duality_map(Zg, 1.0, sgn, w, _dual(p)),
                                   w, p)
-        del Z
         Vnew = K @ (w[:, None] * Unew)
         new_val = np.empty(live.size)
         for p, q, g in groups:

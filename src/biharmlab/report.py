@@ -46,17 +46,22 @@ def write_csv(path: str, header, rows) -> None:
 
 
 def read_csv(path: str) -> tuple:
+    """The header and rows of a CSV table, skipping blank lines; a line
+    whose cell count differs from the header's raises ValueError."""
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+        lines = [(i, ln.rstrip("\n").split(","))
+                 for i, ln in enumerate(fh, 1) if ln.strip()]
     if not lines:
         raise ValueError("no header line")
-    header = lines[0].split(",")
-    rows = [ln.split(",") for ln in lines[1:]]
-    return header, rows
+    header = lines[0][1]
+    for i, row in lines[1:]:
+        if len(row) != len(header):
+            raise ValueError(f"line {i} has {len(row)} cells, the header "
+                             f"{len(header)}")
+    return header, [row for _, row in lines[1:]]
 
 
 STATUS = "/proc/self/status"
-STATM = "/proc/self/statm"
 
 
 def _status_mb(key: str) -> float | None:
@@ -89,17 +94,8 @@ def peak_rss_mb() -> float | None:
 
 def rss_mb() -> float | None:
     """The process's resident memory now in MB: VmRSS of
-    /proc/self/status, else the resident page count of /proc/self/statm,
-    else None."""
-    rss = _status_mb("VmRSS")
-    if rss is not None:
-        return rss
-    try:
-        with open(STATM, encoding="ascii") as fh:
-            pages = int(fh.read().split()[1])
-    except (OSError, IndexError, ValueError):
-        return None
-    return round(pages * os.sysconf("SC_PAGE_SIZE") / (1 << 20), 1)
+    /proc/self/status, or None where that cannot be read."""
+    return _status_mb("VmRSS")
 
 
 class RunManifest:
@@ -127,9 +123,6 @@ class RunManifest:
         self._t0 = time.monotonic()
         self.rss_start_mb = rss_mb()
         os.makedirs(out, exist_ok=True)
-
-    def add_hash(self, name: str, value: str) -> None:
-        self.hashes[name] = value
 
     def add_check(self, name: str, value: float, op: str, bound: float,
                   detail: str = "") -> None:

@@ -767,6 +767,16 @@ class TestPlot:
         assert res.returncode == 2
         assert res.stderr == f"cannot read {csv}: no header line\n"
 
+    def test_ragged_csv_is_config_error(self, tmp_path):
+        csv = tmp_path / "ragged.csv"
+        csv.write_text("t,y\n1,2\n3\n4,5\n")
+        res = run_cli("plot", str(csv), "--x", "t", "--y", "y",
+                      "--out", str(tmp_path / "p.svg"))
+        assert res.returncode == 2
+        assert res.stderr == (f"cannot read {csv}: line 3 has 1 cells, "
+                              "the header 2\n")
+        assert not (tmp_path / "p.svg").exists()
+
 
 class TestReport:
     def test_fmt_round_trips(self):
@@ -839,8 +849,6 @@ class TestReport:
         body = json.load(open(tmp_path / "manifest.json"))
         assert 10.0 < body["rss_start_mb"] <= body["peak_rss_mb"]
         monkeypatch.setattr(report, "STATUS", str(tmp_path / "missing"))
-        assert 10.0 < report.rss_mb()           # the statm fallback
-        monkeypatch.setattr(report, "STATM", str(tmp_path / "missing"))
         assert report.rss_mb() is None
         report.RunManifest({}, str(tmp_path), False).write()
         body = json.load(open(tmp_path / "manifest.json"))

@@ -266,6 +266,17 @@ class TestDecayFit:
         assert fit.params["norm_values"] == pytest.approx(ref, rel=1e-13,
                                                       abs=0.0)
 
+    def test_laplacian_norms_at_c_one_are_the_formed_kernels(
+            self, op_c1, monkeypatch, one_blas_thread):
+        ts = list(np.geomspace(0.06, 0.6, 6))
+        ev = SemigroupEvaluator(op_c1)
+        ref = [l2_norm(op_c1.apply_L(ev.kernel(t).K), op_c1.w, op_c1.w)
+               for t in ts]
+        kernels = collect_kernels(monkeypatch)
+        fit = laplacian_decay_fit(op_c1, ts)
+        assert len(kernels) == len(ts)        # one formed kernel per time
+        assert fit.params["norm_values"] == ref
+
     def test_laplacian_fit_keeps_the_reliable_window(self, op_c0):
         # decay_fit's window and its rule of at least 5 points
         lo, hi = reliable_window(op_c0.grid)

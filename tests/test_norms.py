@@ -10,7 +10,7 @@ from scipy.optimize import linprog
 
 from biharmlab import (Region, SemigroupEvaluator, assemble_sector,
                        boyd_lower, build_radial_grid, corner_norm,
-                       interpolation_upper, norms, opnorms, riesz_kernel)
+                       interpolation_upper, norms, opnorms)
 from biharmlab.grids import weighted_lp
 from biharmlab.norms import (BOYD_MAX_ITER, BOYD_RESTARTS, NormError,
                              NormEstimate, _dual, _duality_map, _lp_unit)
@@ -192,17 +192,6 @@ class TestBoydLower:
                 assert witness.shape == ref_witness.shape
                 assert _reproduced(kern, witness, p, q) == pytest.approx(
                     lo, rel=1e-10)
-
-    def test_start_scan_copies_no_kernel(self, traced_peak):
-        # the riesz sweep's pairs on an n = 1024 kernel: the column scans
-        # reduce |K|^q by column blocks, and the ascent's n x 24 iterates
-        # set the peak; a whole-kernel scan held |K| and |K|^q, 2 n^2
-        n = 1024
-        kern = riesz_kernel(assemble_sector(build_radial_grid(5, 30.0, n),
-                                            0, 0.0))
-        peak, _ = traced_peak(boyd_lower, kern,
-                              [(p, p) for p in (1.3, 1.5, 1.8)])
-        assert peak <= 0.25 * n * n * 8
 
     def test_value_does_not_depend_on_the_block(self):
         kern = random_kernel(16, 90, symmetric=False)
