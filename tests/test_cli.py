@@ -795,6 +795,16 @@ class TestReport:
         assert header == ["i", "v", "s"]
         assert float(got[1][1]) == 1 / 3
 
+    def test_read_csv_names_the_ragged_line(self, tmp_path):
+        # blank lines are skipped but still counted in the line number
+        path = tmp_path / "t.csv"
+        path.write_text("i,v\n1,2\n\n3,4,5\n")
+        with pytest.raises(ValueError,
+                           match="^line 4 has 3 cells, the header 2$"):
+            report.read_csv(str(path))
+        path.write_text("i,v\n\n1,2\n")
+        assert report.read_csv(str(path)) == (["i", "v"], [["1", "2"]])
+
     def test_manifest_write_and_flags(self, tmp_path):
         man = report.RunManifest({"seed": 7}, str(tmp_path), False)
         man.add_check("a", 1.0, "<=", 2.0, "fine")

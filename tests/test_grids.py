@@ -115,6 +115,24 @@ class TestNorms:
                  else (w @ np.abs(v) ** p) ** (1.0 / p))
         assert weighted_lp(v, w, p) == float(plain)
 
+    @pytest.mark.parametrize("p", [1.0, 1.3, math.inf])
+    def test_columns_do_not_depend_on_the_layout(self, p):
+        # kernels come Fortran-ordered, as the transposed view an (inf, inf)
+        # corner reads, as column slices and C-ordered; each gives the
+        # column norms of its contiguous copy, and |v|^p in place leaves
+        # the input as it was
+        rng = np.random.default_rng(5)
+        n = 300
+        w = rng.uniform(0.1, 3.0, n)
+        K = np.asfortranarray(rng.standard_normal((n, n)))
+        before = K.copy()
+        for V in (K, K.T, K[:, :129], np.ascontiguousarray(K[:, :200])):
+            cols = weighted_lp(V, w, p)
+            assert cols.shape == (V.shape[1],)
+            ref = weighted_lp(np.ascontiguousarray(V), w, p)
+            assert np.allclose(cols, ref, rtol=1e-14, atol=0.0)
+        assert np.array_equal(K, before)
+
 
 class TestRegion:
     def test_indicator_binary(self, grid128):
