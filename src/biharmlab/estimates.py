@@ -255,6 +255,10 @@ def offdiag_fit(evaluator: SemigroupEvaluator, E: Region, F_list,
     ratio = block norm / full 2->2 norm.  Ratios at or below the float64
     kernel noise floor are excluded and reported.
     """
+    if len(F_list) <= OFFDIAG_TIME_FIT_INDEX:
+        raise EstimateError(
+            f"the time fit needs at least {OFFDIAG_TIME_FIT_INDEX + 1} "
+            f"distinct --d values (got {len(F_list)})")
     grid = evaluator.op.grid
     maskE = E.indicator(grid).astype(bool)
     masksF = [F.indicator(grid).astype(bool) for F in F_list]

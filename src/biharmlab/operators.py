@@ -21,7 +21,6 @@ import numpy as np
 from .grids import BoxGrid, PhiFamily, RadialGrid, sphere_area
 
 EXP_CLAMP = 300.0
-APPLY_L_ENTRIES = 1 << 15   # entries per row block of SectorOperator.apply_L
 
 
 def paper_rellich_constant(N: int) -> float:
@@ -116,37 +115,21 @@ class SectorOperator(WeightedForm):
                 ) -> np.ndarray:
         """L u = W^{-1} S u from the bands, into `out`: a new array by
         default, or any array of u's shape, u itself included.  A 2-D u
-        is taken column by column.
-
-        u is read by row blocks of about APPLY_L_ENTRIES entries, so the
-        working memory is two such blocks, whatever the size of u: a 2-D
-        u of n^2 entries is mapped in place with n^2/16 entries more at
-        n = 1024, where the one-shot form held three n^2 temporaries, so
-        riesz_kernel's peak there is synth_kernel's 1.09 n^2 (3.02
-        before) and riesz's own peak is its n = 1024 eigensolve.
-        Across a block edge only the one original row above the block is
-        carried, since `out` may already hold its image.  Each entry is
+        is mapped one column at a time, so the working memory is one
+        column of temporaries whatever the size of u.  Each entry is
         formed as diag_i u_i, then + a_i u_{i+1}, then + a_{i-1} u_{i-1},
-        then / w_i, whatever the blocking.
+        then / w_i.
         """
-        n = self.n
         if out is None:
             out = np.empty_like(u, dtype=np.result_type(self.diag, u))
-        col = (slice(None),) + (None,) * (u.ndim - 1)
-        a, d, w = self.a[col], self.diag[col], self.w[col]
-        rows = max(1, APPLY_L_ENTRIES * n // max(u.size, 1))
-        above = None                # the original row s - 1
-        for s in range(0, n, rows):
-            e = min(s + rows, n)
-            top = min(e, n - 1)     # rows s..top-1 have a neighbour below
-            Su = d[s:e] * u[s:e]
-            Su[:top - s] += a[s:top] * u[s + 1:top + 1]
-            Su[1:] += a[s:e - 1] * u[s:e - 1]
-            if s:
-                Su[0] += a[s - 1] * above
-            above = u[e - 1].copy()
-            np.divide(Su, w[s:e], out=out[s:e])
-        return out
+        if u.ndim == 2:
+            for j in range(u.shape[1]):
+                self.apply_L(u[:, j], out=out[:, j])
+            return out
+        Su = self.diag * u
+        Su[:-1] += self.a * u[1:]
+        Su[1:] += self.a * u[:-1]
+        return np.divide(Su, self.w, out=out)
 
     def apply_A(self, u: np.ndarray) -> np.ndarray:
         return (self.F @ u) / self.w
@@ -282,8 +265,7 @@ def twisted_form_terms(op: BoxOperator, u, lam: float, phi: PhiFamily) -> dict:
     plane at a time.  Plane i needs u and e^{-+lam phi} u on planes i-1,
     i and i+1 for the stencil across planes, so windows of three planes
     roll along axis 0 and the peak is TWISTED_PLANES complex planes,
-    O(m^{N-1}): 11.9 measured at N = 5 and m = 16, where the study held
-    31 with its formed probe, so twisted no longer sets the suite's peak.
+    O(m^{N-1}): 11.9 measured at N = 5 and m = 16.
     The derivative across planes is centred, and one-sided at the box
     faces, as np.gradient takes it.  A linear phi has the rank-one
     gradient sech^2(t) e, so |grad phi|^2 = sech^4 (e.e) and

@@ -10,13 +10,18 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from biharmlab import build_radial_grid, cli, norms, report, spectral
+from biharmlab import (build_radial_grid, cli, norms, operators, report,
+                       spectral)
 from biharmlab.cli import ConfigError, build_parser, read_config
 from biharmlab.estimates import OFFDIAG_FLOOR, offdiag_fit
 
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")
+
+
+def _no_eigensolve(op):
+    raise AssertionError("eigensolve started")
 
 
 def run_cli(*args, cwd=None, env=None):
@@ -363,6 +368,23 @@ class TestExitCodes:
         assert "offdiag_distance_exponent" not in err.out
         man = json.load(open(tmp_path / "offdiag" / "manifest.json"))
         assert man["error"].startswith("EstimateError: ")
+        assert not (tmp_path / "offdiag" / "offdiag.csv").exists()
+
+    @pytest.mark.parametrize("d", ["3", "3,3"])
+    def test_offdiag_with_one_distance_exits_two(self, d, tmp_path, capsys,
+                                                 monkeypatch):
+        # refused before any eigensolve: the time fit reads the second
+        # distance, and "3,3" dedups to one
+        monkeypatch.setattr(operators.SectorOperator, "decomposition",
+                            property(_no_eigensolve))
+        code = cli.main(["offdiag", "--n", "64", "--d", d,
+                         "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        msg = ("EstimateError: the time fit needs at least 2 distinct --d "
+               "values (got 1)")
+        assert f"error in offdiag: {msg}" in capsys.readouterr().err
+        man = json.load(open(tmp_path / "offdiag" / "manifest.json"))
+        assert man["error"] == msg
         assert not (tmp_path / "offdiag" / "offdiag.csv").exists()
 
     def test_negative_ell_max_is_config_error(self, tmp_path, capsys):

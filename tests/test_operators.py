@@ -6,7 +6,6 @@ from biharmlab import (assemble_box, assemble_sector, build_box_grid,
                        build_radial_grid, forme_inequality_check, make_phi,
                        paper_rellich_constant, probe_functions, twist,
                        twisted_form_terms)
-from biharmlab import operators
 from biharmlab.cli import box_probe
 from biharmlab.estimates import _sym_part_minimizer
 from biharmlab.grids import TANH_HESS_MAX, sphere_area
@@ -145,23 +144,30 @@ class TestBandedSector:
         cols = np.column_stack([op.apply_L(U[:, j]) for j in range(7)])
         assert np.array_equal(op.apply_L(U), cols)
 
-    @pytest.mark.parametrize("entries", [1 << 15, 287])
     @pytest.mark.parametrize("order", ["C", "F"])
-    def test_blocked_apply_L_is_the_one_shot_form_bit_for_bit(
-            self, monkeypatch, order, entries, rng):
-        # row blocks of 109 and 1 rows (n x n), one block and 41 rows
-        # (n x 7): n = 300 is no multiple of the block
+    def test_apply_L_is_the_one_shot_form_bit_for_bit(self, order, rng):
         g = build_radial_grid(5, 30.0, 300, "log")
         op = assemble_sector(g, 2, 1.0)
-        monkeypatch.setattr(operators, "APPLY_L_ENTRIES", entries)
         for U in (rng.standard_normal((g.n, g.n)),
-                  rng.standard_normal((g.n, 7)), rng.standard_normal(g.n)):
+                  rng.standard_normal((g.n, 7)), rng.standard_normal(g.n),
+                  rng.standard_normal((g.n, 7))
+                  + 1j * rng.standard_normal((g.n, 7))):
             U = np.asarray(U, order=order)
             ref = _apply_L_one_shot(op, U)
             assert np.array_equal(op.apply_L(U), ref)
             V = U.copy(order="K")
             assert op.apply_L(V, out=V) is V
             assert np.array_equal(V, ref)
+
+    def test_in_place_apply_L_holds_a_few_columns(self, traced_peak, rng):
+        # an F-ordered n x n array, the layout of every kernel L maps:
+        # each column needs only its image and one band product
+        n = 1024
+        op = assemble_sector(build_radial_grid(5, 30.0, n), 0, 1.0)
+        K = np.asfortranarray(rng.standard_normal((n, n)))
+        peak, out = traced_peak(op.apply_L, K, out=K)
+        assert out is K
+        assert peak <= 4 * n * 8
 
     @pytest.mark.parametrize("mode", ["uniform", "log"])
     def test_apply_L_on_columns_matches_dense(self, mode, rng):

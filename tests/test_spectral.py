@@ -273,8 +273,7 @@ class TestRiesz:
     @pytest.mark.parametrize("c", [0.0, 1.0])
     def test_kernel_is_the_one_n_by_n_array(self, c, traced_peak):
         # with the decomposition cached: the kernel and synth_kernel's
-        # row block, then apply_L's two row blocks; L applied out of place
-        # held three n x n temporaries more
+        # row block, then a column of apply_L's temporaries
         n = 1024
         op = assemble_sector(build_radial_grid(5, 30.0, n), 0, c)
         dec = op.decomposition
