@@ -16,7 +16,7 @@ bounds.
 
 import numpy as np
 
-from biharmlab import Region, davies_distance, lambda_optimizer_check
+from biharmlab import davies_distance, lambda_optimizer_check
 
 rng = np.random.default_rng(0)
 print("random disjoint ball pairs in R^5:")
@@ -26,7 +26,7 @@ for i in range(5):
     e = rng.standard_normal(5)
     e /= np.linalg.norm(e)
     y = x + (2 * r + float(rng.uniform(0.5, 8.0))) * e
-    est = davies_distance(Region.ball(x, r), Region.ball(y, r), 5)
+    est = davies_distance(x, r, y, r)
     print(f"  pair {i}: d_e = {est.d_e:.4f}  d_lb = {est.d_lb:.4f}  "
           f"bracket top = {est.bracket[1]:.4f}")
 

@@ -7,9 +7,8 @@ the twisted-form inequality, L^p -> L^q decay rates, off-diagonal decay
 exponents, Davies distances, and Riesz-transform norm brackets.
 """
 
-from .grids import (BoxGrid, PhiFamily, RadialGrid, Region, build_box_grid,
-                    build_radial_grid, euclidean_distance, make_phi,
-                    probe_functions, sphere_area)
+from .grids import (BoxGrid, PhiFamily, RadialGrid, build_box_grid,
+                    build_radial_grid, make_phi, probe_functions, sphere_area)
 from .operators import (BoxOperator, SectorOperator, TwistedOperator,
                         assemble_box, assemble_sector, forme_inequality_check,
                         paper_rellich_constant, twist, twisted_form_terms)

@@ -27,8 +27,8 @@ from .estimates import (davies_distance, decay_fit, laplacian_decay_fit,
                         lambda_optimizer_check, offdiag_fit, rellich_constant,
                         remark_ball_inequality, riesz_pnorm_sweep,
                         solve_parabolic, twisted_decay_suite)
-from .grids import (GridError, Region, build_box_grid, build_radial_grid,
-                    make_phi, probe_functions)
+from .grids import (GridError, build_box_grid, build_radial_grid, make_phi,
+                    probe_functions)
 from .norms import corner_norm, pin_blas_threads
 from .operators import (TWISTED_PLANES, OperatorError, assemble_box,
                         assemble_sector, paper_rellich_constant,
@@ -80,7 +80,8 @@ OPTIONS = (
     ("--t", "sweep.t", _float_list, None, "comma list of times"),
     ("--p", "sweep.p", _float_list, None,
      "comma list of p values (one for solve)"),
-    ("--d", "sweep.d", _float_list, None, "comma list of distances"),
+    ("--d", "sweep.d", _float_list, None,
+     "comma list of radii d of F = {|x| >= d}, fit in ascending order"),
     ("--lam", "sweep.lam", _float_list, None, "comma list of lambda values"),
     ("--ell-max", "sweep.ell_max", int, 8, "largest angular index ell"),
 )
@@ -250,9 +251,7 @@ def run_offdiag(args, man: report.RunManifest) -> None:
     ev = SemigroupEvaluator(op)
     ds = args.d or [3.0, 5.0, 8.0, 12.0]
     ts = args.t or list(np.geomspace(1e-3, 1e-2, 8))
-    E = Region.annulus(0.0, 1.0)
-    Fs = [Region.annulus(d, math.inf) for d in ds]
-    res = offdiag_fit(ev, E, Fs, ts)
+    res = offdiag_fit(ev, ds, ts)
     man.runtime.update(res["runtime"])
     man.numerics.update(excluded_below_floor=res["excluded_below_floor"],
                         floor=res["floor"])
@@ -402,9 +401,7 @@ def run_distance(args, man: report.RunManifest) -> None:
             gap = r1 + r2 + rng.uniform(0.5, 3.0)
             direction = (c2 - c1 + 1e-9) / max(np.linalg.norm(c2 - c1), 1e-9)
             c2 = c1 + direction * gap
-        E = Region.ball(c1, r1)
-        F = Region.ball(c2, r2)
-        est = davies_distance(E, F, args.N)
+        est = davies_distance(c1, r1, c2, r2)
         # DistanceEstimate enforces the sqrt(N) d_e side
         ok = 0.95 * est.d_e <= est.d_lb
         rem = remark_ball_inequality(c1, c2, min(r1, r2))

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .grids import (RadialGrid, Region, euclidean_distance, probe_functions,
-                    sphere_area, weighted_lp)
+from .grids import RadialGrid, probe_functions, sphere_area, weighted_lp
 from .norms import (NormEstimate, boyd_lower, corner_norm,
                     interpolation_upper, kernel_block_norms, l2_norm, opnorms)
 from .operators import (SectorOperator, forme_inequality_check,
@@ -217,7 +216,8 @@ def decay_fit(evaluator: SemigroupEvaluator, p: float, q: float,
 # ------------------------------------------------------- off-diagonal fits
 
 OFFDIAG_FLOOR = 1e-12   # weighted-subnorm noise floor of float64 kernels
-OFFDIAG_TIME_FIT_INDEX = 1   # F_list entry whose distance the time fit fixes
+OFFDIAG_E_RADIUS = 1.0   # E = {|x| <= OFFDIAG_E_RADIUS}
+OFFDIAG_TIME_FIT_INDEX = 1   # the time fit fixes the second-smallest d
 
 
 def _distance_model(d, b, s, e):
@@ -242,31 +242,33 @@ def _stretched_fit(model, x, v, p0):
     return popt, float(np.max(np.abs(v - model(x, *popt))))
 
 
-def offdiag_fit(evaluator: SemigroupEvaluator, E: Region, F_list,
-                t_list) -> dict:
-    """Off-diagonal decay ||chi_F e^{-tA} chi_E|| <= c1 t^{-g} exp(-c2 d^{4/3}/t^{1/3}).
+def offdiag_fit(evaluator: SemigroupEvaluator, d_list, t_list) -> dict:
+    """Off-diagonal decay ||chi_F e^{-tA} chi_E|| <= c1 t^{-g} exp(-c2 d^{4/3}/t^{1/3})
+    between E = {|x| <= OFFDIAG_E_RADIUS} and each F_d = {|x| >= d}, d in
+    `d_list`, at distance d - OFFDIAG_E_RADIUS.  The d are taken in
+    ascending order, whatever order `d_list` has:
 
     (i) at each fixed t: fit -log(ratio) = b + s d^e over the F-family
         (target e = 4/3);
-    (ii) at the fixed distance F_list[OFFDIAG_TIME_FIT_INDEX]: fit
+    (ii) at the fixed distance of the second-smallest d: fit
         -log(ratio) = b + s t^{-e} (target e = 1/3);
     (iii) joint (c1, c2) linear fit at the paper exponents.
 
-    ratio = block norm / full 2->2 norm.  Ratios at or below the float64
-    kernel noise floor are excluded and reported.
+    ratio = block norm / full 2->2 norm; `ratios[i, k]` is at t_i and the
+    k-th smallest d.  Ratios at or below the float64 kernel noise floor
+    are excluded and reported.
     """
-    if len(F_list) <= OFFDIAG_TIME_FIT_INDEX:
+    ds = np.sort(np.asarray(d_list, dtype=float))
+    if len(ds) <= OFFDIAG_TIME_FIT_INDEX:
         raise EstimateError(
             f"the time fit needs at least {OFFDIAG_TIME_FIT_INDEX + 1} "
-            f"distinct --d values (got {len(F_list)})")
-    grid = evaluator.op.grid
-    maskE = E.indicator(grid).astype(bool)
-    masksF = [F.indicator(grid).astype(bool) for F in F_list]
-    distances = np.array([euclidean_distance(E, F) for F in F_list])
-    if np.any(distances <= 0):
-        bad = ", ".join(f"{F.params[0]:g}" for F, d in zip(F_list, distances)
-                        if d <= 0)
+            f"distinct --d values (got {len(ds)})")
+    if ds[0] <= OFFDIAG_E_RADIUS:
+        bad = ", ".join(f"{d:g}" for d in ds[ds <= OFFDIAG_E_RADIUS])
         raise EstimateError(f"F overlaps or touches E at --d {bad}")
+    r = evaluator.op.grid.r
+    maskE = r <= OFFDIAG_E_RADIUS
+    distances = ds - OFFDIAG_E_RADIUS
     ts = np.asarray(t_list, dtype=float)
 
     # the SVD of each formed kernel, not the spectral (2,2) value, is the
@@ -277,7 +279,7 @@ def offdiag_fit(evaluator: SemigroupEvaluator, E: Region, F_list,
     # bit-identical until perfbench/reference is re-based
     table, runtime = kernel_block_norms(
         evaluator.op.decomposition, [evaluator.values(t) for t in ts],
-        [(mF, maskE) for mF in masksF])
+        [(r >= d, maskE) for d in ds])
     ratios = table[:, :-1] / table[:, -1:]
     usable = ratios > OFFDIAG_FLOOR
 
@@ -339,9 +341,10 @@ class DistanceEstimate:
             raise EstimateError("lower bound exceeds the sqrt(N) d_e bracket")
 
 
-def davies_distance(E: Region, F: Region, N: int) -> DistanceEstimate:
-    """Lower bound on sup_phi [inf_E phi - sup_F phi] for two balls, from
-    the tanh family phi = s tanh((e.x + b)/s).
+def davies_distance(c_E, r_E: float, c_F, r_F: float) -> DistanceEstimate:
+    """Lower bound on sup_phi [inf_E phi - sup_F phi] for the balls
+    E = B(c_E, r_E) and F = B(c_F, r_F) in R^N, N = len(c_E), from the
+    tanh family phi = s tanh((e.x + b)/s).
 
     The gap inf_E e.x - sup_F e.x = e.(c_E - c_F) - r_E - r_F is, by
     Cauchy-Schwarz, largest (and equal to d_e) along the line of centres
@@ -349,18 +352,17 @@ def davies_distance(E: Region, F: Region, N: int) -> DistanceEstimate:
     inf_E phi - sup_F phi = 2s tanh(u/s); s = max(20u, 1) >= 4/(3 sqrt 3)
     keeps phi in the class, and tanh x <= x keeps d_lb <= d_e.
     """
-    if not (E.kind == "ball" and F.kind == "ball"):
-        raise EstimateError("two balls required")
-    (cE, rE), (cF, rF) = E.params, F.params
-    if cE.shape != (N,) or cF.shape != (N,):
-        raise EstimateError(f"ball centres need N = {N} coordinates")
-    d_e = euclidean_distance(E, F)
-    bracket = (d_e, math.sqrt(N) * d_e)
+    cE, cF = (np.atleast_1d(np.asarray(c, dtype=float)) for c in (c_E, c_F))
+    if cE.shape != cF.shape:
+        raise EstimateError(
+            f"ball centres differ in shape: {cE.shape}, {cF.shape}")
+    diff = cE - cF
+    d_e = max(0.0, float(np.linalg.norm(diff) - r_E - r_F))
+    bracket = (d_e, math.sqrt(len(cE)) * d_e)
     if d_e == 0.0:
         return DistanceEstimate(d_e=0.0, d_lb=0.0, bracket=bracket)
-    diff = cE - cF
     e = diff / np.linalg.norm(diff)
-    u = ((float(e @ cE) - rE) - (float(e @ cF) + rF)) / 2.0
+    u = ((float(e @ cE) - r_E) - (float(e @ cF) + r_F)) / 2.0
     s = max(20.0 * u, 1.0)
     d_lb = float(2.0 * s * math.tanh(u / s))
     return DistanceEstimate(d_e=d_e, d_lb=d_lb, bracket=bracket)

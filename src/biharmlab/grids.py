@@ -1,5 +1,5 @@
 """Discretizations of R^N: radial and box grids, the weighted L^p norm,
-regions, and the admissible weight-function family used for twisting.
+and the admissible weight-function family used for twisting.
 
 All grids are staggered so that no node sits at the origin: the potential
 |x|^{-4} is finite at every node and the singularity is controlled by the
@@ -178,45 +178,6 @@ def weighted_lp(values: np.ndarray, w: np.ndarray,
         a **= p
         out = (w @ a) ** (1.0 / p)
     return float(out) if a.ndim == 1 else out
-
-
-@dataclass(frozen=True)
-class Region:
-    """Subset of R^N: a ball, or an origin-centred annulus with a per-node
-    indicator on radial grids."""
-
-    kind: str                      # "ball" | "annulus"
-    params: tuple
-
-    @staticmethod
-    def ball(center, radius) -> "Region":
-        return Region("ball", (np.atleast_1d(np.asarray(center, dtype=float)), float(radius)))
-
-    @staticmethod
-    def annulus(a: float, b: float) -> "Region":
-        """Origin-centred annulus {a <= |x| <= b}; b may be inf."""
-        return Region("annulus", (float(a), float(b)))
-
-    def indicator(self, grid) -> np.ndarray:
-        if self.kind != "annulus" or not isinstance(grid, RadialGrid):
-            raise GridError("region indicators need an annulus on a radial grid")
-        r = grid.r
-        a, b = self.params
-        return ((r >= a) & (r <= b)).astype(float)
-
-
-def euclidean_distance(E: Region, F: Region) -> float:
-    """Euclidean distance between two balls or between two annuli."""
-    if E.kind == "ball" and F.kind == "ball":
-        (c1, r1), (c2, r2) = E.params, F.params
-        if c1.shape != c2.shape:
-            raise GridError(f"ball centres differ in shape: {c1.shape}, {c2.shape}")
-        d = float(np.linalg.norm(c1 - c2))
-        return max(0.0, d - r1 - r2)
-    if E.kind == "annulus" and F.kind == "annulus":
-        (lo1, hi1), (lo2, hi2) = E.params, F.params
-        return max(0.0, lo2 - hi1, lo1 - hi2)
-    raise GridError(f"distance not implemented for {E.kind}/{F.kind}")
 
 
 @dataclass(frozen=True)

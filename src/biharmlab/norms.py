@@ -121,7 +121,14 @@ def pin_blas_threads():
 def _dgesdd():
     """The dgesdd that numpy's own SVD calls: in numpy's wheels, the
     ILP64 `scipy_dgesdd_64_` of the OpenBLAS its linalg module links.
-    None where it cannot be reached."""
+    None where it cannot be reached.
+
+    The binding exists for kernel_block_norms' threads: ctypes releases
+    the GIL for the call and `scipy.linalg.lapack.dgesdd` holds it.  Four
+    n = 1536 SVDs on two threads ran 1.55-1.87x faster than serial through
+    the binding, 0.95-1.06x through scipy (2-core x86-64, OpenBLAS 0.3.31,
+    one BLAS thread).  scipy's also differs from numpy's in the last bits
+    at n = 1536 (1.3e-15 relative)."""
     from numpy.linalg import _umath_linalg
 
     try:
@@ -241,10 +248,6 @@ def kernel_block_norms(dec: SpectralDecomposition, fs, blocks) -> tuple:
                    "numpy_dgesdd": _dgesdd() is not None}
 
 
-# corner -> its transpose (q', p'), the same norm for a symmetric kernel
-_TRANSPOSED = {(math.inf, math.inf): (1.0, 1.0), (1.0, 2.0): (2.0, math.inf)}
-
-
 def corner_norm(kernel: KernelMatrix, p: float, q: float) -> float:
     """Exact weighted p -> q norm where a closed formula exists.
 
@@ -256,18 +259,10 @@ def corner_norm(kernel: KernelMatrix, p: float, q: float) -> float:
         ||K||_{2->2} <= gram_norm max_k |f_k|,
         ||K||_{2->inf}^2 <= gram_norm max_i sum_k Q_ik^2 |f_k|^2,
 
-    upper bounds that are exact for a W-orthonormal Q.  For real f, K is
-    symmetric, so the operator is its own adjoint and (inf,inf) and (1,2)
-    are the kernel's (1,1) and (2,inf), read through its corner cache;
-    for f >= 0, K is positive semidefinite, so its largest entry, the
-    (1,inf) norm, is its largest diagonal entry max_i sum_k Q_ik^2 f_k.
+    upper bounds that are exact for a W-orthonormal Q.  Every other
+    corner comes from the entries.
     """
     dec = kernel.dec
-    if dec is not None and np.isrealobj(kernel.f):
-        if (p, q) in _TRANSPOSED:
-            return _corner(kernel, *_TRANSPOSED[(p, q)])
-        if p == 1.0 and math.isinf(q) and np.all(kernel.f >= 0):
-            return float(np.max(dec.Q**2 @ kernel.f))
     if p == 2.0 and dec is not None and (q == 2.0 or math.isinf(q)):
         af = np.abs(kernel.f)
         if q == 2.0:
@@ -289,18 +284,13 @@ def _has_exact(p: float, q: float) -> bool:
     return p == 1.0 or math.isinf(q) or (p == 2.0 and q == 2.0)
 
 
-def _corner(kernel: KernelMatrix, p: float, q: float) -> float:
-    """corner_norm(kernel, p, q), evaluated once per kernel and (p, q)."""
+def _cached_corner(kernel: KernelMatrix, p: float, q: float) -> float:
+    """corner_norm(kernel, p, q), evaluated once per kernel and (p, q);
+    an inf or NaN corner raises, since no interpolated bound can use it."""
     cache = kernel.corner_norms
     if (p, q) not in cache:
         cache[(p, q)] = corner_norm(kernel, p, q)
-    return cache[(p, q)]
-
-
-def _cached_corner(kernel: KernelMatrix, p: float, q: float) -> float:
-    """_corner(kernel, p, q); an inf or NaN corner raises, since no
-    interpolated bound can use it."""
-    value = _corner(kernel, p, q)
+    value = cache[(p, q)]
     if not math.isfinite(value):
         raise NormError(f"corner ({p}, {q}) norm is not finite: {value}")
     return value

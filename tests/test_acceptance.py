@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from biharmlab import (Region, SemigroupEvaluator, assemble_box,
+from biharmlab import (SemigroupEvaluator, assemble_box,
                        assemble_sector, boyd_lower, build_box_grid,
                        build_radial_grid, corner_norm, davies_distance,
                        decay_fit, forme_inequality_check,
@@ -86,10 +86,8 @@ def test_criterion_04_offdiag_exponents():
     g = build_radial_grid(5, 40.0, 1024)
     ev = SemigroupEvaluator(assemble_sector(g, 0, 1.0))
     ds = [3.0, 5.0, 8.0, 12.0]
-    E = Region.annulus(0.0, 1.0)
-    Fs = [Region.annulus(d, math.inf) for d in ds]
     ts = list(np.geomspace(1e-3, 1e-2, 8))
-    res = offdiag_fit(ev, E, Fs, ts)
+    res = offdiag_fit(ev, ds, ts)
     best = min(res["distance_fits"],
                key=lambda f: abs(f.exponent - 4.0 / 3.0))
     rel_d = abs(best.exponent - 4.0 / 3.0) / (4.0 / 3.0)
@@ -206,8 +204,7 @@ def test_criterion_08_davies_distance():
         e /= np.linalg.norm(e)
         sep = 2.0 * r + float(rng.uniform(0.5, 8.0))
         y = x + sep * e
-        E, F = Region.ball(x, r), Region.ball(y, r)
-        est = davies_distance(E, F, 5)
+        est = davies_distance(x, r, y, r)
         d_e = est.d_e
         if 0.95 * d_e <= est.d_lb <= math.sqrt(5) * d_e + 1e-9:
             in_bracket += 1

@@ -370,6 +370,19 @@ class TestExitCodes:
         assert man["error"].startswith("EstimateError: ")
         assert not (tmp_path / "offdiag" / "offdiag.csv").exists()
 
+    def test_offdiag_csv_does_not_depend_on_the_order_of_d(self, tmp_path):
+        # the distance fits start from the largest d and the time fit
+        # fixes the second-smallest, in whatever order --d lists them
+        tables = []
+        for d in ("12,8,5,3", "3,5,8,12"):
+            out = tmp_path / d
+            code = cli.main(["offdiag", "--n", "256", "--seed", "7", "--d", d,
+                             "--out", str(out)])
+            assert code in (cli.EXIT_OK, cli.EXIT_ASSERT)
+            tables.append((out / "offdiag" / "offdiag.csv").read_bytes())
+        assert tables[0] == tables[1]
+        assert b"\ntime,4.0," in tables[0]
+
     @pytest.mark.parametrize("d", ["3", "3,3"])
     def test_offdiag_with_one_distance_exits_two(self, d, tmp_path, capsys,
                                                  monkeypatch):

@@ -1,3 +1,4 @@
+import glob
 import os
 import subprocess
 import sys
@@ -10,11 +11,22 @@ DEMOS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                      "demos")
 
 
-@pytest.mark.parametrize("demo, marker", [
-    ("demo_twisted.py", "sector half-angle"),
-    ("demo_distance.py", "bracket top"),
-], ids=["twisted", "distance"])
-def test_demo_runs(tmp_path, demo, marker):
+# the last line each demo prints
+MARKERS = {
+    "demo_decay.py": "wrote decay.svg",
+    "demo_distance.py": "rel err",
+    "demo_offdiag.py": "noise floor were excluded",
+    "demo_rellich.py": "not discretization error",
+    "demo_riesz.py": "stability",
+    "demo_twisted.py": "sector half-angle",
+}
+DEMO_FILES = sorted(os.path.basename(p)
+                    for p in glob.glob(os.path.join(DEMOS, "*.py")))
+
+
+@pytest.mark.parametrize("demo", DEMO_FILES,
+                         ids=[d[len("demo_"):-len(".py")] for d in DEMO_FILES])
+def test_demo_runs(tmp_path, demo):
     # the child imports this biharmlab from any working directory
     src = os.path.dirname(os.path.dirname(os.path.abspath(biharmlab.__file__)))
     res = subprocess.run(
@@ -22,4 +34,4 @@ def test_demo_runs(tmp_path, demo, marker):
         capture_output=True, text=True, cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": src})
     assert res.returncode == 0, res.stderr
-    assert marker in res.stdout
+    assert MARKERS[demo] in res.stdout.splitlines()[-1]

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import quad
 
-from biharmlab import (Region, assemble_sector, build_radial_grid, cli,
+from biharmlab import (assemble_sector, build_radial_grid, cli,
                        davies_distance, decay_fit, discrete_rellich,
                        estimates, eta_h, extrapolation_check,
                        lambda_optimizer_check, laplacian_decay_fit,
@@ -333,24 +333,24 @@ class TestSpectralRoute:
         assert not any("K" in kern.__dict__ for kern in kernels)
 
     def test_offdiag_normalises_by_the_formed_kernel(self):
-        # each ratio is numpy's SVD of the weighted block over that of the
-        # weighted kernel (Q f) Q^T, bit for bit
+        # each ratio is numpy's SVD of the weighted block chi_F K chi_E,
+        # E = {|x| <= 1} and F_d = {|x| >= d}, over that of the weighted
+        # kernel K = (Q f) Q^T, bit for bit
         op = assemble_sector(build_radial_grid(5, 40.0, 256), 0, 1.0)
-        E = Region.annulus(0.0, 1.0)
-        Fs = [Region.annulus(d, math.inf) for d in (3.0, 5.0, 8.0, 12.0)]
+        ds = (3.0, 5.0, 8.0, 12.0)
         ts = np.geomspace(1e-3, 1e-2, 4)
-        res = offdiag_fit(SemigroupEvaluator(op), E, Fs, ts)
+        res = offdiag_fit(SemigroupEvaluator(op), ds, ts)
         dec = op.decomposition
         assert "gram_norm" not in vars(dec)
-        mE = E.indicator(op.grid).astype(bool)
+        mE = op.grid.r <= 1.0
         sw = np.sqrt(op.w)
         ref = []
         for t in ts:
             K = (dec.Q * np.exp(-t * dec.mu)) @ dec.Q.T
             full = np.linalg.norm(sw[:, None] * K * sw, 2)
             ref.append([])
-            for F in Fs:
-                mF = F.indicator(op.grid).astype(bool)
+            for d in ds:
+                mF = op.grid.r >= d
                 block = sw[mF][:, None] * K[np.ix_(mF, mE)] * sw[mE]
                 ref[-1].append(np.linalg.norm(block, 2) / full)
         assert np.array_equal(res["ratios"], np.array(ref))
@@ -376,19 +376,29 @@ class TestOffdiag:
 
     @pytest.mark.parametrize("d", [-1.0, 1.0, 0.5])
     def test_region_at_zero_distance_is_rejected(self, op_c1, d):
-        E = Region.annulus(0.0, 1.0)
-        Fs = [Region.annulus(x, math.inf) for x in (3.0, d, 6.0)]
         with pytest.raises(EstimateError, match=f"at --d {d:g}$"):
-            offdiag_fit(SemigroupEvaluator(op_c1), E, Fs, [0.05, 0.1])
+            offdiag_fit(SemigroupEvaluator(op_c1), [3.0, d, 6.0], [0.05, 0.1])
+
+    def test_distances_are_taken_in_ascending_order(self, op_c1):
+        # F_d = {|x| >= d} lies at distance d - 1 from E = {|x| <= 1}, and
+        # the time fit fixes the second-smallest d
+        ev = SemigroupEvaluator(op_c1)
+        ts = list(np.geomspace(0.05, 0.2, 5))
+        up = offdiag_fit(ev, [3.0, 6.0, 9.0], ts)
+        mixed = offdiag_fit(ev, [9.0, 3.0, 6.0], ts)
+        assert np.array_equal(up["ratios"], mixed["ratios"])
+        assert up["time_fit"].params == mixed["time_fit"].params
+        assert up["time_fit"].params["d"] == 5.0
+        assert [f.params for f in up["distance_fits"]] == \
+            [f.params for f in mixed["distance_fits"]]
 
     def test_ratios_decay_with_distance(self, op_c1):
         ev = SemigroupEvaluator(op_c1)
-        E = Region.annulus(0.0, 1.0)
-        Fs = [Region.annulus(d, math.inf) for d in (3.0, 6.0, 9.0)]
+        ds = (3.0, 6.0, 9.0)
         ts = list(np.geomspace(0.05, 0.2, 5))
-        res = offdiag_fit(ev, E, Fs, ts)
+        res = offdiag_fit(ev, ds, ts)
         r = res["ratios"]
-        assert r.shape == (len(ts), len(Fs))
+        assert r.shape == (len(ts), len(ds))
         assert np.all((r >= 0) & (r <= 1.0 + 1e-9))
         for row in r:
             usable = row[row > res["floor"]]
@@ -397,17 +407,19 @@ class TestOffdiag:
 
 class TestDavies:
     def test_bracket_on_known_pair(self):
-        E = Region.ball(np.zeros(5), 1.0)
-        F = Region.ball(np.r_[5.0, 0, 0, 0, 0], 1.0)
-        est = davies_distance(E, F, 5)
+        est = davies_distance(np.zeros(5), 1.0, np.r_[5.0, 0, 0, 0, 0], 1.0)
         assert est.d_e == pytest.approx(3.0)
         assert 0.95 * 3.0 <= est.d_lb <= math.sqrt(5) * 3.0 + 1e-9
 
+    def test_dimension_is_the_number_of_coordinates(self):
+        est = davies_distance(np.zeros(7), 0.5, np.r_[4.0, 0, 0, 0, 0, 0, 0],
+                              1.5)
+        assert est.d_e == 2.0
+        assert est.bracket == (2.0, math.sqrt(7) * 2.0)
+
     def test_closed_form_on_known_pair(self):
         # u = 3/2, s = 20u = 30: d_lb = 2s tanh(u/s) = 60 tanh(1/20)
-        E = Region.ball(np.zeros(5), 1.0)
-        F = Region.ball(np.r_[5.0, 0, 0, 0, 0], 1.0)
-        est = davies_distance(E, F, 5)
+        est = davies_distance(np.zeros(5), 1.0, np.r_[5.0, 0, 0, 0, 0], 1.0)
         assert est.d_lb == pytest.approx(60.0 * math.tanh(1.0 / 20.0),
                                          rel=1e-15, abs=0.0)
 
@@ -417,7 +429,7 @@ class TestDavies:
         for _ in range(100):
             c1, c2 = rng.uniform(-5, 5, (2, 5))
             r1, r2 = rng.uniform(0.0, 2.0, 2)
-            est = davies_distance(Region.ball(c1, r1), Region.ball(c2, r2), 5)
+            est = davies_distance(c1, r1, c2, r2)
             assert 0.0 <= est.d_lb <= est.d_e
 
     def test_estimate_outside_the_bracket_is_rejected(self):
@@ -429,29 +441,15 @@ class TestDavies:
                 DistanceEstimate(d_e=3.0, d_lb=d_lb, bracket=(3.0, top))
 
     def test_touching_regions_zero(self):
-        E = Region.ball(np.zeros(5), 2.0)
-        F = Region.ball(np.r_[3.0, 0, 0, 0, 0], 1.0)
-        est = davies_distance(E, F, 5)
+        est = davies_distance(np.zeros(5), 2.0, np.r_[3.0, 0, 0, 0, 0], 1.0)
         assert est.d_e == 0.0
         assert est.d_lb == 0.0
 
-    def test_ball_centres_need_N_coordinates(self):
-        E = Region.ball(2.0, 1.0)
-        F = Region.ball(np.full(5, 5.0), 1.0)
-        with pytest.raises(EstimateError, match="N = 5 coordinates"):
-            davies_distance(E, F, 5)
-
-    def test_nonconvex_rejected(self):
-        E = Region.annulus(1.0, 2.0)
-        F = Region.ball(np.r_[9.0, 0, 0, 0, 0], 1.0)
-        with pytest.raises(EstimateError):
-            davies_distance(E, F, 5)
-
-    def test_annuli_rejected(self):
-        E = Region.annulus(0.0, 1.0)
-        F = Region.annulus(3.0, math.inf)
-        with pytest.raises(EstimateError, match="two balls"):
-            davies_distance(E, F, 5)
+    def test_ball_centres_of_different_shape_raise(self):
+        # a size-1 centre is not broadcast to (2, ..., 2)
+        with pytest.raises(EstimateError, match=r"differ in shape: \(1,\), "
+                                                r"\(5,\)"):
+            davies_distance(2.0, 1.0, np.full(5, 5.0), 1.0)
 
     def test_remark_inequality_disjoint_pair(self):
         rep = remark_ball_inequality(np.zeros(5), np.r_[8.0, 0, 0, 0, 0], 1.0)

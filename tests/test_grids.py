@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from biharmlab import (PhiFamily, Region, build_box_grid, build_radial_grid,
-                       euclidean_distance, make_phi, probe_functions, twist)
+from biharmlab import (PhiFamily, build_box_grid, build_radial_grid, make_phi,
+                       probe_functions, twist)
 from biharmlab.grids import (GridError, TANH_HESS_MAX, boundary_taper,
                              sphere_area, weighted_lp)
 
@@ -132,33 +132,6 @@ class TestNorms:
             ref = weighted_lp(np.ascontiguousarray(V), w, p)
             assert np.allclose(cols, ref, rtol=1e-14, atol=0.0)
         assert np.array_equal(K, before)
-
-
-class TestRegion:
-    def test_indicator_binary(self, grid128):
-        ind = Region.annulus(2.0, 8.0).indicator(grid128)
-        assert set(np.unique(ind)) <= {0.0, 1.0}
-
-    def test_indicator_needs_radial_grid(self):
-        with pytest.raises(GridError, match="radial grid"):
-            Region.annulus(0.0, 1.0).indicator(build_box_grid(5, 4, 2.0))
-
-    def test_ball_distance(self):
-        E = Region.ball(np.zeros(5), 1.0)
-        F = Region.ball(np.array([4.0, 0, 0, 0, 0]), 1.0)
-        assert euclidean_distance(E, F) == pytest.approx(2.0)
-
-    def test_ball_centres_of_different_shape_raise(self):
-        # a size-1 centre is not broadcast to (2, ..., 2)
-        E = Region.ball(2.0, 1.0)
-        F = Region.ball(np.full(5, 5.0), 1.0)
-        with pytest.raises(GridError, match="differ in shape"):
-            euclidean_distance(E, F)
-
-    def test_annulus_distance(self):
-        E = Region.annulus(0.0, 1.0)
-        F = Region.annulus(3.0, math.inf)
-        assert euclidean_distance(E, F) == pytest.approx(2.0)
 
 
 class TestPhiFamily:
