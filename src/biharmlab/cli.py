@@ -65,8 +65,9 @@ def _float_list(text: str) -> list:
 
 
 # Every experiment option, once: command-line flag, config key, type,
-# default, help.  The name after the config section is the argparse dest;
-# a bool option is a switch that is off unless given.
+# run-wide default (None where each experiment that reads the option has
+# its own, in EXPERIMENTS), help.  The name after the config section is
+# the argparse dest; a bool option is a switch that is off unless given.
 OPTIONS = (
     ("--N", "run.N", int, 5, "space dimension, N >= 5"),
     ("--c", "run.c", float, 1.0, "coupling constant c"),
@@ -75,16 +76,20 @@ OPTIONS = (
     ("--allow-supercritical", "run.allow_supercritical", bool, False,
      "allow c >= C* for exploratory (report-only) runs"),
     ("--n", "grid.n", int, None, "radial node count"),
-    ("--R", "grid.R", float, None, "outer radius"),
-    ("--mode", "grid.mode", _grid_mode, None, "radial spacing: uniform or log"),
+    ("--R", "grid.R", float, 30.0, "outer radius"),
+    ("--mode", "grid.mode", _grid_mode, "uniform",
+     "radial spacing: uniform or log"),
     ("--t", "sweep.t", _float_list, None, "comma list of times"),
     ("--p", "sweep.p", _float_list, None,
      "comma list of p values (one for solve)"),
     ("--d", "sweep.d", _float_list, None,
      "comma list of radii d of F = {|x| >= d}, fit in ascending order"),
     ("--lam", "sweep.lam", _float_list, None, "comma list of lambda values"),
-    ("--ell-max", "sweep.ell_max", int, 8, "largest angular index ell"),
+    ("--ell-max", "sweep.ell_max", int, None, "largest angular index ell"),
 )
+# the options a manifest echoes, where its experiment has a default
+SWEEP = {key.split(".")[1] for _, key, *_ in OPTIONS
+         if key.startswith("sweep.")}
 
 
 def read_config(path: str) -> dict:
@@ -123,27 +128,38 @@ def read_config(path: str) -> dict:
     return values
 
 
-def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
-    """Argument parser; `defaults` (dest -> value) replace the built-in
-    defaults of the experiment options, so explicit flags still win."""
-    defaults = defaults or {}
+def _defaults_text(run) -> str:
+    """An experiment's own defaults, one flag a line."""
+    flags = {key.split(".")[1]: flag for flag, key, *_ in OPTIONS}
+    return "".join(f"\n  {flags[dest]} " + ",".join(
+        map(report.fmt, value if isinstance(value, list) else [value]))
+        for dest, value in run.defaults.items()) or " none"
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """Argument parser; its namespace holds only the experiment options
+    given on the command line, and `resolve` gives the others."""
     ap = argparse.ArgumentParser(
         prog="biharmlab",
         description="numerical laboratory for Delta^2 - c|x|^-4 on R^N")
     sub = ap.add_subparsers(dest="cmd", required=True)
-    common = argparse.ArgumentParser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False,
+                                     argument_default=argparse.SUPPRESS)
     common.add_argument("--config", default=None, help="key = value config file")
     for flag, key, typ, default, help_text in OPTIONS:
         dest = key.split(".")[1]
-        default = defaults.get(dest, default)
+        if default is not None:
+            help_text += f" (default {report.fmt(default)})"
         if typ is bool:
             common.add_argument(flag, dest=dest, action="store_true",
-                                default=default, help=help_text)
-        else:
-            common.add_argument(flag, dest=dest, type=typ, default=default,
                                 help=help_text)
-    for name in (*EXPERIMENTS, "suite"):
-        sub.add_parser(name, parents=[common])
+        else:
+            common.add_argument(flag, dest=dest, type=typ, help=help_text)
+    for name, run in EXPERIMENTS.items():
+        sub.add_parser(name, parents=[common],
+                       epilog=f"defaults of {name}:{_defaults_text(run)}",
+                       formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub.add_parser("suite", parents=[common])
     pp = sub.add_parser("plot")
     pp.add_argument("csv")
     pp.add_argument("--x", required=True, help="x column name")
@@ -161,12 +177,12 @@ def validate(args) -> bool:
     report-only (c >= C*, admitted by --allow-supercritical)."""
     if args.N < 5:
         raise ConfigError("N >= 5 required")
-    if args.ell_max < 0:
+    if args.ell_max is not None and args.ell_max < 0:
         raise ConfigError(f"--ell-max >= 0 required (got {args.ell_max})")
     if args.seed < 0:
         raise ConfigError(f"--seed >= 0 required (got {args.seed})")
     for flag, value in (("--c", args.c), ("--R", args.R)):
-        if value is not None and not math.isfinite(value):
+        if not math.isfinite(value):
             raise ConfigError(f"{flag} must be finite (got {value})")
     cstar = paper_rellich_constant(args.N)
     report_only = args.c >= cstar
@@ -177,13 +193,20 @@ def validate(args) -> bool:
     return report_only
 
 
-def _radial_grid(args, man: report.RunManifest, n: int, R: float = 30.0,
-                 mode: str = "uniform"):
-    """The experiment's radial grid: `--n/--R/--mode` override the given
-    defaults, and the manifest records the grid."""
-    grid = build_radial_grid(args.N, R if args.R is None else args.R,
-                             n if args.n is None else args.n,
-                             args.mode or mode)
+def resolve(name: str, flags: argparse.Namespace,
+            config: dict) -> argparse.Namespace:
+    """Experiment `name`'s option values: for each option, its flag if
+    given, else its config-file value, else the experiment's default,
+    else the run-wide default in OPTIONS (None if it has none)."""
+    run_wide = {key.split(".")[1]: default
+                for _, key, _, default, _ in OPTIONS}
+    return argparse.Namespace(**{**run_wide, **EXPERIMENTS[name].defaults,
+                                 **config, **vars(flags)})
+
+
+def _radial_grid(args, man: report.RunManifest):
+    """The experiment's radial grid, recorded in the manifest."""
+    grid = build_radial_grid(args.N, args.R, args.n, args.mode)
     _record_grid(man, "grid", grid)
     return grid
 
@@ -197,12 +220,11 @@ def _record_grid(man: report.RunManifest, name: str, grid) -> None:
 
 def run_coercivity(args, man: report.RunManifest) -> None:
     """Positivity of A and 2->2 contractivity of its semigroup."""
-    grid = _radial_grid(args, man, 512)
+    grid = _radial_grid(args, man)
     op = assemble_sector(grid, 0, args.c)
-    ts = args.t or list(np.geomspace(1e-3, 10.0, 12))
     ev = SemigroupEvaluator(op)
-    norms = [corner_norm(ev.kernel(t), 2.0, 2.0) for t in ts]
-    man.table("contraction.csv", ("t", "norm_2_2"), list(zip(ts, norms)))
+    norms = [corner_norm(ev.kernel(t), 2.0, 2.0) for t in args.t]
+    man.table("contraction.csv", ("t", "norm_2_2"), list(zip(args.t, norms)))
     mu_1 = op.decomposition.mu[0]
     man.add_check("positive_definite", mu_1, ">", 0.0,
                   f"mu_1 = {report.fmt(mu_1)}")
@@ -212,7 +234,7 @@ def run_coercivity(args, man: report.RunManifest) -> None:
 
 
 def run_rellich(args, man: report.RunManifest) -> None:
-    grid = _radial_grid(args, man, 2000, R=1e3, mode="log")
+    grid = _radial_grid(args, man)
     res = rellich_constant(grid, ell_max=args.ell_max)
     target = res["target"]
     rows = [(ell, val, target) for ell, val in res["per_sector"].items()]
@@ -226,15 +248,14 @@ def run_rellich(args, man: report.RunManifest) -> None:
 
 
 def run_decay(args, man: report.RunManifest) -> None:
-    grid = _radial_grid(args, man, 512)
-    ts = args.t or list(np.geomspace(0.01, 0.1, 9))
+    grid = _radial_grid(args, man)
     rows = []
     curve_rows = []
     for c in dict.fromkeys((0.0, args.c)):      # distinct, in order
         op = assemble_sector(grid, 0, c)
         ev = SemigroupEvaluator(op)
         for q in (math.inf, 10.0):
-            fit = decay_fit(ev, 2.0, q, ts)
+            fit = decay_fit(ev, 2.0, q, args.t)
             rows.append((c, 2.0, q, fit.exponent, fit.target, fit.residual))
             for tv, nv in zip(fit.params["t_values"], fit.params["norm_values"]):
                 curve_rows.append((c, q, tv, nv))
@@ -246,12 +267,10 @@ def run_decay(args, man: report.RunManifest) -> None:
 
 
 def run_offdiag(args, man: report.RunManifest) -> None:
-    grid = _radial_grid(args, man, 1024, R=40.0)
+    grid = _radial_grid(args, man)
     op = assemble_sector(grid, 0, args.c)
     ev = SemigroupEvaluator(op)
-    ds = args.d or [3.0, 5.0, 8.0, 12.0]
-    ts = args.t or list(np.geomspace(1e-3, 1e-2, 8))
-    res = offdiag_fit(ev, ds, ts)
+    res = offdiag_fit(ev, args.d, args.t)
     man.runtime.update(res["runtime"])
     man.numerics.update(excluded_below_floor=res["excluded_below_floor"],
                         floor=res["floor"])
@@ -279,14 +298,13 @@ def run_offdiag(args, man: report.RunManifest) -> None:
 
 
 def run_riesz(args, man: report.RunManifest) -> None:
-    grid = _radial_grid(args, man, 512)
+    grid = _radial_grid(args, man)
     op = assemble_sector(grid, 0, args.c)
     grid2 = build_radial_grid(grid.N, grid.R, 2 * grid.n, grid.mode)
     _record_grid(man, "grid_refined", grid2)
-    ps = args.p or [1.3, 1.5, 1.8]
     # the sweep decomposes the refined operator before op, and nothing
     # holds it after the sweep; the route check reuses op's decomposition
-    sweep = riesz_pnorm_sweep(op, ps,
+    sweep = riesz_pnorm_sweep(op, args.p,
                               refined_op=assemble_sector(grid2, 0, args.c))
     rng = np.random.default_rng(args.seed)
     u = rng.standard_normal(grid.n)
@@ -305,7 +323,7 @@ def run_riesz(args, man: report.RunManifest) -> None:
     man.add_check("riesz_l2_bound", n22, "<=", eta_bound + 1e-8,
                   f"||R||_2 = {report.fmt(n22)} vs "
                   f"eta_h^-1/2 = {report.fmt(eta_bound)}")
-    for p in ps:
+    for p in args.p:
         man.add_check(f"riesz_stability_p{p}", sweep[p]["stability"], "<=",
                       0.25, f"change {report.fmt(sweep[p]['stability'])}")
 
@@ -362,14 +380,12 @@ def run_twisted(args, man: report.RunManifest) -> None:
                   f"orders {', '.join(map(report.fmt, orders))}")
 
     # sector twisted semigroup suite
-    grid = _radial_grid(args, man, 256)
+    grid = _radial_grid(args, man)
     op = assemble_sector(grid, 0, args.c)
-    lams = args.lam or [0.5, 1.0, 2.0]
     R = grid.R
     phis = [make_phi(np.zeros(args.N), 1.0, -R / 3.0, kind="radial", grid=grid),
             make_phi(np.zeros(args.N), 2.0, -R / 2.0, kind="radial", grid=grid)]
-    ts = args.t or list(np.geomspace(0.05, 0.5, 6))
-    rep = twisted_decay_suite(op, lams, phis, ts, seed=args.seed)
+    rep = twisted_decay_suite(op, args.lam, phis, args.t, seed=args.seed)
     rows = [(r["lam"], r["t"], r["norm"], r["bound"], r["lap_norm"],
              r["lap_bound"]) for r in rep["rows"]]
     man.table("twisted_semigroup.csv", ("lam", "t", "norm", "bound",
@@ -382,7 +398,7 @@ def run_twisted(args, man: report.RunManifest) -> None:
                   f"M-hat {report.fmt(rep['m_hat'])}")
     # t^{-1/2} fit at c=0
     op0 = assemble_sector(grid, 0, 0.0)
-    fit = laplacian_decay_fit(op0, ts)
+    fit = laplacian_decay_fit(op0, args.t)
     man.add_check("laplacian_decay_half", fit.relative_error(), "<=", 0.10,
                   f"slope {report.fmt(fit.exponent)}")
 
@@ -417,38 +433,52 @@ def run_distance(args, man: report.RunManifest) -> None:
 
 
 def run_solve(args, man: report.RunManifest) -> None:
-    if args.p and len(args.p) > 1:
+    if len(args.p) > 1:
         raise ConfigError("solve takes one --p value (got "
                           f"{', '.join(map(report.fmt, args.p))})")
-    grid = _radial_grid(args, man, 256)
+    grid = _radial_grid(args, man)
     op = assemble_sector(grid, 0, args.c)
     f = probe_functions(grid, 1, seed=args.seed)[0]
-    ts = args.t or list(np.geomspace(0.01, 1.0, 10))
-    p = args.p[0] if args.p else 1.5
-    traj = solve_parabolic(op, f, ts, p)
+    p = args.p[0]
+    traj = solve_parabolic(op, f, args.t, p)
     rows = [(r["t"], r["norm_p"], r["seminorm_p"]) for r in traj["rows"]]
     man.table("solve.csv", ("t", "norm_p", "seminorm_p"), rows)
     bad = sum(not math.isfinite(r["seminorm_p"]) for r in traj["rows"])
     man.add_check("solution_seminorm_finite", bad, "<=", 0, f"p = {p}")
 
 
-# Every experiment, once, in suite order: each has a subcommand of its
-# name and writes its files under `<out>/<name>`.  offdiag and distance,
-# whose fits import scipy's optimiser stack (about 16.5 MB resident that
-# is never released), run after riesz, twisted and solve, so that stack
-# is not held under riesz's n = 1024 eigensolve (94.0 MiB in `suite
-# --seed 7`) or twisted's m = 16 box (85.8 MiB).  The suite's peak is
-# offdiag's two-worker kernel phase at n = 1024 (100.2 MiB), before its
-# fits load the stack.
+def with_defaults(run, **defaults):
+    """`run`, given its experiment's own option defaults (dest -> value)."""
+    run.defaults = defaults
+    return run
+
+
+# Every experiment, once, in suite order, with its own option defaults:
+# each has a subcommand of its name and writes its files under
+# `<out>/<name>`.  A value is the runner itself, so perfbench's tracer,
+# which rebinds the module's functions in its dicts, times each run.
+# offdiag and distance, whose fits import scipy's optimiser stack (about
+# 16.5 MB resident that is never released), run after riesz, twisted and
+# solve, so that stack is not held under riesz's n = 1024 eigensolve
+# (94.0 MiB in `suite --seed 7`) or twisted's m = 16 box (85.8 MiB).  The
+# suite's peak is offdiag's two-worker kernel phase at n = 1024 (100.2
+# MiB), before its fits load the stack.
 EXPERIMENTS = {
-    "coercivity": run_coercivity,
-    "rellich": run_rellich,
-    "decay": run_decay,
-    "riesz": run_riesz,
-    "twisted": run_twisted,
-    "solve": run_solve,
-    "offdiag": run_offdiag,
-    "distance": run_distance,
+    "coercivity": with_defaults(run_coercivity, n=512,
+                                t=list(np.geomspace(1e-3, 10.0, 12))),
+    "rellich": with_defaults(run_rellich, n=2000, R=1e3, mode="log",
+                             ell_max=8),
+    "decay": with_defaults(run_decay, n=512,
+                           t=list(np.geomspace(0.01, 0.1, 9))),
+    "riesz": with_defaults(run_riesz, n=512, p=[1.3, 1.5, 1.8]),
+    "twisted": with_defaults(run_twisted, n=256, lam=[0.5, 1.0, 2.0],
+                             t=list(np.geomspace(0.05, 0.5, 6))),
+    "solve": with_defaults(run_solve, n=256, p=[1.5],
+                           t=list(np.geomspace(0.01, 1.0, 10))),
+    "offdiag": with_defaults(run_offdiag, n=1024, R=40.0,
+                             d=[3.0, 5.0, 8.0, 12.0],
+                             t=list(np.geomspace(1e-3, 1e-2, 8))),
+    "distance": with_defaults(run_distance),
 }
 
 
@@ -515,13 +545,14 @@ def _fix_mmap_threshold() -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.cmd == "plot":
-        return run_plot(args)
+    flags = build_parser().parse_args(argv)
+    if flags.cmd == "plot":
+        return run_plot(flags)
+    names = list(EXPERIMENTS) if flags.cmd == "suite" else [flags.cmd]
     try:
-        if args.config is not None:
-            args = build_parser(read_config(args.config)).parse_args(argv)
-        report_only = validate(args)
+        config = {} if flags.config is None else read_config(flags.config)
+        runs = {name: resolve(name, flags, config) for name in names}
+        report_only = {name: validate(args) for name, args in runs.items()}
     except (ConfigError, GridError, OperatorError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -533,13 +564,18 @@ def main(argv=None) -> int:
               "between thread counts", file=sys.stderr)
     try:
         manifests = []
-        for name in EXPERIMENTS if args.cmd == "suite" else [args.cmd]:
+        for name, args in runs.items():
+            run = EXPERIMENTS[name]
+            sweep = {dest: getattr(args, dest)
+                     for dest in run.defaults.keys() & SWEEP}
             man = report.RunManifest({"experiment": name, "N": args.N,
-                                      "c": args.c, "seed": args.seed},
-                                     os.path.join(args.out, name), report_only)
+                                      "c": args.c, "seed": args.seed,
+                                      "sweep": sweep},
+                                     os.path.join(args.out, name),
+                                     report_only[name])
             man.runtime["blas_pinned"] = pinned
             try:
-                EXPERIMENTS[name](args, man)
+                run(args, man)
             except (GridError, OperatorError, SpectralError, ValueError,
                     ArithmeticError) as exc:
                 man.error = f"{type(exc).__name__}: {exc}"

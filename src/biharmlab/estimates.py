@@ -245,8 +245,8 @@ def _stretched_fit(model, x, v, p0):
 def offdiag_fit(evaluator: SemigroupEvaluator, d_list, t_list) -> dict:
     """Off-diagonal decay ||chi_F e^{-tA} chi_E|| <= c1 t^{-g} exp(-c2 d^{4/3}/t^{1/3})
     between E = {|x| <= OFFDIAG_E_RADIUS} and each F_d = {|x| >= d}, d in
-    `d_list`, at distance d - OFFDIAG_E_RADIUS.  The d are taken in
-    ascending order, whatever order `d_list` has:
+    `d_list`, at distance d - OFFDIAG_E_RADIUS.  The distinct d are taken
+    in ascending order, whatever order `d_list` has:
 
     (i) at each fixed t: fit -log(ratio) = b + s d^e over the F-family
         (target e = 4/3);
@@ -258,7 +258,7 @@ def offdiag_fit(evaluator: SemigroupEvaluator, d_list, t_list) -> dict:
     k-th smallest d.  Ratios at or below the float64 kernel noise floor
     are excluded and reported.
     """
-    ds = np.sort(np.asarray(d_list, dtype=float))
+    ds = np.unique(np.asarray(d_list, dtype=float))
     if len(ds) <= OFFDIAG_TIME_FIT_INDEX:
         raise EstimateError(
             f"the time fit needs at least {OFFDIAG_TIME_FIT_INDEX + 1} "

@@ -24,6 +24,12 @@ def _no_eigensolve(op):
     raise AssertionError("eigensolve started")
 
 
+def resolved(name, *argv):
+    """Experiment `name`'s options as `main` resolves `name *argv` with
+    no config file."""
+    return cli.resolve(name, build_parser().parse_args([name, *argv]), {})
+
+
 def run_cli(*args, cwd=None, env=None):
     """Run the CLI in a child process; `env` entries override the
     inherited environment."""
@@ -69,8 +75,8 @@ class TestConfigParsing:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[run]\nseed = 3\nallow_supercritical = true\n"
                        "[grid]\nmode = log\n")
-        args = build_parser(read_config(str(cfg))).parse_args(
-            ["solve", "--seed", "5"])
+        args = cli.resolve("solve", build_parser().parse_args(
+            ["solve", "--seed", "5"]), read_config(str(cfg)))
         assert (args.seed, args.allow_supercritical, args.mode) == (5, True, "log")
 
     @pytest.mark.parametrize("text, lineno, message", [
@@ -211,17 +217,15 @@ class TestExitCodes:
         assert man["config"]["report_only"] is False
 
     def test_coercivity_records_its_grid_hash(self, tmp_path):
-        args = build_parser().parse_args(["suite", "--n", "64"])
         man = report.RunManifest({}, str(tmp_path), False)
-        cli.run_coercivity(args, man)
+        cli.run_coercivity(resolved("coercivity", "--n", "64"), man)
         grid = build_radial_grid(5, 30.0, 64, "uniform")
         assert man.hashes == {"grid": grid.content_hash()}
         assert man.all_pass
 
     def test_riesz_records_both_grid_hashes(self, tmp_path):
-        args = build_parser().parse_args(["riesz", "--n", "64"])
         man = report.RunManifest({}, str(tmp_path), False)
-        cli.run_riesz(args, man)
+        cli.run_riesz(resolved("riesz", "--n", "64"), man)
         assert man.hashes == {
             "grid": build_radial_grid(5, 30.0, 64, "uniform").content_hash(),
             "grid_refined":
@@ -239,9 +243,8 @@ class TestExitCodes:
             return fits[-1]
 
         monkeypatch.setattr(cli, "offdiag_fit", fit)
-        args = build_parser().parse_args(["offdiag", "--n", "256"])
         man = report.RunManifest({}, str(tmp_path), False)
-        cli.run_offdiag(args, man)
+        cli.run_offdiag(resolved("offdiag", "--n", "256"), man)
         man.write()
         body = json.load(open(tmp_path / "manifest.json"))
         excluded = fits[0]["excluded_below_floor"]
@@ -290,7 +293,8 @@ class TestExitCodes:
         def indefinite(args, man):
             raise spectral.SpectralError("indefinite operator")
 
-        monkeypatch.setitem(cli.EXPERIMENTS, "solve", indefinite)
+        monkeypatch.setitem(cli.EXPERIMENTS, "solve",
+                            cli.with_defaults(indefinite))
         code = cli.main(["solve", "--n", "64", "--out", str(tmp_path)])
         assert code == cli.EXIT_CONFIG
         err = capsys.readouterr().err.splitlines()
@@ -454,9 +458,8 @@ class TestExitCodes:
                                          "riesz", "twisted", "solve",
                                          "offdiag", "distance"]
         for name in cli.EXPERIMENTS.keys() - {"coercivity"}:   # runs as is
-            monkeypatch.setitem(cli.EXPERIMENTS, name,
-                                broken if name in ("rellich", "riesz")
-                                else passing)
+            monkeypatch.setitem(cli.EXPERIMENTS, name, cli.with_defaults(
+                broken if name in ("rellich", "riesz") else passing))
         code = cli.main(["suite", "--n", "64", "--out", str(tmp_path)])
         assert code == cli.EXIT_CONFIG
         captured = capsys.readouterr()
@@ -502,8 +505,8 @@ class TestExitCodes:
             man.add_check("ran", 0, "<=", 0)
 
         for name in cli.EXPERIMENTS:
-            monkeypatch.setitem(cli.EXPERIMENTS, name,
-                                overflowing if name == "twisted" else passing)
+            monkeypatch.setitem(cli.EXPERIMENTS, name, cli.with_defaults(
+                overflowing if name == "twisted" else passing))
         code = cli.main(["suite", "--out", str(tmp_path)])
         assert code == cli.EXIT_CONFIG
         captured = capsys.readouterr()
@@ -559,6 +562,104 @@ class TestExitCodes:
         assert "[FAIL]" in res.stdout
 
 
+# each experiment's sweep options and their defaults, as its manifest
+# echoes them
+DEFAULT_SWEEPS = {
+    "coercivity": {"t": np.geomspace(1e-3, 10.0, 12)},
+    "rellich": {"ell_max": 8},
+    "decay": {"t": np.geomspace(0.01, 0.1, 9)},
+    "riesz": {"p": [1.3, 1.5, 1.8]},
+    "twisted": {"lam": [0.5, 1.0, 2.0], "t": np.geomspace(0.05, 0.5, 6)},
+    "solve": {"p": [1.5], "t": np.geomspace(0.01, 1.0, 10)},
+    "offdiag": {"d": [3.0, 5.0, 8.0, 12.0], "t": np.geomspace(1e-3, 1e-2, 8)},
+    "distance": {},
+}
+
+
+class TestOptionResolution:
+    def test_suite_manifests_echo_each_experiments_defaults(self, tmp_path):
+        cli.main(["suite", "--n", "64", "--out", str(tmp_path)])
+        for name, sweep in DEFAULT_SWEEPS.items():
+            config = json.load(open(tmp_path / name / "manifest.json"))[
+                "config"]
+            assert config["sweep"].keys() == sweep.keys(), name
+            for key, value in sweep.items():
+                assert np.array_equal(config["sweep"][key], value), name
+        # the echo is what ran
+        _, rows = report.read_csv(
+            str(tmp_path / "coercivity" / "contraction.csv"))
+        assert [float(row[0]) for row in rows] == list(
+            DEFAULT_SWEEPS["coercivity"]["t"])
+
+    def test_config_times_reach_every_experiment_that_reads_t(
+            self, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[sweep]\nt = 0.02, 0.2\n")
+        seen = {}
+        for name, run in cli.EXPERIMENTS.items():
+            def record(args, man, name=name):
+                seen[name] = args.t
+            monkeypatch.setitem(cli.EXPERIMENTS, name,
+                                cli.with_defaults(record, **run.defaults))
+        code = cli.main(["suite", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_OK
+        readers = [name for name, sweep in DEFAULT_SWEEPS.items()
+                   if "t" in sweep]
+        assert readers == ["coercivity", "decay", "twisted", "solve",
+                           "offdiag"]
+        for name in cli.EXPERIMENTS:
+            sweep = json.load(open(tmp_path / "out" / name / "manifest.json"))[
+                "config"]["sweep"]
+            assert sweep.get("t") == ([0.02, 0.2] if name in readers
+                                      else None), name
+            assert seen[name] == [0.02, 0.2]
+
+    @pytest.mark.parametrize("name, config, argv, R", [
+        ("distance", {}, [], 30.0),             # the run-wide default
+        ("offdiag", {}, [], 40.0),              # the experiment's default
+        ("offdiag", {"R": 50.0}, [], 50.0),     # the config file
+        ("offdiag", {"R": 50.0}, ["--R", "60"], 60.0),      # the flag
+        ("distance", {"R": 50.0}, ["--R", "60"], 60.0),
+    ])
+    def test_flag_beats_config_beats_experiment_beats_run_wide(
+            self, name, config, argv, R):
+        flags = build_parser().parse_args([name, *argv])
+        assert cli.resolve(name, flags, config).R == R
+
+    def test_config_and_flag_times_reach_the_manifest_and_the_table(
+            self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[grid]\nn = 48\n[sweep]\nt = 0.02, 0.2\n")
+        for argv, n, ts in (([], 48, [0.02, 0.2]),
+                            (["--t", "0.05", "--n", "64"], 64, [0.05])):
+            out = tmp_path / str(n)
+            code = cli.main(["solve", "--config", str(cfg), *argv,
+                             "--out", str(out)])
+            assert code == cli.EXIT_OK
+            config = json.load(open(out / "solve" / "manifest.json"))["config"]
+            assert config["sweep"] == {"t": ts, "p": [1.5]}
+            assert config["grid"]["n"] == n
+            _, rows = report.read_csv(str(out / "solve" / "solve.csv"))
+            assert [float(row[0]) for row in rows] == ts
+
+    @pytest.mark.parametrize("name, lines", [
+        ("offdiag", ["  --n 1024", "  --R 40.0", "  --d 3.0,5.0,8.0,12.0"]),
+        ("rellich", ["  --n 2000", "  --R 1000.0", "  --mode log",
+                     "  --ell-max 8"]),
+    ])
+    def test_help_prints_the_experiments_defaults(self, capsys, name, lines):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([name, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out.splitlines()
+        start = out.index(f"defaults of {name}:")
+        assert out[start + 1:start + 1 + len(lines)] == lines
+        # run-wide defaults show in the option list
+        assert any(line.startswith("  --R R ") and "(default 30.0)" in line
+                   for line in out)
+
+
 # the suite's checks in the order it records them
 SUITE_CHECKS = (
     "positive_definite", "semigroup_contractive",
@@ -577,12 +678,13 @@ SUITE_CHECKS = (
 # record whether scipy's optimiser stack is loaded when it starts, and
 # writes that, in run order, with the state at the end to argv[1]
 OPTIMIZER_PROBE_RUN = """
-import json, sys
+import functools, json, sys
 import biharmlab.cli as cli
 seen = {}
 
 
 def probed(name, run):
+    @functools.wraps(run)          # keeps the runner's defaults
     def wrapped(args, man):
         seen[name] = "scipy.optimize" in sys.modules
         return run(args, man)
@@ -647,8 +749,8 @@ class TestBenchmarkReference:
             "perfbench_check", os.path.join(PERFBENCH, "check.py"))
         check = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(check)
-        args = build_parser().parse_args(["suite", "--seed", "7",
-                                          "--out", str(tmp_path)])
+        flags = build_parser().parse_args(["suite", "--seed", "7",
+                                           "--out", str(tmp_path)])
         mans = {}
         restore, _ = norms.pin_blas_threads()
         try:
@@ -662,7 +764,7 @@ class TestBenchmarkReference:
                               ("rellich", cli.run_rellich)):
                 mans[name] = report.RunManifest({}, str(tmp_path / name),
                                                 False)
-                run(args, mans[name])
+                run(cli.resolve(name, flags, {}), mans[name])
         finally:
             restore()
         checks = [chk for name in cli.EXPERIMENTS for chk in mans[name].checks]

@@ -325,8 +325,9 @@ class TestSpectralRoute:
 
         monkeypatch.setattr(norms, "l2_norm", refuse)
         kernels = collect_kernels(monkeypatch)
-        args = cli.build_parser().parse_args(["suite", "--n", "128"])
-        cli.run_coercivity(args, report.RunManifest({}, str(tmp_path), False))
+        flags = cli.build_parser().parse_args(["coercivity", "--n", "128"])
+        cli.run_coercivity(cli.resolve("coercivity", flags, {}),
+                           report.RunManifest({}, str(tmp_path), False))
         decay_fit(SemigroupEvaluator(op_c1), 2.0, math.inf,
                   list(np.geomspace(0.06, 0.6, 6)))
         assert len(kernels) == 12 + 6
@@ -391,6 +392,20 @@ class TestOffdiag:
         assert up["time_fit"].params["d"] == 5.0
         assert [f.params for f in up["distance_fits"]] == \
             [f.params for f in mixed["distance_fits"]]
+
+    def test_repeated_radii_count_once(self, op_c1):
+        # the guard counts distinct radii, and a repeated smallest d does
+        # not become the time fit's second-smallest
+        ev = SemigroupEvaluator(op_c1)
+        with pytest.raises(EstimateError,
+                           match=r"at least 2 distinct --d values \(got 1\)"):
+            offdiag_fit(ev, [3.0, 3.0], [0.05, 0.1])
+        ts = list(np.geomspace(0.05, 0.2, 5))
+        repeated = offdiag_fit(ev, [3.0, 3.0, 6.0, 9.0], ts)
+        distinct = offdiag_fit(ev, [3.0, 6.0, 9.0], ts)
+        assert np.array_equal(repeated["ratios"], distinct["ratios"])
+        assert repeated["time_fit"].params == distinct["time_fit"].params
+        assert repeated["time_fit"].params["d"] == 5.0
 
     def test_ratios_decay_with_distance(self, op_c1):
         ev = SemigroupEvaluator(op_c1)

@@ -197,3 +197,77 @@ def test_every_public_definition_has_a_user():
                     if p.startswith("demos")]
                    + glob.glob(os.path.join(ROOT, "perfbench", "*.py")))
     assert unnamed_definitions(package, others.values()) == sorted(KEPT)
+
+
+def _args_option(node, dests) -> bool:
+    """Whether `node` is `args.<dest>` for one of `dests`."""
+    return (isinstance(node, ast.Attribute) and node.attr in dests
+            and isinstance(node.value, ast.Name) and node.value.id == "args")
+
+
+def _functions(source: str, names) -> list:
+    return [fn for fn in ast.parse(source).body
+            if isinstance(fn, ast.FunctionDef) and fn.name in names]
+
+
+def option_fallbacks(source: str, names, dests) -> list:
+    """(function, line) of each place one of the functions `names` falls
+    back on an option: a boolean operator with a bare `args.<dest>`
+    operand, or a comparison of `args.<dest>` by `is` or `is not`."""
+    out = []
+    for fn in _functions(source, names):
+        for node in ast.walk(fn):
+            if isinstance(node, ast.BoolOp):
+                operands = node.values
+            elif isinstance(node, ast.Compare) and any(
+                    isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops):
+                operands = [node.left, *node.comparators]
+            else:
+                continue
+            if any(_args_option(x, dests) for x in operands):
+                out.append((fn.name, node.lineno))
+    return sorted(out)
+
+
+def options_read(source: str, names, dests) -> dict:
+    """Function name -> the `args.<dest>` options its body reads."""
+    return {fn.name: {node.attr for node in ast.walk(fn)
+                      if _args_option(node, dests)}
+            for fn in _functions(source, names)}
+
+
+def test_fallback_scan_flags_only_option_fallbacks():
+    source = ("def run_a(args, man):\n"
+              "    ts = args.t or [1.0]\n"
+              "    p = 1.5 if args.p is None else args.p\n"
+              "    ok = args.c > 0 and args.d\n"
+              "    return x.t or y, args.seed is not None\n"
+              "def helper(args):\n"
+              "    return args.t or [2.0]\n")
+    dests = {"t", "p", "d", "seed"}
+    assert option_fallbacks(source, {"run_a"}, dests) == [
+        ("run_a", 2), ("run_a", 3), ("run_a", 4), ("run_a", 5)]
+    assert options_read(source, {"run_a"}, dests) == {
+        "run_a": {"t", "p", "d", "seed"}}
+
+
+def test_experiments_read_resolved_options_from_one_table():
+    # every option has its value before an experiment runs: no runner
+    # falls back on one, the table names only options, and each sweep
+    # option a runner reads has a default in its entry, so its manifest
+    # echoes every sweep value it used
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    try:
+        from biharmlab import cli
+    finally:
+        sys.path.pop(0)
+    dests = {key.split(".")[1] for _, key, *_ in cli.OPTIONS}
+    runners = {run.__name__: run for run in cli.EXPERIMENTS.values()}
+    with open(os.path.join(ROOT, PACKAGE, "cli.py"), encoding="utf-8") as fh:
+        source = fh.read()
+    assert option_fallbacks(source, runners, dests) == []
+    read = options_read(source, runners, cli.SWEEP)
+    assert read.keys() == runners.keys()
+    for name, run in runners.items():
+        assert run.defaults.keys() <= dests, name
+        assert read[name] <= run.defaults.keys(), name
