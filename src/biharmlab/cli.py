@@ -90,6 +90,7 @@ OPTIONS = (
 # the options a manifest echoes, where its experiment has a default
 SWEEP = {key.split(".")[1] for _, key, *_ in OPTIONS
          if key.startswith("sweep.")}
+RUN_WIDE = {key.split(".")[1]: default for _, key, _, default, _ in OPTIONS}
 
 
 def read_config(path: str) -> dict:
@@ -128,38 +129,33 @@ def read_config(path: str) -> dict:
     return values
 
 
-def _defaults_text(run) -> str:
-    """An experiment's own defaults, one flag a line."""
-    flags = {key.split(".")[1]: flag for flag, key, *_ in OPTIONS}
-    return "".join(f"\n  {flags[dest]} " + ",".join(
-        map(report.fmt, value if isinstance(value, list) else [value]))
-        for dest, value in run.defaults.items()) or " none"
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Argument parser; its namespace holds only the experiment options
-    given on the command line, and `resolve` gives the others."""
+    given on the command line, and `resolve` gives the others.  An
+    experiment's subcommand takes the [run] options, the [grid] options if
+    its entry in EXPERIMENTS gives n, and each [sweep] option its entry
+    gives a default, each shown with the default that experiment uses;
+    `suite` takes every option, with the run-wide defaults."""
     ap = argparse.ArgumentParser(
         prog="biharmlab",
         description="numerical laboratory for Delta^2 - c|x|^-4 on R^N")
     sub = ap.add_subparsers(dest="cmd", required=True)
-    common = argparse.ArgumentParser(add_help=False,
-                                     argument_default=argparse.SUPPRESS)
-    common.add_argument("--config", default=None, help="key = value config file")
-    for flag, key, typ, default, help_text in OPTIONS:
-        dest = key.split(".")[1]
-        if default is not None:
-            help_text += f" (default {report.fmt(default)})"
-        if typ is bool:
-            common.add_argument(flag, dest=dest, action="store_true",
-                                help=help_text)
-        else:
-            common.add_argument(flag, dest=dest, type=typ, help=help_text)
-    for name, run in EXPERIMENTS.items():
-        sub.add_parser(name, parents=[common],
-                       epilog=f"defaults of {name}:{_defaults_text(run)}",
-                       formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub.add_parser("suite", parents=[common])
+    owns = {name: run.defaults for name, run in EXPERIMENTS.items()}
+    for name, own in {**owns, "suite": RUN_WIDE}.items():
+        sp = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        sp.add_argument("--config", default=None,
+                        help="key = value config file")
+        for flag, key, typ, default, help_text in OPTIONS:
+            section, dest = key.split(".")
+            if section != "run" and (
+                    "n" if section == "grid" else dest) not in own:
+                continue
+            default = own.get(dest, default)
+            if default is not None:
+                shown = ", ".join(map(report.fmt, np.atleast_1d(default)))
+                help_text += f" (default {shown})"
+            kind = {"action": "store_true"} if typ is bool else {"type": typ}
+            sp.add_argument(flag, dest=dest, help=help_text, **kind)
     pp = sub.add_parser("plot")
     pp.add_argument("csv")
     pp.add_argument("--x", required=True, help="x column name")
@@ -198,9 +194,7 @@ def resolve(name: str, flags: argparse.Namespace,
     """Experiment `name`'s option values: for each option, its flag if
     given, else its config-file value, else the experiment's default,
     else the run-wide default in OPTIONS (None if it has none)."""
-    run_wide = {key.split(".")[1]: default
-                for _, key, _, default, _ in OPTIONS}
-    return argparse.Namespace(**{**run_wide, **EXPERIMENTS[name].defaults,
+    return argparse.Namespace(**{**RUN_WIDE, **EXPERIMENTS[name].defaults,
                                  **config, **vars(flags)})
 
 
@@ -459,10 +453,9 @@ def with_defaults(run, **defaults):
 # which rebinds the module's functions in its dicts, times each run.
 # offdiag and distance, whose fits import scipy's optimiser stack (about
 # 16.5 MB resident that is never released), run after riesz, twisted and
-# solve, so that stack is not held under riesz's n = 1024 eigensolve
-# (94.0 MiB in `suite --seed 7`) or twisted's m = 16 box (85.8 MiB).  The
-# suite's peak is offdiag's two-worker kernel phase at n = 1024 (100.2
-# MiB), before its fits load the stack.
+# solve, so that stack is not held under riesz's n = 1024 eigensolve or
+# twisted's m = 16 box.  The suite's peak is offdiag's two-worker kernel
+# phase at n = 1024, before its fits load the stack.
 EXPERIMENTS = {
     "coercivity": with_defaults(run_coercivity, n=512,
                                 t=list(np.geomspace(1e-3, 10.0, 12))),

@@ -387,13 +387,20 @@ def _sym_part_minimizer(tw) -> np.ndarray:
     lowest W-eigenvector of H = F_ij cosh(lam (phi_i - phi_j)), the
     symmetric part of the twisted form u^* e^{lam phi} F e^{-lam phi} u,
     read as q/sqrt(w) from the lowest eigenvector q of the standard form
-    W^{-1/2} H W^{-1/2}."""
-    lp = tw.lam * tw.phi_values
-    s = np.sqrt(tw.base.w)
-    H = tw.base.F * np.cosh(lp[:, None] - lp[None, :])
-    H /= s[:, None]
-    H /= s
-    _, q = sla.eigh(H, subset_by_index=[0, 0], overwrite_a=True)
+    W^{-1/2} H W^{-1/2}.  F = S W^{-1} S - c W V has five bands, formed
+    from S's bands in lower banded storage; no n x n array is formed."""
+    op, lp = tw.base, tw.lam * tw.phi_values
+    a, d, w, s = op.a, op.diag, op.w, np.sqrt(op.w)
+    bands = np.zeros((3, op.n))
+    bands[0] = d * d / w - op.c * w * op.V
+    bands[0, 1:] += a * a / w[:-1]
+    bands[0, :-1] += a * a / w[1:]
+    bands[0] /= w
+    bands[1, :-1] = a * (d[:-1] / w[:-1] + d[1:] / w[1:])
+    bands[2, :-2] = a[:-1] * a[1:] / w[1:-1]
+    for k in (1, 2):
+        bands[k, :-k] *= np.cosh(lp[k:] - lp[:-k]) / (s[k:] * s[:-k])
+    _, q = sla.eig_banded(bands, lower=True, select="i", select_range=(0, 0))
     return q[:, 0] / s
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import operator
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -295,7 +296,7 @@ class TestExitCodes:
 
         monkeypatch.setitem(cli.EXPERIMENTS, "solve",
                             cli.with_defaults(indefinite))
-        code = cli.main(["solve", "--n", "64", "--out", str(tmp_path)])
+        code = cli.main(["solve", "--out", str(tmp_path)])
         assert code == cli.EXIT_CONFIG
         err = capsys.readouterr().err.splitlines()
         assert err.count("error in solve: SpectralError: indefinite "
@@ -616,15 +617,15 @@ class TestOptionResolution:
             assert seen[name] == [0.02, 0.2]
 
     @pytest.mark.parametrize("name, config, argv, R", [
-        ("distance", {}, [], 30.0),             # the run-wide default
-        ("offdiag", {}, [], 40.0),              # the experiment's default
-        ("offdiag", {"R": 50.0}, [], 50.0),     # the config file
-        ("offdiag", {"R": 50.0}, ["--R", "60"], 60.0),      # the flag
-        ("distance", {"R": 50.0}, ["--R", "60"], 60.0),
+        ("distance", {}, ["distance"], 30.0),       # the run-wide default
+        ("offdiag", {}, ["offdiag"], 40.0),         # the experiment's default
+        ("offdiag", {"R": 50.0}, ["offdiag"], 50.0),        # the config file
+        ("offdiag", {"R": 50.0}, ["offdiag", "--R", "60"], 60.0),   # the flag
+        ("distance", {"R": 50.0}, ["suite", "--R", "60"], 60.0),  # via suite
     ])
     def test_flag_beats_config_beats_experiment_beats_run_wide(
             self, name, config, argv, R):
-        flags = build_parser().parse_args([name, *argv])
+        flags = build_parser().parse_args(argv)
         assert cli.resolve(name, flags, config).R == R
 
     def test_config_and_flag_times_reach_the_manifest_and_the_table(
@@ -643,21 +644,79 @@ class TestOptionResolution:
             _, rows = report.read_csv(str(out / "solve" / "solve.csv"))
             assert [float(row[0]) for row in rows] == ts
 
-    @pytest.mark.parametrize("name, lines", [
-        ("offdiag", ["  --n 1024", "  --R 40.0", "  --d 3.0,5.0,8.0,12.0"]),
-        ("rellich", ["  --n 2000", "  --R 1000.0", "  --mode log",
-                     "  --ell-max 8"]),
+    @pytest.mark.parametrize("name, flag, default", [
+        ("offdiag", "--R", "40.0"), ("offdiag", "--n", "1024"),
+        ("offdiag", "--d", "3.0, 5.0, 8.0, 12.0"),
+        ("rellich", "--mode", "log"), ("rellich", "--ell-max", "8"),
+        ("coercivity", "--R", "30.0"), ("suite", "--R", "30.0"),
     ])
-    def test_help_prints_the_experiments_defaults(self, capsys, name, lines):
+    def test_help_shows_the_default_each_experiment_uses(
+            self, capsys, name, flag, default):
+        # its own default, else the run-wide one
         with pytest.raises(SystemExit) as exc:
             cli.main([name, "--help"])
         assert exc.value.code == 0
-        out = capsys.readouterr().out.splitlines()
-        start = out.index(f"defaults of {name}:")
-        assert out[start + 1:start + 1 + len(lines)] == lines
-        # run-wide defaults show in the option list
-        assert any(line.startswith("  --R R ") and "(default 30.0)" in line
-                   for line in out)
+        text = " ".join(capsys.readouterr().out.split())
+        shown = rf" {flag} \S+ [^()]*\(default {re.escape(default)}\)"
+        assert re.search(shown, text), text
+
+    def test_distance_help_lists_only_the_run_options(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["distance", "--help"])
+        assert set(re.findall(r"--[\w-]+", capsys.readouterr().out)) == {
+            "--help", "--config", *RUN_FLAGS}
+
+
+RUN_FLAGS = ("--N", "--c", "--seed", "--out", "--allow-supercritical")
+GRID_FLAGS = ("--n", "--R", "--mode")
+SWEEP_FLAGS = {"t": "--t", "p": "--p", "d": "--d", "lam": "--lam",
+               "ell_max": "--ell-max"}
+# a valid value for each flag
+FLAG_VALUES = {"--N": ["6"], "--c": ["0.5"], "--seed": ["3"],
+               "--out": ["elsewhere"], "--allow-supercritical": [],
+               "--n": ["64"], "--R": ["10"], "--mode": ["log"],
+               "--t": ["0.1,0.2"], "--p": ["1.5"], "--d": ["3,5"],
+               "--lam": ["1"], "--ell-max": ["2"]}
+
+
+def takes(name) -> set:
+    """The flags experiment `name`'s subcommand takes: the run flags, the
+    grid flags if it builds a radial grid, and its sweep flags."""
+    grid = GRID_FLAGS if name != "distance" else ()
+    return {*RUN_FLAGS, *grid, *(SWEEP_FLAGS[k] for k in DEFAULT_SWEEPS[name])}
+
+
+REFUSED = [(name, flag) for name in DEFAULT_SWEEPS for flag in FLAG_VALUES
+           if flag not in takes(name)]
+
+
+class TestSubcommandOptions:
+    def test_parses_the_benchmark_invocations(self):
+        # perfbench's two workloads, with the --seed and --out it adds
+        parse = build_parser().parse_args
+        assert vars(parse(["suite", "--seed", "3", "--out", "o"])) == {
+            "cmd": "suite", "config": None, "seed": 3, "out": "o"}
+        assert vars(parse(["offdiag", "--n", "2048", "--R", "80", "--seed",
+                           "3", "--out", "o"])) == {
+            "cmd": "offdiag", "config": None, "n": 2048, "R": 80.0,
+            "seed": 3, "out": "o"}
+
+    @pytest.mark.parametrize("name, flag", REFUSED)
+    def test_refuses_an_option_its_experiment_does_not_take(
+            self, tmp_path, capsys, name, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([name, flag, *FLAG_VALUES[flag], "--out", str(tmp_path)])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", [*DEFAULT_SWEEPS, "suite"])
+    def test_accepts_every_option_its_experiments_read(self, name):
+        flags = sorted(FLAG_VALUES if name == "suite" else takes(name))
+        argv = [x for flag in flags for x in (flag, *FLAG_VALUES[flag])]
+        parsed = vars(build_parser().parse_args([name, *argv]))
+        assert parsed.keys() == {"cmd", "config",
+                                 *(f[2:].replace("-", "_") for f in flags)}
 
 
 # the suite's checks in the order it records them

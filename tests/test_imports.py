@@ -236,6 +236,30 @@ def options_read(source: str, names, dests) -> dict:
             for fn in _functions(source, names)}
 
 
+def sweep_mismatches(source: str, defaults: dict, sweep) -> list:
+    """(runner, option, why) for each sweep option a runner reads whose
+    entry gives it no default ("no default"), and each one its entry gives
+    a default that the runner does not read ("unread"); `defaults` maps a
+    runner's name to its entry's defaults."""
+    read = options_read(source, defaults, sweep)
+    out = []
+    for name, own in defaults.items():
+        given, used = own.keys() & sweep, read.get(name, set())
+        out += [(name, dest, "no default") for dest in used - given]
+        out += [(name, dest, "unread") for dest in given - used]
+    return sorted(out)
+
+
+def test_sweep_scan_flags_unread_and_undefaulted_options():
+    source = ("def run_a(args, man):\n"
+              "    return args.t, args.c, args.n\n"
+              "def run_b(args, man):\n"
+              "    return args.p\n")
+    defaults = {"run_a": {"t": [1.0], "d": [2.0], "n": 64}, "run_b": {}}
+    assert sweep_mismatches(source, defaults, {"t", "p", "d"}) == [
+        ("run_a", "d", "unread"), ("run_b", "p", "no default")]
+
+
 def test_fallback_scan_flags_only_option_fallbacks():
     source = ("def run_a(args, man):\n"
               "    ts = args.t or [1.0]\n"
@@ -253,9 +277,10 @@ def test_fallback_scan_flags_only_option_fallbacks():
 
 def test_experiments_read_resolved_options_from_one_table():
     # every option has its value before an experiment runs: no runner
-    # falls back on one, the table names only options, and each sweep
-    # option a runner reads has a default in its entry, so its manifest
-    # echoes every sweep value it used
+    # falls back on one, the table names only options, and the sweep
+    # options a runner reads are those its entry gives a default, so its
+    # manifest echoes every sweep value it used and its subcommand takes
+    # no sweep option that it ignores
     sys.path.insert(0, os.path.join(ROOT, "src"))
     try:
         from biharmlab import cli
@@ -266,8 +291,8 @@ def test_experiments_read_resolved_options_from_one_table():
     with open(os.path.join(ROOT, PACKAGE, "cli.py"), encoding="utf-8") as fh:
         source = fh.read()
     assert option_fallbacks(source, runners, dests) == []
-    read = options_read(source, runners, cli.SWEEP)
-    assert read.keys() == runners.keys()
+    assert options_read(source, runners, cli.SWEEP).keys() == runners.keys()
     for name, run in runners.items():
         assert run.defaults.keys() <= dests, name
-        assert read[name] <= run.defaults.keys(), name
+    assert sweep_mismatches(source, {name: run.defaults for name, run
+                                     in runners.items()}, cli.SWEEP) == []

@@ -235,6 +235,23 @@ class TestTwistedOperator:
             du = scale * rng.standard_normal(op_c1.n) * np.max(np.abs(u_star))
             assert q_star <= quotient(u_star + du) + 1e-12 * abs(q_star)
 
+    @pytest.mark.parametrize("c", [0.0, 1.0])
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.0])
+    def test_banded_minimizer_matches_the_dense_pencil(self, c, lam):
+        # the minimiser's Rayleigh quotient is the lowest eigenvalue of
+        # (F o cosh, W) to 1e-10 relative, or to round-off in the pencil's
+        # scale: at lam = 0 that eigenvalue is 3e-10 of the scale
+        grid = build_radial_grid(5, 30.0, 256, "uniform")
+        op = assemble_sector(grid, 0, c)
+        phi = make_phi(np.zeros(5), 2.0, b=-15.0, kind="radial", grid=grid)
+        tw = twist(op, lam, phi)
+        lp = tw.lam * tw.phi_values
+        H = op.F * np.cosh(lp[:, None] - lp[None, :])
+        mu = sla.eigh(H, np.diag(op.w), eigvals_only=True)
+        u = _sym_part_minimizer(tw)
+        assert (u @ H @ u) / (op.w @ u**2) == pytest.approx(
+            mu[0], rel=1e-10, abs=1e-16 * np.max(np.abs(mu)))
+
     def test_lambda_zero_is_identity_conjugation(self, grid128, op_c1, rng):
         phi = make_phi(np.zeros(5), 2.0, b=-8.0, kind="radial", grid=grid128)
         tw = twist(op_c1, 0.0, phi)
