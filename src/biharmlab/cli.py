@@ -21,6 +21,7 @@ import os
 import sys
 
 import numpy as np
+import scipy
 
 from . import report
 from .estimates import (davies_distance, decay_fit, laplacian_decay_fit,
@@ -29,7 +30,7 @@ from .estimates import (davies_distance, decay_fit, laplacian_decay_fit,
                         solve_parabolic, twisted_decay_suite)
 from .grids import (GridError, build_box_grid, build_radial_grid, make_phi,
                     probe_functions)
-from .norms import corner_norm, pin_blas_threads
+from .norms import blas_libraries, corner_norm, pin_blas_threads
 from .operators import (TWISTED_PLANES, OperatorError, assemble_box,
                         assemble_sector, paper_rellich_constant,
                         twisted_form_terms)
@@ -129,6 +130,18 @@ def read_config(path: str) -> dict:
     return values
 
 
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser: it refuses an argument it does not take with
+    its own usage, which lists the options it does take; argparse would
+    leave that to the top-level parser and its usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Argument parser; its namespace holds only the experiment options
     given on the command line, and `resolve` gives the others.  An
@@ -139,7 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="biharmlab",
         description="numerical laboratory for Delta^2 - c|x|^-4 on R^N")
-    sub = ap.add_subparsers(dest="cmd", required=True)
+    sub = ap.add_subparsers(dest="cmd", required=True,
+                            parser_class=_Subcommand)
     owns = {name: run.defaults for name, run in EXPERIMENTS.items()}
     for name, own in {**owns, "suite": RUN_WIDE}.items():
         sp = sub.add_parser(name, argument_default=argparse.SUPPRESS)
@@ -552,6 +566,10 @@ def main(argv=None) -> int:
 
     _fix_mmap_threshold()
     restore, pinned = pin_blas_threads()
+    runtime = {"blas_pinned": pinned, "numpy_version": np.__version__,
+               "scipy_version": scipy.__version__,
+               "blas_libraries": [os.path.basename(path)
+                                  for path in blas_libraries()]}
     if not pinned:
         print("warning: BLAS threads are not pinned; CSVs may differ "
               "between thread counts", file=sys.stderr)
@@ -566,7 +584,7 @@ def main(argv=None) -> int:
                                       "sweep": sweep},
                                      os.path.join(args.out, name),
                                      report_only[name])
-            man.runtime["blas_pinned"] = pinned
+            man.runtime.update(runtime)
             try:
                 run(args, man)
             except (GridError, OperatorError, SpectralError, ValueError,

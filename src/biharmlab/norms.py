@@ -56,7 +56,7 @@ _OPENBLAS_SYMBOLS = (("scipy_openblas_", "64_"), ("scipy_openblas_", ""),
                      ("openblas_", "64_"), ("openblas_", ""))
 
 
-def _blas_libraries() -> list:
+def blas_libraries() -> list:
     """Paths of the BLAS libraries mapped into this process: shared
     libraries whose file name holds `blas`, `blis` or `mkl` (OpenBLAS,
     reference BLAS, FlexiBLAS, BLIS, MKL).  Empty where /proc/self/maps
@@ -78,7 +78,7 @@ def _blas_thread_handles() -> list:
     into this process, bound through ctypes; None for a library that
     cannot be loaded or has no OpenBLAS thread symbols."""
     handles = []
-    for path in _blas_libraries():
+    for path in blas_libraries():
         try:
             lib = ctypes.CDLL(path)
         except OSError:

@@ -106,7 +106,8 @@ class RunManifest:
     inherits) and its peak memory so far, written atomically at the end
     of the run.  A report-only run records no checks.  `runtime` holds
     facts of the run that do not change its numbers (BLAS pinning,
-    thread counts); `numerics` holds the numerical health the experiment
+    thread counts, the numpy and scipy versions and the BLAS libraries
+    mapped); `numerics` holds the numerical health the experiment
     computed (offdiag's ratio floor and the ratios excluded below it);
     `error` holds the error that stopped the experiment, if one did."""
 

@@ -1,10 +1,14 @@
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from biharmlab import (assemble_sector, build_box_grid, build_radial_grid,
-                       assemble_box, norms)
+                       assemble_box, cli, norms)
 
 ACCEPTANCE_LINES = []
 
@@ -88,3 +92,52 @@ def traced_peak():
             tracemalloc.stop()
         return peak, result
     return measure
+
+
+# runs `suite --seed 7` into argv[2] with each experiment wrapped to
+# record whether scipy's optimiser stack is loaded when it starts, writes
+# that, in run order, with the state at the end to argv[1], and exits
+# with the suite's code
+OPTIMIZER_PROBE_RUN = """
+import functools, json, sys
+import biharmlab.cli as cli
+seen = {}
+
+
+def probed(name, run):
+    @functools.wraps(run)          # keeps the runner's defaults
+    def wrapped(args, man):
+        seen[name] = "scipy.optimize" in sys.modules
+        return run(args, man)
+    return wrapped
+
+
+for name, run in list(cli.EXPERIMENTS.items()):
+    cli.EXPERIMENTS[name] = probed(name, run)
+rc = cli.main(["suite", "--seed", "7", "--out", sys.argv[2]])
+with open(sys.argv[1], "w") as fh:
+    json.dump({"rc": rc, "at_start": list(seen.items()),
+               "at_end": "scipy.optimize" in sys.modules}, fh)
+sys.exit(rc)
+"""
+
+
+@pytest.fixture(scope="session")
+def suite_run(tmp_path_factory):
+    """The default `suite --seed 7`, run once per session at one BLAS
+    thread in a fresh interpreter under the optimiser-stack probe: (the
+    probe's record, the output directory).  Its two known failures,
+    `rellich_within_10pct` and `riesz_l2_bound`, make it exit 1; no
+    experiment may stop on an error."""
+    tmp = tmp_path_factory.mktemp("suite_run")
+    result = tmp / "probe.json"
+    res = subprocess.run(
+        [sys.executable, "-c", OPTIMIZER_PROBE_RUN, str(result),
+         str(tmp / "out")],
+        capture_output=True, text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
+             "OMP_NUM_THREADS": "1",
+             "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))})
+    assert res.returncode == cli.EXIT_ASSERT, res.stderr
+    assert "error in" not in res.stderr, res.stderr
+    return json.loads(result.read_text()), tmp / "out"

@@ -10,6 +10,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+import scipy
 
 from biharmlab import (build_radial_grid, cli, norms, operators, report,
                        spectral)
@@ -31,11 +32,11 @@ def resolved(name, *argv):
     return cli.resolve(name, build_parser().parse_args([name, *argv]), {})
 
 
-def run_cli(*args, cwd=None, env=None):
+def run_cli(*args, env=None):
     """Run the CLI in a child process; `env` entries override the
     inherited environment."""
     return subprocess.run([sys.executable, "-m", "biharmlab.cli", *args],
-                          capture_output=True, text=True, cwd=cwd,
+                          capture_output=True, text=True,
                           env=None if env is None else {**os.environ, **env})
 
 
@@ -66,9 +67,9 @@ class TestConfigParsing:
     def test_explicit_flag_beats_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[sweep]\nell_max = 2\n")
-        res = run_cli("rellich", "--config", str(cfg), "--ell-max", "8",
-                      "--n", "200", "--out", str(tmp_path))
-        assert res.returncode in (0, 1), res.stderr
+        code = cli.main(["rellich", "--config", str(cfg), "--ell-max", "8",
+                         "--n", "200", "--out", str(tmp_path)])
+        assert code in (cli.EXIT_OK, cli.EXIT_ASSERT)
         _, rows = report.read_csv(str(tmp_path / "rellich" / "rellich.csv"))
         assert [int(r[0]) for r in rows] == list(range(9))
 
@@ -97,14 +98,15 @@ class TestConfigParsing:
 
 class TestExitCodes:
     def test_low_dimension_is_config_error(self, tmp_path):
-        res = run_cli("solve", "--N", "4", "--out", str(tmp_path))
-        assert res.returncode == 2
+        code = cli.main(["solve", "--N", "4", "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
 
     def test_unknown_config_key_is_config_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[run]\nbogus=1\n")
-        res = run_cli("solve", "--config", str(cfg), "--out", str(tmp_path))
-        assert res.returncode == 2
+        code = cli.main(["solve", "--config", str(cfg),
+                         "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
 
     @pytest.mark.parametrize("text", ["[tolerances]\nslope_tol = 0.1\n",
                                       "[grid]\nm = 8\n",
@@ -115,19 +117,21 @@ class TestExitCodes:
     def test_unused_or_malformed_config_is_config_error(self, tmp_path, text):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
-        res = run_cli("solve", "--config", str(cfg), "--n", "64",
-                      "--out", str(tmp_path))
-        assert res.returncode == 2
+        code = cli.main(["solve", "--config", str(cfg), "--n", "64",
+                         "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
         assert not (tmp_path / "solve").exists()
 
     def test_supercritical_requires_flag(self, tmp_path):
-        res = run_cli("solve", "--c", "2.0", "--out", str(tmp_path))
-        assert res.returncode == 2
-        res = run_cli("solve", "--c", "2.0", "--allow-supercritical",
-                      "--n", "64", "--out", str(tmp_path))
-        assert res.returncode in (0, 1)
+        code = cli.main(["solve", "--c", "2.0", "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        with pytest.warns(UserWarning, match="may be indefinite"):
+            code = cli.main(["solve", "--c", "2.0", "--allow-supercritical",
+                             "--n", "64", "--out", str(tmp_path)])
+        assert code in (cli.EXIT_OK, cli.EXIT_ASSERT)
 
     def test_solve_passes(self, tmp_path):
+        # the module entry point, `python -m biharmlab.cli`, end to end
         res = run_cli("solve", "--n", "64", "--out", str(tmp_path))
         assert res.returncode == 0
         assert "[PASS]" in res.stdout
@@ -557,10 +561,10 @@ class TestExitCodes:
         names = [chk["name"] for chk in man["checks"]]
         assert names == ["decay_slope_c0.0_qinf", "decay_slope_c0.0_q10.0"]
 
-    def test_rellich_failed_check_exits_one(self, tmp_path):
-        res = run_cli("rellich", "--n", "400", "--out", str(tmp_path))
-        assert res.returncode == 1
-        assert "[FAIL]" in res.stdout
+    def test_rellich_failed_check_exits_one(self, tmp_path, capsys):
+        code = cli.main(["rellich", "--n", "400", "--out", str(tmp_path)])
+        assert code == cli.EXIT_ASSERT
+        assert "[FAIL]" in capsys.readouterr().out
 
 
 # each experiment's sweep options and their defaults, as its manifest
@@ -707,7 +711,11 @@ class TestSubcommandOptions:
         with pytest.raises(SystemExit) as exc:
             cli.main([name, flag, *FLAG_VALUES[flag], "--out", str(tmp_path)])
         assert exc.value.code == cli.EXIT_CONFIG
-        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # the subcommand's usage, which lists the options it takes
+        assert err.startswith(f"usage: biharmlab {name} [-h]")
+        assert (f"biharmlab {name}: error: unrecognized arguments: "
+                f"{' '.join([flag, *FLAG_VALUES[flag]])}\n") in err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("name", [*DEFAULT_SWEEPS, "suite"])
@@ -733,54 +741,11 @@ SUITE_CHECKS = (
     "davies_distance_bracket", "lambda_optimizer")
 
 
-# runs `suite --seed 7` into argv[2] with each experiment wrapped to
-# record whether scipy's optimiser stack is loaded when it starts, and
-# writes that, in run order, with the state at the end to argv[1]
-OPTIMIZER_PROBE_RUN = """
-import functools, json, sys
-import biharmlab.cli as cli
-seen = {}
-
-
-def probed(name, run):
-    @functools.wraps(run)          # keeps the runner's defaults
-    def wrapped(args, man):
-        seen[name] = "scipy.optimize" in sys.modules
-        return run(args, man)
-    return wrapped
-
-
-for name, run in list(cli.EXPERIMENTS.items()):
-    cli.EXPERIMENTS[name] = probed(name, run)
-rc = cli.main(["suite", "--seed", "7", "--out", sys.argv[2]])
-with open(sys.argv[1], "w") as fh:
-    json.dump({"rc": rc, "at_start": list(seen.items()),
-               "at_end": "scipy.optimize" in sys.modules}, fh)
-"""
-
-
-@pytest.fixture(scope="module")
-def probed_suite(tmp_path_factory):
-    """The default suite run once in a fresh interpreter: (the probe's
-    record, the output directory)."""
-    tmp = tmp_path_factory.mktemp("probed_suite")
-    result = tmp / "probe.json"
-    res = subprocess.run(
-        [sys.executable, "-c", OPTIMIZER_PROBE_RUN, str(result),
-         str(tmp / "out")],
-        capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": os.path.dirname(
-            os.path.dirname(cli.__file__))})
-    assert res.returncode == 0, res.stderr
-    return json.loads(result.read_text()), tmp / "out"
-
-
 class TestSuiteOrder:
-    def test_optimizer_stack_loads_after_the_largest_arrays(self,
-                                                            probed_suite):
+    def test_optimizer_stack_loads_after_the_largest_arrays(self, suite_run):
         # scipy.optimize stays resident once imported, so it must not be
         # under the peaks of riesz's eigensolves and twisted's box grid
-        probe, _ = probed_suite
+        probe, _ = suite_run
         assert probe["rc"] == cli.EXIT_ASSERT      # the two known failures
         names = [name for name, _ in probe["at_start"]]
         assert names == list(cli.EXPERIMENTS)
@@ -789,8 +754,8 @@ class TestSuiteOrder:
         assert all(names.index(name) > last for name in loaded)
         assert probe["at_end"] is True         # the probe can see it
 
-    def test_manifests_record_inherited_memory(self, probed_suite):
-        _, out = probed_suite
+    def test_manifests_record_inherited_memory(self, suite_run):
+        _, out = suite_run
         starts = {}
         for name in cli.EXPERIMENTS:
             man = json.loads((out / name / "manifest.json").read_text())
@@ -802,31 +767,16 @@ class TestSuiteOrder:
 
 
 class TestBenchmarkReference:
-    def test_suite_csvs_match_the_reference(self, tmp_path):
-        # the benchmark's own comparison, at its tolerance; reads only
+    def test_suite_csvs_match_the_reference(self, suite_run):
+        # the benchmark's own comparison, at its tolerance, of the shared
+        # `suite --seed 7` run; reads only
         spec = importlib.util.spec_from_file_location(
             "perfbench_check", os.path.join(PERFBENCH, "check.py"))
         check = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(check)
-        flags = build_parser().parse_args(["suite", "--seed", "7",
-                                           "--out", str(tmp_path)])
-        mans = {}
-        restore, _ = norms.pin_blas_threads()
-        try:
-            for name, run in (("coercivity", cli.run_coercivity),
-                              ("decay", cli.run_decay),
-                              ("solve", cli.run_solve),
-                              ("twisted", cli.run_twisted),
-                              ("distance", cli.run_distance),
-                              ("offdiag", cli.run_offdiag),
-                              ("riesz", cli.run_riesz),
-                              ("rellich", cli.run_rellich)):
-                mans[name] = report.RunManifest({}, str(tmp_path / name),
-                                                False)
-                run(cli.resolve(name, flags, {}), mans[name])
-        finally:
-            restore()
-        checks = [chk for name in cli.EXPERIMENTS for chk in mans[name].checks]
+        _, out = suite_run
+        checks = [chk for name in cli.EXPERIMENTS for chk in json.loads(
+            (out / name / "manifest.json").read_text())["checks"]]
         failing = {"rellich_within_10pct", "riesz_l2_bound"}
         assert [(chk["name"], chk["pass"]) for chk in checks] == [
             (name, name not in failing) for name in SUITE_CHECKS]
@@ -840,7 +790,7 @@ class TestBenchmarkReference:
                     "distance/distance.csv", "offdiag/offdiag.csv",
                     "riesz/riesz.csv", "rellich/rellich.csv"):
             ref = os.path.join(PERFBENCH, "reference", "suite", rel)
-            got = check.read_table(str(tmp_path / rel))
+            got = check.read_table(str(out / rel))
             rtol = check.RTOL_FILE.get(("suite", rel), check.RTOL)
             assert check.compare_table(got, check.read_table(ref), rtol) == []
 
@@ -924,53 +874,55 @@ class TestPlot:
         report.write_csv(str(csv), ("t", "y"),
                          [(t, t**-0.5) for t in np.geomspace(0.01, 1, 10)])
         out = tmp_path / "plot.svg"
-        res = run_cli("plot", str(csv), "--x", "t", "--y", "y", "--logx",
-                      "--logy", "--guide", "-0.5", "--out", str(out))
-        assert res.returncode == 0
+        code = cli.main(["plot", str(csv), "--x", "t", "--y", "y", "--logx",
+                         "--logy", "--guide", "-0.5", "--out", str(out)])
+        assert code == cli.EXIT_OK
         root = ET.parse(out).getroot()
         assert root.tag.endswith("svg")
 
     def test_missing_column_is_config_error(self, tmp_path):
         csv = tmp_path / "data.csv"
         report.write_csv(str(csv), ("a", "b"), [(1, 2)])
-        res = run_cli("plot", str(csv), "--x", "t", "--y", "b",
-                      "--out", str(tmp_path / "p.svg"))
-        assert res.returncode == 2
+        code = cli.main(["plot", str(csv), "--x", "t", "--y", "b",
+                         "--out", str(tmp_path / "p.svg")])
+        assert code == cli.EXIT_CONFIG
 
-
-    def test_missing_csv_is_config_error(self, tmp_path):
-        res = run_cli("plot", str(tmp_path / "none.csv"), "--x", "t",
-                      "--y", "y")
-        assert res.returncode == 2
-        assert res.stderr.startswith(f"cannot read {tmp_path / 'none.csv'}:")
-        assert len(res.stderr.splitlines()) == 1
+    def test_missing_csv_is_config_error(self, tmp_path, capsys):
+        code = cli.main(["plot", str(tmp_path / "none.csv"), "--x", "t",
+                         "--y", "y"])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot read {tmp_path / 'none.csv'}:")
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("guide", ["abc", "nan", "0.5,inf"])
-    def test_bad_guide_is_config_error(self, tmp_path, guide):
+    def test_bad_guide_is_config_error(self, tmp_path, capsys, guide):
         csv = tmp_path / "data.csv"
         report.write_csv(str(csv), ("t", "y"), [(1, 2)])
-        res = run_cli("plot", str(csv), "--x", "t", "--y", "y",
-                      "--guide", guide, "--out", str(tmp_path / "p.svg"))
-        assert res.returncode == 2
-        assert res.stderr.startswith(f"bad --guide {guide!r}: ")
-        assert len(res.stderr.splitlines()) == 1
+        code = cli.main(["plot", str(csv), "--x", "t", "--y", "y",
+                         "--guide", guide, "--out", str(tmp_path / "p.svg")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"bad --guide {guide!r}: ")
+        assert len(err.splitlines()) == 1
         assert not (tmp_path / "p.svg").exists()
 
-    def test_empty_csv_is_config_error(self, tmp_path):
+    def test_empty_csv_is_config_error(self, tmp_path, capsys):
         csv = tmp_path / "empty.csv"
         csv.write_text("")
-        res = run_cli("plot", str(csv), "--x", "t", "--y", "y")
-        assert res.returncode == 2
-        assert res.stderr == f"cannot read {csv}: no header line\n"
+        code = cli.main(["plot", str(csv), "--x", "t", "--y", "y"])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"cannot read {csv}: no header line\n")
 
-    def test_ragged_csv_is_config_error(self, tmp_path):
+    def test_ragged_csv_is_config_error(self, tmp_path, capsys):
         csv = tmp_path / "ragged.csv"
         csv.write_text("t,y\n1,2\n3\n4,5\n")
-        res = run_cli("plot", str(csv), "--x", "t", "--y", "y",
-                      "--out", str(tmp_path / "p.svg"))
-        assert res.returncode == 2
-        assert res.stderr == (f"cannot read {csv}: line 3 has 1 cells, "
-                              "the header 2\n")
+        code = cli.main(["plot", str(csv), "--x", "t", "--y", "y",
+                         "--out", str(tmp_path / "p.svg")])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"cannot read {csv}: line 3 has 1 cells, the header 2\n")
         assert not (tmp_path / "p.svg").exists()
 
 
@@ -1124,8 +1076,9 @@ class TestDeterminism:
             assert code in (cli.EXIT_OK, cli.EXIT_ASSERT)
             csvs.append((out / "offdiag" / "offdiag.csv").read_bytes())
             body = json.loads((out / "offdiag" / "manifest.json").read_text())
-            assert set(body["runtime"]) == {"blas_pinned", "kernel_workers",
-                                            "numpy_dgesdd"}
+            assert set(body["runtime"]) == {
+                "blas_pinned", "kernel_workers", "numpy_dgesdd",
+                "numpy_version", "scipy_version", "blas_libraries"}
             workers.append(body["runtime"]["kernel_workers"])
             threads = (body["runtime"]["numpy_dgesdd"]
                        and body["runtime"]["blas_pinned"])
@@ -1134,17 +1087,33 @@ class TestDeterminism:
 
     def test_warns_when_blas_threads_cannot_be_pinned(self, tmp_path,
                                                       monkeypatch, capsys):
-        monkeypatch.setattr(norms, "_blas_libraries", lambda: [])
+        # seen by the pin and where the CLI binds the name by import
+        for module in (norms, cli):
+            monkeypatch.setattr(module, "blas_libraries", lambda: [])
         code = cli.main(["solve", "--n", "64", "--out", str(tmp_path)])
         assert code == cli.EXIT_OK
         err = capsys.readouterr().err
         assert "BLAS threads are not pinned" in err
         body = json.loads((tmp_path / "solve" / "manifest.json").read_text())
-        assert body["runtime"] == {"blas_pinned": False}
+        assert body["runtime"] == {
+            "blas_pinned": False, "numpy_version": np.__version__,
+            "scipy_version": scipy.__version__, "blas_libraries": []}
+
+    def test_manifest_records_the_library_versions(self, tmp_path):
+        code = cli.main(["solve", "--n", "64", "--out", str(tmp_path)])
+        assert code == cli.EXIT_OK
+        runtime = json.loads((tmp_path / "solve" / "manifest.json")
+                             .read_text())["runtime"]
+        assert runtime["numpy_version"] == np.__version__
+        assert runtime["scipy_version"] == scipy.__version__
+        # file names, not paths, of the libraries the BLAS pin reads
+        assert runtime["blas_libraries"] == [
+            os.path.basename(path) for path in norms.blas_libraries()]
+        assert runtime["blas_libraries"]
 
     def test_unsettable_blas_library_is_reported(self, monkeypatch):
-        libs = norms._blas_libraries() + ["libm.so.6"]
-        monkeypatch.setattr(norms, "_blas_libraries", lambda: libs)
+        libs = norms.blas_libraries() + ["libm.so.6"]
+        monkeypatch.setattr(norms, "blas_libraries", lambda: libs)
         restore, pinned = norms.pin_blas_threads()
         restore()
         assert not pinned

@@ -1,8 +1,9 @@
 """Every imported name is used, no package module imports another's
-private names, and every public function, class and method of the
-package has a user outside the tests: `ast` scans of the package, its
-tests, its demos and its benchmark.  The CLI loads scipy's optimiser and
-sparse stacks only where they are used."""
+private names, every public function, class and method of the package
+has a user outside the tests, and every test or fixture that starts a
+child process says why: `ast` scans of the package, its tests, its demos
+and its benchmark.  The CLI loads scipy's optimiser and sparse stacks
+only where they are used."""
 
 import ast
 import glob
@@ -25,6 +26,29 @@ KEPT = {
                                "manifest",
     "coords": "the test reference for BoxGrid.radii_sq and BoxGrid.dot",
     "apply_A": "a test reference until ROADMAP direction 16",
+    "parse_known_args": "argparse calls it on a subcommand's parser",
+}
+
+# test functions and fixtures under tests/ that start a child process,
+# each kept for the reason given: what only a fresh process shows.  Every
+# other test calls `cli.main` in-process.
+CHILD_PROCESS = {
+    "conftest.py::suite_run": "import order: the optimiser-stack probe "
+                              "needs a fresh interpreter",
+    "test_acceptance.py::test_criterion_11_determinism":
+        "thread environment: reruns the suite at 1 and 8 BLAS threads",
+    "test_cli.py::TestExitCodes::test_solve_passes":
+        "python -m: the module entry point",
+    "test_cli.py::TestTrace::test_traced_offdiag_keeps_one_nested_span_tree":
+        "tracer: it rebinds the package's functions for its whole process",
+    "test_cli.py::TestDeterminism::test_repeat_run_bit_identical":
+        "python -m: two fresh interpreters write the same table",
+    "test_cli.py::TestDeterminism::"
+    "test_csv_identical_across_blas_thread_counts":
+        "thread environment: OPENBLAS_NUM_THREADS is read at start-up",
+    "test_demos.py::test_demo_runs": "demo script",
+    "test_imports.py::test_cli_import_defers_the_optimiser_and_sparse_stacks":
+        "import order: what importing the CLI loads",
 }
 
 
@@ -180,6 +204,72 @@ def test_definition_scan_flags_only_unnamed_ones():
                        "    def _r(self):\n        pass\n"}
     others = ["import a\na.h()\nc.D().n()\nx.q\n"]
     assert unnamed_definitions(package, others) == ["f", "m"]
+
+
+def _starts_child(call) -> bool:
+    """Whether a call is subprocess.run, subprocess.Popen or run_cli."""
+    fn = call.func
+    if isinstance(fn, ast.Name):
+        return fn.id == "run_cli"
+    return (isinstance(fn, ast.Attribute) and fn.attr in ("run", "Popen")
+            and isinstance(fn.value, ast.Name) and fn.value.id == "subprocess")
+
+
+def _is_fixture(fn) -> bool:
+    for dec in fn.decorator_list:
+        dec = dec.func if isinstance(dec, ast.Call) else dec
+        if (isinstance(dec, ast.Attribute) and dec.attr == "fixture"
+                or isinstance(dec, ast.Name) and dec.id == "fixture"):
+            return True
+    return False
+
+
+def child_process_starters(source: str) -> list:
+    """`name` or `Class::name` of each test function or fixture, module
+    level or in a class, whose body, nested functions included, calls
+    subprocess.run, subprocess.Popen or run_cli."""
+    out = []
+
+    def visit(body, prefix):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, f"{prefix}{node.name}::")
+            elif (isinstance(node, ast.FunctionDef)
+                  and (node.name.startswith("test") or _is_fixture(node))
+                  and any(isinstance(call, ast.Call) and _starts_child(call)
+                          for call in ast.walk(node))):
+                out.append(prefix + node.name)
+
+    visit(ast.parse(source).body, "")
+    return out
+
+
+def test_child_process_scan_flags_only_tests_and_fixtures():
+    source = ("import subprocess\nimport pytest\n"
+              "def run_cli(*args):\n    return subprocess.run(args)\n"
+              "@pytest.fixture(scope='session')\n"
+              "def shared():\n    return subprocess.Popen(['x'])\n"
+              "@pytest.fixture\ndef quiet():\n    return other.run()\n"
+              "def test_a():\n    run_cli('solve')\n"
+              "def test_b():\n"
+              "    def run():\n        subprocess.run(['y'])\n"
+              "    run()\n"
+              "def test_c():\n    cli.main([])\n"
+              "class TestD:\n"
+              "    def test_e(self):\n        assert run_cli('x')\n"
+              "    def helper(self):\n        subprocess.run([])\n")
+    assert child_process_starters(source) == ["shared", "test_a", "test_b",
+                                              "TestD::test_e"]
+
+
+def test_every_child_process_is_listed():
+    found = []
+    for path in _sources():
+        if path.startswith("tests" + os.sep):
+            with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+                found += [f"{os.path.basename(path)}::{name}"
+                          for name in child_process_starters(fh.read())]
+    assert sorted(found) == sorted(CHILD_PROCESS)
 
 
 def _read(paths) -> dict:
