@@ -13,8 +13,7 @@ import math
 
 import numpy as np
 
-from biharmlab import (SemigroupEvaluator, assemble_sector, build_radial_grid,
-                       decay_fit)
+from biharmlab import assemble_sector, build_radial_grid, decay_fit
 from biharmlab.report import svg_plot
 
 grid = build_radial_grid(5, 30.0, 512)
@@ -22,9 +21,9 @@ ts = list(np.geomspace(0.01, 0.1, 9))
 
 series = []
 for c in (0.0, 1.0):
-    ev = SemigroupEvaluator(assemble_sector(grid, 0, c))
+    op = assemble_sector(grid, 0, c)
     for q, tgt in ((math.inf, -5.0 / 8.0), (10.0, -0.5)):
-        fit = decay_fit(ev, 2.0, q, ts)
+        fit = decay_fit(op, 2.0, q, ts)
         rel = abs(fit.exponent - tgt) / abs(tgt)
         print(f"c = {c}: ||e^-tA||_2->{q:g} slope {fit.exponent:+.4f} "
               f"(target {tgt:+.4f}, rel err {rel:.3f})")

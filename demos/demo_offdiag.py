@@ -11,16 +11,15 @@ restricted-to-full norm ratios, and fit both exponents.
 
 import numpy as np
 
-from biharmlab import (SemigroupEvaluator, assemble_sector, build_radial_grid,
-                       offdiag_fit)
+from biharmlab import assemble_sector, build_radial_grid, offdiag_fit
 
 grid = build_radial_grid(5, 40.0, 1024)
-ev = SemigroupEvaluator(assemble_sector(grid, 0, 1.0))
+op = assemble_sector(grid, 0, 1.0)
 
 ds = [3.0, 5.0, 8.0, 12.0]
 ts = list(np.geomspace(1e-3, 1e-2, 8))
 
-res = offdiag_fit(ev, ds, ts)
+res = offdiag_fit(op, ds, ts)
 
 print("distance-exponent fits  -log(ratio) = b + s d^e  per time:")
 for fit in res["distance_fits"]:

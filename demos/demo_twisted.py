@@ -18,8 +18,7 @@ import numpy as np
 from biharmlab import (assemble_box, assemble_sector, build_box_grid,
                        build_radial_grid, forme_inequality_check, make_phi,
                        paper_rellich_constant, probe_functions, twist,
-                       twisted_decay_suite, twisted_form_terms)
-from biharmlab.cli import box_probe
+                       twisted_decay_suite, twisted_expansion_study)
 from biharmlab.grids import TANH_HESS_MAX
 
 
@@ -37,23 +36,17 @@ def shifted_quotients(tw, k, samples, seed):
     return np.asarray(quots)
 
 
-# expansion identity: discrepancy between the term sum and the direct
-# difference shrinks at order >= 1.5 in h
-lam = 0.7
+# expansion identity at lambda = 0.7: discrepancy between the term sum
+# and the direct difference shrinks at order >= 1.5 in h, with the probe
+# u = e^{-|x|^2} (1 + 0.3i x_0) built one axis-0 plane at a time
 print("twisted-form expansion refinement:")
-prev = None
-for m in (8, 12, 16):
-    g = build_box_grid(5, m, 2.5)
-    op = assemble_box(g, 1.0)
-    # u = e^{-|x|^2} (1 + 0.3i x_0), built one axis-0 plane at a time
-    phi = make_phi(np.array([0.8, 0.6, 0, 0, 0]), 2.0, 0.2)
-    d = twisted_form_terms(op, box_probe(g), lam, phi)["discrepancy"]
-    line = f"  m = {m:2d}  h = {g.h:.4f}  discrepancy {d:.4f}"
-    if prev is not None:
-        order = math.log(prev[0] / d) / math.log(prev[1] / g.h)
+phi = make_phi(np.array([0.8, 0.6, 0, 0, 0]), 2.0, 0.2)
+rows, orders = twisted_expansion_study(5, 1.0, phi)
+for (m, h, d), order in zip(rows, [None, *orders]):
+    line = f"  m = {m:2d}  h = {h:.4f}  discrepancy {d:.4f}"
+    if order is not None:
         line += f"  order {order:.2f}"
     print(line)
-    prev = (d, g.h)
 
 # form inequality on sampled (u, lambda, phi)
 g = build_box_grid(5, 8, 2.5)

@@ -11,7 +11,8 @@ from .grids import (BoxGrid, PhiFamily, RadialGrid, build_box_grid,
                     build_radial_grid, make_phi, probe_functions, sphere_area)
 from .operators import (BoxOperator, SectorOperator, TwistedOperator,
                         assemble_box, assemble_sector, forme_inequality_check,
-                        paper_rellich_constant, twist, twisted_form_terms)
+                        paper_rellich_constant, twist,
+                        twisted_expansion_study, twisted_form_terms)
 from .spectral import (KernelMatrix, SemigroupEvaluator, SpectralDecomposition,
                        eigendecompose, inv_sqrt_apply, riesz_apply,
                        riesz_kernel)

@@ -23,17 +23,15 @@ import sys
 import numpy as np
 import scipy
 
-from . import report
+from . import __version__, report
 from .estimates import (davies_distance, decay_fit, laplacian_decay_fit,
                         lambda_optimizer_check, offdiag_fit, rellich_constant,
                         remark_ball_inequality, riesz_pnorm_sweep,
                         solve_parabolic, twisted_decay_suite)
-from .grids import (GridError, build_box_grid, build_radial_grid, make_phi,
-                    probe_functions)
+from .grids import GridError, build_radial_grid, make_phi, probe_functions
 from .norms import blas_libraries, corner_norm, pin_blas_threads
-from .operators import (TWISTED_PLANES, OperatorError, assemble_box,
-                        assemble_sector, paper_rellich_constant,
-                        twisted_form_terms)
+from .operators import (OperatorError, assemble_sector, paper_rellich_constant,
+                        twisted_expansion_study)
 from .spectral import SemigroupEvaluator, SpectralError, riesz_apply
 
 EXIT_OK = 0
@@ -261,9 +259,8 @@ def run_decay(args, man: report.RunManifest) -> None:
     curve_rows = []
     for c in dict.fromkeys((0.0, args.c)):      # distinct, in order
         op = assemble_sector(grid, 0, c)
-        ev = SemigroupEvaluator(op)
         for q in (math.inf, 10.0):
-            fit = decay_fit(ev, 2.0, q, args.t)
+            fit = decay_fit(op, 2.0, q, args.t)
             rows.append((c, 2.0, q, fit.exponent, fit.target, fit.residual))
             for tv, nv in zip(fit.params["t_values"], fit.params["norm_values"]):
                 curve_rows.append((c, q, tv, nv))
@@ -276,9 +273,7 @@ def run_decay(args, man: report.RunManifest) -> None:
 
 def run_offdiag(args, man: report.RunManifest) -> None:
     grid = _radial_grid(args, man)
-    op = assemble_sector(grid, 0, args.c)
-    ev = SemigroupEvaluator(op)
-    res = offdiag_fit(ev, args.d, args.t)
+    res = offdiag_fit(assemble_sector(grid, 0, args.c), args.d, args.t)
     man.runtime.update(res["runtime"])
     man.numerics.update(excluded_below_floor=res["excluded_below_floor"],
                         floor=res["floor"])
@@ -336,53 +331,12 @@ def run_riesz(args, man: report.RunManifest) -> None:
                       0.25, f"change {report.fmt(sweep[p]['stability'])}")
 
 
-BOX_LADDER = (8, 12, 16)       # per-axis counts of the twisted box study
-BOX_BUDGET_BYTES = 1 << 30     # memory the study may take on its largest box
-
-
-def box_study_bytes(N: int, m: int) -> int:
-    """Bytes the box study holds on an m^N box at its peak: the
-    TWISTED_PLANES complex axis-0 planes twisted_form_terms holds, the
-    probe's own planes included; no m^N array is formed."""
-    return 16 * TWISTED_PLANES * m ** (N - 1)
-
-
-def box_probe(box):
-    """u = e^{-|x|^2} (1 + 0.3i x_0) on the box, as the function of the
-    axis-0 plane index that twisted_form_terms takes: each plane is built
-    from box.radii_sq on that plane alone."""
-    factor = 1.0 + 0.3j * box.axis
-
-    def plane(i: int) -> np.ndarray:
-        gauss = box.radii_sq(slice(i, i + 1))
-        np.exp(np.negative(gauss, out=gauss), out=gauss)
-        return gauss * factor[i]
-
-    return plane
-
-
 def run_twisted(args, man: report.RunManifest) -> None:
     # box refinement study of the twisted-form expansion
-    need = box_study_bytes(args.N, BOX_LADDER[-1])
-    if need > BOX_BUDGET_BYTES:
-        raise GridError(
-            f"the m = {BOX_LADDER[-1]} box at N = {args.N} needs about "
-            f"{need >> 20} MiB, over the box budget of "
-            f"{BOX_BUDGET_BYTES >> 20} MiB")
     e = np.zeros(args.N)
     e[0], e[1] = 0.8, 0.6
-    phi_box = make_phi(e, 1.0, 0.2)
-    lam = 0.7
-    discs, hs = [], []
-    for m in BOX_LADDER:
-        box = build_box_grid(args.N, m, 2.5)
-        opb = assemble_box(box, args.c)
-        res = twisted_form_terms(opb, box_probe(box), lam, phi_box)
-        discs.append(res["discrepancy"])
-        hs.append(box.h)
-    orders = [math.log(discs[i] / discs[i + 1]) / math.log(hs[i] / hs[i + 1])
-              for i in range(len(discs) - 1)]
-    rows = list(zip(BOX_LADDER, hs, discs))
+    rows, orders = twisted_expansion_study(args.N, args.c,
+                                           make_phi(e, 1.0, 0.2))
     man.table("twisted_expansion.csv", ("m", "h", "discrepancy"), rows)
     man.add_check("twisted_expansion_order", np.min(orders), ">=", 1.5,
                   f"orders {', '.join(map(report.fmt, orders))}")
@@ -566,7 +520,8 @@ def main(argv=None) -> int:
 
     _fix_mmap_threshold()
     restore, pinned = pin_blas_threads()
-    runtime = {"blas_pinned": pinned, "numpy_version": np.__version__,
+    runtime = {"blas_pinned": pinned, "biharmlab_version": __version__,
+               "numpy_version": np.__version__,
                "scipy_version": scipy.__version__,
                "blas_libraries": [os.path.basename(path)
                                   for path in blas_libraries()]}

@@ -203,14 +203,13 @@ def _power_fit(grid: RadialGrid, t_list, norm, target: float) -> FitResult:
                      residual=resid, target=target)
 
 
-def decay_fit(evaluator: SemigroupEvaluator, p: float, q: float,
-              t_list) -> FitResult:
+def decay_fit(op: SectorOperator, p: float, q: float, t_list) -> FitResult:
     """Slope of log ||e^{-tA}||_{p->q} against log t, on the Riesz-Thorin
     upper bound of each norm."""
-    grid = evaluator.op.grid
-    return _power_fit(grid, t_list,
-                      lambda t: interpolation_upper(evaluator.kernel(t), p, q),
-                      -gamma_pq(grid.N, p, q))
+    ev = SemigroupEvaluator(op)
+    return _power_fit(op.grid, t_list,
+                      lambda t: interpolation_upper(ev.kernel(t), p, q),
+                      -gamma_pq(op.grid.N, p, q))
 
 
 # ------------------------------------------------------- off-diagonal fits
@@ -242,7 +241,7 @@ def _stretched_fit(model, x, v, p0):
     return popt, float(np.max(np.abs(v - model(x, *popt))))
 
 
-def offdiag_fit(evaluator: SemigroupEvaluator, d_list, t_list) -> dict:
+def offdiag_fit(op: SectorOperator, d_list, t_list) -> dict:
     """Off-diagonal decay ||chi_F e^{-tA} chi_E|| <= c1 t^{-g} exp(-c2 d^{4/3}/t^{1/3})
     between E = {|x| <= OFFDIAG_E_RADIUS} and each F_d = {|x| >= d}, d in
     `d_list`, at distance d - OFFDIAG_E_RADIUS.  The distinct d are taken
@@ -266,7 +265,8 @@ def offdiag_fit(evaluator: SemigroupEvaluator, d_list, t_list) -> dict:
     if ds[0] <= OFFDIAG_E_RADIUS:
         bad = ", ".join(f"{d:g}" for d in ds[ds <= OFFDIAG_E_RADIUS])
         raise EstimateError(f"F overlaps or touches E at --d {bad}")
-    r = evaluator.op.grid.r
+    ev = SemigroupEvaluator(op)
+    r = op.grid.r
     maskE = r <= OFFDIAG_E_RADIUS
     distances = ds - OFFDIAG_E_RADIUS
     ts = np.asarray(t_list, dtype=float)
@@ -278,7 +278,7 @@ def offdiag_fit(evaluator: SemigroupEvaluator, d_list, t_list) -> dict:
     # moves its exponent by 3.9e-8 at n = 2048: the normaliser must stay
     # bit-identical until perfbench/reference is re-based
     table, runtime = kernel_block_norms(
-        evaluator.op.decomposition, [evaluator.values(t) for t in ts],
+        op.decomposition, [ev.values(t) for t in ts],
         [(r >= d, maskE) for d in ds])
     ratios = table[:, :-1] / table[:, -1:]
     usable = ratios > OFFDIAG_FLOOR
@@ -483,16 +483,16 @@ def laplacian_decay_fit(op: SectorOperator, t_list) -> FitResult:
 
 # ------------------------------------------------------ extrapolation / Lp
 
-def extrapolation_check(evaluator: SemigroupEvaluator, p_list, t_list) -> dict:
+def extrapolation_check(op: SectorOperator, p_list, t_list) -> dict:
     """Measure sup_t ||e^{-tA}||_{p->p} over a t-range: no growth trend
     (max within 2x of the smallest-t value) inside the reliable window."""
-    grid = evaluator.op.grid
-    lo, hi = reliable_window(grid)
+    ev = SemigroupEvaluator(op)
+    lo, hi = reliable_window(op.grid)
     ts = np.asarray(sorted(t_list), dtype=float)
     usable = (lo <= ts) & (ts <= hi)
     pairs = [(p, p) for p in p_list]
     # one kernel and one dual-ascent block per t; rows t, columns p
-    ests = [opnorms(evaluator.kernel(t), pairs) for t in ts]
+    ests = [opnorms(ev.kernel(t), pairs) for t in ts]
     out = {}
     for j, p in enumerate(p_list):
         uppers = np.asarray([row[j].upper for row in ests])

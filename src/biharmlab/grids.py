@@ -290,3 +290,17 @@ def probe_functions(grid, count: int, seed: int = 0) -> list:
             v = rr**2 * np.exp(-a * rr**2) * np.cos(k * rr)
         out.append(v * taper)
     return out
+
+
+def box_probe(box: BoxGrid):
+    """u = e^{-|x|^2} (1 + 0.3i x_0) on the box, as the function of the
+    axis-0 plane index that operators.twisted_form_terms takes: each
+    plane is built from box.radii_sq on that plane alone."""
+    factor = 1.0 + 0.3j * box.axis
+
+    def plane(i: int) -> np.ndarray:
+        gauss = box.radii_sq(slice(i, i + 1))
+        np.exp(np.negative(gauss, out=gauss), out=gauss)
+        return gauss * factor[i]
+
+    return plane

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import BoxGrid, PhiFamily, RadialGrid, sphere_area
+from .grids import (BoxGrid, GridError, PhiFamily, RadialGrid, box_probe,
+                    build_box_grid, sphere_area)
 
 EXP_CLAMP = 300.0
 
@@ -237,8 +238,17 @@ def twist(op, lam: float, phi: PhiFamily) -> TwistedOperator:
 # Complex axis-0 planes twisted_form_terms holds at its peak, the planes
 # its probe function makes included, with a margin: tracemalloc measures
 # 11.9 at N = 5 (m = 12, 16) and N = 6 (m = 8, 12), and 12.8 at N = 5,
-# m = 8, with cli.box_probe
+# m = 8, with grids.box_probe
 TWISTED_PLANES = 14
+BOX_LADDER = (8, 12, 16)       # per-axis counts of the expansion study
+BOX_BUDGET_BYTES = 1 << 30     # memory the study may take on its largest box
+
+
+def twisted_form_bytes(N: int, m: int) -> int:
+    """Bytes twisted_form_terms holds on an m^N box at its peak: its
+    TWISTED_PLANES complex axis-0 planes, the probe's own planes
+    included; no m^N array is formed."""
+    return 16 * TWISTED_PLANES * m ** (N - 1)
 
 
 def twisted_form_terms(op: BoxOperator, u, lam: float, phi: PhiFamily) -> dict:
@@ -360,6 +370,30 @@ def twisted_form_terms(op: BoxOperator, u, lam: float, phi: PhiFamily) -> dict:
         "direct": direct,
         "discrepancy": abs(direct - total),
     }
+
+
+def twisted_expansion_study(N: int, c: float, phi: PhiFamily) -> tuple:
+    """Box refinement study of the twisted-form expansion at lam = 0.7:
+    `(rows, orders)`, a row (m, h, discrepancy) per box [-2.5, 2.5]^N of
+    BOX_LADDER with the probe grids.box_probe, and the observed order of
+    the discrepancy between each two neighbouring rows.  Raises GridError,
+    before any box is built, if the largest box needs more than
+    BOX_BUDGET_BYTES."""
+    need = twisted_form_bytes(N, BOX_LADDER[-1])
+    if need > BOX_BUDGET_BYTES:
+        raise GridError(
+            f"the m = {BOX_LADDER[-1]} box at N = {N} needs about "
+            f"{need >> 20} MiB, over the box budget of "
+            f"{BOX_BUDGET_BYTES >> 20} MiB")
+    rows = []
+    for m in BOX_LADDER:
+        box = build_box_grid(N, m, 2.5)
+        res = twisted_form_terms(assemble_box(box, c), box_probe(box), 0.7,
+                                 phi)
+        rows.append((m, box.h, res["discrepancy"]))
+    orders = [math.log(d0 / d1) / math.log(h0 / h1)
+              for (_, h0, d0), (_, h1, d1) in zip(rows, rows[1:])]
+    return rows, orders
 
 
 # the form inequality's share gamma of a(u), in (0, 1)

@@ -19,8 +19,7 @@ from biharmlab import (SemigroupEvaluator, assemble_box,
                        probe_functions, rellich_constant,
                        remark_ball_inequality, report, riesz_apply,
                        riesz_kernel, riesz_pnorm_sweep, twisted_decay_suite,
-                       twisted_form_terms)
-from biharmlab.cli import box_probe
+                       twisted_expansion_study)
 from biharmlab.grids import TANH_HESS_MAX, weighted_lp
 from biharmlab.norms import _lp_unit
 from biharmlab.spectral import KernelMatrix
@@ -70,9 +69,9 @@ def test_criterion_03_decay_exponents():
     details = []
     ok = True
     for c in (0.0, 1.0):
-        ev = SemigroupEvaluator(assemble_sector(g, 0, c))
+        op = assemble_sector(g, 0, c)
         for q, tgt in ((math.inf, -0.625), (10.0, -0.5)):
-            fit = decay_fit(ev, 2.0, q, ts)
+            fit = decay_fit(op, 2.0, q, ts)
             rel = abs(fit.exponent - tgt) / abs(tgt)
             ok = ok and rel <= 0.15
             details.append(f"c={c} q={q:g}: {fit.exponent:.4f} vs {tgt}")
@@ -108,18 +107,8 @@ def test_criterion_04_offdiag_exponents(suite_run):
 
 def test_criterion_05_twisted_form_suite():
     # refinement order of the nine-term expansion identity
-    lam = 0.7
-    discs = []
-    hs = []
-    for m in (8, 12, 16):
-        g = build_box_grid(5, m, 2.5)
-        op = assemble_box(g, 1.0)
-        phi = make_phi(np.array([0.8, 0.6, 0, 0, 0]), 2.0, 0.2)
-        discs.append(twisted_form_terms(op, box_probe(g), lam,
-                                        phi)["discrepancy"])
-        hs.append(g.h)
-    orders = [math.log(discs[i] / discs[i + 1])
-              / math.log(hs[i] / hs[i + 1]) for i in range(2)]
+    _, orders = twisted_expansion_study(
+        5, 1.0, make_phi(np.array([0.8, 0.6, 0, 0, 0]), 2.0, 0.2))
     order_ok = min(orders) >= 1.5
 
     # the form inequality on 200 sampled (u, lam <= 2, phi)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy
 
+import biharmlab
 from biharmlab import (build_radial_grid, cli, norms, operators, report,
                        spectral)
 from biharmlab.cli import ConfigError, build_parser, read_config
@@ -97,9 +98,14 @@ class TestConfigParsing:
 
 
 class TestExitCodes:
-    def test_low_dimension_is_config_error(self, tmp_path):
+    def test_low_dimension_is_config_error(self, tmp_path, capsys):
+        # validate's own check: the supercritical check (C*(4) = 0) and
+        # the grid builder would also exit 2, with other messages
         code = cli.main(["solve", "--N", "4", "--out", str(tmp_path)])
         assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert "config error: N >= 5 required" in err
+        assert not (tmp_path / "solve").exists()
 
     def test_unknown_config_key_is_config_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -190,8 +196,8 @@ class TestExitCodes:
         man = json.load(open(tmp_path / "twisted" / "manifest.json"))
         assert man["error"] == (
             f"GridError: the m = 16 box at N = 7 needs about "
-            f"{cli.box_study_bytes(7, 16) >> 20} MiB, over the box budget "
-            f"of {cli.BOX_BUDGET_BYTES >> 20} MiB")
+            f"{operators.twisted_form_bytes(7, 16) >> 20} MiB, over the box "
+            f"budget of {operators.BOX_BUDGET_BYTES >> 20} MiB")
 
     @pytest.mark.parametrize("name, grid", [
         ("coercivity", ["--n", "128"]), ("rellich", ["--n", "400"]),
@@ -208,11 +214,10 @@ class TestExitCodes:
         assert man["error"] is None
 
     def test_box_budget_admits_five_and_six_dimensions(self):
-        assert cli.box_study_bytes(5, 16) < cli.box_study_bytes(6, 16)
-        assert cli.box_study_bytes(6, 16) <= cli.BOX_BUDGET_BYTES
-        assert cli.box_study_bytes(7, 16) > cli.BOX_BUDGET_BYTES
+        need, budget = operators.twisted_form_bytes, operators.BOX_BUDGET_BYTES
+        assert need(5, 16) < need(6, 16) <= budget < need(7, 16)
         # planes only: under the one complex m^N probe the study once held
-        assert cli.box_study_bytes(6, 16) < 16 * 16**6
+        assert need(6, 16) < 16 * 16**6
 
     def test_coercivity_subcommand_writes_its_table(self, tmp_path):
         code = cli.main(["coercivity", "--n", "64", "--out", str(tmp_path)])
@@ -1078,7 +1083,8 @@ class TestDeterminism:
             body = json.loads((out / "offdiag" / "manifest.json").read_text())
             assert set(body["runtime"]) == {
                 "blas_pinned", "kernel_workers", "numpy_dgesdd",
-                "numpy_version", "scipy_version", "blas_libraries"}
+                "biharmlab_version", "numpy_version", "scipy_version",
+                "blas_libraries"}
             workers.append(body["runtime"]["kernel_workers"])
             threads = (body["runtime"]["numpy_dgesdd"]
                        and body["runtime"]["blas_pinned"])
@@ -1096,7 +1102,8 @@ class TestDeterminism:
         assert "BLAS threads are not pinned" in err
         body = json.loads((tmp_path / "solve" / "manifest.json").read_text())
         assert body["runtime"] == {
-            "blas_pinned": False, "numpy_version": np.__version__,
+            "blas_pinned": False, "biharmlab_version": biharmlab.__version__,
+            "numpy_version": np.__version__,
             "scipy_version": scipy.__version__, "blas_libraries": []}
 
     def test_manifest_records_the_library_versions(self, tmp_path):
@@ -1104,6 +1111,7 @@ class TestDeterminism:
         assert code == cli.EXIT_OK
         runtime = json.loads((tmp_path / "solve" / "manifest.json")
                              .read_text())["runtime"]
+        assert runtime["biharmlab_version"] == biharmlab.__version__
         assert runtime["numpy_version"] == np.__version__
         assert runtime["scipy_version"] == scipy.__version__
         # file names, not paths, of the libraries the BLAS pin reads

@@ -229,13 +229,11 @@ class TestRellich:
 
 class TestDecayFit:
     def test_needs_five_points(self, op_c1):
-        ev = SemigroupEvaluator(op_c1)
         with pytest.raises(EstimateError):
-            decay_fit(ev, 2.0, math.inf, [0.1, 0.2])
+            decay_fit(op_c1, 2.0, math.inf, [0.1, 0.2])
 
     def test_two_two_slope_near_zero(self, op_c0):
-        ev = SemigroupEvaluator(op_c0)
-        fit = decay_fit(ev, 2.0, 2.0, list(np.geomspace(0.06, 0.6, 8)))
+        fit = decay_fit(op_c0, 2.0, 2.0, list(np.geomspace(0.06, 0.6, 8)))
         assert abs(fit.exponent) < 0.05
 
     def test_fits_upper_bounds_without_dual_ascent(self, op_c1, monkeypatch):
@@ -245,7 +243,7 @@ class TestDecayFit:
         monkeypatch.setattr(norms, "boyd_lower", refuse)
         ev = SemigroupEvaluator(op_c1)
         ts = list(np.geomspace(0.06, 0.6, 6))
-        fit = decay_fit(ev, 2.0, 10.0, ts)
+        fit = decay_fit(op_c1, 2.0, 10.0, ts)
         assert fit.params["norm_values"] == [
             interpolation_upper(ev.kernel(t), 2.0, 10.0) for t in ts]
 
@@ -290,7 +288,7 @@ class TestDecayFit:
 
     def test_both_fits_share_one_body(self, op_c0):
         ts = list(np.geomspace(0.06, 0.6, 6))
-        fits = [decay_fit(SemigroupEvaluator(op_c0), 2.0, 10.0, ts),
+        fits = [decay_fit(op_c0, 2.0, 10.0, ts),
                 laplacian_decay_fit(op_c0, ts)]
         assert fits[0].params.keys() == fits[1].params.keys() == {
             "exponent", "prefactor", "t_values", "norm_values"}
@@ -328,8 +326,7 @@ class TestSpectralRoute:
         flags = cli.build_parser().parse_args(["coercivity", "--n", "128"])
         cli.run_coercivity(cli.resolve("coercivity", flags, {}),
                            report.RunManifest({}, str(tmp_path), False))
-        decay_fit(SemigroupEvaluator(op_c1), 2.0, math.inf,
-                  list(np.geomspace(0.06, 0.6, 6)))
+        decay_fit(op_c1, 2.0, math.inf, list(np.geomspace(0.06, 0.6, 6)))
         assert len(kernels) == 12 + 6
         assert not any("K" in kern.__dict__ for kern in kernels)
 
@@ -340,7 +337,7 @@ class TestSpectralRoute:
         op = assemble_sector(build_radial_grid(5, 40.0, 256), 0, 1.0)
         ds = (3.0, 5.0, 8.0, 12.0)
         ts = np.geomspace(1e-3, 1e-2, 4)
-        res = offdiag_fit(SemigroupEvaluator(op), ds, ts)
+        res = offdiag_fit(op, ds, ts)
         dec = op.decomposition
         assert "gram_norm" not in vars(dec)
         mE = op.grid.r <= 1.0
@@ -378,15 +375,14 @@ class TestOffdiag:
     @pytest.mark.parametrize("d", [-1.0, 1.0, 0.5])
     def test_region_at_zero_distance_is_rejected(self, op_c1, d):
         with pytest.raises(EstimateError, match=f"at --d {d:g}$"):
-            offdiag_fit(SemigroupEvaluator(op_c1), [3.0, d, 6.0], [0.05, 0.1])
+            offdiag_fit(op_c1, [3.0, d, 6.0], [0.05, 0.1])
 
     def test_distances_are_taken_in_ascending_order(self, op_c1):
         # F_d = {|x| >= d} lies at distance d - 1 from E = {|x| <= 1}, and
         # the time fit fixes the second-smallest d
-        ev = SemigroupEvaluator(op_c1)
         ts = list(np.geomspace(0.05, 0.2, 5))
-        up = offdiag_fit(ev, [3.0, 6.0, 9.0], ts)
-        mixed = offdiag_fit(ev, [9.0, 3.0, 6.0], ts)
+        up = offdiag_fit(op_c1, [3.0, 6.0, 9.0], ts)
+        mixed = offdiag_fit(op_c1, [9.0, 3.0, 6.0], ts)
         assert np.array_equal(up["ratios"], mixed["ratios"])
         assert up["time_fit"].params == mixed["time_fit"].params
         assert up["time_fit"].params["d"] == 5.0
@@ -396,22 +392,20 @@ class TestOffdiag:
     def test_repeated_radii_count_once(self, op_c1):
         # the guard counts distinct radii, and a repeated smallest d does
         # not become the time fit's second-smallest
-        ev = SemigroupEvaluator(op_c1)
         with pytest.raises(EstimateError,
                            match=r"at least 2 distinct --d values \(got 1\)"):
-            offdiag_fit(ev, [3.0, 3.0], [0.05, 0.1])
+            offdiag_fit(op_c1, [3.0, 3.0], [0.05, 0.1])
         ts = list(np.geomspace(0.05, 0.2, 5))
-        repeated = offdiag_fit(ev, [3.0, 3.0, 6.0, 9.0], ts)
-        distinct = offdiag_fit(ev, [3.0, 6.0, 9.0], ts)
+        repeated = offdiag_fit(op_c1, [3.0, 3.0, 6.0, 9.0], ts)
+        distinct = offdiag_fit(op_c1, [3.0, 6.0, 9.0], ts)
         assert np.array_equal(repeated["ratios"], distinct["ratios"])
         assert repeated["time_fit"].params == distinct["time_fit"].params
         assert repeated["time_fit"].params["d"] == 5.0
 
     def test_ratios_decay_with_distance(self, op_c1):
-        ev = SemigroupEvaluator(op_c1)
         ds = (3.0, 6.0, 9.0)
         ts = list(np.geomspace(0.05, 0.2, 5))
-        res = offdiag_fit(ev, ds, ts)
+        res = offdiag_fit(op_c1, ds, ts)
         r = res["ratios"]
         assert r.shape == (len(ts), len(ds))
         assert np.all((r >= 0) & (r <= 1.0 + 1e-9))
@@ -532,8 +526,7 @@ class TestTwistedSuite:
 
 class TestExtrapolation:
     def test_no_growth_trend(self, op_c1):
-        ev = SemigroupEvaluator(op_c1)
-        out = extrapolation_check(ev, [4.0, 10.0],
+        out = extrapolation_check(op_c1, [4.0, 10.0],
                                   list(np.geomspace(0.06, 0.6, 6)))
         for p in (4.0, 10.0):
             assert out[p]["ok"]
@@ -550,7 +543,7 @@ class TestExtrapolation:
         monkeypatch.setattr(norms, "boyd_lower", counting)
         ev = SemigroupEvaluator(op_c1)
         ts = list(np.geomspace(0.06, 0.6, 4))
-        out = extrapolation_check(ev, [1.5, 4.0], ts)
+        out = extrapolation_check(op_c1, [1.5, 4.0], ts)
         assert blocks == [[(1.5, 1.5), (4.0, 4.0)]] * len(ts)
         for p in (1.5, 4.0):
             for t, lo, up in zip(ts, out[p]["lower"], out[p]["upper"]):

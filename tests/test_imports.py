@@ -2,8 +2,9 @@
 private names, every public function, class and method of the package
 has a user outside the tests, and every test or fixture that starts a
 child process says why: `ast` scans of the package, its tests, its demos
-and its benchmark.  The CLI loads scipy's optimiser and sparse stacks
-only where they are used."""
+and its benchmark.  No demo imports the CLI, and the CLI imports no box
+builder.  The CLI loads scipy's optimiser and sparse stacks only where
+they are used."""
 
 import ast
 import glob
@@ -92,16 +93,29 @@ def test_every_import_is_used(path):
         assert unused_imports(fh.read()) == []
 
 
+def imported_names(source: str) -> list:
+    """(line, dotted name) of everything `source` imports: `import a.b`
+    and `from a import b` give a.b, and `from .a import b` gives .a.b."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ("." * node.level + (node.module or "")).rstrip(".")
+            out += [(node.lineno, f"{module}.{alias.name}")
+                    for alias in node.names]
+    return out
+
+
 def private_imports(source: str) -> list:
     """(line, name) of every underscore name, dunders aside, that `source`
     imports from a module of the package."""
     out = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ImportFrom) and (
-                node.level or (node.module or "").split(".")[0] == "biharmlab"):
-            out += [(node.lineno, alias.name) for alias in node.names
-                    if alias.name.startswith("_")
-                    and not alias.name.startswith("__")]
+    for line, dotted in imported_names(source):
+        name = dotted.rsplit(".", 1)[-1]
+        if (dotted.startswith((".", "biharmlab.")) and name.startswith("_")
+                and not name.startswith("__")):
+            out.append((line, name))
     return sorted(out)
 
 
@@ -127,6 +141,42 @@ def test_only_norms_binds_the_blas_thread_count():
     package = _read(glob.glob(os.path.join(ROOT, PACKAGE, "*.py")))
     assert [os.path.basename(path) for path, source in sorted(package.items())
             if "num_threads" in source] == ["norms.py"]
+
+
+# what the CLI leaves to `operators.twisted_expansion_study`
+BOX_BUILDERS = {"build_box_grid", "assemble_box", "twisted_form_terms",
+                "BoxGrid", "BoxOperator"}
+
+
+def driver_crossings(source: str, is_cli: bool) -> list:
+    """(line, dotted name) of each import of `source` that crosses the
+    driver's bounds: a box builder if `source` is the CLI, else the CLI
+    module `biharmlab.cli` or a name from it."""
+    return [(line, name) for line, name in imported_names(source)
+            if (name.rsplit(".", 1)[-1] in BOX_BUILDERS if is_cli
+                else (name + ".").startswith("biharmlab.cli."))]
+
+
+def test_driver_scan_flags_cli_imports_and_box_builders():
+    source = ("import biharmlab.cli as c\nfrom biharmlab import cli, grids\n"
+              "from biharmlab.cli import main\nimport biharmlab.clinic\n"
+              "from .operators import assemble_box, assemble_sector\n"
+              "from .grids import BoxGrid as G\n")
+    assert driver_crossings(source, is_cli=False) == [
+        (1, "biharmlab.cli"), (2, "biharmlab.cli"), (3, "biharmlab.cli.main")]
+    assert driver_crossings(source, is_cli=True) == [
+        (5, ".operators.assemble_box"), (6, ".grids.BoxGrid")]
+
+
+def test_no_demo_imports_the_cli_and_the_cli_builds_no_box():
+    # the CLI drives: its twisted box study is one call into `operators`
+    cli_py = os.path.join(PACKAGE, "cli.py")
+    found = {}
+    for path in _sources():
+        if path.startswith("demos") or path == cli_py:
+            with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+                found[path] = driver_crossings(fh.read(), path == cli_py)
+    assert {path: names for path, names in found.items() if names} == {}
 
 
 def test_cli_import_defers_the_optimiser_and_sparse_stacks():

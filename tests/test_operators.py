@@ -6,9 +6,8 @@ from biharmlab import (assemble_box, assemble_sector, build_box_grid,
                        build_radial_grid, forme_inequality_check, make_phi,
                        paper_rellich_constant, probe_functions, twist,
                        twisted_form_terms)
-from biharmlab.cli import box_probe
 from biharmlab.estimates import _sym_part_minimizer
-from biharmlab.grids import TANH_HESS_MAX, sphere_area
+from biharmlab.grids import TANH_HESS_MAX, box_probe, sphere_area
 from biharmlab.operators import (TWISTED_PLANES, OperatorError,
                                  stiffness_bands)
 
