@@ -33,7 +33,7 @@ print(f"free case c = 0: ||R||_2->2 = {n22_free:.12f} (exactly 1 in theory)")
 
 grid2 = build_radial_grid(5, 30.0, 1024)
 op2 = assemble_sector(grid2, 0, 1.0)
-sweep = riesz_pnorm_sweep(op, [1.3, 1.5, 1.8], refined_op=op2)
+sweep, _ = riesz_pnorm_sweep(op, [1.3, 1.5, 1.8], refined_op=op2)
 print("\np-sweep (lower/upper brackets, refinement stability):")
 for p in (1.3, 1.5, 1.8):
     est = sweep[p]["estimate"]

@@ -257,6 +257,7 @@ def run_decay(args, man: report.RunManifest) -> None:
     grid = _radial_grid(args, man)
     rows = []
     curve_rows = []
+    kept = man.numerics["kept_modes"] = []
     for c in dict.fromkeys((0.0, args.c)):      # distinct, in order
         op = assemble_sector(grid, 0, c)
         for q in (math.inf, 10.0):
@@ -267,6 +268,9 @@ def run_decay(args, man: report.RunManifest) -> None:
             man.add_check(f"decay_slope_c{c}_q{q}", fit.relative_error(),
                           "<=", 0.15, f"slope {report.fmt(fit.exponent)} "
                           f"target {report.fmt(fit.target)}")
+        t = min(fit.params["t_values"])
+        kept.append({"c": c, "t": t, "of": grid.n,
+                     "kept": SemigroupEvaluator(op).kernel(t).kept.size})
     man.table("decay.csv", ("c", "p", "q", "slope", "target", "residual"), rows)
     man.table("decay_curve.csv", ("c", "q", "t", "norm_upper"), curve_rows)
 
@@ -307,13 +311,14 @@ def run_riesz(args, man: report.RunManifest) -> None:
     _record_grid(man, "grid_refined", grid2)
     # the sweep decomposes the refined operator before op, and nothing
     # holds it after the sweep; the route check reuses op's decomposition
-    sweep = riesz_pnorm_sweep(op, args.p,
-                              refined_op=assemble_sector(grid2, 0, args.c))
+    sweep, products = riesz_pnorm_sweep(
+        op, args.p, refined_op=assemble_sector(grid2, 0, args.c))
     rng = np.random.default_rng(args.seed)
     u = rng.standard_normal(grid.n)
     rs = riesz_apply(op, u, "spectral")
     rq = riesz_apply(op, u, "quadrature")
     route_rel = float(np.linalg.norm(rs - rq) / np.linalg.norm(rs))
+    man.numerics["ascent_products"] = products
     rows = [("route_rel_err", route_rel, "", "")]
     for p, entry in sorted(sweep.items()):
         est = entry["estimate"]
@@ -348,6 +353,8 @@ def run_twisted(args, man: report.RunManifest) -> None:
     phis = [make_phi(np.zeros(args.N), 1.0, -R / 3.0, kind="radial", grid=grid),
             make_phi(np.zeros(args.N), 2.0, -R / 2.0, kind="radial", grid=grid)]
     rep = twisted_decay_suite(op, args.lam, phis, args.t, seed=args.seed)
+    man.numerics["kept_modes"] = [{"c": args.c, "t": min(args.t),
+                                   "of": grid.n, "kept": rep["kept_modes"]}]
     rows = [(r["lam"], r["t"], r["norm"], r["bound"], r["lap_norm"],
              r["lap_bound"]) for r in rep["rows"]]
     man.table("twisted_semigroup.csv", ("lam", "t", "norm", "bound",

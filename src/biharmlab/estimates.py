@@ -404,6 +404,28 @@ def _sym_part_minimizer(tw) -> np.ndarray:
     return q[:, 0] / s
 
 
+def _twisted_norms(op: SectorOperator, d: np.ndarray, modes: np.ndarray,
+                   fs) -> list:
+    """(||D K D^{-1}||, ||L D K D^{-1}||), weighted 2 -> 2, for each
+    semigroup kernel K = Q diag(f) Q^T, f in fs, with D = diag(d), from
+    r x r factors.  Every f vanishes outside `modes`, so with Q_r those r
+    columns of Q and the thin QRs W^{1/2} D Q_r = Q_1 R_1, W^{1/2} D^{-1}
+    Q_r = Q_2 R_2 and W^{1/2} L D Q_r = Q_3 R_3, the two norms are those
+    of R_1 f_r R_2^T and R_3 f_r R_2^T: no n x n kernel is formed."""
+    sw = np.sqrt(op.w)
+    Q = op.decomposition.Q[:, modes]
+    DQ = d[:, None] * Q
+    R1, R2, R3 = (np.linalg.qr(X, mode="r") for X in (
+        sw[:, None] * DQ, (sw / d)[:, None] * Q,
+        sw[:, None] * op.apply_L(DQ)))
+
+    def norm(R, f):
+        M = (R * f[modes]) @ R2.T
+        return float(np.linalg.norm(M, 2)) if M.size else 0.0
+
+    return [(norm(R1, f), norm(R3, f)) for f in fs]
+
+
 def twisted_decay_suite(op: SectorOperator, lam_list, phi_list, t_list,
                         n_probes: int = 12, seed: int = 0) -> dict:
     """Measure the twisted semigroup bounds
@@ -437,21 +459,20 @@ def twisted_decay_suite(op: SectorOperator, lam_list, phi_list, t_list,
 
     rows = []
     m_hat = 0.0
-    w = op.w
     ev = SemigroupEvaluator(op)
-    kernels = [ev.kernel(t).K for t in t_list]
+    kernels = [ev.kernel(t) for t in t_list]
+    fs = [kern.f for kern in kernels]
+    modes = np.unique(np.concatenate([kern.kept for kern in kernels]))
     for lam, tw in pairs:
         d = np.exp(lam * tw.phi_values)
         grow = 2.0 * k_h * (1.0 + lam**4)
-        for t, K in zip(t_list, kernels):
-            Kt = d[:, None] * K / d[None, :]     # kernel of D e^{-tA} D^{-1}
-            lnrm = l2_norm(op.apply_L(Kt), w, w)
+        for t, (nrm, lnrm) in zip(t_list, _twisted_norms(op, d, modes, fs)):
             m_hat = max(m_hat, lnrm * math.sqrt(t) * math.exp(-grow * t))
             try:
                 bound = math.exp(grow * t)
             except OverflowError:
                 bound = math.inf
-            rows.append({"lam": lam, "t": t, "norm": l2_norm(Kt, w, w),
+            rows.append({"lam": lam, "t": t, "norm": nrm,
                          "bound": bound, "lap_norm": lnrm})
     # the fitted prefactor certifies the Laplacian bound on all samples
     m_hat *= 1.0 + 1e-12
@@ -460,7 +481,7 @@ def twisted_decay_suite(op: SectorOperator, lam_list, phi_list, t_list,
         row["lap_bound"] = (m_hat * row["t"] ** -0.5 * row["bound"]
                             if math.isfinite(row["bound"]) else math.inf)
     return {"rows": rows, "k_h": k_h, "m_hat": m_hat,
-            "inequality_report": ineq}
+            "inequality_report": ineq, "kept_modes": int(modes.size)}
 
 
 def laplacian_decay_fit(op: SectorOperator, t_list) -> FitResult:
@@ -516,10 +537,14 @@ def riesz_pnorm_sweep(op: SectorOperator, p_list,
     kernel runs one dual-ascent block over all p; the refined kernel gets
     only the lower bound that the stability reads.  It runs first, so
     that nothing of the base operator's spectrum is held during the
-    larger eigensolve.
+    larger eigensolve.  Returns the entries, keyed by p, and the
+    products with K each dual ascent took ({"refined": .., "base": ..}).
     """
     pairs = [(p, p) for p in p_list]
-    lowers2 = [lo for lo, _ in boyd_lower(riesz_kernel(refined_op), pairs)]
+    kern2 = riesz_kernel(refined_op)
+    lowers2 = [lo for lo, _ in boyd_lower(kern2, pairs)]
+    products2 = kern2.products
+    del kern2                  # not held during the base eigensolve
     kern = riesz_kernel(op)
     results = {}
     # exact, and read through the kernel's corner cache that opnorms shares
@@ -532,7 +557,7 @@ def riesz_pnorm_sweep(op: SectorOperator, p_list,
     for p, lower2 in zip(p_list, lowers2):
         base = results[p]["estimate"].lower
         results[p]["stability"] = abs(lower2 - base) / max(base, 1e-300)
-    return results
+    return results, {"refined": products2, "base": kern.products}
 
 
 # --------------------------------------------------------------- parabolic

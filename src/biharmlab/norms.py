@@ -4,7 +4,8 @@ Upper bounds: exact corner formulas for the pairs (1,1), (inf,inf), (2,2),
 (1,2), (2,inf), (1,inf) plus anything with p = 1 or q = inf, combined by
 Riesz-Thorin interpolation over triangles of corner points in (1/p, 1/q)
 coordinates.  Lower bounds: a dual-ascent fixed-point iteration (Boyd
-type) with an explicit witness function.  The module also owns the one
+type), with Anderson-extrapolated steps, and an explicit witness
+function.  The module also owns the one
 OpenBLAS binding, read by `pin_blas_threads` and the kernel workers' rule.
 """
 
@@ -32,6 +33,9 @@ CORNERS = ((1.0, 1.0), (2.0, 2.0), (math.inf, math.inf),
 
 BOYD_MAX_ITER = 500     # dual-ascent fixed-point steps per start
 BOYD_RESTARTS = 8       # dual-ascent starts, run as the columns of one block
+BOYD_HISTORY = 3        # step differences each start's extrapolation combines
+ANDERSON_RCOND = 1e-10  # relative ridge of its normal equations
+BOYD_TAIL = 1e-5        # a start extrapolates once its plain step gains less
 # threads of kernel_block_norms.  Each holds its kernel and about 0.09 n^2
 # more (a row block of synth_kernel, the block copies, dgesdd's workspace),
 # about 37 MB at n = 2048, so on two workers this phase, not the 3 n^2
@@ -356,28 +360,59 @@ def _duality_map(X: np.ndarray, nx, sgn: np.ndarray, w: np.ndarray,
     return Y
 
 
+def _anderson_shift(D: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """The Anderson (type II, undamped) shift of each column's plain step
+    and of its image: with D[:, 0], D[:, 1], D[:, 2] the differences of a
+    column's last h residuals F, steps and images, gamma minimises
+    ||F - D[:, 0] gamma||_2, and the extrapolated point and its image are
+    the step and its image minus the returned D[:, 1:] gamma.  gamma
+    solves the h x h normal equations with ANDERSON_RCOND times their
+    trace added to the diagonal, which bounds gamma and so the
+    cancellation in the combined image."""
+    A = D[:, 0].transpose(2, 1, 0)            # (columns, n, h)
+    At = A.transpose(0, 2, 1)
+    G = At @ A
+    ridge = ANDERSON_RCOND * np.trace(G, axis1=1, axis2=2)
+    G += (ridge + np.finfo(float).tiny)[:, None, None] * np.eye(len(D))
+    gamma = np.linalg.solve(G, At @ F.T[:, :, None])[:, :, 0]
+    return np.einsum("hknc,ch->knc", D[:, 1:], gamma)
+
+
 def boyd_lower(kernel: KernelMatrix, pairs, restarts: int = BOYD_RESTARTS,
                seed: int = 0) -> list:
     """Dual-ascent lower bounds with witnesses for the weighted p -> q
     norms of one kernel: a (value, witness) per (p, q) in `pairs`.
 
-    Alternates u <- |K^* psi|^{p'-1} sgn and psi <- |Ku|^{q-1} sgn dual
-    vectors; each step is monotone nondecreasing in ||Tu||_q / ||u||_p.
-    On sign ambiguity at zero entries the previous iterate's sign is kept.
-    Each pair has `restarts` starts (at least 2) drawn from its own
-    generator seeded with `seed`, so its value does not depend on the
-    other pairs.  The
-    starts of all pairs run as the columns of one block, and each step
-    reads K twice for all of them; a column keeps its pair's exponents
-    and stops when its own step gains no more than 1e-13 relative or its
-    image is zero.  A pair's witness is its first start with the largest
-    value; a pair whose value is 0 has none.
+    The plain step alternates u <- |K^* psi|^{p'-1} sgn and psi <-
+    |Ku|^{q-1} sgn dual vectors; it is monotone nondecreasing in
+    ||Tu||_q / ||u||_p.  On sign ambiguity at zero entries the previous
+    iterate's sign is kept.  Each pair has `restarts` starts (at least 2)
+    drawn from its own generator seeded with `seed`.  The starts of all
+    pairs run as the columns of one block, and each step reads K twice
+    for all of them; a column keeps its pair's exponents and stops when
+    its own step gains no more than 1e-13 relative or its image is zero.
+    A pair's columns keep their places in the block until all of them
+    have stopped, and everything else is computed pair by pair, so a
+    pair's value is the same alone or with other pairs, bit for bit where
+    BLAS computes each column of a product alone (OpenBLAS does for
+    blocks of whole pairs of 8 starts).
+
+    Once a column's plain step gains less than BOYD_TAIL relative, it
+    also extrapolates its last BOYD_HISTORY + 1 plain steps (Anderson
+    acceleration, Walker & Ni 2011).  The extrapolated point's
+    image is the same combination of the steps' images, so it costs no
+    product with K, and the column moves there only if that raises its
+    value above the plain step's: every step still gains.  The products
+    taken with K, one per column read, are added to `kernel.products`.
+
+    A pair's witness is its first start with the largest value, and the
+    value is the witness's own, from one last product; a pair whose value
+    is 0 has none.
     """
     K, w = kernel.K, kernel.w
     n = K.shape[1]
     m = max(restarts, 2)                      # starts per pair
     spans = [slice(j * m, (j + 1) * m) for j in range(len(pairs))]
-    owner = np.repeat(np.arange(len(pairs)), m)
     blocks = []
     for p, q in pairs:
         rng = np.random.default_rng(seed)
@@ -391,45 +426,87 @@ def boyd_lower(kernel: KernelMatrix, pairs, restarts: int = BOYD_RESTARTS,
         blocks.append(_lp_unit(np.column_stack(starts), w, p))
     U = np.hstack(blocks)
     V = K @ (w[:, None] * U)                  # images of the current iterates
+    products = U.shape[1]
     nv = np.empty(U.shape[1])
     for (_, q), s in zip(pairs, spans):
         nv[s] = weighted_lp(V[:, s], w, q)
     val = np.zeros(U.shape[1])                # last accepted value per start
-    live = np.flatnonzero(nv > 0)
-    for _ in range(BOYD_MAX_ITER):
-        if live.size == 0:
+    live = nv > 0                             # columns still ascending
+    # per pair and start, the differences of the last BOYD_HISTORY + 1
+    # plain steps (residual, step, image) in a ring, then the last two
+    # steps in turn: one allocation for the whole ascent
+    state = np.empty((len(pairs), BOYD_HISTORY + 2, 3, n, m))
+    for it in range(BOYD_MAX_ITER):
+        # the block: every start of each pair that has a live one, so a
+        # pair's columns are computed alike whatever the other pairs do
+        held = [j for j, s in enumerate(spans) if live[s].any()]
+        if not held:
             break
-        # positions in `live` of each pair's columns
-        groups = [(p, q, np.flatnonzero(owner[live] == j))
-                  for j, (p, q) in enumerate(pairs)]
-        groups = [g for g in groups if g[2].size]
-        Psi = np.empty((n, live.size))
-        for p, q, g in groups:
-            Vg = V[:, live[g]]
-            Psi[:, g] = _duality_map(Vg, nv[live[g]], np.sign(Vg), w, q)
+        cols = np.concatenate([np.arange(spans[j].start, spans[j].stop)
+                               for j in held])
+        runs = [(j, pairs[j], slice(k * m, (k + 1) * m))
+                for k, j in enumerate(held)]
+        Psi = np.empty((n, len(cols)))
+        for j, (p, q), s in runs:
+            # a start whose image is zero maps to zero
+            Vs, nvs = V[:, spans[j]], nv[spans[j]]
+            Psi[:, s] = _duality_map(Vs, np.where(nvs > 0, nvs, 1.0),
+                                     np.sign(Vs), w, q)
         # K^T (w psi) as ((w psi)^T K)^T: no transposed copy of K
         Z = ((w[:, None] * Psi).T @ K).T
-        Unew = np.empty_like(Psi)
-        for p, q, g in groups:
-            Zg, Ug = Z[:, g], U[:, live[g]]
+        Y = np.empty((n, len(cols)))
+        for j, (p, q), s in runs:
+            Zs, Us = Z[:, s], U[:, spans[j]]
             # where Z is zero, the previous iterate's sign is kept; the
             # map at unit nx gives the direction, which _lp_unit scales
-            sgn = np.where(Zg != 0, np.sign(Zg), np.sign(Ug) + (Ug == 0))
-            Unew[:, g] = _lp_unit(_duality_map(Zg, 1.0, sgn, w, _dual(p)),
-                                  w, p)
-        Vnew = K @ (w[:, None] * Unew)
-        new_val = np.empty(live.size)
-        for p, q, g in groups:
-            new_val[g] = weighted_lp(Vnew[:, g], w, q)
-        gain = new_val > val[live] * (1.0 + 1e-13)
-        live = live[gain]
-        U[:, live], V[:, live] = Unew[:, gain], Vnew[:, gain]
-        val[live] = nv[live] = new_val[gain]
+            sgn = np.where(Zs != 0, np.sign(Zs), np.sign(Us) + (Us == 0))
+            Y[:, s] = _lp_unit(_duality_map(Zs, 1.0, sgn, w, _dual(p)), w, p)
+        VY = K @ (w[:, None] * Y)
+        products += 2 * len(cols)
+        new_val = np.empty(len(cols))
+        for j, (p, q), s in runs:
+            new_val[s] = weighted_lp(VY[:, s], w, q)
+            ring = state[j]
+            step = ring[BOYD_HISTORY + it % 2]
+            np.subtract(Y[:, s], U[:, spans[j]], out=step[0])
+            step[1], step[2] = Y[:, s], VY[:, s]
+            if it == 0:
+                continue
+            np.subtract(step, ring[BOYD_HISTORY + (it - 1) % 2],
+                        out=ring[(it - 1) % BOYD_HISTORY])
+            # only in a start's tail, where its plain step gains less than
+            # BOYD_TAIL relative: earlier, a jump can send the start to
+            # another local maximum, lower or higher than the plain one's
+            tail = new_val[s] <= val[spans[j]] * (1.0 + BOYD_TAIL)
+            if tail.any():
+                # the extrapolated points and their images, scaled to
+                # unit L^p (a zero point stays zero, with value 0)
+                X, VX = step[1:] - _anderson_shift(
+                    ring[:min(it, BOYD_HISTORY)], step[0])
+                nx = weighted_lp(X, w, p)
+                nx[nx == 0] = np.inf
+                X /= nx
+                VX /= nx
+                x_val = weighted_lp(VX, w, q)
+                take = tail & (x_val > new_val[s])
+                Y[:, s] = np.where(take, X, Y[:, s])
+                VY[:, s] = np.where(take, VX, VY[:, s])
+                new_val[s] = np.where(take, x_val, new_val[s])
+        gain = live[cols] & (new_val > val[cols] * (1.0 + 1e-13))
+        live[cols] = gain
+        up = cols[gain]
+        U[:, up], V[:, up] = Y[:, gain], VY[:, gain]
+        val[up] = nv[up] = new_val[gain]
     out = []
-    for s in spans:
+    for (_, q), s in zip(pairs, spans):
         best = s.start + int(np.argmax(val[s]))
-        out.append((float(val[best]), U[:, best].copy()) if val[best] > 0.0
-                   else (0.0, None))
+        if val[best] > 0.0:
+            x = U[:, best].copy()
+            out.append((weighted_lp(K @ (w * x), w, q), x))
+            products += 1
+        else:
+            out.append((0.0, None))
+    kernel.products += products
     return out
 
 

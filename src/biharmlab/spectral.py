@@ -66,25 +66,29 @@ class SpectralDecomposition:
         """Apply f(A) through the spectral calculus."""
         return self.synth(f(self.mu) * self.coeffs(u))
 
-    def synth_kernel(self, fmu: np.ndarray) -> np.ndarray:
+    def synth_kernel(self, fmu: np.ndarray, modes=None) -> np.ndarray:
         """Kernel Q diag(fmu) Q^T from the values fmu of f on the spectrum,
-        as a Fortran-ordered array.
+        as a Fortran-ordered array, summed over the modes `modes` (index
+        array; every mode by default).
 
-        Formed by row blocks, K[a:b] = (Q[a:b] fmu) Q^T, which is bit for
-        bit the one product (Q fmu) Q^T: each block's Q fmu rows are taken
-        in K's own storage, and only the block's product needs a
-        temporary of n^2 / SYNTH_BLOCKS entries.
+        Formed by row blocks, K[a:b] = (Q[a:b] fmu) Q^T over those modes,
+        which is bit for bit the one product (Q fmu) Q^T: each block's
+        Q fmu rows are taken in K's own storage, and only the block's
+        product needs a temporary of n^2 / SYNTH_BLOCKS entries.
         """
         n = self.n
         K = np.empty((n, n), dtype=np.result_type(self.Q, fmu), order="F")
+        Q = self.Q if modes is None else self.Q[:, modes]
+        fmu = fmu if modes is None else fmu[modes]
+        r = Q.shape[1]
         # a complex f casts Q once, as the one product would
-        QT = self.Q.astype(K.dtype, copy=False).T
+        QT = Q.astype(K.dtype, copy=False).T
         rows = -(-n // SYNTH_BLOCKS)
         buf = np.empty((min(rows, n), n), dtype=K.dtype)
         for a in range(0, n, rows):
             Kb = K[a:a + rows]
-            np.multiply(self.Q[a:a + rows], fmu, out=Kb)
-            Kb[...] = np.matmul(Kb, QT, out=buf[:len(Kb)])
+            np.multiply(Q[a:a + rows], fmu, out=Kb[:, :r])
+            Kb[...] = np.matmul(Kb[:, :r], QT, out=buf[:len(Kb)])
         return K
 
 
@@ -159,9 +163,11 @@ class KernelMatrix:
     Built from its entries K, or as f(A) from a decomposition `dec` and the
     values `f` of f on its spectrum; such a kernel forms K = Q f Q^T only
     when K is first read, so norms read off the spectrum need no n x n
-    kernel.  `corner_norms` caches the corner norms taken of this kernel,
-    keyed by (p, q); K, w and f must not be mutated once a norm has been
-    taken.
+    kernel, and sums only its kept modes, the k with f_k != 0: the others
+    add exact zeros.  `corner_norms` caches the corner norms taken of this
+    kernel, keyed by (p, q), and `products` counts the kernel-vector
+    products the dual ascent took with it; K, w and f must not be mutated
+    once a norm has been taken.
     """
 
     def __init__(self, K: np.ndarray | None = None,
@@ -173,10 +179,18 @@ class KernelMatrix:
         self.w = dec.w if w is None else w
         self.dec, self.f = dec, f
         self.corner_norms = {}
+        self.products = 0
+
+    @cached_property
+    def kept(self) -> np.ndarray:
+        """Indices of the kept modes, the k with f_k != 0."""
+        return np.flatnonzero(self.f)
 
     @cached_property
     def K(self) -> np.ndarray:
-        return self.dec.synth_kernel(self.f)
+        kept = self.kept
+        return self.dec.synth_kernel(
+            self.f, None if kept.size == self.dec.n else kept)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         return self.K @ (self.w * u)

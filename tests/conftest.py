@@ -9,6 +9,7 @@ import pytest
 
 from biharmlab import (assemble_sector, build_box_grid, build_radial_grid,
                        assemble_box, cli, norms)
+from biharmlab.spectral import KernelMatrix
 
 ACCEPTANCE_LINES = []
 
@@ -19,6 +20,16 @@ def record(name: str, ok: bool, detail: str = "") -> bool:
     ACCEPTANCE_LINES.append(line)
     print(line)
     return ok
+
+
+def criterion_10_cases():
+    """Acceptance criterion 10's random kernels, with its (p, q) pairs and
+    the seed of each kernel's dual ascent."""
+    pairs = [(1.5, 3.0), (10.0 / 9.0, 2.0), (2.0, 10.0)]
+    for i in range(100):
+        rng = np.random.default_rng(5000 + i)
+        yield KernelMatrix(K=rng.standard_normal((20, 20)),
+                           w=rng.uniform(0.5, 2.0, 20)), pairs, i
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -22,9 +22,8 @@ from biharmlab import (SemigroupEvaluator, assemble_box,
                        twisted_expansion_study)
 from biharmlab.grids import TANH_HESS_MAX, weighted_lp
 from biharmlab.norms import _lp_unit
-from biharmlab.spectral import KernelMatrix
 
-from conftest import record
+from conftest import criterion_10_cases, record
 
 
 def test_criterion_01_rellich_constant():
@@ -177,7 +176,7 @@ def test_criterion_07_riesz_transform():
     n22_free = corner_norm(riesz_kernel(op0), 2.0, 2.0)
     free_ok = abs(n22_free - 1.0) <= 1e-8
 
-    sweep = riesz_pnorm_sweep(op, [1.3, 1.5, 1.8], refined_op=ops[1024])
+    sweep, _ = riesz_pnorm_sweep(op, [1.3, 1.5, 1.8], refined_op=ops[1024])
     stable = all(sweep[p]["stability"] <= 0.25 for p in (1.3, 1.5, 1.8))
     ok = route_rel <= 1e-6 and l2_ok and free_ok and stable
     record("criterion 7 (Riesz transform)", ok,
@@ -241,15 +240,11 @@ def _oracle(kern, p, q, seed):
 
 
 def test_criterion_10_norm_bracket_soundness():
-    pairs = [(1.5, 3.0), (10.0 / 9.0, 2.0), (2.0, 10.0)]
     violations = 0
-    for i in range(100):
-        rng = np.random.default_rng(5000 + i)
-        kern = KernelMatrix(K=rng.standard_normal((20, 20)),
-                            w=rng.uniform(0.5, 2.0, 20))
+    for kern, pairs, seed in criterion_10_cases():
         for p, q in pairs:
-            est = opnorms(kern, [(p, q)], seed=i)[0]
-            orc = _oracle(kern, p, q, seed=i)
+            est = opnorms(kern, [(p, q)], seed=seed)[0]
+            orc = _oracle(kern, p, q, seed=seed)
             if not (est.lower * (1.0 - 1e-6) - 1e-12 <= orc
                     <= est.upper * (1.0 + 1e-12)):
                 violations += 1

@@ -13,8 +13,8 @@ import pytest
 import scipy
 
 import biharmlab
-from biharmlab import (build_radial_grid, cli, norms, operators, report,
-                       spectral)
+from biharmlab import (assemble_sector, build_radial_grid, cli, estimates,
+                       norms, operators, report, spectral)
 from biharmlab.cli import ConfigError, build_parser, read_config
 from biharmlab.estimates import OFFDIAG_FLOOR, offdiag_fit
 
@@ -769,6 +769,41 @@ class TestSuiteOrder:
         # distance, which runs right after offdiag, inherits offdiag's
         # optimiser stack (about 16.5 MB)
         assert starts["distance"] - starts["offdiag"] > 10.0
+
+
+class TestNumerics:
+    def test_riesz_records_each_ascents_products(self, tmp_path,
+                                                 monkeypatch):
+        kernels = []
+        build = estimates.riesz_kernel
+
+        def kept(op):
+            kernels.append(build(op))
+            return kernels[-1]
+
+        monkeypatch.setattr(estimates, "riesz_kernel", kept)
+        man = report.RunManifest({}, str(tmp_path), False)
+        cli.run_riesz(resolved("riesz", "--n", "64"), man)
+        man.write()
+        body = json.load(open(tmp_path / "manifest.json"))
+        refined, base = kernels                # the refined kernel first
+        assert len(refined.w) == 128 and len(base.w) == 64
+        assert refined.products > 0 and base.products > 0
+        assert body["numerics"] == {"ascent_products": {
+            "refined": refined.products, "base": base.products}}
+
+    def test_decay_and_twisted_record_their_kept_modes(self, suite_run):
+        _, out = suite_run
+        for name, cs in (("decay", (0.0, 1.0)), ("twisted", (1.0,))):
+            args = resolved(name)
+            grid = build_radial_grid(args.N, args.R, args.n, args.mode)
+            t = min(args.t)
+            expected = [{"c": c, "t": t, "of": args.n, "kept": int(
+                np.count_nonzero(np.exp(-t * assemble_sector(
+                    grid, 0, c).decomposition.mu) > 0))} for c in cs]
+            man = json.loads((out / name / "manifest.json").read_text())
+            assert man["numerics"] == {"kept_modes": expected}
+            assert all(0 < row["kept"] < row["of"] for row in expected)
 
 
 class TestBenchmarkReference:

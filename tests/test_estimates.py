@@ -20,7 +20,8 @@ from biharmlab.estimates import (DistanceEstimate, EstimateError, gamma_pq,
 from biharmlab.grids import sphere_area
 from biharmlab.norms import (corner_norm, interpolation_upper,
                              kernel_block_norms, l2_norm)
-from biharmlab.spectral import SemigroupEvaluator, riesz_kernel
+from biharmlab.spectral import (SemigroupEvaluator, SpectralDecomposition,
+                                riesz_kernel)
 
 
 class TestWindowAndTargets:
@@ -354,6 +355,38 @@ class TestSpectralRoute:
         assert np.array_equal(res["ratios"], np.array(ref))
 
 
+    def test_offdiag_kernels_sum_every_mode_through_sigma_max(
+            self, monkeypatch):
+        # offdiag.csv is pinned bit for bit to the benchmark reference, and
+        # summing only the kept modes moves its kernels (by up to 1.1e-26
+        # relative at n = 2048): every kernel sums all n modes, and every
+        # ratio is a quotient of two of _sigma_max's values
+        op = assemble_sector(build_radial_grid(5, 40.0, 256), 0, 1.0)
+        dec = op.decomposition
+        ds, ts = (3.0, 5.0, 8.0, 12.0), np.geomspace(1e-3, 0.1, 4)
+        # the largest time drops modes, so a kept-mode sum would show
+        assert np.count_nonzero(np.exp(-ts[-1] * dec.mu)) < op.n
+        sums, sigmas = [], []
+        synth, sigma = SpectralDecomposition.synth_kernel, norms._sigma_max
+
+        def counted_synth(self, fmu, modes=None):
+            sums.append(self.n if modes is None else len(modes))
+            return synth(self, fmu, modes)
+
+        def counted_sigma(A):
+            sigmas.append(sigma(A))
+            return sigmas[-1]
+
+        monkeypatch.setattr(SpectralDecomposition, "synth_kernel",
+                            counted_synth)
+        monkeypatch.setattr(norms, "_sigma_max", counted_sigma)
+        monkeypatch.setattr(norms, "_norm_workers", lambda tasks: 1)
+        res = offdiag_fit(op, ds, ts)
+        assert sums == [op.n] * len(ts)
+        table = np.array(sigmas).reshape(len(ts), len(ds) + 1)
+        assert np.array_equal(res["ratios"], table[:, :-1] / table[:, -1:])
+
+
 class TestOffdiag:
     def test_zero_distance_reduces_to_plain_norm(self, op_c1):
         kern = SemigroupEvaluator(op_c1).kernel(0.1)
@@ -524,6 +557,46 @@ class TestTwistedSuite:
                                                         rel=1e-9)
 
 
+    @pytest.mark.parametrize("c", [0.0, 1.0])
+    def test_suite_grid_matches_the_formed_kernels(self, c, monkeypatch):
+        # twisted's own grid, lambdas, phis and times: every row within
+        # 1e-12 of l2_norm of the formed D K D^{-1} and L D K D^{-1}, with
+        # no kernel formed and no n x n SVD taken
+        args = cli.resolve("twisted", cli.build_parser().parse_args(
+            ["twisted"]), {})
+        g = build_radial_grid(args.N, args.R, args.n, args.mode)
+        op = assemble_sector(g, 0, c)
+        dec = op.decomposition
+        phis = [make_phi(np.zeros(args.N), 1.0, -g.R / 3.0, kind="radial",
+                         grid=g),
+                make_phi(np.zeros(args.N), 2.0, -g.R / 2.0, kind="radial",
+                         grid=g)]
+        ref = []
+        for lam in args.lam:
+            for phi in phis:
+                d = np.exp(lam * twist(op, lam, phi).phi_values)
+                for t in args.t:
+                    K = (dec.Q * np.exp(-t * dec.mu)) @ dec.Q.T
+                    Kt = d[:, None] * K / d[None, :]
+                    ref.append((l2_norm(Kt, op.w, op.w),
+                                l2_norm(op.apply_L(Kt), op.w, op.w)))
+
+        def refuse(*args):
+            raise AssertionError("an n x n SVD was taken")
+
+        kernels = collect_kernels(monkeypatch)
+        monkeypatch.setattr(norms, "_sigma_max", refuse)
+        res = twisted_decay_suite(op, args.lam, phis, args.t, n_probes=2)
+        assert len(kernels) == len(args.t)
+        assert not any("K" in kern.__dict__ for kern in kernels)
+        kept = np.count_nonzero(np.exp(-min(args.t) * dec.mu) > 0)
+        assert res["kept_modes"] == kept < op.n
+        assert len(res["rows"]) == len(ref)
+        for row, (nrm, lap) in zip(res["rows"], ref):
+            assert row["norm"] == pytest.approx(nrm, rel=1e-12, abs=0.0)
+            assert row["lap_norm"] == pytest.approx(lap, rel=1e-12, abs=0.0)
+
+
 class TestExtrapolation:
     def test_no_growth_trend(self, op_c1):
         out = extrapolation_check(op_c1, [4.0, 10.0],
@@ -561,13 +634,13 @@ def op_c1_refined(grid128):
 
 class TestRieszSweep:
     def test_p2_entry_certified(self, op_c1, op_c1_refined):
-        res = riesz_pnorm_sweep(op_c1, [1.5], op_c1_refined)
+        res, _ = riesz_pnorm_sweep(op_c1, [1.5], op_c1_refined)
         ent = res[2.0]
         assert "ok" not in ent
         assert ent["estimate"].upper <= ent["eta_bound"] + 1e-8
 
     def test_bracket_per_p(self, op_c1, op_c1_refined):
-        res = riesz_pnorm_sweep(op_c1, [1.3, 1.8], op_c1_refined)
+        res, _ = riesz_pnorm_sweep(op_c1, [1.3, 1.8], op_c1_refined)
         for p in (1.3, 1.8):
             est = res[p]["estimate"]
             assert est.lower <= est.upper * (1 + 1e-12)
@@ -586,7 +659,8 @@ class TestRieszSweep:
         monkeypatch.setattr(estimates, "corner_norm", counting, raising=False)
         ops = [assemble_sector(build_radial_grid(5, 20.0, n, "uniform"), 0, 1.0)
                for n in (32, 48)]
-        res = riesz_pnorm_sweep(ops[0], [1.3, 1.5, 1.8], refined_op=ops[1])
+        res, _ = riesz_pnorm_sweep(ops[0], [1.3, 1.5, 1.8],
+                                   refined_op=ops[1])
         # the refined kernel gets a lower bound only: no corner norm
         assert len(calls) == 6
         assert {(p, q) for _, _, p, q in calls} == set(norms.CORNERS)
@@ -607,7 +681,7 @@ class TestRieszSweep:
         ops = [assemble_sector(build_radial_grid(5, 20.0, n, "uniform"), 0, 1.0)
                for n in (32, 48)]
         ps = [1.3, 1.5, 1.8]
-        res = riesz_pnorm_sweep(ops[0], ps, refined_op=ops[1])
+        res, _ = riesz_pnorm_sweep(ops[0], ps, refined_op=ops[1])
         # the refined kernel first, before the base operator is decomposed
         assert blocks == [(48, [(p, p) for p in ps]), (32, [(p, p) for p in ps])]
         # the refined lower bounds are the ones the stability reads

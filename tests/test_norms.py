@@ -9,12 +9,15 @@ from hypothesis.extra import numpy as hnp
 from scipy.optimize import linprog
 
 from biharmlab import (SemigroupEvaluator, assemble_sector,
-                       boyd_lower, build_radial_grid, corner_norm,
+                       boyd_lower, build_radial_grid, cli, corner_norm,
                        interpolation_upper, norms, opnorms)
 from biharmlab.grids import weighted_lp
 from biharmlab.norms import (BOYD_MAX_ITER, BOYD_RESTARTS, NormError,
                              NormEstimate, _dual, _duality_map, _lp_unit)
-from biharmlab.spectral import KernelMatrix, SpectralDecomposition
+from biharmlab.spectral import (KernelMatrix, SpectralDecomposition,
+                                riesz_kernel)
+
+from conftest import criterion_10_cases
 
 # the dual-ascent pairs under test; (2, inf) and (1, inf) run the q = inf
 # branch, (1, 2) and (1, inf) the p = 1 branch
@@ -260,6 +263,135 @@ class TestBoydLower:
         [(lo, witness)] = boyd_lower(kern, [(1.5, 3.0)], seed=2)
         assert est.lower == lo
         assert np.array_equal(est.witness, witness)
+
+
+def _boyd_plain(kernel, pairs, restarts=BOYD_RESTARTS, seed=0):
+    """The plain block dual ascent, without extrapolated steps: the
+    reference whose values boyd_lower must reach and whose products with
+    K it must undercut."""
+    K, w = kernel.K, kernel.w
+    n = K.shape[1]
+    m = max(restarts, 2)
+    blocks = []
+    for p, q in pairs:
+        rng = np.random.default_rng(seed)
+        e = np.zeros(n)
+        e[int(np.argmax(weighted_lp(K, w, q)))] = 1.0
+        starts = [np.ones(n), e]
+        while len(starts) < m:
+            starts.append(np.abs(rng.standard_normal(n))
+                          * rng.choice([-1.0, 1.0], n))
+        blocks.append(_lp_unit(np.column_stack(starts), w, p))
+    U = np.hstack(blocks)
+    owner = np.repeat(np.arange(len(pairs)), m)
+    V = K @ (w[:, None] * U)
+    nv = np.concatenate([weighted_lp(V[:, j * m:(j + 1) * m], w, q)
+                         for j, (_, q) in enumerate(pairs)])
+    val = np.zeros(U.shape[1])
+    live = np.flatnonzero(nv > 0)
+    for _ in range(BOYD_MAX_ITER):
+        if live.size == 0:
+            break
+        groups = [(p, q, np.flatnonzero(owner[live] == j))
+                  for j, (p, q) in enumerate(pairs)]
+        Psi = np.empty((n, live.size))
+        for p, q, g in groups:
+            Vg = V[:, live[g]]
+            Psi[:, g] = _duality_map(Vg, nv[live[g]], np.sign(Vg), w, q)
+        Z = ((w[:, None] * Psi).T @ K).T
+        Unew = np.empty_like(Psi)
+        for p, q, g in groups:
+            Zg, Ug = Z[:, g], U[:, live[g]]
+            sgn = np.where(Zg != 0, np.sign(Zg), np.sign(Ug) + (Ug == 0))
+            Unew[:, g] = _lp_unit(_duality_map(Zg, 1.0, sgn, w, _dual(p)),
+                                  w, p)
+        Vnew = K @ (w[:, None] * Unew)
+        new_val = np.empty(live.size)
+        for p, q, g in groups:
+            new_val[g] = weighted_lp(Vnew[:, g], w, q)
+        gain = new_val > val[live] * (1.0 + 1e-13)
+        live = live[gain]
+        U[:, live], V[:, live] = Unew[:, gain], Vnew[:, gain]
+        val[live] = nv[live] = new_val[gain]
+    return [float(val[j * m:(j + 1) * m].max()) for j in range(len(pairs))]
+
+
+class Counting(np.ndarray):
+    """A kernel's entries that count the kernel-vector products taken
+    with them, through `@` or np.matmul, in `Counting.products`."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            a, b = inputs
+            Counting.products += (a.shape[0] if isinstance(b, Counting)
+                                  else b.shape[1] if b.ndim == 2 else 1)
+        inputs = [np.asarray(x) for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def suite_riesz():
+    """riesz's default n = 512 kernel and its p sweep, as pairs."""
+    defaults = cli.EXPERIMENTS["riesz"].defaults
+    op = assemble_sector(build_radial_grid(5, 30.0, defaults["n"]), 0, 1.0)
+    return riesz_kernel(op), [(p, p) for p in defaults["p"]]
+
+
+class TestExtrapolatedAscent:
+    def test_reaches_the_plain_ascent_on_the_suite_kernel(self, suite_riesz):
+        kern, pairs = suite_riesz
+        for (lo, witness), ref, (p, q) in zip(boyd_lower(kern, pairs),
+                                              _boyd_plain(kern, pairs), pairs):
+            assert lo >= ref * (1.0 - 1e-12)
+            assert _reproduced(kern, witness, p, q) == pytest.approx(
+                lo, rel=1e-10)
+
+    def test_reaches_the_plain_ascent_on_criterion_10_kernels(self):
+        for kern, pairs, seed in criterion_10_cases():
+            block = boyd_lower(kern, pairs, seed=seed)
+            refs = _boyd_plain(kern, pairs, seed=seed)
+            for (lo, witness), ref, (p, q) in zip(block, refs, pairs):
+                assert lo >= ref * (1.0 - 1e-12)
+                assert _reproduced(kern, witness, p, q) == pytest.approx(
+                    lo, rel=1e-10)
+
+    def test_reaches_the_plain_ascent_on_extrapolation_check_kernels(
+            self, op_c1):
+        # extrapolation_check's flat semigroup kernels, at the times of
+        # TestExtrapolation, where the p = 4 ascents have many local maxima
+        ev = SemigroupEvaluator(op_c1)
+        pairs = [(p, p) for p in (1.2, 1.5, 3.0, 4.0)]
+        for t in np.geomspace(0.06, 0.6, 4):
+            kern = ev.kernel(t)
+            for (lo, witness), ref, (p, q) in zip(
+                    boyd_lower(kern, pairs), _boyd_plain(kern, pairs), pairs):
+                assert lo >= ref * (1.0 - 1e-12)
+                assert _reproduced(kern, witness, p, q) == pytest.approx(
+                    lo, rel=1e-10)
+
+    def test_takes_at_most_sixty_percent_of_the_plain_products(
+            self, suite_riesz):
+        kern, pairs = suite_riesz
+        counted = KernelMatrix(K=kern.K.view(Counting), w=kern.w)
+        Counting.products = 0
+        _boyd_plain(counted, pairs)
+        plain = Counting.products
+        Counting.products = 0
+        boyd_lower(counted, pairs)
+        assert Counting.products <= 0.6 * plain
+        # the ascent's own count, which riesz's manifest records
+        assert counted.products == Counting.products
+
+    def test_products_add_up_over_calls(self):
+        kern = random_kernel(10, 3)
+        Counting.products = 0
+        counted = KernelMatrix(K=kern.K.view(Counting), w=kern.w)
+        boyd_lower(counted, BOYD_PAIRS[:2])
+        first = counted.products
+        boyd_lower(counted, BOYD_PAIRS[2:])
+        assert 0 < first < counted.products == Counting.products
 
 
 class TestCornerCache:

@@ -167,6 +167,37 @@ class TestSynthKernel:
         assert peak <= 1.1 * n * n * 8
 
 
+class TestKeptModes:
+    @pytest.mark.parametrize("t", [0.01, 0.05, 0.5, 0.05 + 0.02j])
+    def test_kernel_sums_only_the_modes_with_nonzero_values(self, monkeypatch,
+                                                           t):
+        op = assemble_sector(build_radial_grid(5, 30.0, 256), 0, 1.0)
+        dec = op.decomposition
+        sums = []
+        synth = spectral.SpectralDecomposition.synth_kernel
+
+        def counted(self, fmu, modes=None):
+            sums.append(self.n if modes is None else len(modes))
+            return synth(self, fmu, modes)
+
+        monkeypatch.setattr(spectral.SpectralDecomposition, "synth_kernel",
+                            counted)
+        kern = SemigroupEvaluator(op).kernel(t)
+        kept = int(np.count_nonzero(np.abs(kern.f) > 0))
+        assert kern.kept.size == kept
+        K = kern.K
+        assert sums == [kept]
+        # the dropped values are exact zeros, so only round-off moves K
+        full = (dec.Q * kern.f) @ dec.Q.T
+        assert np.max(np.abs(K - full)) <= 1e-15 * np.max(np.abs(full))
+        assert kept < dec.n
+
+    def test_values_that_never_underflow_keep_every_mode(self, op_c1):
+        dec = op_c1.decomposition
+        kern = spectral.KernelMatrix(dec=dec, f=dec.mu**-0.5)
+        assert np.array_equal(kern.kept, np.arange(dec.n))
+
+
 class TestSemigroup:
     def test_semigroup_law(self, op_c1, rng):
         ev = SemigroupEvaluator(op_c1)
