@@ -231,12 +231,13 @@ def run_coercivity(args, man: report.RunManifest) -> None:
     ev = SemigroupEvaluator(op)
     norms = [corner_norm(ev.kernel(t), 2.0, 2.0) for t in args.t]
     man.table("contraction.csv", ("t", "norm_2_2"), list(zip(args.t, norms)))
-    mu_1 = op.decomposition.mu[0]
-    man.add_check("positive_definite", mu_1, ">", 0.0,
-                  f"mu_1 = {report.fmt(mu_1)}")
-    gram = op.decomposition.gram_norm
+    dec = op.decomposition
+    man.add_check("positive_definite", dec.mu[0], ">", 0.0,
+                  f"mu_1 = {report.fmt(dec.mu[0])}")
+    man.numerics["orthonormality_residual"] = dec.orthonormality_residual()
+    man.numerics["gram_norm"] = dec.gram_norm
     man.add_check("semigroup_contractive", np.max(norms), "<=", 1.0 + 1e-12,
-                  f"gram_norm - 1 = {report.fmt(gram - 1.0)}")
+                  f"gram_norm - 1 = {report.fmt(dec.gram_norm - 1.0)}")
 
 
 def run_rellich(args, man: report.RunManifest) -> None:

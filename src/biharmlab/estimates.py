@@ -19,11 +19,11 @@ import numpy as np
 import scipy.linalg as sla
 
 from .grids import RadialGrid, probe_functions, sphere_area, weighted_lp
-from .norms import (NormEstimate, boyd_lower, corner_norm,
-                    interpolation_upper, kernel_block_norms, l2_norm, opnorms)
+from .norms import (NormEstimate, boyd_lower, interpolation_upper,
+                    kernel_block_norms, opnorms)
 from .operators import (SectorOperator, forme_inequality_check,
                         paper_rellich_constant, stiffness_bands, twist)
-from .spectral import KernelMatrix, SemigroupEvaluator, riesz_kernel
+from .spectral import SemigroupEvaluator, riesz_kernel
 
 
 class EstimateError(ValueError):
@@ -184,15 +184,16 @@ def gamma_pq(N: int, p: float, q: float) -> float:
     return N / 4.0 * (ip - iq)
 
 
-def _power_fit(grid: RadialGrid, t_list, norm, target: float) -> FitResult:
-    """Log-log fit of norm(t) ~ prefactor t^exponent over the times of
-    t_list inside reliable_window(grid), which must hold at least 5."""
+def _power_fit(grid: RadialGrid, t_list, norms, target: float) -> FitResult:
+    """Log-log fit of norm(t) ~ prefactor t^exponent over the times ts of
+    t_list inside reliable_window(grid), which must hold at least 5;
+    norms(ts) gives the norms at those times."""
     lo, hi = reliable_window(grid)
     ts = np.asarray([t for t in t_list if lo <= t <= hi], dtype=float)
     if len(ts) < 5:
         raise EstimateError(
             f"fewer than 5 usable t-points inside the window [{lo:g}, {hi:g}]")
-    vals = [float(norm(t)) for t in ts]
+    vals = [float(v) for v in norms(ts)]
     lt, lv = np.log(ts), np.log(vals)
     slope, intercept = np.polyfit(lt, lv, 1)
     resid = float(np.max(np.abs(lv - (slope * lt + intercept))))
@@ -208,7 +209,8 @@ def decay_fit(op: SectorOperator, p: float, q: float, t_list) -> FitResult:
     upper bound of each norm."""
     ev = SemigroupEvaluator(op)
     return _power_fit(op.grid, t_list,
-                      lambda t: interpolation_upper(ev.kernel(t), p, q),
+                      lambda ts: [interpolation_upper(ev.kernel(t), p, q)
+                                  for t in ts],
                       -gamma_pq(op.grid.N, p, q))
 
 
@@ -404,20 +406,21 @@ def _sym_part_minimizer(tw) -> np.ndarray:
     return q[:, 0] / s
 
 
-def _twisted_norms(op: SectorOperator, d: np.ndarray, modes: np.ndarray,
-                   fs) -> list:
+def _factor_norms(op: SectorOperator, modes: np.ndarray, fs,
+                  d: np.ndarray | None = None) -> list:
     """(||D K D^{-1}||, ||L D K D^{-1}||), weighted 2 -> 2, for each
-    semigroup kernel K = Q diag(f) Q^T, f in fs, with D = diag(d), from
-    r x r factors.  Every f vanishes outside `modes`, so with Q_r those r
-    columns of Q and the thin QRs W^{1/2} D Q_r = Q_1 R_1, W^{1/2} D^{-1}
-    Q_r = Q_2 R_2 and W^{1/2} L D Q_r = Q_3 R_3, the two norms are those
-    of R_1 f_r R_2^T and R_3 f_r R_2^T: no n x n kernel is formed."""
+    semigroup kernel K = Q diag(f) Q^T, f in fs, with D = diag(d) (the
+    identity if d is None), from r x r factors.  Every f vanishes outside
+    `modes`, so with Q_r those r columns of Q and the thin QRs W^{1/2} D
+    Q_r = Q_1 R_1, W^{1/2} D^{-1} Q_r = Q_2 R_2 and W^{1/2} L D Q_r =
+    Q_3 R_3, the two norms are those of R_1 f_r R_2^T and R_3 f_r R_2^T:
+    no n x n kernel is formed.  At D = I, R_2 is R_1."""
     sw = np.sqrt(op.w)
     Q = op.decomposition.Q[:, modes]
-    DQ = d[:, None] * Q
-    R1, R2, R3 = (np.linalg.qr(X, mode="r") for X in (
-        sw[:, None] * DQ, (sw / d)[:, None] * Q,
-        sw[:, None] * op.apply_L(DQ)))
+    DQ = Q if d is None else d[:, None] * Q
+    R1 = np.linalg.qr(sw[:, None] * DQ, mode="r")
+    R2 = R1 if d is None else np.linalg.qr((sw / d)[:, None] * Q, mode="r")
+    R3 = np.linalg.qr(sw[:, None] * op.apply_L(DQ), mode="r")
 
     def norm(R, f):
         M = (R * f[modes]) @ R2.T
@@ -466,7 +469,7 @@ def twisted_decay_suite(op: SectorOperator, lam_list, phi_list, t_list,
     for lam, tw in pairs:
         d = np.exp(lam * tw.phi_values)
         grow = 2.0 * k_h * (1.0 + lam**4)
-        for t, (nrm, lnrm) in zip(t_list, _twisted_norms(op, d, modes, fs)):
+        for t, (nrm, lnrm) in zip(t_list, _factor_norms(op, modes, fs, d)):
             m_hat = max(m_hat, lnrm * math.sqrt(t) * math.exp(-grow * t))
             try:
                 bound = math.exp(grow * t)
@@ -486,20 +489,17 @@ def twisted_decay_suite(op: SectorOperator, lam_list, phi_list, t_list,
 
 def laplacian_decay_fit(op: SectorOperator, t_list) -> FitResult:
     """Fit ||L e^{-tA}||_{2->2} ~ t^{-1/2} over the given times inside the
-    reliable window.  At c = 0 the tridiagonal factor gives L Q = -Q nu
-    with nu = mu^{1/2}, so L e^{-tA} is the kernel Q (-nu e^{-t mu}) Q^T
-    and its norm is read off the spectrum, with no formed kernel."""
+    reliable window, each norm read from r x r factors over the modes
+    their kernels keep (`_factor_norms` at D = I): no n x n kernel is
+    formed."""
     ev = SemigroupEvaluator(op)
-    if op.c == 0.0:
-        nu = np.sqrt(op.decomposition.mu)
 
-        def norm(t):
-            return corner_norm(KernelMatrix(dec=op.decomposition,
-                                            f=-nu * ev.values(t)), 2.0, 2.0)
-    else:
-        def norm(t):
-            return l2_norm(op.apply_L(ev.kernel(t).K), op.w, op.w)
-    return _power_fit(op.grid, t_list, norm, -0.5)
+    def norms(ts):
+        fs = [ev.values(t) for t in ts]
+        modes = np.flatnonzero(np.any(fs, axis=0))
+        return [lnrm for _, lnrm in _factor_norms(op, modes, fs)]
+
+    return _power_fit(op.grid, t_list, norms, -0.5)
 
 
 # ------------------------------------------------------ extrapolation / Lp

@@ -59,12 +59,10 @@ class SpectralDecomposition:
     def coeffs(self, u: np.ndarray) -> np.ndarray:
         return self.Q.T @ (self.w * u)
 
-    def synth(self, c: np.ndarray) -> np.ndarray:
-        return self.Q @ c
-
-    def fn_apply(self, f, u: np.ndarray) -> np.ndarray:
-        """Apply f(A) through the spectral calculus."""
-        return self.synth(f(self.mu) * self.coeffs(u))
+    def fn_apply(self, fmu: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """f(A) u through the spectral calculus, from the values fmu of f
+        on the spectrum."""
+        return self.Q @ (fmu * self.coeffs(u))
 
     def synth_kernel(self, fmu: np.ndarray, modes=None) -> np.ndarray:
         """Kernel Q diag(fmu) Q^T from the values fmu of f on the spectrum,
@@ -207,8 +205,7 @@ class SemigroupEvaluator:
         _require_sector(self.op)
 
     def apply(self, z: complex, u) -> np.ndarray:
-        dec = self.op.decomposition
-        return dec.synth(self.values(z) * dec.coeffs(u))
+        return self.op.decomposition.fn_apply(self.values(z), u)
 
     def values(self, t: complex) -> np.ndarray:
         """The values e^{-t mu} of e^{-tA} on the spectrum."""
@@ -260,7 +257,7 @@ def inv_sqrt_apply(op, u, route: str = "spectral") -> np.ndarray:
     uv = np.asarray(u)
     dec = _positive_decomposition(op)
     if route == "spectral":
-        return dec.fn_apply(lambda m: m**-0.5, uv)
+        return dec.fn_apply(dec.mu**-0.5, uv)
     if route != "quadrature":
         raise SpectralError(f"unknown route {route!r}")
     ts, wts = quadrature_nodes(float(dec.mu[0]), float(dec.mu[-1]))
@@ -268,7 +265,7 @@ def inv_sqrt_apply(op, u, route: str = "spectral") -> np.ndarray:
     acc = np.zeros_like(c)
     for t, wt in zip(ts, wts):
         acc = acc + wt * np.exp(-t * dec.mu) * c
-    return dec.synth(acc)
+    return dec.Q @ acc
 
 
 def riesz_apply(op, u, route: str = "spectral") -> np.ndarray:

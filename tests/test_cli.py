@@ -805,6 +805,20 @@ class TestNumerics:
             assert man["numerics"] == {"kept_modes": expected}
             assert all(0 < row["kept"] < row["of"] for row in expected)
 
+    def test_coercivity_records_its_decompositions_health(self, suite_run):
+        _, out = suite_run
+        args = resolved("coercivity")
+        dec = assemble_sector(build_radial_grid(
+            args.N, args.R, args.n, args.mode), 0, args.c).decomposition
+        man = json.loads((out / "coercivity" / "manifest.json").read_text())
+        health = man["numerics"]
+        assert health.keys() == {"orthonormality_residual", "gram_norm"}
+        assert 0.0 < health["orthonormality_residual"] <= 1e-12
+        assert health["orthonormality_residual"] == pytest.approx(
+            dec.orthonormality_residual(), abs=1e-14)
+        assert health["gram_norm"] == pytest.approx(dec.gram_norm,
+                                                    rel=1e-13)
+
 
 class TestBenchmarkReference:
     def test_suite_csvs_match_the_reference(self, suite_run):

@@ -20,8 +20,8 @@ from biharmlab.estimates import (DistanceEstimate, EstimateError, gamma_pq,
 from biharmlab.grids import sphere_area
 from biharmlab.norms import (corner_norm, interpolation_upper,
                              kernel_block_norms, l2_norm)
-from biharmlab.spectral import (SemigroupEvaluator, SpectralDecomposition,
-                                riesz_kernel)
+from biharmlab.spectral import (KernelMatrix, SemigroupEvaluator,
+                                SpectralDecomposition, riesz_kernel)
 
 
 class TestWindowAndTargets:
@@ -266,15 +266,31 @@ class TestDecayFit:
                                                       abs=0.0)
 
     def test_laplacian_norms_at_c_one_are_the_formed_kernels(
-            self, op_c1, monkeypatch, one_blas_thread):
+            self, op_c1, one_blas_thread):
         ts = list(np.geomspace(0.06, 0.6, 6))
         ev = SemigroupEvaluator(op_c1)
         ref = [l2_norm(op_c1.apply_L(ev.kernel(t).K), op_c1.w, op_c1.w)
                for t in ts]
-        kernels = collect_kernels(monkeypatch)
         fit = laplacian_decay_fit(op_c1, ts)
-        assert len(kernels) == len(ts)        # one formed kernel per time
-        assert fit.params["norm_values"] == ref
+        # the r x r factors round differently from the formed kernel's SVD
+        assert fit.params["norm_values"] == pytest.approx(ref, rel=1e-12,
+                                                          abs=0.0)
+
+    @pytest.mark.parametrize("name", ["op_c0", "op_c1"])
+    def test_laplacian_fit_forms_no_kernel_and_takes_no_svd(
+            self, name, request, monkeypatch):
+        # one route at every c: r x r factors of the kept modes
+        op = request.getfixturevalue(name)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an n x n kernel or SVD was formed")
+
+        monkeypatch.setattr(SpectralDecomposition, "synth_kernel", refuse)
+        monkeypatch.setattr(KernelMatrix, "K", property(refuse))
+        monkeypatch.setattr(norms, "l2_norm", refuse)
+        monkeypatch.setattr(norms, "_sigma_max", refuse)
+        fit = laplacian_decay_fit(op, list(np.geomspace(0.06, 0.6, 6)))
+        assert len(fit.params["norm_values"]) == 6
 
     def test_laplacian_fit_keeps_the_reliable_window(self, op_c0):
         # decay_fit's window and its rule of at least 5 points

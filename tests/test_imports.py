@@ -23,8 +23,6 @@ PACKAGE = os.path.dirname(REEXPORTS)
 # names, each kept for the reason given
 KEPT = {
     "extrapolation_check": "ROADMAP direction 3 makes it a suite gate",
-    "orthonormality_residual": "ROADMAP direction 5 records it in the "
-                               "manifest",
     "coords": "the test reference for BoxGrid.radii_sq and BoxGrid.dot",
     "apply_A": "a test reference until ROADMAP direction 16",
     "parse_known_args": "argparse calls it on a subcommand's parser",
@@ -141,6 +139,33 @@ def test_only_norms_binds_the_blas_thread_count():
     package = _read(glob.glob(os.path.join(ROOT, PACKAGE, "*.py")))
     assert [os.path.basename(path) for path, source in sorted(package.items())
             if "num_threads" in source] == ["norms.py"]
+
+
+# the SVDs of formed kernels
+SVD_NAMES = {"l2_norm", "_sigma_max"}
+
+
+def svd_imports(source: str) -> list:
+    """(line, dotted name) of each import of `source` that binds one of
+    SVD_NAMES."""
+    return [(line, name) for line, name in imported_names(source)
+            if name.rsplit(".", 1)[-1] in SVD_NAMES]
+
+
+def test_svd_scan_flags_only_the_svd_names():
+    source = ("from .norms import corner_norm, l2_norm\n"
+              "from biharmlab.norms import _sigma_max as s\n"
+              "from .norms import l2_norms\nimport numpy.linalg\n")
+    assert svd_imports(source) == [(1, ".norms.l2_norm"),
+                                   (2, "biharmlab.norms._sigma_max")]
+
+
+def test_only_norms_takes_svds_of_formed_kernels():
+    # every other module reads norms off the spectrum or r x r factors
+    package = _read(glob.glob(os.path.join(ROOT, PACKAGE, "*.py")))
+    assert {os.path.basename(path): found for path, source in package.items()
+            if (found := svd_imports(source))
+            and os.path.basename(path) != "norms.py"} == {}
 
 
 # what the CLI leaves to `operators.twisted_expansion_study`
