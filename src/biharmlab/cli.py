@@ -270,8 +270,8 @@ def run_decay(args, man: report.RunManifest) -> None:
                           "<=", 0.15, f"slope {report.fmt(fit.exponent)} "
                           f"target {report.fmt(fit.target)}")
         t = min(fit.params["t_values"])
-        kept.append({"c": c, "t": t, "of": grid.n,
-                     "kept": SemigroupEvaluator(op).kernel(t).kept.size})
+        kept.append({"c": c, "t": t, "of": grid.n, "kept": int(
+            np.count_nonzero(SemigroupEvaluator(op).values(t)))})
     man.table("decay.csv", ("c", "p", "q", "slope", "target", "residual"), rows)
     man.table("decay_curve.csv", ("c", "q", "t", "norm_upper"), curve_rows)
 

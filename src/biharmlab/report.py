@@ -27,8 +27,6 @@ def fmt(x) -> str:
         return "true" if x else "false"
     if isinstance(x, int):
         return str(x)
-    if isinstance(x, float):
-        return repr(float(x))
     if isinstance(x, str):
         return x
     try:
@@ -38,9 +36,7 @@ def fmt(x) -> str:
 
 
 def write_csv(path: str, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
+    lines = [",".join(header)] + [",".join(map(fmt, row)) for row in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

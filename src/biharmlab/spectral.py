@@ -44,17 +44,23 @@ class SpectralDecomposition:
     def _gram(self) -> np.ndarray:
         return self.Q.T @ (self.w[:, None] * self.Q)
 
-    def orthonormality_residual(self) -> float:
-        return float(np.max(np.abs(self._gram() - np.eye(self.n))))
-
     @cached_property
+    def _gram_health(self) -> tuple:
+        """(max |G - I|, ||G||_2) of one Gram G = Q^T W Q, not kept."""
+        G, n = self._gram(), self.n
+        top = float(sla.eigvalsh(G, subset_by_index=[n - 1, n - 1])[0])
+        G.flat[::n + 1] -= 1.0
+        return float(np.max(np.abs(G))), top
+
+    def orthonormality_residual(self) -> float:
+        return self._gram_health[0]
+
+    @property
     def gram_norm(self) -> float:
         """||Q^T W Q||_2 = ||W^{1/2} Q||_2^2, 1 up to round-off for a
         W-orthonormal basis; it turns spectral norm formulas into upper
         bounds on the norms of the formed kernels."""
-        n = self.n
-        return float(sla.eigvalsh(self._gram(),
-                                  subset_by_index=[n - 1, n - 1])[0])
+        return self._gram_health[1]
 
     def coeffs(self, u: np.ndarray) -> np.ndarray:
         return self.Q.T @ (self.w * u)
@@ -215,8 +221,7 @@ class SemigroupEvaluator:
 
     def kernel(self, t: complex) -> KernelMatrix:
         """Kernel of e^{-tA}, carrying its spectrum; K is formed on demand."""
-        f = self.values(t)
-        return KernelMatrix(dec=self.op.decomposition, f=f)
+        return KernelMatrix(dec=self.op.decomposition, f=self.values(t))
 
 
 def quadrature_nodes(mu_min: float, mu_max: float) -> tuple:
@@ -233,8 +238,7 @@ def quadrature_nodes(mu_min: float, mu_max: float) -> tuple:
     h = s[1] - s[0]
     # weight for int t^{-1/2} e^{-tA} dt with t = e^s: t^{1/2} ds
     wts = np.full(QUADRATURE_NODES, h)
-    wts[0] *= 0.5
-    wts[-1] *= 0.5
+    wts[[0, -1]] *= 0.5
     wts = wts * np.exp(0.5 * s) / math.sqrt(math.pi)
     return np.exp(s), wts
 

@@ -22,14 +22,19 @@ def record(name: str, ok: bool, detail: str = "") -> bool:
     return ok
 
 
-def criterion_10_cases():
-    """Acceptance criterion 10's random kernels, with its (p, q) pairs and
-    the seed of each kernel's dual ascent."""
+@pytest.fixture(scope="session")
+def criterion_10_blocks():
+    """Acceptance criterion 10's random kernels, each with its (p, q)
+    pairs, the seed of its dual ascent and its one `opnorms` block, the
+    brackets of all its pairs."""
     pairs = [(1.5, 3.0), (10.0 / 9.0, 2.0), (2.0, 10.0)]
+    cases = []
     for i in range(100):
         rng = np.random.default_rng(5000 + i)
-        yield KernelMatrix(K=rng.standard_normal((20, 20)),
-                           w=rng.uniform(0.5, 2.0, 20)), pairs, i
+        kern = KernelMatrix(K=rng.standard_normal((20, 20)),
+                            w=rng.uniform(0.5, 2.0, 20))
+        cases.append((kern, pairs, i, norms.opnorms(kern, pairs, seed=i)))
+    return cases
 
 
 def pytest_terminal_summary(terminalreporter):

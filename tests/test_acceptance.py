@@ -10,12 +10,11 @@ import time
 
 import numpy as np
 
-from biharmlab import (SemigroupEvaluator, assemble_box,
-                       assemble_sector, boyd_lower, build_box_grid,
-                       build_radial_grid, corner_norm, davies_distance,
-                       decay_fit, forme_inequality_check,
+from biharmlab import (assemble_box, assemble_sector, boyd_lower,
+                       build_box_grid, build_radial_grid, corner_norm,
+                       davies_distance, forme_inequality_check,
                        lambda_optimizer_check, laplacian_decay_fit,
-                       make_phi, opnorms, paper_rellich_constant,
+                       make_phi, paper_rellich_constant,
                        probe_functions, rellich_constant,
                        remark_ball_inequality, report, riesz_apply,
                        riesz_kernel, riesz_pnorm_sweep, twisted_decay_suite,
@@ -23,7 +22,7 @@ from biharmlab import (SemigroupEvaluator, assemble_box,
 from biharmlab.grids import TANH_HESS_MAX, weighted_lp
 from biharmlab.norms import _lp_unit
 
-from conftest import criterion_10_cases, record
+from conftest import record
 
 
 def test_criterion_01_rellich_constant():
@@ -45,36 +44,51 @@ def test_criterion_01_rellich_constant():
     assert rel <= 0.10
 
 
-def test_criterion_02_coercivity_contraction():
-    g = build_radial_grid(5, 30.0, 512)
-    op = assemble_sector(g, 0, 1.0)
-    dec = op.decomposition
-    positive = dec.mu[0] > 0
-    ev = SemigroupEvaluator(op)
-    worst = 0.0
-    for t in np.geomspace(1e-3, 10.0, 12):
-        worst = max(worst, corner_norm(ev.kernel(t), 2.0, 2.0))
+def _suite_manifest(out, name: str, n: int, R: float, **sweep) -> dict:
+    """The shared suite run's manifest of experiment `name`, once its
+    config echo shows that it ran these inputs."""
+    man = json.loads((out / name / "manifest.json").read_text())
+    config = man["config"]
+    assert (config["N"], config["c"], config["grid"]) == (
+        5, 1.0, {"n": n, "R": R, "mode": "uniform"})
+    for dest, values in sweep.items():
+        assert config["sweep"][dest] == values
+    return man
+
+
+def test_criterion_02_coercivity_contraction(suite_run):
+    # the suite's coercivity: mu_1 and ||e^{-tA}||_{2->2} at these t
+    _, out = suite_run
+    man = _suite_manifest(out, "coercivity", 512, 30.0,
+                          t=list(np.geomspace(1e-3, 10.0, 12)))
+    [mu_1] = [check["value"] for check in man["checks"]
+              if check["name"] == "positive_definite"]
+    _, rows = report.read_csv(str(out / "coercivity" / "contraction.csv"))
+    positive = mu_1 > 0
+    worst = max(float(row[1]) for row in rows)
     ok = positive and worst <= 1.0 + 1e-12
     record("criterion 2 (coercivity/contraction)", ok,
-           f"mu_1 {dec.mu[0]:.4f} > 0, sup_t ||e^-tA||_2->2 = {worst:.12f}")
+           f"mu_1 {mu_1:.4f} > 0, sup_t ||e^-tA||_2->2 = {worst:.12f}")
     assert positive
     assert worst <= 1.0 + 1e-12
 
 
-def test_criterion_03_decay_exponents():
-    t0 = time.monotonic()
-    g = build_radial_grid(5, 30.0, 512)
-    ts = list(np.geomspace(0.01, 0.1, 9))
+def test_criterion_03_decay_exponents(suite_run):
+    # the suite's decay fits, at c = 0 and 1 and q = inf and 10
+    _, out = suite_run
+    man = _suite_manifest(out, "decay", 512, 30.0,
+                          t=list(np.geomspace(0.01, 0.1, 9)))
+    _, rows = report.read_csv(str(out / "decay" / "decay.csv"))
+    slopes = {tuple(map(float, row[:3])): float(row[3]) for row in rows}
     details = []
-    ok = True
+    ok = len(rows) == len(slopes) == 4
     for c in (0.0, 1.0):
-        op = assemble_sector(g, 0, c)
         for q, tgt in ((math.inf, -0.625), (10.0, -0.5)):
-            fit = decay_fit(op, 2.0, q, ts)
-            rel = abs(fit.exponent - tgt) / abs(tgt)
+            slope = slopes[c, 2.0, q]
+            rel = abs(slope - tgt) / abs(tgt)
             ok = ok and rel <= 0.15
-            details.append(f"c={c} q={q:g}: {fit.exponent:.4f} vs {tgt}")
-    elapsed = time.monotonic() - t0
+            details.append(f"c={c} q={q:g}: {slope:.4f} vs {tgt}")
+    elapsed = man["wall_clock_s"]
     ok = ok and elapsed <= 300.0
     record("criterion 3 (decay exponents)", ok,
            "; ".join(details) + f"; {elapsed:.0f}s")
@@ -84,12 +98,8 @@ def test_criterion_03_decay_exponents():
 def test_criterion_04_offdiag_exponents(suite_run):
     # the fits of the shared suite run, whose offdiag ran these inputs
     _, out = suite_run
-    config = json.loads((out / "offdiag" / "manifest.json").read_text())[
-        "config"]
-    assert (config["N"], config["c"], config["grid"]) == (
-        5, 1.0, {"n": 1024, "R": 40.0, "mode": "uniform"})
-    assert config["sweep"]["d"] == [3.0, 5.0, 8.0, 12.0]
-    assert config["sweep"]["t"] == list(np.geomspace(1e-3, 1e-2, 8))
+    _suite_manifest(out, "offdiag", 1024, 40.0, d=[3.0, 5.0, 8.0, 12.0],
+                    t=list(np.geomspace(1e-3, 1e-2, 8)))
     _, rows = report.read_csv(str(out / "offdiag" / "offdiag.csv"))
     distance = [float(row[2]) for row in rows if row[0] == "distance"]
     [time_exp] = [float(row[2]) for row in rows if row[0] == "time"]
@@ -225,26 +235,28 @@ def test_criterion_09_lambda_optimizer():
     assert ok
 
 
-def _oracle(kern, p, q, seed):
-    """Brute-force lower estimate: a strictly larger witness search than the
-    one behind the reported bracket, plus random p-sphere sampling."""
-    best = 0.0
+def _oracle(kern, pairs, seed):
+    """Brute-force lower estimates, one per (p, q) in `pairs`: a strictly
+    larger witness search than the one behind the reported brackets, plus
+    random p-sphere sampling."""
+    best = np.zeros(len(pairs))
     for s in (seed, seed + 13):
-        [(v, _)] = boyd_lower(kern, [(p, q)], restarts=40, seed=s)
-        best = max(best, v)
+        best = np.maximum(best, [v for v, _ in boyd_lower(
+            kern, pairs, restarts=40, seed=s)])
     # 2000 random points of the unit p-sphere, as the columns of one block
     rng = np.random.default_rng(seed + 101)
-    Xn = _lp_unit(rng.standard_normal((2000, kern.K.shape[0])).T, kern.w, p)
-    values = weighted_lp(kern.K @ (kern.w[:, None] * Xn), kern.w, q)
-    return max(best, float(values.max()))
+    X = rng.standard_normal((2000, kern.K.shape[0])).T
+    for j, (p, q) in enumerate(pairs):
+        Xn = _lp_unit(X, kern.w, p)
+        values = weighted_lp(kern.K @ (kern.w[:, None] * Xn), kern.w, q)
+        best[j] = max(best[j], float(values.max()))
+    return best
 
 
-def test_criterion_10_norm_bracket_soundness():
+def test_criterion_10_norm_bracket_soundness(criterion_10_blocks):
     violations = 0
-    for kern, pairs, seed in criterion_10_cases():
-        for p, q in pairs:
-            est = opnorms(kern, [(p, q)], seed=seed)[0]
-            orc = _oracle(kern, p, q, seed=seed)
+    for kern, pairs, seed, brackets in criterion_10_blocks:
+        for est, orc in zip(brackets, _oracle(kern, pairs, seed=seed)):
             if not (est.lower * (1.0 - 1e-6) - 1e-12 <= orc
                     <= est.upper * (1.0 + 1e-12)):
                 violations += 1

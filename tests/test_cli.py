@@ -33,12 +33,24 @@ def resolved(name, *argv):
     return cli.resolve(name, build_parser().parse_args([name, *argv]), {})
 
 
-def run_cli(*args, env=None):
-    """Run the CLI in a child process; `env` entries override the
-    inherited environment."""
-    return subprocess.run([sys.executable, "-m", "biharmlab.cli", *args],
-                          capture_output=True, text=True,
-                          env=None if env is None else {**os.environ, **env})
+def start_cli(*args, env=None) -> subprocess.Popen:
+    """Start the CLI in a child process with its output piped; `env`
+    entries override the inherited environment."""
+    return subprocess.Popen([sys.executable, "-m", "biharmlab.cli", *args],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True,
+                            env=None if env is None else {**os.environ, **env})
+
+
+def finish(proc: subprocess.Popen) -> subprocess.CompletedProcess:
+    """Wait for a started child: its exit code and output."""
+    out, err = proc.communicate()
+    return subprocess.CompletedProcess(proc.args, proc.returncode, out, err)
+
+
+def run_cli(*args, env=None) -> subprocess.CompletedProcess:
+    """Run the CLI in a child process to its end."""
+    return finish(start_cli(*args, env=env))
 
 
 class TestConfigParsing:
@@ -805,6 +817,21 @@ class TestNumerics:
             assert man["numerics"] == {"kept_modes": expected}
             assert all(0 < row["kept"] < row["of"] for row in expected)
 
+    def test_coercivity_forms_one_gram(self, tmp_path, monkeypatch):
+        # its orthonormality residual and Gram norm come from one Q^T W Q
+        grams = []
+        form = spectral.SpectralDecomposition._gram
+
+        def counted(dec):
+            grams.append(dec.n)
+            return form(dec)
+
+        monkeypatch.setattr(spectral.SpectralDecomposition, "_gram", counted)
+        man = report.RunManifest({}, str(tmp_path), False)
+        cli.run_coercivity(resolved("coercivity", "--n", "64"), man)
+        assert grams == [64]
+        assert man.numerics.keys() == {"orthonormality_residual", "gram_norm"}
+
     def test_coercivity_records_its_decompositions_health(self, suite_run):
         _, out = suite_run
         args = resolved("coercivity")
@@ -1096,24 +1123,28 @@ class TestReport:
 
 class TestDeterminism:
     def test_repeat_run_bit_identical(self, tmp_path):
+        # two fresh interpreters, side by side
         a, b = tmp_path / "a", tmp_path / "b"
-        for out in (a, b):
-            res = run_cli("distance", "--seed", "7", "--out", str(out))
-            assert res.returncode == 0
+        for proc in [start_cli("distance", "--seed", "7", "--out", str(out))
+                     for out in (a, b)]:
+            assert finish(proc).returncode == 0
         ca = (a / "distance" / "distance.csv").read_bytes()
         cb = (b / "distance" / "distance.csv").read_bytes()
         assert ca == cb
 
     def test_csv_identical_across_blas_thread_counts(self, tmp_path):
+        # at one and at two BLAS threads, side by side
+        procs = {threads: start_cli("riesz", "--n", "256", "--seed", "7",
+                                    "--out", str(tmp_path / threads),
+                                    env={"OPENBLAS_NUM_THREADS": threads,
+                                         "OMP_NUM_THREADS": threads})
+                 for threads in ("1", "2")}
         csvs = []
-        for threads in ("1", "2"):
-            out = tmp_path / threads
-            res = run_cli("riesz", "--n", "256", "--seed", "7",
-                          "--out", str(out),
-                          env={"OPENBLAS_NUM_THREADS": threads,
-                               "OMP_NUM_THREADS": threads})
+        for threads, proc in procs.items():
+            res = finish(proc)
             assert res.returncode == 0, res.stderr
-            csvs.append((out / "riesz" / "riesz.csv").read_bytes())
+            csvs.append((tmp_path / threads / "riesz" / "riesz.csv")
+                        .read_bytes())
         assert csvs[0] == csvs[1]
 
     def test_offdiag_csv_identical_at_one_and_two_workers(self, tmp_path,

@@ -1,11 +1,8 @@
 import glob
 import os
-import subprocess
-import sys
+import runpy
 
 import pytest
-
-import biharmlab
 
 DEMOS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                      "demos")
@@ -26,12 +23,8 @@ DEMO_FILES = sorted(os.path.basename(p)
 
 @pytest.mark.parametrize("demo", DEMO_FILES,
                          ids=[d[len("demo_"):-len(".py")] for d in DEMO_FILES])
-def test_demo_runs(tmp_path, demo):
-    # the child imports this biharmlab from any working directory
-    src = os.path.dirname(os.path.dirname(os.path.abspath(biharmlab.__file__)))
-    res = subprocess.run(
-        [sys.executable, os.path.join(DEMOS, demo)],
-        capture_output=True, text=True, cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": src})
-    assert res.returncode == 0, res.stderr
-    assert MARKERS[demo] in res.stdout.splitlines()[-1]
+def test_demo_runs(tmp_path, monkeypatch, capsys, demo):
+    # as a script, in this interpreter, writing its files into tmp_path
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(os.path.join(DEMOS, demo), run_name="__main__")
+    assert MARKERS[demo] in capsys.readouterr().out.splitlines()[-1]

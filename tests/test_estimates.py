@@ -356,7 +356,7 @@ class TestSpectralRoute:
         ts = np.geomspace(1e-3, 1e-2, 4)
         res = offdiag_fit(op, ds, ts)
         dec = op.decomposition
-        assert "gram_norm" not in vars(dec)
+        assert "_gram_health" not in vars(dec)
         mE = op.grid.r <= 1.0
         sw = np.sqrt(op.w)
         ref = []

@@ -45,7 +45,6 @@ CHILD_PROCESS = {
     "test_cli.py::TestDeterminism::"
     "test_csv_identical_across_blas_thread_counts":
         "thread environment: OPENBLAS_NUM_THREADS is read at start-up",
-    "test_demos.py::test_demo_runs": "demo script",
     "test_imports.py::test_cli_import_defers_the_optimiser_and_sparse_stacks":
         "import order: what importing the CLI loads",
 }
@@ -282,10 +281,11 @@ def test_definition_scan_flags_only_unnamed_ones():
 
 
 def _starts_child(call) -> bool:
-    """Whether a call is subprocess.run, subprocess.Popen or run_cli."""
+    """Whether a call is subprocess.run, subprocess.Popen, run_cli or
+    start_cli."""
     fn = call.func
     if isinstance(fn, ast.Name):
-        return fn.id == "run_cli"
+        return fn.id in ("run_cli", "start_cli")
     return (isinstance(fn, ast.Attribute) and fn.attr in ("run", "Popen")
             and isinstance(fn.value, ast.Name) and fn.value.id == "subprocess")
 
@@ -332,9 +332,10 @@ def test_child_process_scan_flags_only_tests_and_fixtures():
               "def test_c():\n    cli.main([])\n"
               "class TestD:\n"
               "    def test_e(self):\n        assert run_cli('x')\n"
+              "    def test_f(self):\n        start_cli('x').wait()\n"
               "    def helper(self):\n        subprocess.run([])\n")
     assert child_process_starters(source) == ["shared", "test_a", "test_b",
-                                              "TestD::test_e"]
+                                              "TestD::test_e", "TestD::test_f"]
 
 
 def test_every_child_process_is_listed():

@@ -17,7 +17,6 @@ from biharmlab.norms import (BOYD_MAX_ITER, BOYD_RESTARTS, NormError,
 from biharmlab.spectral import (KernelMatrix, SpectralDecomposition,
                                 riesz_kernel)
 
-from conftest import criterion_10_cases
 
 # the dual-ascent pairs under test; (2, inf) and (1, inf) run the q = inf
 # branch, (1, 2) and (1, inf) the p = 1 branch
@@ -348,14 +347,15 @@ class TestExtrapolatedAscent:
             assert _reproduced(kern, witness, p, q) == pytest.approx(
                 lo, rel=1e-10)
 
-    def test_reaches_the_plain_ascent_on_criterion_10_kernels(self):
-        for kern, pairs, seed in criterion_10_cases():
-            block = boyd_lower(kern, pairs, seed=seed)
+    def test_reaches_the_plain_ascent_on_criterion_10_kernels(
+            self, criterion_10_blocks):
+        # each kernel's one boyd_lower block, as its opnorms block took it
+        for kern, pairs, seed, brackets in criterion_10_blocks:
             refs = _boyd_plain(kern, pairs, seed=seed)
-            for (lo, witness), ref, (p, q) in zip(block, refs, pairs):
-                assert lo >= ref * (1.0 - 1e-12)
-                assert _reproduced(kern, witness, p, q) == pytest.approx(
-                    lo, rel=1e-10)
+            for est, ref, (p, q) in zip(brackets, refs, pairs):
+                assert est.lower >= ref * (1.0 - 1e-12)
+                assert _reproduced(kern, est.witness, p, q) == pytest.approx(
+                    est.lower, rel=1e-10)
 
     def test_reaches_the_plain_ascent_on_extrapolation_check_kernels(
             self, op_c1):
