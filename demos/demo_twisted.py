@@ -15,11 +15,11 @@ import math
 
 import numpy as np
 
-from biharmlab import (assemble_box, assemble_sector, build_box_grid,
-                       build_radial_grid, forme_inequality_check, make_phi,
-                       paper_rellich_constant, probe_functions, twist,
-                       twisted_decay_suite, twisted_expansion_study)
-from biharmlab.grids import TANH_HESS_MAX
+from biharmlab import (assemble_sector, build_radial_grid,
+                       forme_inequality_check, make_phi,
+                       paper_rellich_constant, twist, twisted_decay_suite,
+                       twisted_expansion_study)
+from biharmlab.estimates import _sym_part_minimizer
 
 
 def shifted_quotients(tw, k, samples, seed):
@@ -48,28 +48,27 @@ for (m, h, d), order in zip(rows, [None, *orders]):
         line += f"  order {order:.2f}"
     print(line)
 
-# form inequality on sampled (u, lambda, phi)
-g = build_box_grid(5, 8, 2.5)
-op = assemble_box(g, 1.0)
+# form inequality on sampled (u, lambda, phi) on a radial sector: each u
+# minimises the symmetric part of its twisted form, the sample that
+# needs the k term
+g = build_radial_grid(5, 20.0, 256)
+op = assemble_sector(g, 0, 1.0)
+R = g.R
 rng = np.random.default_rng(0)
 samples = []
-for i in range(50):
-    u = probe_functions(g, 1, seed=i)[0]
-    e = rng.standard_normal(5)
-    e /= np.linalg.norm(e)
-    samples.append((u * (1 + 0.3j * rng.standard_normal(u.shape)),
-                    float(rng.uniform(0.1, 2.0)),
-                    make_phi(e, float(rng.uniform(TANH_HESS_MAX, 4.0)),
-                             float(rng.uniform(-1, 1)))))
+for _ in range(50):
+    lam = float(rng.uniform(0.1, 2.0))
+    phi = make_phi(np.zeros(5), float(rng.uniform(1.0, 2.0)),
+                   float(rng.uniform(-R / 2, -R / 3)), kind="radial", grid=g)
+    u = _sym_part_minimizer(twist(op, lam, phi))
+    samples.append((u * (1 + 0.3j * rng.standard_normal()), lam, phi))
 chk = forme_inequality_check(op, samples)
 print(f"\nform inequality: {len(chk['rows'])} samples, "
       f"violations {len(chk['violations'])}")
 print(f"  formula k = {chk['k']:.3e}, empirical minimal k = "
       f"{chk['k_empirical']:.3e}")
 
-# twisted semigroup bounds on a radial sector
-g = build_radial_grid(5, 20.0, 256)
-op = assemble_sector(g, 0, 1.0)
+# twisted semigroup bounds on the same sector
 phi = make_phi(np.zeros(5), 2.0, b=-8.0, kind="radial", grid=g)
 lams = [0.5, 1.0]
 res = twisted_decay_suite(op, lams, [phi],

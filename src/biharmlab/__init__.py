@@ -1,17 +1,16 @@
 """biharmlab: numerical laboratory for A = Delta^2 - c|x|^{-4} on R^N, N >= 5.
 
-Discretizes the operator on radial sector and box grids, evaluates its
-semigroup and Riesz transform through the weighted spectral calculus, and
-measures the quantitative estimates attached to it: the Rellich constant,
-the twisted-form inequality, L^p -> L^q decay rates, off-diagonal decay
+Discretizes the operator on radial sectors, evaluates its semigroup and
+Riesz transform through the weighted spectral calculus, and measures the
+quantitative estimates attached to it: the Rellich constant, the
+twisted-form inequality, L^p -> L^q decay rates, off-diagonal decay
 exponents, Davies distances, and Riesz-transform norm brackets.
 """
 
 from .grids import (BoxGrid, PhiFamily, RadialGrid, build_box_grid,
                     build_radial_grid, make_phi, probe_functions, sphere_area)
-from .operators import (BoxOperator, SectorOperator, TwistedOperator,
-                        assemble_box, assemble_sector, forme_inequality_check,
-                        paper_rellich_constant, twist,
+from .operators import (SectorOperator, TwistedOperator, assemble_sector,
+                        forme_inequality_check, paper_rellich_constant, twist,
                         twisted_expansion_study, twisted_form_terms)
 from .spectral import (KernelMatrix, SemigroupEvaluator, SpectralDecomposition,
                        eigendecompose, inv_sqrt_apply, riesz_apply,

@@ -114,15 +114,11 @@ class BoxGrid:
         return -self.B + (np.arange(self.m) + 0.5) * self.h
 
     @property
-    def size(self) -> int:
-        return self.m**self.N
-
-    @property
     def shape(self) -> tuple:
         return (self.m,) * self.N
 
     def coords(self) -> np.ndarray:
-        """(size, N) array of node coordinates."""
+        """(m^N, N) array of node coordinates."""
         grids = np.meshgrid(*([self.axis] * self.N), indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=1)
 
@@ -146,11 +142,6 @@ class BoxGrid:
         axes where e_k != 0."""
         return self._axis_sum({k: e[k] * self.axis for k in np.flatnonzero(e)},
                               rows)
-
-    @property
-    def w(self) -> np.ndarray:
-        """Uniform weights h^N as a read-only broadcast view."""
-        return np.broadcast_to(self.h**self.N, (self.size,))
 
 
 def build_box_grid(N: int, m: int, B: float) -> BoxGrid:
@@ -261,19 +252,14 @@ def boundary_taper(rr: np.ndarray, R: float) -> np.ndarray:
     return np.cos(0.5 * math.pi * t) ** 2
 
 
-def probe_functions(grid, count: int, seed: int = 0) -> list:
+def probe_functions(grid: RadialGrid, count: int, seed: int = 0) -> list:
     """Deterministic H^2-style probe family: Gaussians, polynomial bumps,
     and oscillatory radial profiles, all vanishing at the outer boundary.
     """
     if count < 1:
         raise GridError("count >= 1 required")
     rng = np.random.default_rng(seed)
-    if isinstance(grid, RadialGrid):
-        rr = grid.r
-        R = grid.R
-    else:
-        rr = np.sqrt(grid.radii_sq())
-        R = grid.B
+    rr, R = grid.r, grid.R
     taper = boundary_taper(rr, R)
     out = []
     for i in range(count):

@@ -5,8 +5,9 @@ The discrete A is defined through the quadratic form
 never by discretizing Delta^2 directly, so positivity and the coercivity
 structure a_h(u) >= eta_h ||L u||_W^2 are inherited exactly.
 
-Radial code treats each spherical-harmonic sector ell independently; the
-box code is matrix-free (stencil applications only).
+The one operator is a radial sector: each spherical-harmonic sector ell
+is treated independently.  The N-dimensional box serves only the
+twisted-form expansion study, through a matrix-free 2N+1 stencil.
 """
 
 from __future__ import annotations
@@ -49,27 +50,8 @@ def stiffness_bands(grid: RadialGrid, ell: int = 0) -> tuple:
     return a, d
 
 
-class WeightedForm:
-    """The form a_h(u, v) = (Lu, Lv)_W - c (Vu, v)_W, shared by the sector
-    and box operators; subclasses supply grid, c, V and apply_L."""
-
-    @property
-    def w(self) -> np.ndarray:
-        return self.grid.w
-
-    def inner(self, u, v) -> complex:
-        return complex(np.sum(self.w * u * np.conj(v)))
-
-    def form_a(self, u, v) -> complex:
-        """a_h(u, v) = (Lu, Lv)_W - c (Vu, v)_W."""
-        pot = self.c * complex(np.sum(self.w * self.V * u * np.conj(v)))
-        Lu = self.apply_L(u)
-        Lv = Lu if v is u else self.apply_L(v)
-        return self.inner(Lu, Lv) - pot
-
-
 @dataclass
-class SectorOperator(WeightedForm):
+class SectorOperator:
     """Radial sector of A = Delta^2 - c|x|^{-4} in the W-inner product.
 
     S = W L is the symmetric stiffness of the sector Laplacian; the form
@@ -89,8 +71,22 @@ class SectorOperator(WeightedForm):
         return self.grid.n
 
     @property
+    def w(self) -> np.ndarray:
+        return self.grid.w
+
+    @property
     def V(self) -> np.ndarray:
         return self.grid.r**-4.0
+
+    def inner(self, u, v) -> complex:
+        return complex(np.sum(self.w * u * np.conj(v)))
+
+    def form_a(self, u, v) -> complex:
+        """a_h(u, v) = (Lu, Lv)_W - c (Vu, v)_W."""
+        pot = self.c * complex(np.sum(self.w * self.V * u * np.conj(v)))
+        Lu = self.apply_L(u)
+        Lv = Lu if v is u else self.apply_L(v)
+        return self.inner(Lu, Lv) - pot
 
     @property
     def S(self) -> np.ndarray:
@@ -142,15 +138,6 @@ class SectorOperator(WeightedForm):
         return spectral.eigendecompose(self)
 
 
-def _warn_supercritical(N: int, c: float) -> None:
-    """Warn the caller of an assembly that c >= C*."""
-    cstar = paper_rellich_constant(N)
-    if c >= cstar:
-        warnings.warn(
-            f"c = {c} >= C* = {cstar}: discrete A may be indefinite",
-            stacklevel=3)
-
-
 def assemble_sector(grid: RadialGrid, ell: int = 0, c: float = 0.0) -> SectorOperator:
     """Sector ell of A: the flux-form radial Laplacian with zero flux at
     the inner face (the innermost cell sees no flux from the origin side)
@@ -158,54 +145,35 @@ def assemble_sector(grid: RadialGrid, ell: int = 0, c: float = 0.0) -> SectorOpe
     semidefinite."""
     if ell < 0:
         raise OperatorError("angular index ell must be >= 0")
-    _warn_supercritical(grid.N, c)
     N, r, faces = grid.N, grid.r, grid.faces
+    cstar = paper_rellich_constant(N)
+    if c >= cstar:
+        warnings.warn(
+            f"c = {c} >= C* = {cstar}: discrete A may be indefinite",
+            stacklevel=2)
     a, diag = stiffness_bands(grid, ell)
     diag[-1] -= sphere_area(N) * faces[-1] ** (N - 1) / (faces[-1] - r[-1])
     return SectorOperator(grid=grid, ell=ell, c=float(c), a=a, diag=diag)
 
 
-@dataclass
-class BoxOperator(WeightedForm):
-    """Matrix-free A = Delta^2 - c|x|^{-4} on a box grid (2N+1 stencil)."""
-
-    grid: BoxGrid
-    c: float
-
-    @property
-    def n(self) -> int:
-        return self.grid.size
-
-    @property
-    def V(self) -> np.ndarray:
-        return self.grid.radii_sq() ** -2.0
-
-    def apply_L(self, u: np.ndarray) -> np.ndarray:
-        return self.stencil(u.reshape(self.grid.shape)).reshape(-1)
-
-    def stencil(self, U: np.ndarray, below=None, above=None) -> np.ndarray:
-        """L on U, which spans the grid's last U.ndim axes, with zero
-        neighbours outside the box (Dirichlet truncation).  When U is one
-        axis-0 plane, `below` and `above` are its neighbour planes (None
-        outside the box)."""
-        g = self.grid
-        out = -2.0 * g.N * U
-        for plane in (above, below):
-            if plane is not None:
-                out += plane
-        for ax in range(U.ndim):
-            lo = [slice(None)] * U.ndim
-            hi = [slice(None)] * U.ndim
-            lo[ax], hi[ax] = slice(None, -1), slice(1, None)
-            out[tuple(lo)] += U[tuple(hi)]
-            out[tuple(hi)] += U[tuple(lo)]
-        out /= g.h**2
-        return out
-
-
-def assemble_box(grid: BoxGrid, c: float = 0.0) -> BoxOperator:
-    _warn_supercritical(grid.N, c)
-    return BoxOperator(grid=grid, c=float(c))
+def box_stencil(box: BoxGrid, U: np.ndarray, below=None,
+                above=None) -> np.ndarray:
+    """The 2N+1 Laplacian L of the box on U, which spans the grid's last
+    U.ndim axes, with zero neighbours outside the box (Dirichlet
+    truncation).  When U is one axis-0 plane, `below` and `above` are its
+    neighbour planes (None outside the box)."""
+    out = -2.0 * box.N * U
+    for plane in (above, below):
+        if plane is not None:
+            out += plane
+    for ax in range(U.ndim):
+        lo = [slice(None)] * U.ndim
+        hi = [slice(None)] * U.ndim
+        lo[ax], hi[ax] = slice(None, -1), slice(1, None)
+        out[tuple(lo)] += U[tuple(hi)]
+        out[tuple(hi)] += U[tuple(lo)]
+    out /= box.h**2
+    return out
 
 
 def _check_clamp(lam: float, phi_values: np.ndarray) -> None:
@@ -218,7 +186,7 @@ def _check_clamp(lam: float, phi_values: np.ndarray) -> None:
 class TwistedOperator:
     """A_{lam*phi} = e^{lam phi} A e^{-lam phi} as a diagonal conjugation."""
 
-    base: object
+    base: SectorOperator
     lam: float
     phi_values: np.ndarray = field(repr=False)
 
@@ -228,7 +196,7 @@ class TwistedOperator:
         return self.base.form_a(np.exp(-lp) * u, np.exp(lp) * u)
 
 
-def twist(op, lam: float, phi: PhiFamily) -> TwistedOperator:
+def twist(op: SectorOperator, lam: float, phi: PhiFamily) -> TwistedOperator:
     phi.certify(grid=op.grid)
     vals = phi.values(op.grid)
     _check_clamp(lam, vals)
@@ -251,7 +219,8 @@ def twisted_form_bytes(N: int, m: int) -> int:
     return 16 * TWISTED_PLANES * m ** (N - 1)
 
 
-def twisted_form_terms(op: BoxOperator, u, lam: float, phi: PhiFamily) -> dict:
+def twisted_form_terms(box: BoxGrid, c: float, u, lam: float,
+                       phi: PhiFamily) -> dict:
     """Correction terms of the twisted form:
 
         a_{lam phi}(u) - a(u) =
@@ -264,14 +233,16 @@ def twisted_form_terms(op: BoxOperator, u, lam: float, phi: PhiFamily) -> dict:
           - 4 lam^2 int |grad phi . grad u|^2
           + 4 lam  i Im int (grad phi . grad u-bar) Lap u
 
-    Returns every term, their sum, the directly evaluated difference, and
-    the discrepancy between the two (a discrete Leibniz error of order
-    >= 1.5 under grid refinement).
+    Here a(u, v) = (Lu, Lv) - c (Vu, v) on the box, in the uniform weight
+    h^N, with L the 2N+1 stencil of box_stencil.  Returns every term,
+    their sum, the directly evaluated difference, and the discrepancy
+    between the two (a discrete Leibniz error of order >= 1.5 under grid
+    refinement).
 
     `u` is the probe as a function of the axis-0 plane index: u(i) is its
-    plane i, of shape grid.shape[1:] or flat, for 0 <= i < m, so the m^N
+    plane i, of shape box.shape[1:] or flat, for 0 <= i < m, so the m^N
     probe need never exist; a caller holding the probe as an array U of
-    shape grid.shape passes U.__getitem__.  The sums run over the box one
+    shape box.shape passes U.__getitem__.  The sums run over the box one
     plane at a time.  Plane i needs u and e^{-+lam phi} u on planes i-1,
     i and i+1 for the stencil across planes, so windows of three planes
     roll along axis 0 and the peak is TWISTED_PLANES complex planes,
@@ -281,11 +252,8 @@ def twisted_form_terms(op: BoxOperator, u, lam: float, phi: PhiFamily) -> dict:
     gradient sech^2(t) e, so |grad phi|^2 = sech^4 (e.e) and
     grad phi . grad u = sech^2 (e . grad u).
     """
-    if not isinstance(op, BoxOperator):
-        raise OperatorError("the expansion needs a box operator (gradients)")
-    g = op.grid
-    m, h, e = g.m, g.h, phi.e
-    plane = g.shape[1:]
+    m, h, e = box.m, box.h, phi.e
+    plane = box.shape[1:]
     ee = float(e @ e)
 
     def probe(i):
@@ -296,7 +264,7 @@ def twisted_form_terms(op: BoxOperator, u, lam: float, phi: PhiFamily) -> dict:
         """(e^{-lam phi} u, e^{lam phi} u) on plane i; None off the box."""
         if ui is None:
             return None, None
-        vals = phi.values(g, slice(i, i + 1))
+        vals = phi.values(box, slice(i, i + 1))
         _check_clamp(lam, vals)
         lp = lam * vals.reshape(plane)
         return np.exp(-lp) * ui, np.exp(lp) * ui
@@ -308,7 +276,7 @@ def twisted_form_terms(op: BoxOperator, u, lam: float, phi: PhiFamily) -> dict:
     below, here = (None, None), twisted(0, ui)
     for i in range(m):
         rows = slice(i, i + 1)
-        Lu = op.stencil(ui, lo, hi)
+        Lu = box_stencil(box, ui, lo, hi)
         directional = np.zeros(plane, dtype=ui.dtype)     # e . grad u
         for ax in np.flatnonzero(e):
             if ax:
@@ -319,12 +287,12 @@ def twisted_form_terms(op: BoxOperator, u, lam: float, phi: PhiFamily) -> dict:
             d *= e[ax]
             directional += d
         del lo, d
-        sech2 = phi.sech2(g, rows).reshape(plane)
+        sech2 = phi.sech2(box, rows).reshape(plane)
         gp2 = ee * sech2**2                               # |grad phi|^2
         # grad phi . grad u-bar; |grad phi . grad u| is its modulus
         dot_gubar = np.conj(sech2 * directional)
         del sech2, directional
-        lphi = phi.laplacian(g, rows).reshape(plane)
+        lphi = phi.laplacian(box, rows).reshape(plane)
         au2 = np.abs(ui) ** 2
         sums = [np.sum(gp2**2 * au2),
                 np.sum(lphi**2 * au2),
@@ -338,11 +306,11 @@ def twisted_form_terms(op: BoxOperator, u, lam: float, phi: PhiFamily) -> dict:
         del au2, gp2, lphi, dot_gubar, Lu
 
         above = twisted(i + 1, hi)
-        Lm = op.stencil(here[0], below[0], above[0])
-        Lp = op.stencil(here[1], below[1], above[1])
+        Lm = box_stencil(box, here[0], below[0], above[0])
+        Lp = box_stencil(box, here[1], below[1], above[1])
         sums.append(np.sum(Lm * np.conj(Lp)))
         del Lm, Lp
-        V = g.radii_sq(rows).reshape(plane) ** -2.0
+        V = box.radii_sq(rows).reshape(plane) ** -2.0
         sums += [np.sum(V * here[0] * np.conj(here[1])), direct_Lu,
                  np.sum(V * ui * np.conj(ui))]
         del V
@@ -350,7 +318,7 @@ def twisted_form_terms(op: BoxOperator, u, lam: float, phi: PhiFamily) -> dict:
         below, here = here, above
         lo, ui, hi = ui, hi, probe(i + 2)
 
-    w = float(g.w[0])
+    w = box.h**box.N
     s = [w * complex(a) for a in acc]
     terms = {
         "lam4_gradphi4": lam**4 * s[0].real,
@@ -363,7 +331,7 @@ def twisted_form_terms(op: BoxOperator, u, lam: float, phi: PhiFamily) -> dict:
         "lam_im_grad_lap": 4 * lam * 1j * s[7].imag,
     }
     total = sum(terms.values())
-    direct = (s[8] - op.c * s[9]) - (s[10] - op.c * s[11])
+    direct = (s[8] - c * s[9]) - (s[10] - c * s[11])
     return {
         "terms": terms,
         "sum": total,
@@ -388,8 +356,7 @@ def twisted_expansion_study(N: int, c: float, phi: PhiFamily) -> tuple:
     rows = []
     for m in BOX_LADDER:
         box = build_box_grid(N, m, 2.5)
-        res = twisted_form_terms(assemble_box(box, c), box_probe(box), 0.7,
-                                 phi)
+        res = twisted_form_terms(box, c, box_probe(box), 0.7, phi)
         rows.append((m, box.h, res["discrepancy"]))
     orders = [math.log(d0 / d1) / math.log(h0 / h1)
               for (_, h0, d0), (_, h1, d1) in zip(rows, rows[1:])]

@@ -2,10 +2,10 @@
 semigroup evaluation e^{-zA}, inverse square root A^{-1/2} by two
 independent routes, and kernels.
 
-The semigroup (complex time inside the holomorphy sector), its kernels,
-A^{-1/2} and the Riesz transform are sector-only and read a radial
-sector's one cached decomposition (`SectorOperator.decomposition`).  Box
-grids serve only the twisted-form expansion (`operators`).
+Every operator is a radial sector (`operators.SectorOperator`): the
+semigroup (complex time inside the holomorphy sector), its kernels,
+A^{-1/2} and the Riesz transform read its one cached decomposition
+(`SectorOperator.decomposition`).
 """
 
 from __future__ import annotations
@@ -96,13 +96,6 @@ class SpectralDecomposition:
         return K
 
 
-def _require_sector(op) -> None:
-    if not isinstance(op, SectorOperator):
-        raise SpectralError(
-            f"spectral calculus is sector-only, got {type(op).__name__}; box "
-            "grids serve only the twisted-form expansion")
-
-
 def eigendecompose(op: SectorOperator) -> SpectralDecomposition:
     """W-orthonormal eigenpairs of a radial sector's A: at c = 0 from the
     tridiagonal stiffness, otherwise from the standard form of the
@@ -119,7 +112,6 @@ def eigendecompose(op: SectorOperator) -> SpectralDecomposition:
     Non-finite F or w raises ValueError and w <= 0 raises LinAlgError,
     as that call does.
     """
-    _require_sector(op)
     if op.n > DENSE_LIMIT:
         raise SpectralError(f"dense decomposition limited to n <= {DENSE_LIMIT}")
     w = op.w
@@ -207,9 +199,6 @@ class SemigroupEvaluator:
 
     op: SectorOperator
 
-    def __post_init__(self):
-        _require_sector(self.op)
-
     def apply(self, z: complex, u) -> np.ndarray:
         return self.op.decomposition.fn_apply(self.values(z), u)
 
@@ -245,7 +234,6 @@ def quadrature_nodes(mu_min: float, mu_max: float) -> tuple:
 
 def _positive_decomposition(op) -> SpectralDecomposition:
     """A radial sector's decomposition, where A^{-1/2} exists."""
-    _require_sector(op)
     dec = op.decomposition
     if dec.mu[0] <= 0:
         raise SpectralError("indefinite operator: A^{-1/2} undefined")

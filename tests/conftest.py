@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from biharmlab import (assemble_sector, build_box_grid, build_radial_grid,
-                       assemble_box, cli, norms)
+                       cli, norms)
 from biharmlab.spectral import KernelMatrix
 
 ACCEPTANCE_LINES = []
@@ -72,11 +72,6 @@ def dec_c1(op_c1):
 @pytest.fixture(scope="session")
 def box_grid_small():
     return build_box_grid(5, 4, 2.5)
-
-
-@pytest.fixture(scope="session")
-def box_op_small(box_grid_small):
-    return assemble_box(box_grid_small, 1.0)
 
 
 @pytest.fixture(scope="session")

@@ -56,16 +56,7 @@ class TestBoxGrid:
 
     def test_cell_measure(self):
         g = build_box_grid(5, 4, 2.0)
-        assert g.w[0] * g.size == pytest.approx(4.0**5)
-
-    def test_weights_are_a_read_only_uniform_view(self):
-        g = build_box_grid(5, 6, 2.0)
-        w = g.w
-        assert w.shape == (g.size,)
-        assert np.all(w == g.h**5)
-        assert not w.flags.writeable
-        with pytest.raises(ValueError):
-            w[0] = 1.0
+        assert g.h**g.N * g.m**g.N == pytest.approx(4.0**5)
 
     @pytest.mark.parametrize("e", [[0.8, 0.6, 0, 0, 0],
                                    [0.1, -0.3, 0.5, 0.7, -0.2]])

@@ -168,8 +168,8 @@ def test_only_norms_takes_svds_of_formed_kernels():
 
 
 # what the CLI leaves to `operators.twisted_expansion_study`
-BOX_BUILDERS = {"build_box_grid", "assemble_box", "twisted_form_terms",
-                "BoxGrid", "BoxOperator"}
+BOX_BUILDERS = {"build_box_grid", "BoxGrid", "box_probe", "box_stencil",
+                "twisted_form_terms"}
 
 
 def driver_crossings(source: str, is_cli: bool) -> list:
@@ -184,12 +184,16 @@ def driver_crossings(source: str, is_cli: bool) -> list:
 def test_driver_scan_flags_cli_imports_and_box_builders():
     source = ("import biharmlab.cli as c\nfrom biharmlab import cli, grids\n"
               "from biharmlab.cli import main\nimport biharmlab.clinic\n"
-              "from .operators import assemble_box, assemble_sector\n"
+              "from .operators import box_stencil, assemble_sector\n"
               "from .grids import BoxGrid as G\n")
     assert driver_crossings(source, is_cli=False) == [
         (1, "biharmlab.cli"), (2, "biharmlab.cli"), (3, "biharmlab.cli.main")]
     assert driver_crossings(source, is_cli=True) == [
-        (5, ".operators.assemble_box"), (6, ".grids.BoxGrid")]
+        (5, ".operators.box_stencil"), (6, ".grids.BoxGrid")]
+    for name in BOX_BUILDERS:
+        source = f"from .operators import assemble_sector, {name}\n"
+        assert driver_crossings(source, is_cli=True) == [
+            (1, f".operators.{name}")], name
 
 
 def test_no_demo_imports_the_cli_and_the_cli_builds_no_box():

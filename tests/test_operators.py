@@ -1,14 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from biharmlab import (assemble_box, assemble_sector, build_box_grid,
-                       build_radial_grid, forme_inequality_check, make_phi,
+from biharmlab import (assemble_sector, build_box_grid, build_radial_grid,
+                       forme_inequality_check, make_phi,
                        paper_rellich_constant, probe_functions, twist,
                        twisted_form_terms)
 from biharmlab.estimates import _sym_part_minimizer
-from biharmlab.grids import TANH_HESS_MAX, box_probe, sphere_area
-from biharmlab.operators import (TWISTED_PLANES, OperatorError,
+from biharmlab.grids import box_probe, sphere_area
+from biharmlab.operators import (TWISTED_PLANES, OperatorError, box_stencil,
                                  stiffness_bands)
 
 
@@ -58,6 +60,14 @@ class TestSectorOperator:
         e0 = assemble_sector(grid128, 0, 0.0).form_a(u, u).real
         e2 = assemble_sector(grid128, 2, 0.0).form_a(u, u).real
         assert e2 > e0
+
+    def test_subcritical_assembles_without_warning(self, grid128):
+        # the indefiniteness warning starts at c = C*, not below it
+        cstar = paper_rellich_constant(5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            op = assemble_sector(grid128, 0, 0.999 * cstar)
+        assert op.c == pytest.approx(0.999 * cstar)
 
     def test_supercritical_warns_and_flags(self, grid128):
         from biharmlab import eigendecompose
@@ -179,33 +189,51 @@ class TestBandedSector:
 
 
 class TestBoxOperator:
-    def test_laplacian_symmetric(self, box_op_small, rng):
-        n = box_op_small.n
-        u = rng.standard_normal(n)
-        v = rng.standard_normal(n)
-        lhs = box_op_small.inner(box_op_small.apply_L(u), v)
-        rhs = box_op_small.inner(u, box_op_small.apply_L(v))
+    """The box's one operator: its 2N+1 stencil L, on whole arrays."""
+
+    def test_laplacian_symmetric(self, box_grid_small, rng):
+        # (L u, v) = (u, L v) in the box weight h^N
+        g = box_grid_small
+        u = rng.standard_normal(g.shape)
+        v = rng.standard_normal(g.shape)
+        lhs = g.h**g.N * np.sum(box_stencil(g, u) * v)
+        rhs = g.h**g.N * np.sum(u * box_stencil(g, v))
         assert abs(lhs - rhs) < 1e-10 * max(abs(lhs), 1.0)
 
     def test_laplacian_exact_on_quadratic(self):
         g = build_box_grid(5, 8, 2.0)
-        op = assemble_box(g, 0.0)
         X = g.coords()
         interior = np.all(np.abs(X) < 2.0 - 1.5 * g.h, axis=1)
         u = (X**2).sum(axis=1)
-        lu = op.apply_L(u)
+        lu = box_stencil(g, u.reshape(g.shape)).ravel()
         assert np.allclose(lu[interior], 2.0 * 5, atol=1e-9)
 
-    def test_form_energy_nonnegative_subcritical(self, box_op_small, rng):
-        u = rng.standard_normal(box_op_small.n)
-        assert box_op_small.form_a(u, u).real > 0
+    def test_form_energy_nonnegative_subcritical(self, box_grid_small, rng):
+        # a(u, u) = h^N (|L u|^2 - c |x|^{-4} |u|^2) at c = 1 < C*
+        g = box_grid_small
+        u = rng.standard_normal(g.shape)
+        V = g.radii_sq().reshape(g.shape) ** -2.0
+        energy = g.h**g.N * np.sum(box_stencil(g, u) ** 2 - 1.0 * V * u**2)
+        assert energy > 0
+
+    def test_plane_walk_matches_whole_array(self, rng):
+        # plane i with its neighbour planes (None off the box) is plane i
+        # of the whole-array stencil, bit for bit
+        g = build_box_grid(5, 6, 2.0)
+        U = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        whole = box_stencil(g, U)
+        for i in range(g.m):
+            below = U[i - 1] if i > 0 else None
+            above = U[i + 1] if i < g.m - 1 else None
+            assert np.array_equal(box_stencil(g, U[i], below, above),
+                                  whole[i]), i
 
     def test_apply_L_matches_padded_stencil(self, rng):
         g = build_box_grid(5, 6, 2.0)
-        op = assemble_box(g, 1.0)
-        u = rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)
+        size = g.m**g.N
+        u = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         ref = _stencil_L(g, u)
-        err = np.max(np.abs(op.apply_L(u) - ref))
+        err = np.max(np.abs(box_stencil(g, u.reshape(g.shape)).ravel() - ref))
         assert err <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -266,9 +294,8 @@ class TestTwistedOperator:
 class TestTwistedFormExpansion:
     def test_nine_term_identity_small_discrepancy(self):
         g = build_box_grid(5, 12, 2.5)
-        op = assemble_box(g, 1.0)
         phi = make_phi(np.array([0.8, 0.6, 0, 0, 0]), 2.0, 0.2)
-        res = twisted_form_terms(op, box_probe(g), 0.7, phi)
+        res = twisted_form_terms(g, 1.0, box_probe(g), 0.7, phi)
         assert res["discrepancy"] < 0.1 * max(abs(res["direct"]), 1.0)
         assert set(res["terms"]) == {
             "lam4_gradphi4", "lam2_lapphi2", "lam3_im_gradphi2",
@@ -287,7 +314,7 @@ class TestTwistedFormExpansion:
         # along axis 0 only, and N = 6 probe the plane pass's faces
         N = len(e)
         g = build_box_grid(N, 8 if N == 5 else 6, 2.5)
-        op = assemble_box(g, 1.0)
+        c = 1.0
         X = g.coords()
         u = _probe(g)
         e = np.asarray(e, dtype=float) / np.linalg.norm(e)
@@ -316,11 +343,12 @@ class TestTwistedFormExpansion:
 
         def form(v1, v2):
             return (w * np.sum(_stencil_L(g, v1) * np.conj(_stencil_L(g, v2)))
-                    - op.c * w * np.sum(V * v1 * np.conj(v2)))
+                    - c * w * np.sum(V * v1 * np.conj(v2)))
 
         d = np.exp(lam * phi.values(g))
         direct = form(u / d, d * u) - form(u, u)
-        res = twisted_form_terms(op, u.reshape(g.shape).__getitem__, lam, phi)
+        res = twisted_form_terms(g, c, u.reshape(g.shape).__getitem__, lam,
+                                 phi)
         assert res["terms"].keys() == ref.keys()
         scale = max(abs(val) for val in ref.values())
         for key, val in ref.items():
@@ -339,16 +367,14 @@ class TestTwistedFormExpansion:
         phi = make_phi(np.array([0.8, 0.6, 0, 0, 0]), 1.0, 0.2)
         for m in (12, 16):
             g = build_box_grid(5, m, 2.5)
-            op = assemble_box(g, 1.0)
             peak, _ = traced_peak(
-                lambda: twisted_form_terms(op, box_probe(g), 0.7, phi))
+                lambda: twisted_form_terms(g, 1.0, box_probe(g), 0.7, phi))
             assert peak <= TWISTED_PLANES * 16 * m ** 4, m
-        assert peak < 16 * g.size
+        assert peak < 16 * g.m ** g.N
 
     @pytest.mark.parametrize("N, m", [(5, 8), (5, 16), (6, 6)])
     def test_probe_planes_are_the_formed_probe_bit_for_bit(self, N, m):
         g = build_box_grid(N, m, 2.5)
-        op = assemble_box(g, 1.0)
         e = np.zeros(N)
         e[:2] = 0.8, 0.6
         phi = make_phi(e, 1.0, 0.2)
@@ -356,51 +382,63 @@ class TestTwistedFormExpansion:
         probe = box_probe(g)
         for i in range(m):
             assert np.array_equal(probe(i), U[i].ravel()), i
-        assert (twisted_form_terms(op, probe, 0.7, phi)
-                == twisted_form_terms(op, U.__getitem__, 0.7, phi))
+        assert (twisted_form_terms(g, 1.0, probe, 0.7, phi)
+                == twisted_form_terms(g, 1.0, U.__getitem__, 0.7, phi))
 
-    def test_lambda_zero_has_no_correction(self, box_op_small, rng):
-        u = rng.standard_normal(box_op_small.n)
+    def test_potential_cancels_from_the_difference(self, box_grid_small,
+                                                   rng):
+        # (V e^{-lam phi} u, e^{lam phi} u) = (V u, u): c weights only
+        # terms that cancel, so no term and no difference depends on it
+        g = box_grid_small
+        u = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        phi = make_phi(np.array([0.8, 0.6, 0, 0, 0]), 2.0, 0.2)
+        r0, r1, r2 = (twisted_form_terms(g, c, u.__getitem__, 0.7, phi)
+                      for c in (0.0, 1.0, 2.0))
+        assert r0["terms"] == r1["terms"] == r2["terms"]
+        assert abs(r0["direct"]) > 0.0
+        for res in (r1, r2):
+            assert abs(res["direct"] - r0["direct"]) <= (
+                1e-12 * abs(r0["direct"]))
+
+    def test_lambda_zero_has_no_correction(self, box_grid_small, rng):
+        g = box_grid_small
+        u = rng.standard_normal(g.shape)
         phi = make_phi(np.array([1.0, 0, 0, 0, 0]), 2.0)
-        res = twisted_form_terms(
-            box_op_small, u.reshape(box_op_small.grid.shape).__getitem__,
-            0.0, phi)
+        res = twisted_form_terms(g, 1.0, u.__getitem__, 0.0, phi)
         assert abs(res["sum"]) == 0.0
         assert abs(res["direct"]) < 1e-10
         assert all(abs(v) == 0.0 for v in res["terms"].values())
 
 
 class TestFormEInequality:
-    def test_holds_on_probe_batch(self, box_op_small):
-        g = box_op_small.grid
+    def test_holds_on_probe_batch(self, grid128, op_c1):
+        # each u minimises the symmetric part of its twisted form, as in
+        # twisted_decay_suite: these samples need k > 0
+        R = grid128.R
         rng = np.random.default_rng(7)
         samples = []
-        for i in range(20):
-            u = probe_functions(g, 1, seed=i)[0]
-            u = u + 0.2j * rng.standard_normal(u.shape) * u
+        for _ in range(20):
             lam = float(rng.uniform(0.1, 2.0))
-            phi = make_phi(_unit(rng), float(rng.uniform(TANH_HESS_MAX, 4.0)),
-                           float(rng.uniform(-1, 1)))
-            samples.append((u, lam, phi))
-        res = forme_inequality_check(box_op_small, samples)
+            phi = make_phi(np.zeros(5), float(rng.uniform(1.0, 2.0)),
+                           float(rng.uniform(-R / 2.0, -R / 3.0)),
+                           kind="radial", grid=grid128)
+            u = _sym_part_minimizer(twist(op_c1, lam, phi))
+            samples.append((u * (1.0 + 0.2j * rng.standard_normal()), lam,
+                            phi))
+        res = forme_inequality_check(op_c1, samples)
         assert res["ok"]
         assert len(res["violations"]) == 0
         assert res["k"] == pytest.approx(18 * 25 * res["eps"] ** -6)
-        assert res["k_empirical"] <= res["k"]
+        assert 0.0 < res["k_empirical"] <= res["k"]
 
-    def test_supercritical_c_is_an_operator_error(self, box_grid_small):
+    def test_supercritical_c_is_an_operator_error(self, grid128):
         # eta = 1 - c/C* must be positive for eps and k to exist
         cstar = paper_rellich_constant(5)
         with pytest.warns(UserWarning, match="may be indefinite"):
-            op = assemble_box(box_grid_small, cstar)
+            op = assemble_sector(grid128, 0, cstar)
         with pytest.raises(OperatorError, match=r"needs c < C\* "
                            r"\(c = 1.5625, C\* = 1.5625\)"):
             forme_inequality_check(op, [])
-
-
-def _unit(rng):
-    v = rng.standard_normal(5)
-    return v / np.linalg.norm(v)
 
 
 def _apply_L_one_shot(op, u):
@@ -420,7 +458,7 @@ def _probe(g):
 
 
 def _rank_n_gradient(g, u):
-    """(size, N) centred-difference gradient, one-sided at the boundary."""
+    """(m^N, N) centred-difference gradient, one-sided at the boundary."""
     U = u.reshape(g.shape)
     return np.stack([np.gradient(U, g.h, axis=k).ravel()
                      for k in range(g.N)], axis=1)

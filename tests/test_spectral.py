@@ -36,10 +36,6 @@ class TestEigendecompose:
         mu = float(op_c0.w @ (lq * q))
         assert mu**2 == pytest.approx(dec_c0.mu[0], rel=1e-8)
 
-    def test_rejects_box_operator(self, box_op_small):
-        with pytest.raises(SpectralError):
-            eigendecompose(box_op_small)
-
     @pytest.mark.parametrize("c", [0.0, 1.0])
     def test_working_memory(self, c, traced_peak):
         # c > 0: F and dsyevd's 2 n^2 workspace, with the eigenvectors
@@ -356,12 +352,3 @@ class TestOneDecomposition:
         # the Laplacian fit reads its factors from the values alone
         laplacian_decay_fit(op, np.geomspace(0.05, 0.5, 5))
         assert len(calls) == 3
-
-    def test_box_kernel_and_inverse_square_root_rejected(self, box_op_small):
-        u = np.ones(box_op_small.n)
-        with pytest.raises(SpectralError):
-            SemigroupEvaluator(box_op_small)
-        with pytest.raises(SpectralError):
-            SemigroupEvaluator(box_op_small).kernel(0.01)
-        with pytest.raises(SpectralError):
-            inv_sqrt_apply(box_op_small, u, "quadrature")
