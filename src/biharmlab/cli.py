@@ -353,7 +353,7 @@ def run_twisted(args, man: report.RunManifest) -> None:
     R = grid.R
     phis = [make_phi(np.zeros(args.N), 1.0, -R / 3.0, kind="radial", grid=grid),
             make_phi(np.zeros(args.N), 2.0, -R / 2.0, kind="radial", grid=grid)]
-    rep = twisted_decay_suite(op, args.lam, phis, args.t, seed=args.seed)
+    rep = twisted_decay_suite(op, args.lam, phis, args.t)
     man.numerics["kept_modes"] = [{"c": args.c, "t": min(args.t),
                                    "of": grid.n, "kept": rep["kept_modes"]}]
     rows = [(r["lam"], r["t"], r["norm"], r["bound"], r["lap_norm"],
@@ -411,9 +411,9 @@ def run_solve(args, man: report.RunManifest) -> None:
     f = probe_functions(grid, 1, seed=args.seed)[0]
     p = args.p[0]
     traj = solve_parabolic(op, f, args.t, p)
-    rows = [(r["t"], r["norm_p"], r["seminorm_p"]) for r in traj["rows"]]
+    rows = [(r["t"], r["norm_p"], r["seminorm_p"]) for r in traj]
     man.table("solve.csv", ("t", "norm_p", "seminorm_p"), rows)
-    bad = sum(not math.isfinite(r["seminorm_p"]) for r in traj["rows"])
+    bad = sum(not math.isfinite(r["seminorm_p"]) for r in traj)
     man.add_check("solution_seminorm_finite", bad, "<=", 0, f"p = {p}")
 
 

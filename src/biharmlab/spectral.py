@@ -214,13 +214,12 @@ class SemigroupEvaluator:
 
 
 def quadrature_nodes(mu_min: float, mu_max: float) -> tuple:
-    """Trapezoid nodes for Gamma(1/2)^{-1} int t^{-1/2} e^{-tA} dt, t = e^s.
+    """Trapezoid nodes for Gamma(1/2)^{-1} int t^{-1/2} e^{-tA} dt, t = e^s,
+    for a spectrum in [mu_min, mu_max] with mu_min > 0.
 
     The s-range is chosen so both truncation tails are below 1e-8 relative:
     left tail ~ (2/sqrt(pi)) sqrt(t_min mu_max), right tail ~ e^{-t_max mu_1}.
     """
-    if mu_min <= 0:
-        raise SpectralError("positive definite operator required for A^{-1/2}")
     s_min = math.log(2.5e-17 / mu_max)
     s_max = math.log(40.0 / mu_min)
     s = np.linspace(s_min, s_max, QUADRATURE_NODES)

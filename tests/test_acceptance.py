@@ -17,7 +17,6 @@ from biharmlab import (assemble_sector, boyd_lower, build_radial_grid,
                        remark_ball_inequality, report, riesz_apply,
                        riesz_kernel, riesz_pnorm_sweep, twist,
                        twisted_decay_suite, twisted_expansion_study)
-from biharmlab.estimates import _sym_part_minimizer
 from biharmlab.grids import weighted_lp
 from biharmlab.norms import _lp_unit
 
@@ -121,7 +120,7 @@ def test_criterion_05_twisted_form_suite():
 
     # the form inequality on 200 sampled (u, lam <= 2, phi) on a sector,
     # each u built as twisted_decay_suite builds its own: the minimiser of
-    # the symmetric part of its twisted form, so the samples need k > 0
+    # the symmetric part of its twisted operator, so the samples need k > 0
     R = 30.0
     g = build_radial_grid(5, R, 256)
     op = assemble_sector(g, 0, 1.0)
@@ -132,18 +131,18 @@ def test_criterion_05_twisted_form_suite():
         phi = make_phi(np.zeros(5), float(rng.uniform(1.0, 2.0)),
                        float(rng.uniform(-R / 2.0, -R / 3.0)),
                        kind="radial", grid=g)
-        u = _sym_part_minimizer(twist(op, lam_i, phi))
-        samples.append((u * (1.0 + 0.3j * rng.standard_normal()), lam_i,
-                        phi))
+        tw = twist(op, lam_i, phi)
+        samples.append(
+            (tw.minimizer() * (1.0 + 0.3j * rng.standard_normal()), tw))
     chk = forme_inequality_check(op, samples)
-    ok = order_ok and chk["ok"] and chk["k_empirical"] > 0.0
-    record("criterion 5 (twisted-form suite)", ok,
+    ineq_ok = chk["samples"] == 200 and 0.0 < chk["k_empirical"] <= chk["k"]
+    record("criterion 5 (twisted-form suite)", order_ok and ineq_ok,
            f"expansion orders {orders[0]:.2f}/{orders[1]:.2f} (>= 1.5), "
-           f"inequality {200 - len(chk['violations'])}/200 with k "
+           f"inequality on {chk['samples']} samples with k "
            f"{chk['k']:.3e}, empirical k {chk['k_empirical']:.3e}")
     assert order_ok
-    assert chk["ok"] and len(chk["rows"]) == 200
-    assert chk["k_empirical"] > 0.0
+    assert chk["samples"] == 200
+    assert 0.0 < chk["k_empirical"] <= chk["k"]
 
 
 def test_criterion_06_twisted_semigroup_bounds():
@@ -152,8 +151,7 @@ def test_criterion_06_twisted_semigroup_bounds():
     phis = [make_phi(np.zeros(5), 2.0, b=-8.0, kind="radial", grid=g),
             make_phi(np.zeros(5), 3.0, b=-10.0, kind="radial", grid=g)]
     ts = list(np.geomspace(0.05, 0.5, 6))
-    res = twisted_decay_suite(op, [0.5, 1.0, 2.0], phis, ts,
-                              n_probes=10, seed=3)
+    res = twisted_decay_suite(op, [0.5, 1.0, 2.0], phis, ts)
     g0 = build_radial_grid(5, 30.0, 512)
     op0 = assemble_sector(g0, 0, 0.0)
     fit = laplacian_decay_fit(op0, list(np.geomspace(0.01, 0.1, 9)))

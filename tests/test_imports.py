@@ -1,10 +1,10 @@
-"""Every imported name is used, no package module imports another's
-private names, every public function, class and method of the package
-has a user outside the tests, and every test or fixture that starts a
-child process says why: `ast` scans of the package, its tests, its demos
-and its benchmark.  No demo imports the CLI, and the CLI imports no box
-builder.  The CLI loads scipy's optimiser and sparse stacks only where
-they are used."""
+"""Every imported name is used, no package module or demo imports a
+package module's private names, every public function, class and method
+of the package has a user outside the tests, and every test or fixture
+that starts a child process says why: `ast` scans of the package, its
+tests, its demos and its benchmark.  No demo imports the CLI, and the
+CLI imports no box builder.  The CLI loads scipy's optimiser and sparse
+stacks only where they are used."""
 
 import ast
 import glob
@@ -121,13 +121,16 @@ def test_private_import_scan_flags_only_package_privates():
               "from .grids import sphere_area, _private\n"
               "from biharmlab.estimates import _power_fit\n"
               "from . import __version__\n"
-              "from os.path import _joinrealpath\n")
-    assert private_imports(source) == [(2, "_private"), (3, "_power_fit")]
+              "from os.path import _joinrealpath\n"
+              "from biharmlab import make_phi, _demo_helper\n")
+    assert private_imports(source) == [(2, "_private"), (3, "_power_fit"),
+                                       (6, "_demo_helper")]
 
 
 @pytest.mark.parametrize("path", [p for p in _sources()
-                                  if p.startswith(PACKAGE)])
+                                  if p.startswith((PACKAGE, "demos"))])
 def test_no_module_imports_another_modules_private_names(path):
+    # a demo uses the package as a reader would, through public names
     with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
         assert private_imports(fh.read()) == []
 

@@ -332,8 +332,7 @@ class TestOneDecomposition:
         riesz_kernel(op)
         riesz_apply(op, u, "quadrature")
         laplacian_decay_fit(op, np.geomspace(0.05, 0.5, 5))
-        twisted_decay_suite(op, [0.5], [radial_phi(op)], [0.05, 0.1],
-                            n_probes=2)
+        twisted_decay_suite(op, [0.5], [radial_phi(op)], [0.05, 0.1])
         assert len(calls) == 1 and calls[0] is op
 
     def test_every_semigroup_kernel_is_built_by_the_evaluator(self,
@@ -347,8 +346,7 @@ class TestOneDecomposition:
 
         monkeypatch.setattr(spectral.SemigroupEvaluator, "kernel", counted)
         op = assemble_sector(build_radial_grid(5, 10.0, 64), 0, 1.0)
-        twisted_decay_suite(op, [0.5], [radial_phi(op)], [0.05, 0.1, 0.2],
-                            n_probes=2)
+        twisted_decay_suite(op, [0.5], [radial_phi(op)], [0.05, 0.1, 0.2])
         # the Laplacian fit reads its factors from the values alone
         laplacian_decay_fit(op, np.geomspace(0.05, 0.5, 5))
         assert len(calls) == 3
